@@ -20,6 +20,8 @@ from .experiment import (
     cmd_gen,
     cmd_run,
 )
+from .reassignment import BEAMFORMERS, NOISE_COV_SOURCES, TRACKER_VARIANTS
+from .scene import SEPARATION_REGIMES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(gen)
     gen.add_argument("--out", required=True, help="dataset output directory")
     gen.add_argument("--count", type=int, help="number of scenes")
-    gen.add_argument("--regime", choices=["distant", "close"], help="separation regime")
+    gen.add_argument("--regime", choices=list(SEPARATION_REGIMES), help="separation regime")
     gen.add_argument("--duration", type=float, help="scene duration in seconds")
     gen.add_argument("--snr", type=float, help="mixture SNR in dB")
     gen.add_argument("--static", action="store_true", help="disable jumps during silence")
@@ -79,11 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(run)
     run.add_argument("--dataset", required=True, help="dataset directory from gen")
     run.add_argument("--out", required=True, help="results output directory")
-    run.add_argument("--tracker", choices=["gt", "est"], help="observation front-end")
-    run.add_argument("--beamformers", help="comma list: ideal,ds,mvdr")
+    run.add_argument("--tracker", choices=TRACKER_VARIANTS, help="observation front-end")
+    run.add_argument("--beamformers", help="comma list: " + ",".join(BEAMFORMERS))
     run.add_argument("--durations", help="comma list of prefix ms or 'whole'")
     run.add_argument("--enrollment-sizes", help="comma list of pool sizes M")
-    run.add_argument("--noise-cov", choices=["oracle", "gated"], help="MVDR covariance source")
+    run.add_argument("--noise-cov", choices=NOISE_COV_SOURCES, help="MVDR covariance source")
 
     ev = sub.add_parser("eval", help="evaluate results into a metrics report")
     _add_common(ev)

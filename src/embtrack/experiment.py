@@ -1,9 +1,14 @@
 """Batch orchestration: dataset generation, sweep execution, evaluation.
 
-All randomness derives from one master seed via derive_seed(master, scene
-index, stage name), so every sweep cell sees the same scenes and paired
-comparisons are meaningful. Completed scene/cell outputs are marked on disk
-and skipped on resume.
+All randomness derives from one master seed. A scene's seed is
+derive_seed(master, index, "scene"); running it calls the library's seeded
+front-end, reassignment.track_and_enroll, with key (master, index), so every
+later stage seed is derive_seed(master, index, stage[, m]), the same rule the
+library uses. Every sweep cell therefore sees the same scenes, tracks and
+pools, and paired comparisons are meaningful. Each M's trajectories are
+segmented once per scene and shared by that M's cells
+(reassignment.reassign_scene). Completed scene/cell outputs are marked on
+disk and skipped on resume; eval refuses a cell without its marker.
 """
 
 from __future__ import annotations
@@ -17,20 +22,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import fileio
-from .embedding import Embedding, EnrollmentPool, build_distractors, build_enrollment
-from .fragments import DurationPolicy, segment
+from .embedding import Embedding, build_distractors
+from .fragments import DurationPolicy
 from .metrics import aggregate_report, evaluate_scene
-from .reassignment import BEAMFORMERS, TRACKER_VARIANTS, extract_fragment_embedding, reassign
+from .reassignment import (
+    BEAMFORMERS,
+    NOISE_COV_SOURCES,
+    TRACKER_VARIANTS,
+    reassign_scene,
+    track_and_enroll,
+)
 from .scene import SEPARATION_REGIMES, SceneSpec, simulate
 from .seeding import derive_seed
-from .tracking import (
-    NoiseModel,
-    est_tracker_config,
-    gt_tracker_config,
-    observe_est,
-    observe_gt,
-    track,
-)
+from .tracking import NoiseModel
 
 WORKERS_ENV = "EMBTRACK_WORKERS"
 COMPLETE_MARKER = "COMPLETE"
@@ -101,7 +105,7 @@ class RunConfig:
         for bf in self.beamformers:
             if bf not in BEAMFORMERS:
                 raise ConfigError(f"unknown beamformer {bf!r}")
-        if self.noise_cov not in ("oracle", "gated"):
+        if self.noise_cov not in NOISE_COV_SOURCES:
             raise ConfigError(f"unknown noise covariance source {self.noise_cov!r}")
         for d in self.durations:
             try:
@@ -188,6 +192,14 @@ def _scene_id(index: int) -> str:
     return f"scene_{index:04d}"
 
 
+def _read(reader, path: Path):
+    """reader(path); a missing or unreadable file is a DataError."""
+    try:
+        return reader(path)
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise DataError(f"cannot read {path}: {e}") from None
+
+
 def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -264,81 +276,36 @@ def _run_one(args: tuple) -> str:
     result_dir = Path(out_dir) / scene_id
     result_dir.mkdir(parents=True, exist_ok=True)
 
+    run = cfg.run
     cells = [
         (m, bf, dur)
         for (m, bf, dur) in run_cells(cfg)
-        if not (result_dir / cell_name(cfg.run.tracker, m, bf, dur) / COMPLETE_MARKER).exists()
+        if not (result_dir / cell_name(run.tracker, m, bf, dur) / COMPLETE_MARKER).exists()
     ]
     tracks_missing = [
         m
-        for m in cfg.run.enrollment_sizes
-        if not (result_dir / f"tracks_{cfg.run.tracker}_m{m}.jsonl").exists()
+        for m in run.enrollment_sizes
+        if not (result_dir / f"tracks_{run.tracker}_m{m}.jsonl").exists()
     ]
     if not cells and not tracks_missing:
         return scene_id
 
-    scene, _spec = fileio.read_scene(scene_dir)
-    hop = cfg.run.hop
-    if cfg.run.tracker == "gt":
-        observations = observe_gt(scene.ground_truth, hop, scene.duration)
-    else:
-        observations = observe_est(
-            scene.ground_truth,
-            hop,
-            cfg.run.noise_model(),
-            derive_seed(cfg.master_seed, index, "observe"),
-            scene.duration,
-        )
-
-    # Tracking and enrollment per M; pools for smaller M are prefixes of the
-    # largest pool because scene speakers come first and distractors are shared.
-    tracks_by_m = {}
-    for m in cfg.run.enrollment_sizes:
-        maker = gt_tracker_config if cfg.run.tracker == "gt" else est_tracker_config
-        tracker_cfg = maker(m, derive_seed(cfg.master_seed, index, "tracker", m))
-        tracks_by_m[m] = track(observations, tracker_cfg)
-        fileio.write_trajectories(
-            result_dir / f"tracks_{cfg.run.tracker}_m{m}.jsonl", tracks_by_m[m]
-        )
-    top_pool = build_enrollment(
-        scene.voices,
-        max(cfg.run.enrollment_sizes),
-        derive_seed(cfg.master_seed, index, "enrollment"),
-        scene.sample_rate,
-        distractors,
+    scene, _spec = _read(fileio.read_scene, scene_dir)
+    tracks_by_m, pool = track_and_enroll(
+        scene, (cfg.master_seed, index), run.tracker, run.enrollment_sizes, run.hop,
+        run.noise_model(), distractors,
     )
-
-    num_frames = int(round(scene.duration / hop))
-    for m, bf, dur in cells:
-        cell_dir = result_dir / cell_name(cfg.run.tracker, m, bf, dur)
+    for m, trajectories in tracks_by_m.items():
+        fileio.write_trajectories(result_dir / f"tracks_{run.tracker}_m{m}.jsonl", trajectories)
+    specs = [(m, bf, DurationPolicy.parse(dur), run.noise_cov) for m, bf, dur in cells]
+    for (m, bf, dur), result in zip(cells, reassign_scene(scene, tracks_by_m, pool, specs, run.hop)):
+        cell_dir = result_dir / cell_name(run.tracker, m, bf, dur)
         cell_dir.mkdir(parents=True, exist_ok=True)
-        policy = DurationPolicy.parse(dur)
-        trajectories = tracks_by_m[m]
-        fragments = segment(trajectories)
-        pool = EnrollmentPool(top_pool.entries[:m])
-        inactive_by_track = {}
-        if bf == "mvdr" and cfg.run.noise_cov == "gated":
-            for traj in trajectories:
-                active = {i for i, _, a in traj.frames if a}
-                inactive_by_track[traj.track_id] = [
-                    t for t in range(num_frames) if t not in active
-                ]
-        embeddings = {
-            frag.fragment_id: extract_fragment_embedding(
-                scene,
-                frag,
-                policy,
-                bf,
-                hop,
-                cfg.run.noise_cov,
-                inactive_by_track.get(frag.source_track_id),
-            )
-            for frag in fragments
-        }
-        assignment = reassign(fragments, embeddings, pool, hop, policy)
-        fileio.write_fragments(cell_dir / "fragments.jsonl", fragments)
-        fileio.write_assignment(cell_dir / "assignment.json", assignment)
-        fileio.write_trajectories(cell_dir / "tracks_after.jsonl", assignment.new_trajectories)
+        fileio.write_fragments(cell_dir / "fragments.jsonl", result.fragments)
+        fileio.write_assignment(
+            cell_dir / "assignment.json", result.assignment, result.mvdr_diagnostics
+        )
+        fileio.write_trajectories(cell_dir / "tracks_after.jsonl", result.after)
         (cell_dir / COMPLETE_MARKER).write_text("")
     return scene_id
 
@@ -386,16 +353,15 @@ def _evaluate_cell(
     after_metrics = []
     for row in scenes:
         scene_id = row["scene_id"]
-        gt, spec = fileio.read_ground_truth(
-            dataset_dir / "scenes" / scene_id / "ground_truth.json"
+        gt, spec = _read(
+            fileio.read_ground_truth, dataset_dir / "scenes" / scene_id / "ground_truth.json"
         )
         result_dir = results_dir / scene_id
         cell_dir = result_dir / cell_name(cfg.run.tracker, m, bf, dur)
-        tracks_path = result_dir / f"tracks_{cfg.run.tracker}_m{m}.jsonl"
-        if not cell_dir.exists() or not tracks_path.exists():
-            raise DataError(f"missing results for {scene_id}/{cell_dir.name}")
-        before = fileio.read_trajectories(tracks_path)
-        after = fileio.read_trajectories(cell_dir / "tracks_after.jsonl")
+        if not (cell_dir / COMPLETE_MARKER).exists():
+            raise DataError(f"missing or incomplete results for {scene_id}/{cell_dir.name}")
+        before = _read(fileio.read_trajectories, result_dir / f"tracks_{cfg.run.tracker}_m{m}.jsonl")
+        after = _read(fileio.read_trajectories, cell_dir / "tracks_after.jsonl")
         before_metrics.append(
             evaluate_scene(gt, before, spec.duration, cfg.run.hop, cfg.eval.alpha_deg)
         )

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 from scipy.io import wavfile
 
+from .beamforming import MvdrDiagnostics
 from .fragments import Fragment
 from .geometry import DoA
 from .reassignment import AssignmentResult
@@ -183,9 +184,13 @@ def write_fragments(path: str | Path, fragments: list[Fragment]) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
-def assignment_to_dict(result: AssignmentResult) -> dict:
+def assignment_to_dict(result: AssignmentResult, mvdr: MvdrDiagnostics) -> dict:
+    """The cell's assignments, per-fragment diagnostics, reassigned
+    trajectories and MVDR band counts (0 for cells without MVDR)."""
     return {
         "assignments": {str(k): v for k, v in result.assignments.items()},
+        "mvdr_fallback_bands": mvdr.fallback_bands,
+        "mvdr_total_bands": mvdr.total_bands,
         "diagnostics": [
             {
                 "fragment_id": d.fragment_id,
@@ -206,5 +211,5 @@ def assignment_to_dict(result: AssignmentResult) -> dict:
     }
 
 
-def write_assignment(path: str | Path, result: AssignmentResult) -> None:
-    dump_json(assignment_to_dict(result), path)
+def write_assignment(path: str | Path, result: AssignmentResult, mvdr: MvdrDiagnostics) -> None:
+    dump_json(assignment_to_dict(result, mvdr), path)

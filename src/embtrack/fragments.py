@@ -10,8 +10,6 @@ import numpy as np
 from .geometry import DoA, doa_from_unit_vector, spherical_mean
 from .tracking import Trajectory
 
-PREFIX_SWEEP_MS = (250, 500, 750, 1000, 1500)
-
 
 @dataclass(frozen=True)
 class DurationPolicy:

@@ -52,12 +52,6 @@ def angular_distance(a: DoA, b: DoA) -> float:
     return math.degrees(math.acos(max(-1.0, min(1.0, dot))))
 
 
-def angular_distance_vectors(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Angle in degrees between rows of u and rows of v (broadcasting dot products)."""
-    dots = np.clip(np.sum(u * v, axis=-1), -1.0, 1.0)
-    return np.degrees(np.arccos(dots))
-
-
 def spherical_mean(vectors: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """Normalized (weighted) mean of unit vectors; rows are vectors."""
     if weights is None:

@@ -10,10 +10,19 @@ MVDR): its beam passes the other speaker only partly attenuated (the FOA DS
 beam is a cardioid), and leakage averaged into the statistics pulls the
 embedding towards the wrong identity, the more so the longer the window. The
 ideal beamformer reads the target's own wet signal and pools over all frames.
+
+Every per-scene path (the library's run_pipeline, the batch runner and the
+acceptance suite) runs the same two steps. track_and_enroll is the seeded
+front-end: it owns every stage seed, derive_seed(*key, stage[, m]). The key
+is (master seed, scene index) in the batch runner and (seed,) in
+run_pipeline. reassign_scene is the post-tracking step: it segments each M's
+trajectories once and then, per cell (m, beamformer, policy, noise covariance
+source), beamforms, embeds and reassigns every fragment.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +51,6 @@ from .seeding import derive_seed
 from .tracking import (
     DEFAULT_HOP_S,
     NoiseModel,
-    TrackerConfig,
     Trajectory,
     est_tracker_config,
     gt_tracker_config,
@@ -53,6 +61,7 @@ from .tracking import (
 
 BEAMFORMERS = ("ideal", "ds", "mvdr")
 TRACKER_VARIANTS = ("gt", "est")
+NOISE_COV_SOURCES = ("oracle", "gated")
 
 
 class OverlapExclusionError(RuntimeError):
@@ -248,6 +257,84 @@ def _free_frame_mask(
     return ~np.isin(tracker_frames, frag.overlapped_frames)
 
 
+def track_and_enroll(
+    scene: Scene,
+    key: tuple[int | str, ...],
+    tracker_variant: str,
+    enrollment_sizes: Sequence[int],
+    hop: float = DEFAULT_HOP_S,
+    noise_model: NoiseModel = NoiseModel(),
+    distractors: list[tuple[str, Embedding]] | None = None,
+) -> tuple[dict[int, list[Trajectory]], EnrollmentPool]:
+    """The seeded front-end: observe once, track once per M, enroll once.
+
+    Stage seeds are derive_seed(*key, "observe"), derive_seed(*key,
+    "tracker", m) and derive_seed(*key, "enrollment"). The pool has
+    max(enrollment_sizes) entries; the pool for a smaller M is its prefix,
+    since scene speakers come first and distractors are shared.
+    """
+    if tracker_variant == "gt":
+        observations = observe_gt(scene.ground_truth, hop, scene.duration)
+        maker = gt_tracker_config
+    elif tracker_variant == "est":
+        seed = derive_seed(*key, "observe")
+        observations = observe_est(scene.ground_truth, hop, noise_model, seed, scene.duration)
+        maker = est_tracker_config
+    else:
+        raise ValueError(f"unknown tracker variant {tracker_variant!r}")
+    tracks_by_m = {
+        m: track(observations, maker(m, derive_seed(*key, "tracker", m))) for m in enrollment_sizes
+    }
+    pool = build_enrollment(
+        scene.voices,
+        max(enrollment_sizes),
+        derive_seed(*key, "enrollment"),
+        scene.sample_rate,
+        distractors,
+    )
+    return tracks_by_m, pool
+
+
+def reassign_scene(
+    scene: Scene,
+    tracks_by_m: dict[int, list[Trajectory]],
+    pool: EnrollmentPool,
+    cells: Sequence[tuple[int, str, DurationPolicy, str]],
+    hop: float = DEFAULT_HOP_S,
+) -> Iterator[PipelineResult]:
+    """The post-tracking step: segment -> window -> beamform -> embed -> reassign.
+
+    A cell is (m, beamformer, duration policy, noise covariance source). The
+    trajectories of each M named by a cell are segmented, and their inactive
+    frames (the gated MVDR noise reference) derived, once. Each cell embeds
+    every fragment and reassigns against the first m pool entries. Yields one
+    result per cell, in order, each computed when it is asked for, so the
+    batch runner writes and marks a cell complete before the next one starts.
+    """
+    num_frames = int(round(scene.duration / hop))
+    segmented = {}
+    for m in {cell[0] for cell in cells}:
+        inactive = {
+            traj.track_id: sorted(set(range(num_frames)) - {t for t, _, a in traj.frames if a})
+            for traj in tracks_by_m[m]
+        }
+        segmented[m] = segment(tracks_by_m[m]), inactive
+
+    for m, beamformer, policy, noise_cov_source in cells:
+        fragments, inactive = segmented[m]
+        diagnostics = MvdrDiagnostics()
+        embeddings = {
+            frag.fragment_id: extract_fragment_embedding(
+                scene, frag, policy, beamformer, hop, noise_cov_source,
+                inactive[frag.source_track_id], diagnostics,
+            )
+            for frag in fragments
+        }
+        m_pool = EnrollmentPool(pool.entries[:m])
+        assignment = reassign(fragments, embeddings, m_pool, hop, policy)
+        yield PipelineResult(tracks_by_m[m], fragments, m_pool, assignment, diagnostics)
+
+
 def run_pipeline(
     scene: Scene,
     tracker_variant: str = "gt",
@@ -256,54 +343,14 @@ def run_pipeline(
     m: int = 2,
     seed: int = 0,
     hop: float = DEFAULT_HOP_S,
-    noise_model: NoiseModel = NoiseModel(),
     noise_cov_source: str = "oracle",
-    tracker_config: TrackerConfig | None = None,
-    distractors: list[tuple[str, Embedding]] | None = None,
 ) -> PipelineResult:
-    """track -> segment -> window -> beamform -> embed -> reassign.
+    """track -> segment -> window -> beamform -> embed -> reassign for one cell.
 
     Emits both the tracker trajectories and the reassigned ones so the two can
-    be evaluated as a pair. Deterministic for a given seed.
+    be evaluated as a pair. Deterministic for a given seed: the stage seeds
+    are track_and_enroll's with key (seed,).
     """
-    if tracker_variant == "gt":
-        observations = observe_gt(scene.ground_truth, hop, scene.duration)
-    elif tracker_variant == "est":
-        observations = observe_est(
-            scene.ground_truth, hop, noise_model, derive_seed(seed, "observe"), scene.duration
-        )
-    else:
-        raise ValueError(f"unknown tracker variant {tracker_variant!r}")
-    if tracker_config is None:
-        maker = gt_tracker_config if tracker_variant == "gt" else est_tracker_config
-        tracker_config = maker(m, derive_seed(seed, "tracker"))
-
-    before = track(observations, tracker_config)
-    fragments = segment(before)
-    pool = build_enrollment(
-        scene.voices, m, derive_seed(seed, "enrollment"), scene.sample_rate, distractors
-    )
-
-    inactive_by_track: dict[int, list[int]] = {}
-    if beamformer == "mvdr" and noise_cov_source == "gated":
-        num_frames = int(round(scene.duration / hop))
-        for traj in before:
-            active = {i for i, _, a in traj.frames if a}
-            inactive_by_track[traj.track_id] = [t for t in range(num_frames) if t not in active]
-
-    diagnostics = MvdrDiagnostics()
-    embeddings: dict[int, Embedding | None] = {}
-    for frag in fragments:
-        embeddings[frag.fragment_id] = extract_fragment_embedding(
-            scene,
-            frag,
-            policy,
-            beamformer,
-            hop,
-            noise_cov_source,
-            inactive_by_track.get(frag.source_track_id),
-            diagnostics,
-        )
-
-    assignment = reassign(fragments, embeddings, pool, hop, policy)
-    return PipelineResult(before, fragments, pool, assignment, diagnostics)
+    tracks_by_m, pool = track_and_enroll(scene, (seed,), tracker_variant, [m], hop)
+    cell = (m, beamformer, policy, noise_cov_source)
+    return next(reassign_scene(scene, tracks_by_m, pool, [cell], hop))

@@ -115,9 +115,6 @@ class FoaSignal:
     def duration(self) -> float:
         return self.num_samples / self.sample_rate
 
-    def w(self) -> np.ndarray:
-        return self.channels[0]
-
 
 def foa_gains(doa: DoA) -> np.ndarray:
     """SN3D plane-wave encoding gains (W, Y, Z, X) for a direction."""

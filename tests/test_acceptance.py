@@ -16,10 +16,10 @@ import yaml
 from embtrack.beamforming import mvdr_weights, steering_vector
 from embtrack.cli import main as cli_main
 from embtrack.embedding import EnrollmentPool, build_distractors, build_enrollment, cosine, embed
-from embtrack.fragments import DurationPolicy, segment
+from embtrack.fragments import DurationPolicy
 from embtrack.geometry import DoA, angular_distance, doa_from_unit_vector, uniform_sphere
 from embtrack.metrics import assa, evaluate_scene, le, match_frames, swap_frag_rates
-from embtrack.reassignment import extract_fragment_embedding, reassign
+from embtrack.reassignment import reassign_scene
 from embtrack.scene import SceneSpec, encode_foa, simulate, synthesize_voice
 from embtrack.seeding import derive_seed
 from embtrack.tracking import (
@@ -43,40 +43,25 @@ def report(criterion, ok, detail):
 
 
 def run_suite(scenes, cells, m, distractors, tag):
-    """Track once per scene, then evaluate every (beamformer, duration) cell.
+    """Track once per scene, then evaluate every (beamformer, duration, noise
+    covariance source) cell with the library's post-tracking step.
 
     Returns (before metrics list, {cell: after metrics list}).
     """
     before = []
     after = {cell: [] for cell in cells}
+    specs = [(m, bf, DurationPolicy.parse(dur), source) for bf, dur, source in cells]
     for i, scene in enumerate(scenes):
         observations = observe_gt(scene.ground_truth, HOP, scene.duration)
         cfg = gt_tracker_config(m, derive_seed(MASTER, tag, i, "tracker"))
         trajectories = track(observations, cfg)
         before.append(evaluate_scene(scene.ground_truth, trajectories, scene.duration, HOP))
-        fragments = segment(trajectories)
         pool = build_enrollment(
             scene.voices, m, derive_seed(MASTER, tag, i, "enroll"), distractors=distractors
         )
-        num_frames = int(round(scene.duration / HOP))
-        inactive = {
-            traj.track_id: sorted(
-                set(range(num_frames)) - {f for f, _, a in traj.frames if a}
-            )
-            for traj in trajectories
-        }
-        for bf, dur, source in cells:
-            policy = DurationPolicy.parse(dur)
-            embeddings = {
-                frag.fragment_id: extract_fragment_embedding(
-                    scene, frag, policy, bf, HOP, source, inactive.get(frag.source_track_id)
-                )
-                for frag in fragments
-            }
-            result = reassign(fragments, embeddings, pool, HOP)
-            after[(bf, dur, source)].append(
-                evaluate_scene(scene.ground_truth, result.new_trajectories, scene.duration, HOP)
-            )
+        results = reassign_scene(scene, {m: trajectories}, pool, specs, HOP)
+        for cell, result in zip(cells, results):
+            after[cell].append(evaluate_scene(scene.ground_truth, result.after, scene.duration, HOP))
     return before, after
 
 

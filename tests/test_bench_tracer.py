@@ -1,0 +1,54 @@
+"""The benchmark's layer tracer still finds every layer it times.
+
+bench/traced_cli.py runs in a child process, so the tracer never patches this
+test process. A refactor that renames a traced function, or that calls a
+layer without going through its module attribute, fails here instead of
+silently dropping out of the per-layer benchmark.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+from embtrack.cli import main
+
+REPO = Path(__file__).resolve().parents[1]
+BENCH = REPO / "bench"
+
+
+def test_traced_run_reaches_every_beamformer_and_embedding(tmp_path):
+    data, results, spans_path = tmp_path / "data", tmp_path / "results", tmp_path / "spans.json"
+    assert main(["gen", "--seed", "5", "--count", "1", "--duration", "6", "--out", str(data)]) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # leave no __pycache__ in bench/
+    proc = subprocess.run(
+        [
+            sys.executable, str(BENCH / "traced_cli.py"), str(spans_path),
+            "run", "--seed", "5", "--dataset", str(data), "--out", str(results),
+            "--beamformers", "ideal,ds,mvdr", "--durations", "whole",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    # Tracer.install raises, before the command runs, if a LAYERS function is gone.
+    assert proc.returncode == 0, proc.stderr
+    # A name missing from LAYERS, or a layer called around its module
+    # attribute, records no span and fails the count check.
+    calls = Counter(span[0] for span in json.loads(spans_path.read_text())["spans"])
+    for name in (
+        "beamforming.beamform_ideal",
+        "beamforming.beamform_ds",
+        "beamforming.beamform_mvdr",
+        "reassignment.extract_fragment_embedding",
+        "reassignment.reassign",
+        "embedding.embed",
+    ):
+        assert calls[name] > 0, name
+    assert calls["fragments.segment"] == 1  # one scene, one M: segmented once for 3 cells
+    assert calls["reassignment.reassign"] == 3

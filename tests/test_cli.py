@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,20 @@ def small_results(small_dataset, tmp_path_factory):
     results = tmp_path_factory.mktemp("results")
     cmd_run(cfg, data, results)
     return cfg, data, results
+
+
+@pytest.fixture(scope="module")
+def small_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config") / "small.yaml"
+    path.write_text(yaml.safe_dump(SMALL))
+    return path
+
+
+@pytest.fixture(scope="module")
+def one_scene(tmp_path_factory):
+    data = tmp_path_factory.mktemp("one_scene")
+    cmd_gen(ExperimentConfig.from_dict({"master_seed": 3, "dataset": {"count": 1, "duration": 6.0}}), data)
+    return data
 
 
 class TestFileIo:
@@ -170,7 +185,13 @@ class TestRun:
         doc = json.loads(
             (results / "scene_0000" / "gt_m2_ideal_whole" / "assignment.json").read_text()
         )
-        assert set(doc) == {"assignments", "diagnostics", "trajectories"}
+        assert set(doc) == {
+            "assignments",
+            "diagnostics",
+            "trajectories",
+            "mvdr_fallback_bands",
+            "mvdr_total_bands",
+        }
         for d in doc["diagnostics"]:
             assert set(d) >= {"fragment_id", "identity", "score", "excluded", "window"}
 
@@ -192,6 +213,39 @@ class TestRun:
                 assert d["pooled_frames"] is None
             else:
                 assert 3 <= d["pooled_frames"] <= 14  # MIN_EMBED_FRAMES to a 250 ms window
+
+
+    def test_mvdr_band_counts_recorded_per_cell(self, one_scene, tmp_path):
+        results = tmp_path / "results"
+        assert main([
+            "run", "--dataset", str(one_scene), "--out", str(results),
+            "--beamformers", "ds,mvdr", "--durations", "whole",
+        ]) == 0
+        mvdr = json.loads((results / "scene_0000" / "gt_m2_mvdr_whole" / "assignment.json").read_text())
+        ds = json.loads((results / "scene_0000" / "gt_m2_ds_whole" / "assignment.json").read_text())
+        assert mvdr["mvdr_total_bands"] > 0
+        assert 0 <= mvdr["mvdr_fallback_bands"] <= mvdr["mvdr_total_bands"]
+        assert (ds["mvdr_total_bands"], ds["mvdr_fallback_bands"]) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("mixture.wav", None),
+            ("speaker01.wav", None),
+            ("ground_truth.json", None),
+            ("mixture.wav", b"not a wav file"),
+            ("ground_truth.json", b"{}"),
+        ],
+    )
+    def test_missing_or_unreadable_scene_file_exit_code(self, one_scene, tmp_path, name, content):
+        data = tmp_path / "data"
+        shutil.copytree(one_scene, data)
+        path = data / "scenes" / "scene_0000" / name
+        if content is None:
+            path.unlink()
+        else:
+            path.write_bytes(content)
+        assert main(["run", "--dataset", str(data), "--out", str(tmp_path / "results")]) == 3
 
 
 class TestEval:
@@ -222,6 +276,32 @@ class TestEval:
         cfg, data = small_dataset
         with pytest.raises(DataError):
             cmd_eval(cfg, tmp_path / "nowhere", data, tmp_path / "r.json")
+
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("gt_m2_ds_whole/COMPLETE", None),
+            ("gt_m2_ds_whole/tracks_after.jsonl", None),
+            ("gt_m2_ds_whole/tracks_after.jsonl", "not json\n"),
+            ("tracks_gt_m2.jsonl", None),
+            ("tracks_gt_m2.jsonl", '{"track_id": 0}\n'),
+        ],
+    )
+    def test_incomplete_or_unreadable_results_exit_code(
+        self, small_results, small_config, tmp_path, name, content
+    ):
+        _cfg, data, results = small_results
+        copy = tmp_path / "results"
+        shutil.copytree(results, copy)
+        path = copy / "scene_0001" / name
+        if content is None:
+            path.unlink()
+        else:
+            path.write_text(content)
+        argv = ["eval", "--config", str(small_config), "--dataset", str(data)]
+        assert main(argv + ["--results", str(copy), "--out", str(tmp_path / "r.json")]) == 3
+        assert main(argv + ["--results", str(results), "--out", str(tmp_path / "r.json")]) == 0
 
 
 class TestCliProcess:
