@@ -7,8 +7,15 @@ later stage seed is derive_seed(master, index, stage[, m]), the same rule the
 library uses. Every sweep cell therefore sees the same scenes, tracks and
 pools, and paired comparisons are meaningful. Each M's trajectories are
 segmented once per scene and shared by that M's cells
-(reassignment.reassign_scene). Completed scene/cell outputs are marked on
-disk and skipped on resume; eval refuses a cell without its marker.
+(reassignment.reassign_scene). run and eval take the dataset section from the
+dataset's manifest. run checks each mixture against the manifest's sha256
+before reading it. Its run_manifest.json is written before the first scene
+and binds the results directory to one master seed, run section and dataset;
+a rerun that differs in any of them is refused. Completed scene/cell outputs
+are marked on disk and skipped on resume. eval is one pass over the scenes:
+it reads each scene's ground truth once, scores each M's `before` tracks once
+(every cell of that M carries that one report) and each cell's `after`
+tracks, and refuses a cell without its marker.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,7 +42,6 @@ from .scene import SEPARATION_REGIMES, SceneSpec, simulate
 from .seeding import derive_seed
 from .tracking import NoiseModel
 
-WORKERS_ENV = "EMBTRACK_WORKERS"
 COMPLETE_MARKER = "COMPLETE"
 
 
@@ -136,7 +141,7 @@ class EvalConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     master_seed: int = 0
-    workers: int = 0  # 0: use EMBTRACK_WORKERS or 1
+    workers: int = 0  # scene processes; 0 or 1 runs scenes in this process
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     run: RunConfig = field(default_factory=RunConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
@@ -145,12 +150,6 @@ class ExperimentConfig:
         self.dataset.validate()
         self.run.validate(self.dataset.num_speakers)
         self.eval.validate()
-
-    def effective_workers(self) -> int:
-        if self.workers > 0:
-            return self.workers
-        env = os.environ.get(WORKERS_ENV, "")
-        return int(env) if env.isdigit() and int(env) > 0 else 1
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -204,6 +203,14 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _map(fn, tasks: list, workers: int) -> list:
+    """[fn(t) for t in tasks], in a pool of `workers` processes when that is more than one."""
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 def _gen_one(args: tuple) -> dict:
     cfg, index, out_dir = args
     spec = cfg.dataset.scene_spec(index, cfg.master_seed)
@@ -223,16 +230,10 @@ def cmd_gen(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(cfg, index, out_dir) for index in range(cfg.dataset.count)]
-    workers = cfg.effective_workers()
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_gen_one, tasks))
-    else:
-        rows = [_gen_one(t) for t in tasks]
     manifest = {
         "master_seed": cfg.master_seed,
         "dataset": dataclasses.asdict(cfg.dataset),
-        "scenes": rows,
+        "scenes": _map(_gen_one, tasks, cfg.workers),
     }
     path = out_dir / "manifest.json"
     fileio.dump_json(manifest, path)
@@ -240,10 +241,22 @@ def cmd_gen(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
 
 
 def load_manifest(dataset_dir: str | Path) -> dict:
-    path = Path(dataset_dir) / "manifest.json"
-    if not path.exists():
-        raise DataError(f"no manifest at {path}")
-    return json.loads(path.read_text())
+    return _read(lambda path: json.loads(path.read_text()), Path(dataset_dir) / "manifest.json")
+
+
+def _open_dataset(cfg: ExperimentConfig, dataset_dir: str | Path) -> tuple[ExperimentConfig, list[dict]]:
+    """cfg with the dataset section the dataset was generated with, validated,
+    and the dataset's scene rows."""
+    manifest = load_manifest(dataset_dir)
+    try:
+        cfg = dataclasses.replace(cfg, dataset=DatasetConfig(**manifest["dataset"]))
+        scenes = manifest["scenes"]
+    except (KeyError, TypeError) as e:
+        raise DataError(f"malformed dataset manifest in {dataset_dir}: {e!r}") from None
+    cfg.validate()
+    if not scenes:
+        raise DataError("dataset manifest lists no scenes")
+    return cfg, scenes
 
 
 def cell_name(tracker: str, m: int, beamformer: str, duration: str) -> str:
@@ -270,7 +283,7 @@ def _shared_distractors(cfg: ExperimentConfig) -> list[tuple[str, Embedding]]:
 
 
 def _run_one(args: tuple) -> str:
-    cfg, index, dataset_dir, out_dir, distractors = args
+    cfg, index, sha256, dataset_dir, out_dir, distractors = args
     scene_id = _scene_id(index)
     scene_dir = Path(dataset_dir) / "scenes" / scene_id
     result_dir = Path(out_dir) / scene_id
@@ -290,6 +303,8 @@ def _run_one(args: tuple) -> str:
     if not cells and not tracks_missing:
         return scene_id
 
+    if _read(_sha256_file, scene_dir / "mixture.wav") != sha256:
+        raise DataError(f"{scene_dir / 'mixture.wav'} does not match the sha256 in the dataset manifest")
     scene, _spec = _read(fileio.read_scene, scene_dir)
     tracks_by_m, pool = track_and_enroll(
         scene, (cfg.master_seed, index), run.tracker, run.enrollment_sizes, run.hop,
@@ -310,75 +325,49 @@ def _run_one(args: tuple) -> str:
     return scene_id
 
 
+def _binding(run_manifest: dict) -> dict:
+    """What a results directory is bound to, in JSON values."""
+    config = run_manifest["config"]
+    binding = {
+        "master seed": config["master_seed"],
+        "run section": config["run"],
+        "scene hashes": run_manifest["sha256"],
+    }
+    return json.loads(json.dumps(binding))
+
+
 def cmd_run(cfg: ExperimentConfig, dataset_dir: str | Path, out_dir: str | Path) -> Path:
-    """Execute the sweep over a generated dataset; resumable per scene/cell."""
-    cfg.validate()
-    manifest = load_manifest(dataset_dir)
-    if len(manifest["scenes"]) == 0:
-        raise DataError("dataset manifest lists no scenes")
+    """Execute the sweep over a generated dataset; resumable per scene/cell.
+
+    run_manifest.json is written before the first scene and binds out_dir to
+    one master seed, run section and dataset: a rerun that differs in any of
+    them is a ConfigError and writes nothing.
+    """
+    cfg, scenes = _open_dataset(cfg, dataset_dir)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    distractors = _shared_distractors(cfg)
-    tasks = [
-        (cfg, row["index"], str(dataset_dir), str(out_dir), distractors)
-        for row in manifest["scenes"]
-    ]
-    workers = cfg.effective_workers()
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(_run_one, tasks))
-    else:
-        for t in tasks:
-            _run_one(t)
     run_manifest = {
         "config": cfg.to_dict(),
         "cells": [cell_name(cfg.run.tracker, m, bf, dur) for m, bf, dur in run_cells(cfg)],
-        "scenes": [row["scene_id"] for row in manifest["scenes"]],
+        "scenes": [row["scene_id"] for row in scenes],
+        "sha256": {row["scene_id"]: row["sha256"] for row in scenes},
     }
     path = out_dir / "run_manifest.json"
+    if path.exists():
+        stored = _read(lambda p: _binding(json.loads(p.read_text())), path)
+        changed = [key for key, value in _binding(run_manifest).items() if stored[key] != value]
+        if changed:
+            raise ConfigError(
+                f"{out_dir} holds a run with another {', '.join(changed)}; use a new output directory"
+            )
+    out_dir.mkdir(parents=True, exist_ok=True)
     fileio.dump_json(run_manifest, path)
+    distractors = _shared_distractors(cfg)
+    tasks = [
+        (cfg, row["index"], row["sha256"], str(dataset_dir), str(out_dir), distractors)
+        for row in scenes
+    ]
+    _map(_run_one, tasks, cfg.workers)
     return path
-
-
-def _evaluate_cell(
-    cfg: ExperimentConfig,
-    dataset_dir: Path,
-    results_dir: Path,
-    scenes: list[dict],
-    m: int,
-    bf: str,
-    dur: str,
-) -> dict:
-    before_metrics = []
-    after_metrics = []
-    for row in scenes:
-        scene_id = row["scene_id"]
-        gt, spec = _read(
-            fileio.read_ground_truth, dataset_dir / "scenes" / scene_id / "ground_truth.json"
-        )
-        result_dir = results_dir / scene_id
-        cell_dir = result_dir / cell_name(cfg.run.tracker, m, bf, dur)
-        if not (cell_dir / COMPLETE_MARKER).exists():
-            raise DataError(f"missing or incomplete results for {scene_id}/{cell_dir.name}")
-        before = _read(fileio.read_trajectories, result_dir / f"tracks_{cfg.run.tracker}_m{m}.jsonl")
-        after = _read(fileio.read_trajectories, cell_dir / "tracks_after.jsonl")
-        before_metrics.append(
-            evaluate_scene(gt, before, spec.duration, cfg.run.hop, cfg.eval.alpha_deg)
-        )
-        after_metrics.append(
-            evaluate_scene(gt, after, spec.duration, cfg.run.hop, cfg.eval.alpha_deg)
-        )
-    seed = derive_seed(cfg.master_seed, "bootstrap")
-    kwargs = dict(
-        fraction=cfg.eval.bootstrap_fraction,
-        iters=cfg.eval.bootstrap_iters,
-        seed=seed,
-        alpha_deg=cfg.eval.alpha_deg,
-    )
-    return {
-        "before": aggregate_report(before_metrics, **kwargs).as_dict(),
-        "after": aggregate_report(after_metrics, **kwargs).as_dict(),
-    }
 
 
 def cmd_eval(
@@ -389,22 +378,54 @@ def cmd_eval(
     per_scene_csv: str | Path | None = None,
     trend_csv: str | Path | None = None,
 ) -> dict:
-    """Paired before/after metrics per sweep cell, with bootstrap statistics."""
-    cfg.validate()
-    manifest = load_manifest(dataset_dir)
-    scenes = manifest["scenes"]
-    if not scenes:
-        raise DataError("dataset manifest lists no scenes")
+    """Paired before/after metrics per sweep cell, with bootstrap statistics.
+
+    One pass over the scenes: each scene's ground truth and each M's `before`
+    trajectories are read and scored once, and every cell of that M carries
+    the one `before` report.
+    """
+    cfg, scenes = _open_dataset(cfg, dataset_dir)
     results_dir = Path(results_dir)
     dataset_dir = Path(dataset_dir)
     if not results_dir.exists():
         raise DataError(f"no results directory {results_dir}")
 
-    cells = {}
-    for m, bf, dur in run_cells(cfg):
-        name = cell_name(cfg.run.tracker, m, bf, dur)
-        cells[name] = _evaluate_cell(cfg, dataset_dir, results_dir, scenes, m, bf, dur)
+    run = cfg.run
+    names = {(m, bf, dur): cell_name(run.tracker, m, bf, dur) for m, bf, dur in run_cells(cfg)}
+    before = {m: [] for m in run.enrollment_sizes}
+    after = {name: [] for name in names.values()}
+    for row in scenes:
+        scene_id = row["scene_id"]
+        gt, spec = _read(
+            fileio.read_ground_truth, dataset_dir / "scenes" / scene_id / "ground_truth.json"
+        )
+        result_dir = results_dir / scene_id
 
+        def score(path: Path):
+            trajectories = _read(fileio.read_trajectories, path)
+            return evaluate_scene(gt, trajectories, spec.duration, run.hop, cfg.eval.alpha_deg)
+
+        for m, per_scene in before.items():
+            per_scene.append(score(result_dir / f"tracks_{run.tracker}_m{m}.jsonl"))
+        for name, per_scene in after.items():
+            if not (result_dir / name / COMPLETE_MARKER).exists():
+                raise DataError(f"missing or incomplete results for {scene_id}/{name}")
+            per_scene.append(score(result_dir / name / "tracks_after.jsonl"))
+
+    kwargs = dict(
+        fraction=cfg.eval.bootstrap_fraction,
+        iters=cfg.eval.bootstrap_iters,
+        seed=derive_seed(cfg.master_seed, "bootstrap"),
+        alpha_deg=cfg.eval.alpha_deg,
+    )
+    before_reports = {m: aggregate_report(scores, **kwargs).as_dict() for m, scores in before.items()}
+    cells = {
+        name: {
+            "before": before_reports[m],
+            "after": aggregate_report(after[name], **kwargs).as_dict(),
+        }
+        for (m, _bf, _dur), name in names.items()
+    }
     trend_rows = [
         {
             "cell": name,
@@ -416,8 +437,7 @@ def cmd_eval(
             "assa_after_mean": cells[name]["after"]["bootstrap_mean"]["assa"],
             "assa_after_std": cells[name]["after"]["bootstrap_std"]["assa"],
         }
-        for (m, bf, dur) in run_cells(cfg)
-        for name in [cell_name(cfg.run.tracker, m, bf, dur)]
+        for (m, bf, dur), name in names.items()
     ]
     report = {
         "config": cfg.to_dict(),
@@ -428,13 +448,13 @@ def cmd_eval(
     fileio.dump_json(report, out_path)
 
     if per_scene_csv is not None:
-        _write_per_scene_csv(per_scene_csv, cfg, scenes, cells)
+        _write_per_scene_csv(per_scene_csv, scenes, cells)
     if trend_csv is not None:
         _write_trend_csv(trend_csv, trend_rows)
     return report
 
 
-def _write_per_scene_csv(path: str | Path, cfg, scenes, cells) -> None:
+def _write_per_scene_csv(path: str | Path, scenes, cells) -> None:
     lines = ["scene,cell,phase,assa,le,tsr,tfr"]
     for name, pair in sorted(cells.items()):
         for phase in ("before", "after"):

@@ -185,8 +185,9 @@ def write_fragments(path: str | Path, fragments: list[Fragment]) -> None:
 
 
 def assignment_to_dict(result: AssignmentResult, mvdr: MvdrDiagnostics) -> dict:
-    """The cell's assignments, per-fragment diagnostics, reassigned
-    trajectories and MVDR band counts (0 for cells without MVDR)."""
+    """The cell's assignments, per-fragment diagnostics and MVDR band counts
+    (0 for cells without MVDR); the reassigned trajectories are the cell's
+    tracks_after.jsonl."""
     return {
         "assignments": {str(k): v for k, v in result.assignments.items()},
         "mvdr_fallback_bands": mvdr.fallback_bands,
@@ -203,10 +204,6 @@ def assignment_to_dict(result: AssignmentResult, mvdr: MvdrDiagnostics) -> dict:
                 "pooling_fallback": d.pooling_fallback,
             }
             for d in result.diagnostics
-        ],
-        "trajectories": [
-            json.loads(line)
-            for line in trajectories_to_jsonl(result.new_trajectories).splitlines()
         ],
     }
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -18,7 +19,9 @@ from embtrack.experiment import (
     cmd_run,
 )
 from embtrack.geometry import DoA
+from embtrack.metrics import aggregate_report, evaluate_scene
 from embtrack.scene import SceneSpec, simulate
+from embtrack.seeding import derive_seed
 from embtrack.tracking import Trajectory
 
 SMALL = {
@@ -62,6 +65,10 @@ def one_scene(tmp_path_factory):
     data = tmp_path_factory.mktemp("one_scene")
     cmd_gen(ExperimentConfig.from_dict({"master_seed": 3, "dataset": {"count": 1, "duration": 6.0}}), data)
     return data
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 class TestFileIo:
@@ -124,13 +131,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(run=RunConfig(durations=("sometimes",))).validate()
 
-    def test_workers_env(self, monkeypatch):
-        cfg = ExperimentConfig()
-        monkeypatch.setenv("EMBTRACK_WORKERS", "3")
-        assert cfg.effective_workers() == 3
-        monkeypatch.delenv("EMBTRACK_WORKERS")
-        assert cfg.effective_workers() == 1
-
 
 class TestGen:
     def test_scene_directories_created(self, small_dataset):
@@ -188,7 +188,6 @@ class TestRun:
         assert set(doc) == {
             "assignments",
             "diagnostics",
-            "trajectories",
             "mvdr_fallback_bands",
             "mvdr_total_bands",
         }
@@ -247,6 +246,73 @@ class TestRun:
             path.write_bytes(content)
         assert main(["run", "--dataset", str(data), "--out", str(tmp_path / "results")]) == 3
 
+    def test_mixture_not_matching_manifest_sha256_exit_code(self, small_dataset, tmp_path):
+        _cfg, data = small_dataset
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        scenes = copy / "scenes"
+        shutil.copyfile(scenes / "scene_0001" / "mixture.wav", scenes / "scene_0000" / "mixture.wav")
+        argv = ["run", "--dataset", str(copy), "--out", str(tmp_path / "results")]
+        assert main(argv + ["--beamformers", "ideal", "--durations", "whole"]) == 3
+
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            (["--workers", "2"], 0),
+            (["--seed", "99"], 2),
+            (["--noise-cov", "gated"], 2),
+            (["--beamformers", "ideal,ds"], 2),
+        ],
+    )
+    def test_rerun_into_results_of_another_config(self, one_scene, tmp_path, flags, code):
+        results = tmp_path / "results"
+        argv = ["run", "--dataset", str(one_scene), "--out", str(results), "--beamformers", "mvdr"]
+        assert main(argv) == 0
+        shutil.rmtree(results / "scene_0000" / "gt_m2_mvdr_whole")
+        before = tree_bytes(results)
+        assert main(argv + flags) == code
+        if code:
+            assert tree_bytes(results) == before  # refused before writing anything
+        else:
+            assert (results / "scene_0000" / "gt_m2_mvdr_whole" / "COMPLETE").exists()
+
+    def test_rerun_on_another_dataset(self, one_scene, tmp_path):
+        other = tmp_path / "other"
+        cmd_gen(ExperimentConfig.from_dict({"master_seed": 4, "dataset": {"count": 1, "duration": 6.0}}), other)
+        results = tmp_path / "results"
+        assert main(["run", "--dataset", str(one_scene), "--out", str(results)]) == 0
+        before = tree_bytes(results)
+        assert main(["run", "--dataset", str(other), "--out", str(results)]) == 2
+        assert tree_bytes(results) == before
+
+    def test_dataset_section_comes_from_the_dataset(self, tmp_path):
+        data = tmp_path / "data"
+        three = {"dataset": {"count": 1, "duration": 4.0, "num_speakers": 3}, "run": {"enrollment_sizes": [3]}}
+        cmd_gen(ExperimentConfig.from_dict(three), data)
+        results = tmp_path / "results"
+        # without the gen config, the default enrollment size 2 is below the dataset's 3 speakers
+        assert main(["run", "--dataset", str(data), "--out", str(results)]) == 2
+        assert not results.exists()
+        assert main(["run", "--dataset", str(data), "--out", str(results), "--enrollment-sizes", "4"]) == 0
+        run_manifest = json.loads((results / "run_manifest.json").read_text())
+        assert run_manifest["config"]["dataset"]["num_speakers"] == 3
+
+    def test_worker_pool_matches_one_process(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["gen", "--seed", "11", "--count", "2", "--duration", "6", "--out", str(data)]) == 0
+        trees = {}
+        for workers in ("1", "2"):
+            results = tmp_path / f"results_{workers}"
+            assert main([
+                "run", "--dataset", str(data), "--out", str(results), "--workers", workers,
+                "--beamformers", "ideal,ds", "--durations", "whole,250",
+            ]) == 0
+            trees[workers] = tree_bytes(results)
+            run_manifest = json.loads(trees[workers].pop("run_manifest.json"))
+            assert run_manifest["config"].pop("workers") == int(workers)
+            trees[workers]["run_manifest.json"] = run_manifest
+        assert trees["1"] == trees["2"]
+
 
 class TestEval:
     def test_report_and_csvs(self, small_results, tmp_path):
@@ -269,6 +335,35 @@ class TestEval:
         assert len(lines) == 1 + 4 * 2 * 3  # cells x phases x scenes
         trend = (tmp_path / "trend.csv").read_text().splitlines()
         assert len(trend) == 1 + 4
+
+    def test_before_is_scored_once_per_enrollment_size(self, small_dataset, tmp_path):
+        cfg, data = small_dataset
+        cfg = dataclasses.replace(
+            cfg, run=dataclasses.replace(cfg.run, durations=("whole",), enrollment_sizes=(2, 3))
+        )
+        results = tmp_path / "results"
+        cmd_run(cfg, data, results)
+        report = cmd_eval(cfg, results, data, tmp_path / "report.json")
+        expected = {}
+        for m in (2, 3):
+            per_scene = []
+            for scene in ("scene_0000", "scene_0001", "scene_0002"):
+                gt, spec = fileio.read_ground_truth(data / "scenes" / scene / "ground_truth.json")
+                before = fileio.read_trajectories(results / scene / f"tracks_gt_m{m}.jsonl")
+                per_scene.append(
+                    evaluate_scene(gt, before, spec.duration, cfg.run.hop, cfg.eval.alpha_deg)
+                )
+            expected[m] = aggregate_report(
+                per_scene,
+                fraction=cfg.eval.bootstrap_fraction,
+                iters=cfg.eval.bootstrap_iters,
+                seed=derive_seed(cfg.master_seed, "bootstrap"),
+                alpha_deg=cfg.eval.alpha_deg,
+            ).as_dict()
+        assert expected[2] != expected[3]
+        for m in (2, 3):
+            for bf in ("ideal", "ds"):
+                assert report["cells"][f"gt_m{m}_{bf}_whole"]["before"] == expected[m]
 
     def test_missing_results_is_data_error(self, small_dataset, tmp_path):
         from embtrack.experiment import DataError
