@@ -51,8 +51,20 @@ def beamform_ds(
 
 
 def band_covariances(channels: np.ndarray, sample_rate: int, cfg: StftConfig = StftConfig()) -> np.ndarray:
-    """Per-band spatial covariance of a 4-channel signal, shape (bins, 4, 4)."""
-    spec = stft(channels, cfg.window_samples(sample_rate), cfg.hop_samples(sample_rate))
+    """Per-band spatial covariance of a 4-channel signal, shape (bins, 4, 4).
+
+    channels is the estimation material, 4 x T'. It must provide at least
+    MIN_COV_FRAMES STFT frames.
+    """
+    channels = np.atleast_2d(channels)
+    n_window = cfg.window_samples(sample_rate)
+    n_hop = cfg.hop_samples(sample_rate)
+    min_samples = n_window + (MIN_COV_FRAMES - 1) * n_hop - 2 * n_window
+    if channels.shape[1] < max(n_hop, min_samples):
+        raise ValueError(
+            f"noise reference too short for covariance estimation ({channels.shape[1]} samples)"
+        )
+    spec = stft(channels, n_window, n_hop)
     # spec: (4, bins, frames) -> covariance over frames per bin
     cov = np.einsum("cft,dft->fcd", spec, np.conj(spec)) / spec.shape[2]
     return 0.5 * (cov + np.conj(np.transpose(cov, (0, 2, 1))))
@@ -86,34 +98,27 @@ def mvdr_weights(noise_cov: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, int]
 def beamform_mvdr(
     mixture: FoaSignal,
     doa: DoA,
-    noise_reference: np.ndarray,
+    noise_cov: np.ndarray,
     window: tuple[float, float] | None = None,
     cfg: StftConfig = StftConfig(),
     diagnostics: MvdrDiagnostics | None = None,
 ) -> np.ndarray:
-    """Per-band MVDR steered at doa, noise covariance taken from noise_reference.
+    """Per-band MVDR steered at doa, with the band covariance noise_cov.
 
-    noise_reference is a 4 x T' array of estimation material: the oracle
-    interferer-plus-noise components, or mixture frames gated to the target
-    track's inactivity. It must provide at least MIN_COV_FRAMES STFT frames.
+    noise_cov is band_covariances of the estimation material: the oracle
+    interferer-plus-noise components of the fragment's window, or the mixture
+    frames gated to the target track's inactivity. The gated covariance
+    depends only on the track, so reassign_scene estimates it once per track
+    and every fragment of that track reuses it; the weights are solved per
+    call, since the steering DoA is per fragment.
     """
-    noise_reference = np.atleast_2d(noise_reference)
-    sr = mixture.sample_rate
-    n_window = cfg.window_samples(sr)
-    n_hop = cfg.hop_samples(sr)
-    min_samples = n_window + (MIN_COV_FRAMES - 1) * n_hop - 2 * n_window
-    if noise_reference.shape[1] < max(n_hop, min_samples):
-        raise ValueError(
-            f"noise reference too short for covariance estimation "
-            f"({noise_reference.shape[1]} samples)"
-        )
-    cov = band_covariances(noise_reference, sr, cfg)
-    d = steering_vector(doa)
-    weights, fallbacks = mvdr_weights(cov, d)
+    weights, fallbacks = mvdr_weights(noise_cov, steering_vector(doa))
     if diagnostics is not None:
         diagnostics.fallback_bands += fallbacks
-        diagnostics.total_bands += cov.shape[0]
+        diagnostics.total_bands += noise_cov.shape[0]
 
+    n_window = cfg.window_samples(mixture.sample_rate)
+    n_hop = cfg.hop_samples(mixture.sample_rate)
     chunk = _window_slice(mixture, window)
     spec = stft(chunk, n_window, n_hop)  # (4, bins, frames)
     out_spec = np.einsum("fc,cft->ft", np.conj(weights), spec)
@@ -132,16 +137,15 @@ def oracle_noise_reference(
     When a window is given it is symmetrically widened to min_duration so the
     covariance has enough frames.
     """
-    residual = mixture.channels - wet_signals[target_index].channels
-    if window is None:
-        return residual
-    start, end = window
-    if end - start < min_duration:
-        pad = 0.5 * (min_duration - (end - start))
-        start, end = start - pad, end + pad
-    a = max(0, int(round(start * mixture.sample_rate)))
-    b = min(mixture.num_samples, int(round(end * mixture.sample_rate)))
-    return residual[:, a:b]
+    a, b = 0, mixture.num_samples
+    if window is not None:
+        start, end = window
+        if end - start < min_duration:
+            pad = 0.5 * (min_duration - (end - start))
+            start, end = start - pad, end + pad
+        a = max(0, int(round(start * mixture.sample_rate)))
+        b = min(mixture.num_samples, int(round(end * mixture.sample_rate)))
+    return mixture.channels[:, a:b] - wet_signals[target_index].channels[:, a:b]
 
 
 def gated_noise_reference(

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -32,16 +33,13 @@ def stft(x: np.ndarray, n_window: int, n_hop: int, pad: bool = True) -> np.ndarr
     inverse transform reconstructs the full length; pad=False keeps only the
     windows fully inside the signal (used for feature extraction).
     """
-    if x.ndim == 2:
-        return np.stack([stft(ch, n_window, n_hop, pad=pad) for ch in x])
-    win = periodic_hann(n_window)
-    xp = np.concatenate([np.zeros(n_window), x, np.zeros(n_window)]) if pad else x
-    if len(xp) < n_window:
+    if pad:
+        zeros = np.zeros(x.shape[:-1] + (n_window,))
+        x = np.concatenate([zeros, x, zeros], axis=-1)
+    if x.shape[-1] < n_window:
         raise ValueError(f"signal too short for a {n_window}-sample window")
-    n_frames = 1 + (len(xp) - n_window) // n_hop
-    idx = np.arange(n_window)[None, :] + n_hop * np.arange(n_frames)[:, None]
-    frames = xp[idx] * win
-    return np.fft.rfft(frames, axis=1).T
+    frames = sliding_window_view(x, n_window, axis=-1)[..., ::n_hop, :] * periodic_hann(n_window)
+    return np.swapaxes(np.fft.rfft(frames, axis=-1), -1, -2)
 
 
 def istft(spec: np.ndarray, n_window: int, n_hop: int, length: int) -> np.ndarray:

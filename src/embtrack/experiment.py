@@ -15,7 +15,8 @@ a rerun that differs in any of them is refused. Completed scene/cell outputs
 are marked on disk and skipped on resume. eval is one pass over the scenes:
 it reads each scene's ground truth once, scores each M's `before` tracks once
 (every cell of that M carries that one report) and each cell's `after`
-tracks, and refuses a cell without its marker.
+tracks, and refuses a cell without its marker, or results whose
+run_manifest.json binds them to another run.
 """
 
 from __future__ import annotations
@@ -325,6 +326,15 @@ def _run_one(args: tuple) -> str:
     return scene_id
 
 
+def _run_manifest(cfg: ExperimentConfig, scenes: list[dict]) -> dict:
+    return {
+        "config": cfg.to_dict(),
+        "cells": [cell_name(cfg.run.tracker, m, bf, dur) for m, bf, dur in run_cells(cfg)],
+        "scenes": [row["scene_id"] for row in scenes],
+        "sha256": {row["scene_id"]: row["sha256"] for row in scenes},
+    }
+
+
 def _binding(run_manifest: dict) -> dict:
     """What a results directory is bound to, in JSON values."""
     config = run_manifest["config"]
@@ -336,6 +346,16 @@ def _binding(run_manifest: dict) -> dict:
     return json.loads(json.dumps(binding))
 
 
+def _check_binding(results_dir: Path, run_manifest: dict) -> None:
+    """ConfigError unless results_dir's run_manifest.json binds it to the
+    master seed, run section and scene hashes of run_manifest; DataError when
+    that file is missing or unreadable."""
+    stored = _read(lambda p: _binding(json.loads(p.read_text())), results_dir / "run_manifest.json")
+    changed = [key for key, value in _binding(run_manifest).items() if stored[key] != value]
+    if changed:
+        raise ConfigError(f"{results_dir} holds a run with another {', '.join(changed)}")
+
+
 def cmd_run(cfg: ExperimentConfig, dataset_dir: str | Path, out_dir: str | Path) -> Path:
     """Execute the sweep over a generated dataset; resumable per scene/cell.
 
@@ -345,20 +365,10 @@ def cmd_run(cfg: ExperimentConfig, dataset_dir: str | Path, out_dir: str | Path)
     """
     cfg, scenes = _open_dataset(cfg, dataset_dir)
     out_dir = Path(out_dir)
-    run_manifest = {
-        "config": cfg.to_dict(),
-        "cells": [cell_name(cfg.run.tracker, m, bf, dur) for m, bf, dur in run_cells(cfg)],
-        "scenes": [row["scene_id"] for row in scenes],
-        "sha256": {row["scene_id"]: row["sha256"] for row in scenes},
-    }
+    run_manifest = _run_manifest(cfg, scenes)
     path = out_dir / "run_manifest.json"
     if path.exists():
-        stored = _read(lambda p: _binding(json.loads(p.read_text())), path)
-        changed = [key for key, value in _binding(run_manifest).items() if stored[key] != value]
-        if changed:
-            raise ConfigError(
-                f"{out_dir} holds a run with another {', '.join(changed)}; use a new output directory"
-            )
+        _check_binding(out_dir, run_manifest)
     out_dir.mkdir(parents=True, exist_ok=True)
     fileio.dump_json(run_manifest, path)
     distractors = _shared_distractors(cfg)
@@ -382,7 +392,9 @@ def cmd_eval(
 
     One pass over the scenes: each scene's ground truth and each M's `before`
     trajectories are read and scored once, and every cell of that M carries
-    the one `before` report.
+    the one `before` report. A cell without its COMPLETE marker, or a missing
+    run_manifest.json, is a DataError; results of another master seed, run
+    section or dataset are a ConfigError. Either way no report is written.
     """
     cfg, scenes = _open_dataset(cfg, dataset_dir)
     results_dir = Path(results_dir)
@@ -411,6 +423,8 @@ def cmd_eval(
             if not (result_dir / name / COMPLETE_MARKER).exists():
                 raise DataError(f"missing or incomplete results for {scene_id}/{name}")
             per_scene.append(score(result_dir / name / "tracks_after.jsonl"))
+    # After the scan, so a cell the run never made is reported as missing.
+    _check_binding(results_dir, _run_manifest(cfg, scenes))
 
     kwargs = dict(
         fraction=cfg.eval.bootstrap_fraction,
@@ -464,7 +478,7 @@ def _write_per_scene_csv(path: str | Path, scenes, cells) -> None:
                     f"{per_scene['assa']:.6f},{per_scene['le']:.6f},"
                     f"{per_scene['tsr']:.6f},{per_scene['tfr']:.6f}"
                 )
-    Path(path).write_text("\n".join(lines) + "\n")
+    fileio.write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def _write_trend_csv(path: str | Path, trend_rows: list[dict]) -> None:
@@ -475,4 +489,4 @@ def _write_trend_csv(path: str | Path, trend_rows: list[dict]) -> None:
             f"{r['assa_before_mean']:.6f},{r['assa_before_std']:.6f},"
             f"{r['assa_after_mean']:.6f},{r['assa_after_std']:.6f}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    fileio.write_text_atomic(path, "\n".join(lines) + "\n")

@@ -4,6 +4,7 @@ fragment JSON lines, and assignment reports."""
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -76,9 +77,22 @@ def spec_from_dict(d: dict) -> SceneSpec:
     )
 
 
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write text to a temporary file next to path, then os.replace it over
+    path: path holds its old or its new content, never a partial one, and no
+    temporary file stays behind, also when the write fails."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def dump_json(obj, path: str | Path) -> None:
     """Canonical JSON: sorted keys, two-space indent, trailing newline."""
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    write_text_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def write_ground_truth(path: str | Path, ground_truth: list[SpeakerGroundTruth], spec: SceneSpec) -> None:
@@ -163,7 +177,7 @@ def trajectories_from_jsonl(text: str) -> list[Trajectory]:
 
 
 def write_trajectories(path: str | Path, trajectories: list[Trajectory]) -> None:
-    Path(path).write_text(trajectories_to_jsonl(trajectories))
+    write_text_atomic(path, trajectories_to_jsonl(trajectories))
 
 
 def read_trajectories(path: str | Path) -> list[Trajectory]:
@@ -181,7 +195,7 @@ def write_fragments(path: str | Path, fragments: list[Fragment]) -> None:
             "representative_doa": [f.representative_doa.azimuth, f.representative_doa.elevation],
         }
         lines.append(json.dumps(record, sort_keys=True))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def assignment_to_dict(result: AssignmentResult, mvdr: MvdrDiagnostics) -> dict:

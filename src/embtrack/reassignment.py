@@ -17,18 +17,22 @@ front-end: it owns every stage seed, derive_seed(*key, stage[, m]). The key
 is (master seed, scene index) in the batch runner and (seed,) in
 run_pipeline. reassign_scene is the post-tracking step: it segments each M's
 trajectories once and then, per cell (m, beamformer, policy, noise covariance
-source), beamforms, embeds and reassigns every fragment.
+source), beamforms, embeds and reassigns every fragment. The gated MVDR noise
+covariance is taken from the mixture where the fragment's track is inactive,
+so it depends only on the track: it is estimated once per track and M, on
+that track's first gated MVDR fragment, and shared by every cell of that M.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .beamforming import (
     MvdrDiagnostics,
+    band_covariances,
     beamform_ds,
     beamform_ideal,
     beamform_mvdr,
@@ -208,7 +212,7 @@ def extract_fragment_embedding(
     beamformer: str,
     hop: float = DEFAULT_HOP_S,
     noise_cov_source: str = "oracle",
-    inactive_frames: list[int] | None = None,
+    gated_covariance: Callable[[int], np.ndarray] | None = None,
     diagnostics: MvdrDiagnostics | None = None,
 ) -> Embedding | None:
     """Beamform the fragment window and embed it; None when it is too short.
@@ -217,7 +221,9 @@ def extract_fragment_embedding(
     tracker frame is not in frag.overlapped_frames, since there the mixture
     also carries another track's speaker (embed() pools over all frames when
     fewer than MIN_EMBED_FRAMES are free). "ideal" reads only the target's wet
-    signal and always pools over all frames.
+    signal and always pools over all frames. gated_covariance maps a track id
+    to its gated MVDR noise covariance (needed for noise_cov_source "gated");
+    the oracle covariance is estimated per fragment, from its own window.
     """
     window = extraction_window(frag, policy, hop)
     steer = window_doa(frag, policy, hop)
@@ -230,11 +236,12 @@ def extract_fragment_embedding(
             midpoint = 0.5 * (window[0] + window[1])
             target = nearest_speaker_index(scene.ground_truth, steer, midpoint)
             noise = oracle_noise_reference(scene.mixture, scene.wet, target, window)
+            noise_cov = band_covariances(noise, scene.sample_rate)
         elif noise_cov_source == "gated":
-            noise = gated_noise_reference(scene.mixture, inactive_frames or [], hop)
+            noise_cov = gated_covariance(frag.source_track_id)
         else:
             raise ValueError(f"unknown noise covariance source {noise_cov_source!r}")
-        mono = beamform_mvdr(scene.mixture, steer, noise, window, diagnostics=diagnostics)
+        mono = beamform_mvdr(scene.mixture, steer, noise_cov, window, diagnostics=diagnostics)
     else:
         raise ValueError(f"unknown beamformer {beamformer!r}")
     frame_mask = None
@@ -255,6 +262,26 @@ def _free_frame_mask(
     centers = start + analysis_frame_centers(num_samples, sample_rate)
     tracker_frames = np.floor(centers / (hop * sample_rate)).astype(int)
     return ~np.isin(tracker_frames, frag.overlapped_frames)
+
+
+def _gated_covariances(
+    scene: Scene, trajectories: list[Trajectory], hop: float
+) -> Callable[[int], np.ndarray]:
+    """Track id -> band covariance of the mixture in the frames where that
+    track is inactive, estimated on first use and kept for later ones."""
+    num_frames = int(round(scene.duration / hop))
+    by_id = {traj.track_id: traj for traj in trajectories}
+    covariances: dict[int, np.ndarray] = {}
+
+    def covariance(track_id: int) -> np.ndarray:
+        if track_id not in covariances:
+            active = {t for t, _, a in by_id[track_id].frames if a}
+            inactive = sorted(set(range(num_frames)) - active)
+            noise = gated_noise_reference(scene.mixture, inactive, hop)
+            covariances[track_id] = band_covariances(noise, scene.sample_rate)
+        return covariances[track_id]
+
+    return covariance
 
 
 def track_and_enroll(
@@ -305,28 +332,26 @@ def reassign_scene(
     """The post-tracking step: segment -> window -> beamform -> embed -> reassign.
 
     A cell is (m, beamformer, duration policy, noise covariance source). The
-    trajectories of each M named by a cell are segmented, and their inactive
-    frames (the gated MVDR noise reference) derived, once. Each cell embeds
+    trajectories of each M named by a cell are segmented once. The gated MVDR
+    noise covariance of a track is estimated once per M, on the first gated
+    MVDR fragment of that track, and reused by every later fragment of the
+    track in every cell of that M; other cells estimate none. Each cell embeds
     every fragment and reassigns against the first m pool entries. Yields one
     result per cell, in order, each computed when it is asked for, so the
     batch runner writes and marks a cell complete before the next one starts.
     """
-    num_frames = int(round(scene.duration / hop))
-    segmented = {}
-    for m in {cell[0] for cell in cells}:
-        inactive = {
-            traj.track_id: sorted(set(range(num_frames)) - {t for t, _, a in traj.frames if a})
-            for traj in tracks_by_m[m]
-        }
-        segmented[m] = segment(tracks_by_m[m]), inactive
+    segmented = {
+        m: (segment(tracks_by_m[m]), _gated_covariances(scene, tracks_by_m[m], hop))
+        for m in {cell[0] for cell in cells}
+    }
 
     for m, beamformer, policy, noise_cov_source in cells:
-        fragments, inactive = segmented[m]
+        fragments, gated_covariance = segmented[m]
         diagnostics = MvdrDiagnostics()
         embeddings = {
             frag.fragment_id: extract_fragment_embedding(
                 scene, frag, policy, beamformer, hop, noise_cov_source,
-                inactive[frag.source_track_id], diagnostics,
+                gated_covariance, diagnostics,
             )
             for frag in fragments
         }

@@ -107,7 +107,7 @@ class TestMvdr:
         doa = DoA(-70, 25)
         noise = rng.standard_normal((4, 20 * SR))
         # white uncorrelated noise reference -> covariance ~ scaled identity
-        out_mvdr = beamform_mvdr(mixture, doa, noise)
+        out_mvdr = beamform_mvdr(mixture, doa, band_covariances(noise, SR))
         out_ds = beamform_ds(mixture, doa)
         rel = np.sqrt(np.mean((out_mvdr - out_ds) ** 2) / np.mean(out_ds**2))
         assert rel < 0.1  # sample covariance is only approximately identity
@@ -150,8 +150,8 @@ class TestMvdr:
         ds_sir = power(beamform_ds(target_only, doa, window)) / power(
             beamform_ds(others, doa, window)
         )
-        mvdr_t = beamform_mvdr(target_only, doa, noise_ref, window)
-        mvdr_o = beamform_mvdr(others, doa, noise_ref, window)
+        mvdr_t = beamform_mvdr(target_only, doa, band_covariances(noise_ref, SR), window)
+        mvdr_o = beamform_mvdr(others, doa, band_covariances(noise_ref, SR), window)
         mvdr_sir = power(mvdr_t) / power(mvdr_o)
         assert mvdr_sir >= ds_sir
 
@@ -162,20 +162,22 @@ class TestMvdr:
         y2 = FoaSignal(rng.standard_normal((4, 2048)), SR)
         combo = FoaSignal(1.5 * y1.channels + 0.5 * y2.channels, SR)
         doa = DoA(120, -30)
-        lhs = beamform_mvdr(combo, doa, noise_ref)
-        rhs = 1.5 * beamform_mvdr(y1, doa, noise_ref) + 0.5 * beamform_mvdr(y2, doa, noise_ref)
+        noise_cov = band_covariances(noise_ref, SR)
+        lhs = beamform_mvdr(combo, doa, noise_cov)
+        rhs = 1.5 * beamform_mvdr(y1, doa, noise_cov) + 0.5 * beamform_mvdr(y2, doa, noise_cov)
         assert np.allclose(lhs, rhs, atol=1e-9)
 
     def test_short_noise_reference_rejected(self):
         mixture = FoaSignal(np.zeros((4, SR)), SR)
         with pytest.raises(ValueError):
-            beamform_mvdr(mixture, DoA(0, 0), np.zeros((4, 100)))
+            beamform_mvdr(mixture, DoA(0, 0), band_covariances(np.zeros((4, 100)), SR))
 
     def test_diagnostics_counts_bands(self):
         rng = np.random.default_rng(11)
         mixture = FoaSignal(rng.standard_normal((4, 4096)), SR)
         diag = MvdrDiagnostics()
-        beamform_mvdr(mixture, DoA(0, 0), rng.standard_normal((4, SR)), diagnostics=diag)
+        noise_cov = band_covariances(rng.standard_normal((4, SR)), SR)
+        beamform_mvdr(mixture, DoA(0, 0), noise_cov, diagnostics=diag)
         assert diag.total_bands == 257
         assert diag.fallback_bands == 0
 
@@ -239,6 +241,23 @@ class TestNoiseReferences:
         mixture, wet, _ = generate_scene(spec)
         ref = oracle_noise_reference(mixture, wet, 0, window=(1.0, 1.1), min_duration=0.5)
         assert ref.shape[1] == int(0.5 * SR)
+
+    @pytest.mark.parametrize("window", [(1.0, 2.5), (1.0, 1.1), (3.9, 3.95), None])
+    def test_oracle_slices_before_subtracting(self, window):
+        spec = SceneSpec(seed=2, num_speakers=2, duration=4.0, snr=15.0)
+        mixture, wet, _ = generate_scene(spec)
+        # the formula that subtracts over the whole scene, then slices
+        residual = mixture.channels - wet[1].channels
+        expected = residual
+        if window is not None:
+            start, end = window
+            if end - start < 0.5:
+                pad = 0.5 * (0.5 - (end - start))
+                start, end = start - pad, end + pad
+            a = max(0, int(round(start * SR)))
+            b = min(mixture.num_samples, int(round(end * SR)))
+            expected = residual[:, a:b]
+        assert np.array_equal(oracle_noise_reference(mixture, wet, 1, window), expected)
 
     def test_gated_uses_inactive_frames(self):
         rng = np.random.default_rng(14)

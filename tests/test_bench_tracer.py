@@ -19,17 +19,19 @@ REPO = Path(__file__).resolve().parents[1]
 BENCH = REPO / "bench"
 
 
-def test_traced_run_reaches_every_beamformer_and_embedding(tmp_path):
+def traced_run(tmp_path, seed, duration, run_args):
+    """gen one scene, then a traced `run` on it; the results directory and
+    the span count per name."""
     data, results, spans_path = tmp_path / "data", tmp_path / "results", tmp_path / "spans.json"
-    assert main(["gen", "--seed", "5", "--count", "1", "--duration", "6", "--out", str(data)]) == 0
+    gen = ["gen", "--seed", seed, "--count", "1", "--duration", duration, "--out", str(data)]
+    assert main(gen) == 0
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     env["PYTHONDONTWRITEBYTECODE"] = "1"  # leave no __pycache__ in bench/
     proc = subprocess.run(
         [
             sys.executable, str(BENCH / "traced_cli.py"), str(spans_path),
-            "run", "--seed", "5", "--dataset", str(data), "--out", str(results),
-            "--beamformers", "ideal,ds,mvdr", "--durations", "whole",
+            "run", "--seed", seed, "--dataset", str(data), "--out", str(results), *run_args,
         ],
         env=env,
         capture_output=True,
@@ -38,9 +40,15 @@ def test_traced_run_reaches_every_beamformer_and_embedding(tmp_path):
     )
     # Tracer.install raises, before the command runs, if a LAYERS function is gone.
     assert proc.returncode == 0, proc.stderr
+    return results, Counter(span[0] for span in json.loads(spans_path.read_text())["spans"])
+
+
+def test_traced_run_reaches_every_beamformer_and_embedding(tmp_path):
+    _results, calls = traced_run(
+        tmp_path, "5", "6", ["--beamformers", "ideal,ds,mvdr", "--durations", "whole"]
+    )
     # A name missing from LAYERS, or a layer called around its module
     # attribute, records no span and fails the count check.
-    calls = Counter(span[0] for span in json.loads(spans_path.read_text())["spans"])
     for name in (
         "beamforming.beamform_ideal",
         "beamforming.beamform_ds",
@@ -52,3 +60,15 @@ def test_traced_run_reaches_every_beamformer_and_embedding(tmp_path):
         assert calls[name] > 0, name
     assert calls["fragments.segment"] == 1  # one scene, one M: segmented once for 3 cells
     assert calls["reassignment.reassign"] == 3
+
+
+def test_traced_gated_mvdr_estimates_one_covariance_per_track(tmp_path):
+    results, calls = traced_run(
+        tmp_path, "12", "10",
+        ["--beamformers", "mvdr", "--durations", "whole", "--noise-cov", "gated"],
+    )
+    lines = (results / "scene_0000" / "gt_m2_mvdr_whole" / "fragments.jsonl").read_text().splitlines()
+    tracks = {json.loads(line)["track_id"] for line in lines}
+    assert calls["beamforming.gated_noise_reference"] == len(tracks)
+    assert calls["beamforming.band_covariances"] == len(tracks)
+    assert calls["beamforming.band_covariances"] < calls["beamforming.beamform_mvdr"]

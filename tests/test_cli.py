@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -285,6 +286,27 @@ class TestRun:
         assert main(["run", "--dataset", str(other), "--out", str(results)]) == 2
         assert tree_bytes(results) == before
 
+    def test_failed_manifest_write_keeps_the_old_manifest(self, one_scene, tmp_path, monkeypatch):
+        results = tmp_path / "results"
+        argv = ["run", "--dataset", str(one_scene), "--out", str(results), "--workers", "1"]
+        assert main(argv) == 0
+        old = (results / "run_manifest.json").read_bytes()
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst).name == "run_manifest.json":
+                raise OSError("killed while writing")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            main(argv[:-1] + ["2"])
+        assert (results / "run_manifest.json").read_bytes() == old
+        assert [p.name for p in results.rglob("*.tmp")] == []
+        monkeypatch.undo()
+        assert main(argv[:-1] + ["2"]) == 0
+        assert json.loads((results / "run_manifest.json").read_text())["config"]["workers"] == 2
+
     def test_dataset_section_comes_from_the_dataset(self, tmp_path):
         data = tmp_path / "data"
         three = {"dataset": {"count": 1, "duration": 4.0, "num_speakers": 3}, "run": {"enrollment_sizes": [3]}}
@@ -372,6 +394,41 @@ class TestEval:
         with pytest.raises(DataError):
             cmd_eval(cfg, tmp_path / "nowhere", data, tmp_path / "r.json")
 
+
+    @pytest.mark.parametrize(
+        "flags, run_section, code",
+        [
+            (["--seed", "99"], {}, 2),
+            ([], {"noise_cov": "gated"}, 2),
+            (["--alpha", "30"], {}, 0),  # the eval section is not bound
+        ],
+    )
+    def test_results_of_another_run_are_refused(
+        self, small_results, tmp_path, flags, run_section, code
+    ):
+        _cfg, data, results = small_results
+        config = tmp_path / "eval.yaml"
+        config.write_text(yaml.safe_dump(SMALL | {"run": SMALL["run"] | run_section}))
+        report = tmp_path / "r.json"
+        argv = ["eval", "--config", str(config), "--dataset", str(data), "--results", str(results)]
+        assert main(argv + ["--out", str(report)] + flags) == code
+        assert report.exists() == (code == 0)
+
+    @pytest.mark.parametrize("content", [None, "not json\n"])
+    def test_missing_or_unreadable_run_manifest_exit_code(
+        self, small_results, small_config, tmp_path, content
+    ):
+        _cfg, data, results = small_results
+        copy = tmp_path / "results"
+        shutil.copytree(results, copy)
+        if content is None:
+            (copy / "run_manifest.json").unlink()
+        else:
+            (copy / "run_manifest.json").write_text(content)
+        report = tmp_path / "r.json"
+        argv = ["eval", "--config", str(small_config), "--dataset", str(data), "--results", str(copy)]
+        assert main(argv + ["--out", str(report)]) == 3
+        assert not report.exists()
 
     @pytest.mark.parametrize(
         "name, content",

@@ -52,3 +52,20 @@ def test_config_sample_counts():
     cfg = StftConfig()
     assert cfg.window_samples(16000) == 512
     assert cfg.hop_samples(16000) == 256
+
+
+def framed_stft(x, n_window, n_hop, pad):
+    """One channel, framed by an index array: the per-channel reference."""
+    xp = np.concatenate([np.zeros(n_window), x, np.zeros(n_window)]) if pad else x
+    n_frames = 1 + (len(xp) - n_window) // n_hop
+    idx = np.arange(n_window)[None, :] + n_hop * np.arange(n_frames)[:, None]
+    return np.fft.rfft(xp[idx] * periodic_hann(n_window), axis=1).T
+
+
+@pytest.mark.parametrize("pad", [True, False])
+def test_multichannel_stft_equals_per_channel_reference(pad):
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((4, 30 * 16000))
+    spec = stft(x, 512, 256, pad=pad)
+    assert np.array_equal(spec, np.stack([framed_stft(ch, 512, 256, pad) for ch in x]))
+    assert np.array_equal(stft(x[2], 512, 256, pad=pad), framed_stft(x[2], 512, 256, pad))

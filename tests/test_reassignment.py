@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from embtrack.beamforming import beamform_ds, beamform_ideal
+from embtrack import reassignment
+from embtrack.beamforming import (
+    MvdrDiagnostics,
+    band_covariances,
+    beamform_ds,
+    beamform_ideal,
+    gated_noise_reference,
+)
 from embtrack.embedding import Embedding, EnrollmentPool, embed
 from embtrack.fragments import DurationPolicy, Fragment, segment
 from embtrack.geometry import DoA
@@ -10,7 +17,9 @@ from embtrack.reassignment import (
     OverlapExclusionError,
     extract_fragment_embedding,
     reassign,
+    reassign_scene,
     run_pipeline,
+    track_and_enroll,
 )
 from embtrack.scene import SceneSpec, simulate
 from embtrack.tracking import Trajectory
@@ -293,3 +302,75 @@ class TestRunPipeline:
         for d in result.assignment.diagnostics:
             start, end = d.window
             assert end - start <= 0.25 + 1e-9
+
+
+class TestGatedCovariancePerTrack:
+    """The gated MVDR noise covariance depends only on the track, so
+    reassign_scene estimates it once per track and M and reuses it."""
+
+    HOP = 0.1
+    GATED = [(2, "mvdr", DurationPolicy(), "gated"), (2, "mvdr", DurationPolicy(250), "gated")]
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        scene = simulate(SceneSpec(seed=12, duration=10.0))
+        tracks_by_m, pool = track_and_enroll(scene, (51,), "gt", [2], self.HOP)
+        return scene, tracks_by_m, pool
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        original = getattr(reassignment, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(reassignment, name, counted)
+        return calls
+
+    def test_one_band_covariance_per_track(self, inputs, monkeypatch):
+        scene, tracks_by_m, pool = inputs
+        calls = self.count_calls(monkeypatch, "band_covariances")
+        results = list(reassign_scene(scene, tracks_by_m, pool, self.GATED, self.HOP))
+        tracks = {f.source_track_id for f in results[0].fragments}
+        assert len(results[0].fragments) > len(tracks)  # fragments share tracks
+        assert len(calls) == len(tracks)
+
+    def test_ds_and_oracle_cells_estimate_no_gated_covariance(self, inputs, monkeypatch):
+        scene, tracks_by_m, pool = inputs
+        calls = self.count_calls(monkeypatch, "band_covariances")
+        gated = self.count_calls(monkeypatch, "gated_noise_reference")
+        cells = [(2, "ds", DurationPolicy(), "gated"), (2, "mvdr", DurationPolicy(), "oracle")]
+        results = list(reassign_scene(scene, tracks_by_m, pool, cells, self.HOP))
+        assert gated == []
+        assert len(calls) == len(results[1].fragments)  # the oracle's own window, per fragment
+
+    def test_equals_per_fragment_estimation(self, inputs, monkeypatch):
+        scene, tracks_by_m, pool = inputs
+        reassign_calls = self.count_calls(monkeypatch, "reassign")  # (fragments, embeddings, ...)
+        results = list(reassign_scene(scene, tracks_by_m, pool, self.GATED, self.HOP))
+        num_frames = int(round(scene.duration / self.HOP))
+        inactive = {
+            traj.track_id: sorted(set(range(num_frames)) - {t for t, _, a in traj.frames if a})
+            for traj in tracks_by_m[2]
+        }
+
+        def per_fragment(track_id):
+            noise = gated_noise_reference(scene.mixture, inactive[track_id], self.HOP)
+            return band_covariances(noise, scene.sample_rate)
+
+        for (_m, _bf, policy, _src), result, (fragments, got, *_) in zip(
+            self.GATED, results, reassign_calls
+        ):
+            diagnostics = MvdrDiagnostics()
+            for f in fragments:
+                expected = extract_fragment_embedding(
+                    scene, f, policy, "mvdr", self.HOP, "gated", per_fragment, diagnostics
+                )
+                assert (got[f.fragment_id] is None) == (expected is None)
+                if expected is not None:
+                    assert np.array_equal(got[f.fragment_id].vector, expected.vector)
+                    assert got[f.fragment_id].pooled_frames == expected.pooled_frames
+            assert diagnostics.total_bands > 0
+            assert result.mvdr_diagnostics == diagnostics
