@@ -4,6 +4,7 @@ pools, cosine scoring, and a text interchange format for external embeddings.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,6 +17,7 @@ _N_MEL_BANDS = 24
 _MEL_LO_HZ = 100.0
 _MEL_HI_HZ = 7600.0
 _LOG_FLOOR = 1e-30
+_UNIT_NORM_TOL = 1e-6
 MIN_EMBED_FRAMES = 3
 
 ENROLLMENT_UTTERANCE_S = 20.0
@@ -43,7 +45,7 @@ class Embedding:
         if not np.all(np.isfinite(v)):
             raise ValueError("embedding components must be finite")
         norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-6:
+        if abs(norm - 1.0) > _UNIT_NORM_TOL:
             raise ValueError(f"embedding must be unit norm, got {norm}")
         object.__setattr__(self, "vector", v)
 
@@ -67,8 +69,12 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=8)
 def mel_filterbank(sample_rate: int, n_fft: int, n_bands: int = _N_MEL_BANDS) -> np.ndarray:
-    """Triangular mel filters over [100, 7600] Hz, shape (n_bands, n_fft//2 + 1)."""
+    """Triangular mel filters over [100, 7600] Hz, shape (n_bands, n_fft//2 + 1).
+
+    Built once per (sample_rate, n_fft, n_bands); the cached array is read-only.
+    """
     if _MEL_HI_HZ > sample_rate / 2:
         raise ValueError(f"sample rate {sample_rate} too low for {_MEL_HI_HZ} Hz bands")
     edges_hz = _mel_to_hz(np.linspace(_hz_to_mel(_MEL_LO_HZ), _hz_to_mel(_MEL_HI_HZ), n_bands + 2))
@@ -79,6 +85,7 @@ def mel_filterbank(sample_rate: int, n_fft: int, n_bands: int = _N_MEL_BANDS) ->
         up = (freqs - lo) / (mid - lo)
         down = (hi - freqs) / (hi - mid)
         fb[b] = np.maximum(0.0, np.minimum(up, down))
+    fb.setflags(write=False)
     return fb
 
 
@@ -234,7 +241,8 @@ def save_embeddings(pool: EnrollmentPool, path: str | Path) -> None:
 def load_embeddings(path: str | Path) -> EnrollmentPool:
     """Read a SPKEMB v1 file; raises SpkembParseError with the offending line.
 
-    An empty file is a valid empty pool.
+    An empty file is a valid empty pool. Rows already unit-norm (within the
+    Embedding tolerance) load bit-exact; other rows are scaled to unit norm.
     """
     text = Path(path).read_text()
     if not text.strip():
@@ -263,10 +271,16 @@ def load_embeddings(path: str | Path) -> EnrollmentPool:
             vec = np.array([float(p) for p in parts[1:]])
         except ValueError:
             raise SpkembParseError("non-numeric component", i) from None
+        if not np.all(np.isfinite(vec)):
+            raise SpkembParseError("non-finite component", i)
         norm = float(np.linalg.norm(vec))
         if norm == 0:
             raise SpkembParseError("zero-norm embedding", i)
-        entries.append((parts[0], Embedding(vec / norm)))
+        # A row Embedding accepts as unit-norm keeps its written bits, so a
+        # save/load round trip is exact; any other row is normalized.
+        if abs(norm - 1.0) > _UNIT_NORM_TOL:
+            vec = vec / norm
+        entries.append((parts[0], Embedding(vec)))
     if len(entries) != count:
         raise SpkembParseError(f"header announced {count} rows, found {len(entries)}", len(lines))
     return EnrollmentPool(entries)

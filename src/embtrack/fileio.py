@@ -216,6 +216,8 @@ def assignment_to_dict(result: AssignmentResult, mvdr: MvdrDiagnostics) -> dict:
                 "used_fallback": d.used_fallback,
                 "pooled_frames": d.pooled_frames,
                 "pooling_fallback": d.pooling_fallback,
+                "runner_up": d.runner_up,
+                "margin": d.margin,
             }
             for d in result.diagnostics
         ],

@@ -82,6 +82,10 @@ class FragmentDiagnostic:
     used_fallback: bool
     pooled_frames: int | None  # analysis frames in the embedding; None without one
     pooling_fallback: bool  # too few frames free of other tracks: pooled all
+    # Second-best admissible identity and score minus its score; None when
+    # only one candidate is left or the spatial fallback decided.
+    runner_up: str | None
+    margin: float | None
 
 
 @dataclass
@@ -128,11 +132,17 @@ def reassign(
             )
         emb = fragment_embeddings.get(frag.fragment_id)
         used_fallback = emb is None
+        runner_up, margin = None, None
         if emb is not None:
             scores = pool_matrix[[idx for idx, _ in candidates]] @ emb.vector
             best = int(np.argmax(scores))
             identity = candidates[best][1]
             score = float(scores[best])
+            if len(candidates) > 1:
+                rest = scores.copy()
+                rest[best] = -np.inf
+                second = int(np.argmax(rest))
+                runner_up, margin = candidates[second][1], score - float(scores[second])
         else:
             identity, score = _spatial_fallback(frag, assigned, assignments, candidates)
         assignments[frag.fragment_id] = identity
@@ -147,6 +157,8 @@ def reassign(
                 used_fallback=used_fallback,
                 pooled_frames=None if emb is None else emb.pooled_frames,
                 pooling_fallback=emb is not None and emb.pooling_fallback,
+                runner_up=runner_up,
+                margin=margin,
             )
         )
 

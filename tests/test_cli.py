@@ -193,7 +193,13 @@ class TestRun:
             "mvdr_total_bands",
         }
         for d in doc["diagnostics"]:
-            assert set(d) >= {"fragment_id", "identity", "score", "excluded", "window"}
+            assert set(d) >= {
+                "fragment_id", "identity", "score", "excluded", "window", "runner_up", "margin",
+            }
+            if d["used_fallback"]:
+                assert d["runner_up"] is None and d["margin"] is None
+            elif d["runner_up"] is not None:
+                assert d["runner_up"] != d["identity"] and d["margin"] >= 0.0
 
     def test_assignment_records_cell_window_and_pooling(self, small_results):
         cfg, data, results = small_results

@@ -235,6 +235,38 @@ class TestSpkembFormat:
         for (_, a), (_, b) in zip(loaded.entries, pool.entries):
             assert np.max(np.abs(a.vector - b.vector)) < 1e-6
 
+    def test_enrollment_round_trip_is_bit_exact(self, tmp_path):
+        voices = [sample_voice_params(np.random.default_rng(k)) for k in (1, 2)]
+        path = tmp_path / "pool.spkemb"
+        for seed in range(6):
+            pool = build_enrollment(voices, 4, seed=seed, sample_rate=SR)
+            save_embeddings(pool, path)
+            loaded = load_embeddings(path)
+            assert loaded.identities == pool.identities
+            for (_, a), (_, b) in zip(loaded.entries, pool.entries):
+                assert np.array_equal(a.vector, b.vector)
+
+    def test_non_unit_row_loads_normalized(self, tmp_path):
+        path = tmp_path / "pool.spkemb"
+        path.write_text("SPKEMB v1 dim=2 count=1\nspk,3.0,4.0\n")
+        (_, emb), = load_embeddings(path).entries
+        assert np.allclose(emb.vector, [0.6, 0.8])
+        assert np.linalg.norm(emb.vector) == pytest.approx(1.0, abs=1e-15)
+
+    def test_zero_norm_row_rejected(self, tmp_path):
+        path = tmp_path / "pool.spkemb"
+        path.write_text("SPKEMB v1 dim=2 count=2\nspk,0.6,0.8\nnul,0.0,0.0\n")
+        with pytest.raises(SpkembParseError) as info:
+            load_embeddings(path)
+        assert info.value.line == 3
+
+    def test_non_finite_row_rejected(self, tmp_path):
+        path = tmp_path / "pool.spkemb"
+        path.write_text("SPKEMB v1 dim=2 count=1\nspk,nan,1.0\n")
+        with pytest.raises(SpkembParseError) as info:
+            load_embeddings(path)
+        assert info.value.line == 2
+
     def test_header_format(self, tmp_path):
         pool = EnrollmentPool([("spk", unit([3, 4]))])
         path = tmp_path / "pool.spkemb"
@@ -288,6 +320,14 @@ def test_mel_filterbank_covers_band():
     freqs = np.fft.rfftfreq(512, d=1.0 / SR)
     inside = (freqs > 150) & (freqs < 7500)
     assert np.all(fb[:, inside].sum(axis=0) > 0)
+
+
+def test_mel_filterbank_is_cached_read_only():
+    fb = mel_filterbank(SR, 512)
+    assert mel_filterbank(SR, 512) is fb
+    assert not fb.flags.writeable
+    with pytest.raises(ValueError):
+        fb[0, 0] = 1.0
 
 
 def test_mel_filterbank_rejects_low_sample_rate():

@@ -110,6 +110,42 @@ class TestReassign:
         diag = {d.fragment_id: d for d in result.diagnostics}
         assert diag[2].used_fallback
 
+    def test_runner_up_and_margin_recorded(self):
+        pool = EnrollmentPool(
+            [("alice", unit([1, 0, 0])), ("bob", unit([0, 1, 0])), ("carol", unit([0, 0, 1]))]
+        )
+        emb = unit([0.2, 1.0, 0.5])
+        result = reassign([frag(0, 0, 0, 10)], {0: emb}, pool)
+        (d,) = result.diagnostics
+        assert (d.identity, d.runner_up) == ("bob", "carol")
+        assert d.margin == pytest.approx(emb.vector[1] - emb.vector[2])
+        assert d.margin == d.score - float(pool.matrix()[2] @ emb.vector)
+
+    def test_runner_up_skips_excluded_identities(self):
+        pool = EnrollmentPool(
+            [("alice", unit([1, 0, 0])), ("bob", unit([0, 1, 0])), ("carol", unit([0, 0, 1]))]
+        )
+        fragments = [frag(0, 0, 0, 50), frag(1, 1, 0, 50)]
+        # fragment 1 prefers alice, then bob, but alice is taken by fragment 0
+        embeddings = {0: unit([1, 0, 0]), 1: unit([1, 0.6, 0.3])}
+        diag = {d.fragment_id: d for d in reassign(fragments, embeddings, pool).diagnostics}
+        assert (diag[1].identity, diag[1].runner_up) == ("bob", "carol")
+        assert diag[1].margin == pytest.approx(0.3 / np.linalg.norm([1, 0.6, 0.3]))
+
+    def test_runner_up_tie_has_zero_margin(self):
+        pool = EnrollmentPool([("first", unit([1, 0])), ("second", unit([1, 0]))])
+        (d,) = reassign([frag(0, 0, 0, 10)], {0: unit([1, 0])}, pool).diagnostics
+        assert (d.identity, d.runner_up, d.margin) == ("first", "second", 0.0)
+
+    def test_no_runner_up_with_one_candidate_or_spatial_fallback(self):
+        fragments = [frag(0, 0, 0, 50), frag(1, 1, 0, 50), frag(2, 0, 60, 62)]
+        embeddings = {0: unit([1, 0, 0]), 1: unit([1, 0.1, 0]), 2: None}
+        diag = {d.fragment_id: d for d in reassign(fragments, embeddings, POOL).diagnostics}
+        assert diag[0].runner_up == "bob" and diag[0].margin > 0
+        assert (diag[1].runner_up, diag[1].margin) == (None, None)  # alice excluded
+        assert diag[2].used_fallback
+        assert (diag[2].runner_up, diag[2].margin) == (None, None)
+
     def test_short_fragment_fallback_respects_exclusion(self):
         fragments = [
             frag(0, 0, 0, 30, DoA(10, 0)),

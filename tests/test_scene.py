@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from embtrack import scene
 from embtrack.geometry import DoA, angular_distance
 from embtrack.scene import (
     SEPARATION_REGIMES,
@@ -12,6 +13,31 @@ from embtrack.scene import (
     sample_voice_params,
     synthesize_voice,
 )
+
+
+def _per_harmonic_voice(voice, duration, sample_rate, seed):
+    """synthesize_voice with one np.sin per harmonic: the reference the
+    complex-polynomial evaluation is checked against. Same RNG draw order."""
+    n = int(round(duration * sample_rate))
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / sample_rate
+    vib = 0.004 * np.sin(2.0 * np.pi * 4.7 * t + rng.uniform(0.0, 2.0 * np.pi))
+    drift = 0.006 * scene._slow_noise(rng, n, sample_rate, 3.0)
+    phase = 2.0 * np.pi * np.cumsum(voice.f0 * (1.0 + vib + drift)) / sample_rate
+    n_harm = max(1, int(min(7400.0, 0.45 * sample_rate) / voice.f0))
+    freqs = voice.f0 * np.arange(1, n_harm + 1)
+    level_db = voice.spectral_tilt * np.log2(freqs / voice.f0)
+    for center, bandwidth, gain_db in voice.resonances:
+        level_db = level_db + gain_db * np.exp(-0.5 * ((freqs - center) / bandwidth) ** 2)
+    amps = 10.0 ** (level_db / 20.0)
+    sig = np.zeros(n)
+    phases0 = rng.uniform(0.0, 2.0 * np.pi, size=n_harm)
+    for k in range(n_harm):
+        sig += amps[k] * np.sin((k + 1) * phase + phases0[k])
+    env = 1.0 + 0.35 * np.sin(2.0 * np.pi * voice.modulation_rate * t + rng.uniform(0.0, 2.0 * np.pi))
+    env *= 1.0 + 0.15 * scene._slow_noise(rng, n, sample_rate, 2.0)
+    sig *= np.maximum(env, 0.05)
+    return sig / np.sqrt(np.mean(sig**2))
 
 
 def one_segment_spec(**kwargs):
@@ -100,6 +126,25 @@ class TestSynthesizeVoice:
         a = synthesize_voice(voice, 1.0, 16000, seed=9)
         b = synthesize_voice(voice, 1.0, 16000, seed=9)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("f0", [80.0, 300.0])  # 90 and 24 harmonics at 16 kHz
+    @pytest.mark.parametrize("duration", [20.0, 60.0])
+    def test_matches_per_harmonic_sin_sum(self, f0, duration):
+        voice = VoiceParams(f0, -6.0, ((700.0, 120.0, 8.0), (1800.0, 200.0, 5.0)), 3.5)
+        s = synthesize_voice(voice, duration, 16000, seed=4)
+        assert np.max(np.abs(s - _per_harmonic_voice(voice, duration, 16000, seed=4))) <= 1e-9
+        assert np.sqrt(np.mean(s**2)) == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(s, synthesize_voice(voice, duration, 16000, seed=4))
+
+    @pytest.mark.parametrize("num_samples", [1, 2, 3 * 8192, 2 * 8192 + 1, 40001])
+    def test_block_size_changes_no_bit(self, num_samples, monkeypatch):
+        voice = VoiceParams(95.0, -5.0, ((900.0, 150.0, 6.0),), 4.0)
+        duration = num_samples / 16000
+        reference = synthesize_voice(voice, duration, 16000, seed=11)
+        assert len(reference) == num_samples
+        for block in (2, 3, 1000, 8191, 10**6):
+            monkeypatch.setattr(scene, "_SYNTH_BLOCK", block)
+            assert np.array_equal(synthesize_voice(voice, duration, 16000, seed=11), reference)
 
     def test_f0_bounds_enforced(self):
         with pytest.raises(ValueError):
