@@ -1,5 +1,13 @@
-"""Fragment beamformers on the FOA mixture: Ideal (oracle wet signal),
-broadband Delay-and-Sum, and per-band MVDR with diagonal loading.
+"""Fragment beamformers on the FOA mixture, in the STFT domain: Ideal (oracle
+wet signal), broadband Delay-and-Sum, and per-band MVDR with diagonal loading.
+
+reassign_scene takes one unpadded STFT of the mixture per scene (foa_stft).
+A fragment reads the frames of that grid whose centre lies in its extraction
+window, a slice of the frame axis, and every beamformer returns the beam's
+single-channel STFT on those frames, shape (bins, frames); the embedder pools
+|Y|^2 from it directly, so no beam is resynthesised. The MVDR noise
+covariances are still estimated from time-domain references
+(oracle_noise_reference, gated_noise_reference) by band_covariances.
 
 The SN3D steering vector for a direction (az, el) is
     d = (1, sin az cos el, sin el, cos az cos el),  ||d||^2 = 2,
@@ -12,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import StftConfig, istft, stft
+from .dsp import StftConfig, num_full_frames, stft
 from .geometry import DoA, angular_distance
 from .scene import FoaSignal, SpeakerGroundTruth, foa_gains
 
@@ -33,21 +41,35 @@ class MvdrDiagnostics:
     total_bands: int = 0
 
 
-def _window_slice(signal: FoaSignal, window: tuple[float, float] | None) -> np.ndarray:
-    if window is None:
-        return signal.channels
-    a = max(0, int(round(window[0] * signal.sample_rate)))
-    b = min(signal.num_samples, int(round(window[1] * signal.sample_rate)))
-    return signal.channels[:, a:b]
+def foa_stft(signal: FoaSignal) -> np.ndarray:
+    """Unpadded STFT of a 4-channel signal, shape (4, bins, frames).
+
+    Frame k covers samples [k * hop, k * hop + window), the grid embed()
+    analyses a signal on. The channels are transformed one at a time into one
+    preallocated array, so only one channel's framed copy is held at a time.
+    """
+    cfg = StftConfig()
+    n_window = cfg.window_samples(signal.sample_rate)
+    n_hop = cfg.hop_samples(signal.sample_rate)
+    n_frames = num_full_frames(signal.num_samples, n_window, n_hop)
+    spec = np.empty((4, n_window // 2 + 1, n_frames), dtype=complex)
+    for c in range(4):
+        spec[c] = stft(signal.channels[c], n_window, n_hop, pad=False)
+    return spec
 
 
-def beamform_ds(
-    mixture: FoaSignal, doa: DoA, window: tuple[float, float] | None = None
-) -> np.ndarray:
-    """Broadband delay-and-sum: w = d / ||d||^2 applied sample-wise."""
+def beamform_ds(mixture: FoaSignal | np.ndarray, doa: DoA) -> np.ndarray:
+    """Broadband delay-and-sum: w = d / ||d||^2 applied along the channel axis.
+
+    mixture is a 4-channel STFT, such as a frame slice of foa_stft, giving the
+    beam's (bins, frames) STFT, or a FoaSignal, giving its samples. The
+    weights are real and the same in every band, so the two commute with the
+    STFT.
+    """
     d = steering_vector(doa)
     w = d / float(d @ d)
-    return w @ _window_slice(mixture, window)
+    channels = mixture.channels if isinstance(mixture, FoaSignal) else mixture
+    return np.tensordot(w, channels, axes=1)
 
 
 def band_covariances(channels: np.ndarray, sample_rate: int, cfg: StftConfig = StftConfig()) -> np.ndarray:
@@ -75,37 +97,40 @@ def mvdr_weights(noise_cov: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, int]
 
     noise_cov has shape (bins, 4, 4). Returns (weights (bins, 4), number of
     bands that fell back to DS because the loaded covariance was singular).
+    All bands are solved in one batched call; only when that raises are the
+    bands solved one by one, so the singular ones can be told apart.
     """
     bins = noise_cov.shape[0]
-    weights = np.empty((bins, 4), dtype=complex)
-    ds = d / float(d @ d)
-    fallbacks = 0
+    d_complex = d.astype(complex)
     trace = np.real(np.trace(noise_cov, axis1=1, axis2=2))
     loaded = noise_cov + (MVDR_LOADING * trace / 4.0)[:, None, None] * np.eye(4)
-    for f in range(bins):
-        try:
-            rinv_d = np.linalg.solve(loaded[f], d.astype(complex))
-            denom = np.real(d @ rinv_d)
-            if not np.isfinite(denom) or denom <= 0:
-                raise np.linalg.LinAlgError
-            weights[f] = rinv_d / denom
-        except np.linalg.LinAlgError:
-            weights[f] = ds
-            fallbacks += 1
-    return weights, fallbacks
+    try:
+        rinv_d = np.linalg.solve(loaded, np.broadcast_to(d_complex[:, None], (bins, 4, 1)))
+    except np.linalg.LinAlgError:
+        rinv_d = np.full((bins, 4, 1), np.nan, dtype=complex)
+        for f in range(bins):
+            try:
+                rinv_d[f, :, 0] = np.linalg.solve(loaded[f], d_complex)
+            except np.linalg.LinAlgError:
+                pass  # left NaN: the band falls back to DS below
+    denom = np.real(d_complex @ rinv_d)[:, 0]
+    solved = np.isfinite(denom) & (denom > 0)
+    weights = np.tile((d / float(d @ d)).astype(complex), (bins, 1))
+    weights[solved] = rinv_d[solved, :, 0] / denom[solved, None]
+    return weights, bins - int(solved.sum())
 
 
 def beamform_mvdr(
-    mixture: FoaSignal,
+    mixture: np.ndarray,
     doa: DoA,
     noise_cov: np.ndarray,
-    window: tuple[float, float] | None = None,
-    cfg: StftConfig = StftConfig(),
     diagnostics: MvdrDiagnostics | None = None,
 ) -> np.ndarray:
     """Per-band MVDR steered at doa, with the band covariance noise_cov.
 
-    noise_cov is band_covariances of the estimation material: the oracle
+    mixture is a 4-channel STFT (4, bins, frames), such as a frame slice of
+    foa_stft; returns the beam's STFT (bins, frames). noise_cov is
+    band_covariances of the estimation material: the oracle
     interferer-plus-noise components of the fragment's window, or the mixture
     frames gated to the target track's inactivity. The gated covariance
     depends only on the track, so reassign_scene estimates it once per track
@@ -116,13 +141,7 @@ def beamform_mvdr(
     if diagnostics is not None:
         diagnostics.fallback_bands += fallbacks
         diagnostics.total_bands += noise_cov.shape[0]
-
-    n_window = cfg.window_samples(mixture.sample_rate)
-    n_hop = cfg.hop_samples(mixture.sample_rate)
-    chunk = _window_slice(mixture, window)
-    spec = stft(chunk, n_window, n_hop)  # (4, bins, frames)
-    out_spec = np.einsum("fc,cft->ft", np.conj(weights), spec)
-    return istft(out_spec, n_window, n_hop, chunk.shape[1])
+    return np.einsum("fc,cft->ft", np.conj(weights), mixture)
 
 
 def oracle_noise_reference(
@@ -189,14 +208,20 @@ def beamform_ideal(
     wet_signals: list[FoaSignal],
     ground_truth: list[SpeakerGroundTruth],
     doa: DoA,
-    window: tuple[float, float] | None = None,
+    window: tuple[float, float],
+    frames: slice,
 ) -> np.ndarray:
-    """Oracle beamformer: W channel of the wet signal of the speaker whose
-    ground-truth DoA at the window midpoint is angularly nearest to doa.
+    """Oracle beamformer: STFT of the W channel of the wet signal of the
+    speaker whose ground-truth DoA at the window midpoint is angularly nearest
+    to doa, on the frames of the foa_stft grid that frames selects.
+
+    Only the samples those frames cover are transformed, so no per-speaker
+    STFT is kept.
     """
-    if window is None:
-        duration = wet_signals[0].duration if wet_signals else 0.0
-        window = (0.0, duration)
     midpoint = 0.5 * (window[0] + window[1])
-    best_id = nearest_speaker_index(ground_truth, doa, midpoint)
-    return _window_slice(wet_signals[best_id], window)[0]
+    wet = wet_signals[nearest_speaker_index(ground_truth, doa, midpoint)]
+    cfg = StftConfig()
+    n_window = cfg.window_samples(wet.sample_rate)
+    n_hop = cfg.hop_samples(wet.sample_rate)
+    span = wet.channels[0, frames.start * n_hop : (frames.stop - 1) * n_hop + n_window]
+    return stft(span, n_window, n_hop, pad=False)

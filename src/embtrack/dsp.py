@@ -1,4 +1,6 @@
-"""STFT analysis/synthesis used by the beamformers and the embedder."""
+"""STFT analysis used by the beamformers, their covariance estimates and the
+embedder, and its overlap-add inverse (istft), the reference that checks the
+STFT-domain beamformers against time-domain ones."""
 
 from __future__ import annotations
 

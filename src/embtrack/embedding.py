@@ -102,32 +102,42 @@ def analysis_frame_centers(num_samples: int, sample_rate: int) -> np.ndarray:
 def embed(
     signal: np.ndarray, sample_rate: int, frame_mask: np.ndarray | None = None
 ) -> Embedding:
-    """Log-mel band statistics embedding of a mono signal.
-
-    Per band: temporal mean and standard deviation of log-energy. The mean
-    block is centered on its own average, which cancels any constant gain on
-    the input; the concatenated feature vector is L2-normalized.
-
-    frame_mask, one boolean per analysis frame (32 ms windows, 16 ms hop,
-    only windows fully inside the signal), selects the frames the statistics
-    are pooled over; frames where an interfering speaker leaks in can thus be
-    left out. When it selects fewer than MIN_EMBED_FRAMES frames the
-    statistics are pooled over all frames and the result is flagged with
-    pooling_fallback.
-    """
+    """Log-mel band statistics embedding of a mono signal: its unpadded STFT
+    (32 ms windows, 16 ms hop, only windows fully inside the signal) pooled by
+    embed_power, with frame_mask one boolean per analysis frame."""
     signal = np.asarray(signal, dtype=np.float64)
     cfg = StftConfig()
     n_window = cfg.window_samples(sample_rate)
     n_hop = cfg.hop_samples(sample_rate)
-    n_frames = num_full_frames(len(signal), n_window, n_hop)
-    if n_frames < MIN_EMBED_FRAMES:
+    if num_full_frames(len(signal), n_window, n_hop) < MIN_EMBED_FRAMES:
         raise ShortInputError(
             f"need at least {MIN_EMBED_FRAMES} analysis frames "
             f"({n_window + (MIN_EMBED_FRAMES - 1) * n_hop} samples), got {len(signal)}"
         )
     spec = stft(signal, n_window, n_hop, pad=False)
-    power = np.abs(spec) ** 2
-    fb = mel_filterbank(sample_rate, n_window)
+    return embed_power(np.abs(spec) ** 2, sample_rate, frame_mask)
+
+
+def embed_power(
+    power: np.ndarray, sample_rate: int, frame_mask: np.ndarray | None = None
+) -> Embedding:
+    """Log-mel band statistics embedding of a power spectrogram |Y|^2.
+
+    power has shape (bins, frames), on the 32 ms / 16 ms STFT grid. Per mel
+    band: temporal mean and standard deviation of log-energy. The mean block
+    is centered on its own average, which cancels any constant gain on the
+    input; the concatenated feature vector is L2-normalized.
+
+    frame_mask, one boolean per frame, selects the frames the statistics are
+    pooled over; frames where an interfering speaker leaks in can thus be
+    left out. When it selects fewer than MIN_EMBED_FRAMES frames the
+    statistics are pooled over all frames and the result is flagged with
+    pooling_fallback.
+    """
+    n_frames = power.shape[1]
+    if n_frames < MIN_EMBED_FRAMES:
+        raise ShortInputError(f"need at least {MIN_EMBED_FRAMES} analysis frames, got {n_frames}")
+    fb = mel_filterbank(sample_rate, StftConfig().window_samples(sample_rate))
     energies = fb @ power
     fallback = False
     if frame_mask is not None:
@@ -259,10 +269,14 @@ def load_embeddings(path: str | Path) -> EnrollmentPool:
     except ValueError:
         raise SpkembParseError(f"bad header fields {lines[0]!r}", 1) from None
     entries: list[tuple[str, Embedding]] = []
+    seen: set[str] = set()
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
+        if parts[0] in seen:
+            raise SpkembParseError(f"repeated identity {parts[0]!r}", i)
+        seen.add(parts[0])
         if len(parts) != dim + 1:
             raise SpkembParseError(
                 f"expected {dim} components, got {len(parts) - 1}", i

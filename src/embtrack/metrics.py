@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from typing import Hashable
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import DoA, angular_distance
 from .scene import SpeakerGroundTruth
@@ -81,6 +80,10 @@ def match_frames(
 ) -> FrameMatching:
     """Hungarian matching per frame on the angular-distance matrix; pairs
     beyond alpha are forbidden."""
+    # Imported here: scipy.optimize costs every CLI process about 0.3 s and
+    # 27 MB of memory, and only eval matches frames.
+    from scipy.optimize import linear_sum_assignment
+
     if len(gt_frames) != len(pred_frames):
         raise ValueError("ground truth and prediction frame counts differ")
     matching = FrameMatching(alpha_deg=alpha_deg)

@@ -4,6 +4,12 @@ Fragments are visited first-in-first-out (by onset). Each one takes the
 enrolled identity with the highest cosine similarity among the identities not
 already assigned to a temporally overlapping fragment.
 
+The spectral work is done once per scene: reassign_scene takes one STFT of
+the 4-channel mixture (foa_stft, 32 ms windows, 16 ms hop), and a fragment's
+extraction window reads the frames of that grid whose centre lies in it. The
+beamformers weight those frames per bin, and the embedder pools log-mel
+statistics straight from the beam's |Y|^2; nothing is resynthesised.
+
 A fragment's embedding is pooled over the frames of its extraction window in
 which no other track is active, when the beamformer reads the mixture (DS,
 MVDR): its beam passes the other speaker only partly attenuated (the FOA DS
@@ -36,17 +42,18 @@ from .beamforming import (
     beamform_ds,
     beamform_ideal,
     beamform_mvdr,
+    foa_stft,
     gated_noise_reference,
     nearest_speaker_index,
     oracle_noise_reference,
 )
 from .embedding import (
+    MIN_EMBED_FRAMES,
     Embedding,
     EnrollmentPool,
-    ShortInputError,
     analysis_frame_centers,
     build_enrollment,
-    embed,
+    embed_power,
 )
 from .fragments import DurationPolicy, Fragment, extraction_window, segment, window_doa
 from .geometry import angular_distance
@@ -219,6 +226,7 @@ class PipelineResult:
 
 def extract_fragment_embedding(
     scene: Scene,
+    mixture_stft: np.ndarray | None,
     frag: Fragment,
     policy: DurationPolicy,
     beamformer: str,
@@ -229,20 +237,28 @@ def extract_fragment_embedding(
 ) -> Embedding | None:
     """Beamform the fragment window and embed it; None when it is too short.
 
-    For "ds" and "mvdr" the embedding is pooled over the analysis frames whose
+    mixture_stft is foa_stft(scene.mixture), which "ds" and "mvdr" read ("ideal"
+    does not; it may then be None). The window reads the frames of that grid
+    whose centre lies in it; fewer than MIN_EMBED_FRAMES make it too short.
+    For "ds" and "mvdr" the embedding is pooled over the frames whose centre's
     tracker frame is not in frag.overlapped_frames, since there the mixture
-    also carries another track's speaker (embed() pools over all frames when
-    fewer than MIN_EMBED_FRAMES are free). "ideal" reads only the target's wet
-    signal and always pools over all frames. gated_covariance maps a track id
-    to its gated MVDR noise covariance (needed for noise_cov_source "gated");
-    the oracle covariance is estimated per fragment, from its own window.
+    also carries another track's speaker (embed_power pools over all frames
+    when fewer than MIN_EMBED_FRAMES are free). "ideal" reads only the
+    target's wet signal and always pools over all frames. gated_covariance
+    maps a track id to its gated MVDR noise covariance (needed for
+    noise_cov_source "gated"); the oracle covariance is estimated per
+    fragment, from its own window.
     """
     window = extraction_window(frag, policy, hop)
     steer = window_doa(frag, policy, hop)
+    frames, free = _window_frames(frag, window, scene.mixture.num_samples, scene.sample_rate, hop)
+    if frames.stop - frames.start < MIN_EMBED_FRAMES:
+        return None
     if beamformer == "ideal":
-        mono = beamform_ideal(scene.wet, scene.ground_truth, steer, window)
+        beam = beamform_ideal(scene.wet, scene.ground_truth, steer, window, frames)
+        free = None
     elif beamformer == "ds":
-        mono = beamform_ds(scene.mixture, steer, window)
+        beam = beamform_ds(mixture_stft[..., frames], steer)
     elif beamformer == "mvdr":
         if noise_cov_source == "oracle":
             midpoint = 0.5 * (window[0] + window[1])
@@ -253,27 +269,23 @@ def extract_fragment_embedding(
             noise_cov = gated_covariance(frag.source_track_id)
         else:
             raise ValueError(f"unknown noise covariance source {noise_cov_source!r}")
-        mono = beamform_mvdr(scene.mixture, steer, noise_cov, window, diagnostics=diagnostics)
+        beam = beamform_mvdr(mixture_stft[..., frames], steer, noise_cov, diagnostics)
     else:
         raise ValueError(f"unknown beamformer {beamformer!r}")
-    frame_mask = None
-    if beamformer != "ideal":
-        frame_mask = _free_frame_mask(frag, window, len(mono), scene.sample_rate, hop)
-    try:
-        return embed(mono, scene.sample_rate, frame_mask)
-    except ShortInputError:
-        return None
+    return embed_power(np.abs(beam) ** 2, scene.sample_rate, free)
 
 
-def _free_frame_mask(
+def _window_frames(
     frag: Fragment, window: tuple[float, float], num_samples: int, sample_rate: int, hop: float
-) -> np.ndarray:
-    """True for each analysis frame of the window's signal whose centre lies
-    in a tracker frame where no other track is active."""
-    start = max(0, int(round(window[0] * sample_rate)))  # as the beamformers slice it
-    centers = start + analysis_frame_centers(num_samples, sample_rate)
-    tracker_frames = np.floor(centers / (hop * sample_rate)).astype(int)
-    return ~np.isin(tracker_frames, frag.overlapped_frames)
+) -> tuple[slice, np.ndarray]:
+    """The analysis frames of the scene grid whose centre lies in the window,
+    as a slice of the frame axis, and for each of them whether its centre
+    lies in a tracker frame where no other track is active."""
+    centers = analysis_frame_centers(num_samples, sample_rate)
+    bounds = [round(window[0] * sample_rate), round(window[1] * sample_rate)]
+    start, stop = (int(i) for i in np.searchsorted(centers, bounds))
+    tracker_frames = np.floor(centers[start:stop] / (hop * sample_rate)).astype(int)
+    return slice(start, stop), ~np.isin(tracker_frames, frag.overlapped_frames)
 
 
 def _gated_covariances(
@@ -344,10 +356,12 @@ def reassign_scene(
     """The post-tracking step: segment -> window -> beamform -> embed -> reassign.
 
     A cell is (m, beamformer, duration policy, noise covariance source). The
-    trajectories of each M named by a cell are segmented once. The gated MVDR
-    noise covariance of a track is estimated once per M, on the first gated
-    MVDR fragment of that track, and reused by every later fragment of the
-    track in every cell of that M; other cells estimate none. Each cell embeds
+    trajectories of each M named by a cell are segmented once, and the
+    mixture's STFT is taken once (not at all when every cell is "ideal").
+    The gated MVDR noise covariance of a track is estimated once per M, on
+    the first gated MVDR fragment of that track, and reused by every later
+    fragment of the track in every cell of that M; other cells estimate
+    none. Each cell embeds
     every fragment and reassigns against the first m pool entries. Yields one
     result per cell, in order, each computed when it is asked for, so the
     batch runner writes and marks a cell complete before the next one starts.
@@ -356,13 +370,16 @@ def reassign_scene(
         m: (segment(tracks_by_m[m]), _gated_covariances(scene, tracks_by_m[m], hop))
         for m in {cell[0] for cell in cells}
     }
+    mixture_stft = None
+    if any(cell[1] != "ideal" for cell in cells):
+        mixture_stft = foa_stft(scene.mixture)
 
     for m, beamformer, policy, noise_cov_source in cells:
         fragments, gated_covariance = segmented[m]
         diagnostics = MvdrDiagnostics()
         embeddings = {
             frag.fragment_id: extract_fragment_embedding(
-                scene, frag, policy, beamformer, hop, noise_cov_source,
+                scene, mixture_stft, frag, policy, beamformer, hop, noise_cov_source,
                 gated_covariance, diagnostics,
             )
             for frag in fragments

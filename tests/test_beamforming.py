@@ -2,17 +2,20 @@ import numpy as np
 import pytest
 
 from embtrack.beamforming import (
+    MVDR_LOADING,
     MvdrDiagnostics,
     band_covariances,
     beamform_ds,
     beamform_ideal,
     beamform_mvdr,
+    foa_stft,
     gated_noise_reference,
     mvdr_weights,
     nearest_speaker_index,
     oracle_noise_reference,
     steering_vector,
 )
+from embtrack.dsp import istft, num_full_frames, stft
 from embtrack.geometry import DoA, doa_from_unit_vector, uniform_sphere
 from embtrack.scene import (
     FoaSignal,
@@ -46,14 +49,25 @@ class TestSteeringVector:
         assert np.allclose(steering_vector(DoA(0, 0)), [1, 0, 0, 1])
 
 
+class TestFoaStft:
+    def test_channels_are_unpadded_stfts(self):
+        rng = np.random.default_rng(16)
+        signal = FoaSignal(rng.standard_normal((4, 5000)), SR)
+        spec = foa_stft(signal)
+        assert spec.shape == (4, 257, num_full_frames(5000, 512, 256))
+        for c in range(4):
+            assert np.array_equal(spec[c], stft(signal.channels[c], 512, 256, pad=False))
+
+
 class TestDelayAndSum:
     def test_plane_wave_passthrough_exact(self):
         rng = np.random.default_rng(0)
         s = rng.standard_normal(4000)
         for doa in random_doas(5, seed=2):
             mixture = encode_foa(s, doa, SR)
-            out = beamform_ds(mixture, doa)
-            assert np.allclose(out, s, atol=1e-12)
+            assert np.allclose(beamform_ds(mixture, doa), s, atol=1e-12)
+            out = beamform_ds(foa_stft(mixture), doa)
+            assert np.allclose(out, stft(s, 512, 256, pad=False), atol=1e-9)
 
     def test_front_weights(self):
         d = steering_vector(DoA(0, 0))
@@ -65,31 +79,62 @@ class TestDelayAndSum:
         target = rng.standard_normal(SR)
         interferer = rng.standard_normal(SR)
         doa_t, doa_i = DoA(0, 0), DoA(90, 0)
-        wet_t = encode_foa(target, doa_t, SR)
-        wet_i = encode_foa(interferer, doa_i, SR)
-        sir_in = power(wet_t.channels[0]) / power(wet_i.channels[0])
+        wet_t = foa_stft(encode_foa(target, doa_t, SR))
+        wet_i = foa_stft(encode_foa(interferer, doa_i, SR))
+        sir_in = power(np.abs(wet_t[0])) / power(np.abs(wet_i[0]))
         out_t = beamform_ds(wet_t, doa_t)
         out_i = beamform_ds(wet_i, doa_t)
-        sir_out = power(out_t) / power(out_i)
+        sir_out = power(np.abs(out_t)) / power(np.abs(out_i))
         improvement_db = 10 * np.log10(sir_out / sir_in)
         assert improvement_db >= 3.0
 
     def test_linearity(self):
         rng = np.random.default_rng(4)
-        y1 = FoaSignal(rng.standard_normal((4, 1000)), SR)
-        y2 = FoaSignal(rng.standard_normal((4, 1000)), SR)
-        combo = FoaSignal(2.0 * y1.channels - 3.0 * y2.channels, SR)
+        y1 = foa_stft(FoaSignal(rng.standard_normal((4, 1000)), SR))
+        y2 = foa_stft(FoaSignal(rng.standard_normal((4, 1000)), SR))
         doa = DoA(40, 10)
-        lhs = beamform_ds(combo, doa)
+        lhs = beamform_ds(2.0 * y1 - 3.0 * y2, doa)
         rhs = 2.0 * beamform_ds(y1, doa) - 3.0 * beamform_ds(y2, doa)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_window_slicing(self):
         rng = np.random.default_rng(5)
+        spec = foa_stft(FoaSignal(rng.standard_normal((4, SR)), SR))
+        full = beamform_ds(spec, DoA(0, 0))
+        windowed = beamform_ds(spec[..., 15:31], DoA(0, 0))
+        assert np.array_equal(windowed, full[:, 15:31])
+
+    @pytest.mark.parametrize("frames", [slice(0, 61), slice(7, 19), slice(40, 43)])
+    def test_stft_domain_equals_stft_of_time_domain(self, frames):
+        rng = np.random.default_rng(17)
         mixture = FoaSignal(rng.standard_normal((4, SR)), SR)
-        full = beamform_ds(mixture, DoA(0, 0))
-        windowed = beamform_ds(mixture, DoA(0, 0), window=(0.25, 0.5))
-        assert np.array_equal(windowed, full[SR // 4 : SR // 2])
+        for doa in random_doas(5, seed=18):
+            d = steering_vector(doa)
+            time_domain = (d / float(d @ d)) @ mixture.channels
+            expected = stft(time_domain, 512, 256, pad=False)[:, frames]
+            got = beamform_ds(foa_stft(mixture)[..., frames], doa)
+            assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def per_bin_mvdr_weights(noise_cov, d):
+    """The per-band loop mvdr_weights replaced, kept as its reference."""
+    bins = noise_cov.shape[0]
+    weights = np.empty((bins, 4), dtype=complex)
+    ds = d / float(d @ d)
+    fallbacks = 0
+    trace = np.real(np.trace(noise_cov, axis1=1, axis2=2))
+    loaded = noise_cov + (MVDR_LOADING * trace / 4.0)[:, None, None] * np.eye(4)
+    for f in range(bins):
+        try:
+            rinv_d = np.linalg.solve(loaded[f], d.astype(complex))
+            denom = np.real(d @ rinv_d)
+            if not np.isfinite(denom) or denom <= 0:
+                raise np.linalg.LinAlgError
+            weights[f] = rinv_d / denom
+        except np.linalg.LinAlgError:
+            weights[f] = ds
+            fallbacks += 1
+    return weights, fallbacks
 
 
 class TestMvdr:
@@ -101,15 +146,39 @@ class TestMvdr:
         for w in weights:
             assert np.allclose(w, d / 2.0, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_batched_weights_equal_per_bin_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((257, 4, 6)) + 1j * rng.standard_normal((257, 4, 6))
+        covs = np.einsum("bck,bdk->bcd", raw, np.conj(raw)) / 6.0
+        covs *= rng.uniform(1e-4, 1e2, size=(257, 1, 1))
+        d = steering_vector(random_doas(1, seed=seed + 100)[0])
+        weights, fallbacks = mvdr_weights(covs, d)
+        expected, expected_fallbacks = per_bin_mvdr_weights(covs, d)
+        assert np.array_equal(weights, expected)
+        assert fallbacks == expected_fallbacks == 0
+
+    def test_all_zero_band_falls_back_to_ds(self):
+        rng = np.random.default_rng(19)
+        raw = rng.standard_normal((8, 4, 6)) + 1j * rng.standard_normal((8, 4, 6))
+        covs = np.einsum("bck,bdk->bcd", raw, np.conj(raw)) / 6.0
+        covs[3] = 0.0
+        d = steering_vector(DoA(-20, 15))
+        weights, fallbacks = mvdr_weights(covs, d)
+        assert fallbacks == 1
+        assert np.array_equal(weights[3], d / float(d @ d))
+        expected, _ = per_bin_mvdr_weights(covs, d)
+        assert np.array_equal(weights, expected)
+
     def test_identity_covariance_matches_ds_output(self):
         rng = np.random.default_rng(6)
-        mixture = FoaSignal(rng.standard_normal((4, SR)), SR)
+        spec = foa_stft(FoaSignal(rng.standard_normal((4, SR)), SR))
         doa = DoA(-70, 25)
         noise = rng.standard_normal((4, 20 * SR))
         # white uncorrelated noise reference -> covariance ~ scaled identity
-        out_mvdr = beamform_mvdr(mixture, doa, band_covariances(noise, SR))
-        out_ds = beamform_ds(mixture, doa)
-        rel = np.sqrt(np.mean((out_mvdr - out_ds) ** 2) / np.mean(out_ds**2))
+        out_mvdr = beamform_mvdr(spec, doa, band_covariances(noise, SR))
+        out_ds = beamform_ds(spec, doa)
+        rel = np.sqrt(np.mean(np.abs(out_mvdr - out_ds) ** 2) / np.mean(np.abs(out_ds) ** 2))
         assert rel < 0.1  # sample covariance is only approximately identity
 
     def test_exact_identity_matches_ds_to_1e9(self):
@@ -117,8 +186,6 @@ class TestMvdr:
         rng = np.random.default_rng(7)
         mixture = FoaSignal(rng.standard_normal((4, 4096)), SR)
         doa = DoA(10, 5)
-        from embtrack.dsp import istft, stft
-
         d = steering_vector(doa)
         cov = np.tile(np.eye(4, dtype=complex), (257, 1, 1))
         weights, _ = mvdr_weights(cov, d)
@@ -127,6 +194,9 @@ class TestMvdr:
         out = istft(out_spec, 512, 256, 4096)
         ds = beamform_ds(mixture, doa)
         assert np.max(np.abs(out - ds)) < 1e-9 * np.max(np.abs(ds))
+        stft_domain = beamform_mvdr(foa_stft(mixture), doa, cov)
+        ds_stft = beamform_ds(foa_stft(mixture), doa)
+        assert np.max(np.abs(stft_domain - ds_stft)) < 1e-9 * np.max(np.abs(ds_stft))
 
     def test_distortionless_for_random_covariances(self):
         rng = np.random.default_rng(8)
@@ -141,43 +211,42 @@ class TestMvdr:
     def test_interferer_suppression_beats_ds(self):
         spec = SceneSpec(seed=21, num_speakers=2, duration=8.0, snr=20.0)
         mixture, wet, gt = generate_scene(spec)
-        # steer at speaker 0's first segment
+        # steer at speaker 0's first segment, on the frames centred in it
         onset, offset, doa = gt[0].segments[0]
         window = (onset, offset)
-        noise_ref = oracle_noise_reference(mixture, wet, 0, window)
-        target_only = FoaSignal(wet[0].channels, SR)
-        others = FoaSignal(mixture.channels - wet[0].channels, SR)
-        ds_sir = power(beamform_ds(target_only, doa, window)) / power(
-            beamform_ds(others, doa, window)
+        frames = slice(int(onset * SR) // 256, int(offset * SR) // 256 - 1)
+        noise_cov = band_covariances(oracle_noise_reference(mixture, wet, 0, window), SR)
+        target_only = foa_stft(FoaSignal(wet[0].channels, SR))[..., frames]
+        others = foa_stft(FoaSignal(mixture.channels - wet[0].channels, SR))[..., frames]
+        ds_sir = power(np.abs(beamform_ds(target_only, doa))) / power(
+            np.abs(beamform_ds(others, doa))
         )
-        mvdr_t = beamform_mvdr(target_only, doa, band_covariances(noise_ref, SR), window)
-        mvdr_o = beamform_mvdr(others, doa, band_covariances(noise_ref, SR), window)
-        mvdr_sir = power(mvdr_t) / power(mvdr_o)
+        mvdr_t = beamform_mvdr(target_only, doa, noise_cov)
+        mvdr_o = beamform_mvdr(others, doa, noise_cov)
+        mvdr_sir = power(np.abs(mvdr_t)) / power(np.abs(mvdr_o))
         assert mvdr_sir >= ds_sir
 
     def test_linearity_with_frozen_covariance(self):
         rng = np.random.default_rng(10)
         noise_ref = rng.standard_normal((4, SR))
-        y1 = FoaSignal(rng.standard_normal((4, 2048)), SR)
-        y2 = FoaSignal(rng.standard_normal((4, 2048)), SR)
-        combo = FoaSignal(1.5 * y1.channels + 0.5 * y2.channels, SR)
+        y1 = foa_stft(FoaSignal(rng.standard_normal((4, 2048)), SR))
+        y2 = foa_stft(FoaSignal(rng.standard_normal((4, 2048)), SR))
         doa = DoA(120, -30)
         noise_cov = band_covariances(noise_ref, SR)
-        lhs = beamform_mvdr(combo, doa, noise_cov)
+        lhs = beamform_mvdr(1.5 * y1 + 0.5 * y2, doa, noise_cov)
         rhs = 1.5 * beamform_mvdr(y1, doa, noise_cov) + 0.5 * beamform_mvdr(y2, doa, noise_cov)
         assert np.allclose(lhs, rhs, atol=1e-9)
 
     def test_short_noise_reference_rejected(self):
-        mixture = FoaSignal(np.zeros((4, SR)), SR)
         with pytest.raises(ValueError):
-            beamform_mvdr(mixture, DoA(0, 0), band_covariances(np.zeros((4, 100)), SR))
+            band_covariances(np.zeros((4, 100)), SR)
 
     def test_diagnostics_counts_bands(self):
         rng = np.random.default_rng(11)
-        mixture = FoaSignal(rng.standard_normal((4, 4096)), SR)
+        spec = foa_stft(FoaSignal(rng.standard_normal((4, 4096)), SR))
         diag = MvdrDiagnostics()
         noise_cov = band_covariances(rng.standard_normal((4, SR)), SR)
-        beamform_mvdr(mixture, DoA(0, 0), noise_cov, diagnostics=diag)
+        beamform_mvdr(spec, DoA(0, 0), noise_cov, diagnostics=diag)
         assert diag.total_bands == 257
         assert diag.fallback_bands == 0
 
@@ -188,6 +257,9 @@ class TestMvdr:
 
 
 class TestIdealBeamformer:
+    # 2 s at 16 kHz: 124 frames on the 32 ms / 16 ms grid
+    ALL = slice(0, 124)
+
     def make_scene(self):
         rng = np.random.default_rng(13)
         s0 = rng.standard_normal(2 * SR)
@@ -202,26 +274,32 @@ class TestIdealBeamformer:
 
     def test_exact_steering_returns_target_wet(self):
         wet, gt, s0, s1 = self.make_scene()
-        out = beamform_ideal(wet, gt, DoA(0, 0), window=(0.0, 2.0))
-        assert np.array_equal(out, s0)
+        out = beamform_ideal(wet, gt, DoA(0, 0), (0.0, 2.0), self.ALL)
+        assert np.array_equal(out, stft(s0, 512, 256, pad=False))
 
     def test_slightly_off_steering_still_selects_target(self):
         wet, gt, s0, s1 = self.make_scene()
-        out = beamform_ideal(wet, gt, DoA(5, 0), window=(0.0, 2.0))
-        assert np.array_equal(out, s0)
+        out = beamform_ideal(wet, gt, DoA(5, 0), (0.0, 2.0), self.ALL)
+        assert np.array_equal(out, stft(s0, 512, 256, pad=False))
 
     def test_equidistant_tie_goes_to_lower_id(self):
         wet, gt, s0, s1 = self.make_scene()
-        out = beamform_ideal(wet, gt, DoA(45, 0), window=(0.0, 2.0))
-        assert np.array_equal(out, s0)
+        out = beamform_ideal(wet, gt, DoA(45, 0), (0.0, 2.0), self.ALL)
+        assert np.array_equal(out, stft(s0, 512, 256, pad=False))
 
     def test_inactive_midpoint_uses_nearest_segment(self):
         wet, gt, s0, s1 = self.make_scene()
         gt[0].segments = [(0.0, 0.5, DoA(0, 0))]
         gt[1].segments = [(0.0, 0.5, DoA(90, 0))]
         # window midpoint 1.0 s: nobody active; nearest segment DoAs apply
-        out = beamform_ideal(wet, gt, DoA(80, 0), window=(0.5, 1.5))
-        assert np.array_equal(out, wet[1].channels[0, SR // 2 : 3 * SR // 2])
+        out = beamform_ideal(wet, gt, DoA(80, 0), (0.5, 1.5), slice(31, 93))
+        assert np.allclose(out, foa_stft(wet[1])[0][:, 31:93], rtol=0, atol=1e-12)
+
+    def test_frames_are_the_wet_stft_on_the_scene_grid(self):
+        wet, gt, s0, s1 = self.make_scene()
+        for frames in (slice(0, 3), slice(10, 11), slice(50, 124)):
+            out = beamform_ideal(wet, gt, DoA(90, 0), (0.0, 2.0), frames)
+            assert np.allclose(out, foa_stft(wet[1])[0][:, frames], rtol=0, atol=1e-12)
 
     def test_nearest_speaker_index(self):
         _, gt, _, _ = self.make_scene()

@@ -12,10 +12,12 @@ from embtrack.embedding import (
     build_enrollment,
     cosine,
     embed,
+    embed_power,
     load_embeddings,
     mel_filterbank,
     save_embeddings,
 )
+from embtrack.dsp import stft
 from embtrack.scene import sample_voice_params, synthesize_voice
 
 SR = 16000
@@ -137,6 +139,27 @@ class TestFrameMask:
         n = len(analysis_frame_centers(len(s), SR))
         with pytest.raises(ValueError):
             embed(s, SR, np.ones(n + 1, dtype=bool))
+
+
+class TestEmbedPower:
+    @pytest.mark.parametrize("seed, duration", [(3, 2.0), (5, 0.3), (7, 20.0)])
+    def test_embed_is_embed_power_of_the_stft(self, seed, duration):
+        s = TestFrameMask.utterance(seed, duration)
+        power = np.abs(stft(s, 512, 256, pad=False)) ** 2
+        n = power.shape[1]
+        assert np.array_equal(embed(s, SR).vector, embed_power(power, SR).vector)
+        mask = np.arange(n) % 4 != 1
+        masked, from_power = embed(s, SR, mask), embed_power(power, SR, mask)
+        assert np.array_equal(masked.vector, from_power.vector)
+        assert masked.pooled_frames == from_power.pooled_frames == int(mask.sum())
+
+    def test_too_few_frames_raises(self):
+        with pytest.raises(ShortInputError):
+            embed_power(np.ones((257, MIN_EMBED_FRAMES - 1)), SR)
+
+    def test_bin_count_must_match_window(self):
+        with pytest.raises(ValueError):
+            embed_power(np.ones((256, 10)), SR)
 
 
 def test_analysis_frame_centers_match_embed_frames():
@@ -266,6 +289,13 @@ class TestSpkembFormat:
         with pytest.raises(SpkembParseError) as info:
             load_embeddings(path)
         assert info.value.line == 2
+
+    def test_repeated_identity_reports_line(self, tmp_path):
+        path = tmp_path / "pool.spkemb"
+        path.write_text("SPKEMB v1 dim=2 count=2\nspk,0.6,0.8\nspk,0.8,0.6\n")
+        with pytest.raises(SpkembParseError) as info:
+            load_embeddings(path)
+        assert info.value.line == 3
 
     def test_header_format(self, tmp_path):
         pool = EnrollmentPool([("spk", unit([3, 4]))])

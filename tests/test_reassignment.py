@@ -1,19 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embtrack import reassignment
 from embtrack.beamforming import (
     MvdrDiagnostics,
     band_covariances,
     beamform_ds,
-    beamform_ideal,
+    foa_stft,
     gated_noise_reference,
+    nearest_speaker_index,
 )
-from embtrack.embedding import Embedding, EnrollmentPool, embed
+from embtrack.embedding import (
+    Embedding,
+    EnrollmentPool,
+    analysis_frame_centers,
+    embed,
+    embed_power,
+)
 from embtrack.fragments import DurationPolicy, Fragment, segment
 from embtrack.geometry import DoA
 from embtrack.metrics import evaluate_scene
 from embtrack.reassignment import (
+    BEAMFORMERS,
     OverlapExclusionError,
     extract_fragment_embedding,
     reassign,
@@ -243,35 +253,89 @@ class TestExtractFragmentEmbedding:
     def scene(self):
         return simulate(SceneSpec(seed=21, duration=6.0))
 
+    @pytest.fixture(scope="class")
+    def spec(self, scene):
+        return foa_stft(scene.mixture)
+
     # 3 s fragment whose middle second (tracker frames 10-19) is shared
     OVERLAPPED = frag(0, 0, 0, 29, DoA(30, 0), overlapped=range(10, 20))
+    # frames centred in [0 s, 3 s): centres 256 k + 256 < 48000 for k <= 186
+    WINDOW_FRAMES = 187
+    WINDOW_SAMPLES = 186 * 256 + 512
 
-    def test_ideal_pools_every_frame(self, scene):
-        emb = extract_fragment_embedding(scene, self.OVERLAPPED, DurationPolicy(), "ideal", 0.1)
-        mono = beamform_ideal(scene.wet, scene.ground_truth, DoA(30, 0), (0.0, 3.0))
+    def test_ideal_pools_every_frame(self, scene, spec):
+        emb = extract_fragment_embedding(scene, spec, self.OVERLAPPED, DurationPolicy(), "ideal", 0.1)
+        target = nearest_speaker_index(scene.ground_truth, DoA(30, 0), 1.5)
+        mono = scene.wet[target].channels[0, : self.WINDOW_SAMPLES]
         assert np.array_equal(emb.vector, embed(mono, self.SR).vector)
-        assert emb.pooled_frames == 186
+        assert emb.pooled_frames == self.WINDOW_FRAMES
         assert not emb.pooling_fallback
 
-    def test_ds_leaves_out_overlapped_frames(self, scene):
-        emb = extract_fragment_embedding(scene, self.OVERLAPPED, DurationPolicy(), "ds", 0.1)
-        mono = beamform_ds(scene.mixture, DoA(30, 0), (0.0, 3.0))
-        # 186 analysis frames; the 62 centred in [1.0 s, 2.0 s) are left out
-        assert emb.pooled_frames == 124
+    def test_ideal_needs_no_mixture_stft(self, scene, spec):
+        with_spec = extract_fragment_embedding(scene, spec, self.OVERLAPPED, DurationPolicy(), "ideal", 0.1)
+        without = extract_fragment_embedding(scene, None, self.OVERLAPPED, DurationPolicy(), "ideal", 0.1)
+        assert np.array_equal(with_spec.vector, without.vector)
+
+    def test_ds_leaves_out_overlapped_frames(self, scene, spec):
+        emb = extract_fragment_embedding(scene, spec, self.OVERLAPPED, DurationPolicy(), "ds", 0.1)
+        mono = beamform_ds(scene.mixture, DoA(30, 0))[: self.WINDOW_SAMPLES]
+        # 187 analysis frames; the 62 centred in [1.0 s, 2.0 s) are left out
+        assert emb.pooled_frames == 125
         assert not emb.pooling_fallback
         assert np.max(np.abs(emb.vector - embed(mono, self.SR).vector)) > 1e-6
+        free = np.ones(self.WINDOW_FRAMES, dtype=bool)
+        free[62:124] = False
+        assert np.allclose(emb.vector, embed(mono, self.SR, free).vector, rtol=0, atol=1e-9)
 
-    def test_ds_without_overlap_pools_every_frame(self, scene):
+    def test_ds_without_overlap_pools_every_frame(self, scene, spec):
         lone = frag(0, 0, 0, 29, DoA(30, 0))
-        emb = extract_fragment_embedding(scene, lone, DurationPolicy(), "ds", 0.1)
-        mono = beamform_ds(scene.mixture, DoA(30, 0), (0.0, 3.0))
-        assert np.array_equal(emb.vector, embed(mono, self.SR).vector)
+        emb = extract_fragment_embedding(scene, spec, lone, DurationPolicy(), "ds", 0.1)
+        beam = beamform_ds(spec[..., : self.WINDOW_FRAMES], DoA(30, 0))
+        assert np.array_equal(emb.vector, embed_power(np.abs(beam) ** 2, self.SR).vector)
+        # the STFT-domain beam is the STFT of the time-domain one
+        mono = beamform_ds(scene.mixture, DoA(30, 0))[: self.WINDOW_SAMPLES]
+        assert np.allclose(emb.vector, embed(mono, self.SR).vector, rtol=0, atol=1e-9)
 
-    def test_fully_overlapped_window_falls_back_to_all_frames(self, scene):
+    def test_fully_overlapped_window_falls_back_to_all_frames(self, scene, spec):
         shared = frag(0, 0, 0, 29, DoA(30, 0), overlapped=range(30))
-        emb = extract_fragment_embedding(scene, shared, DurationPolicy(250), "ds", 0.1)
+        emb = extract_fragment_embedding(scene, spec, shared, DurationPolicy(250), "ds", 0.1)
         assert emb.pooling_fallback
-        assert emb.pooled_frames == 14  # every frame of the 250 ms window
+        assert emb.pooled_frames == 15  # every frame centred in the 250 ms window
+
+    def test_window_with_too_few_frames_has_no_embedding(self, scene, spec):
+        # one 30 ms tracker frame, [0, 30 ms): only the first frame is centred in it
+        short = frag(0, 0, 0, 0, DoA(30, 0))
+        frames, _ = reassignment._window_frames(short, (0.0, 0.03), scene.mixture.num_samples, self.SR, 0.03)
+        assert frames == slice(0, 1)
+        for beamformer in BEAMFORMERS:
+            assert extract_fragment_embedding(scene, spec, short, DurationPolicy(), beamformer, 0.03) is None
+
+
+class TestWindowFrames:
+    SR = 16000
+    NUM_SAMPLES = 30 * SR
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        start=st.floats(min_value=0.0, max_value=29.9),
+        length=st.floats(min_value=0.01, max_value=30.0),
+        overlapped=st.sets(st.integers(min_value=0, max_value=299), max_size=20),
+    )
+    def test_frames_are_those_centred_in_the_window(self, start, length, overlapped):
+        hop = 0.1
+        window = (start, min(30.0, start + length))
+        f = frag(0, 0, 0, 0, overlapped=sorted(overlapped))
+        frames, free = reassignment._window_frames(f, window, self.NUM_SAMPLES, self.SR, hop)
+        centers = analysis_frame_centers(self.NUM_SAMPLES, self.SR)
+        a, b = round(window[0] * self.SR), round(window[1] * self.SR)
+        inside = centers[frames]
+        assert np.all((inside >= a) & (inside < b))
+        if frames.start > 0:
+            assert centers[frames.start - 1] < a
+        if frames.stop < len(centers):
+            assert centers[frames.stop] >= b
+        tracker_frames = np.floor(inside / (hop * self.SR)).astype(int)
+        assert free.tolist() == [t not in overlapped for t in tracker_frames]
 
 
 class TestRunPipeline:
@@ -396,13 +460,14 @@ class TestGatedCovariancePerTrack:
             noise = gated_noise_reference(scene.mixture, inactive[track_id], self.HOP)
             return band_covariances(noise, scene.sample_rate)
 
+        spec = foa_stft(scene.mixture)
         for (_m, _bf, policy, _src), result, (fragments, got, *_) in zip(
             self.GATED, results, reassign_calls
         ):
             diagnostics = MvdrDiagnostics()
             for f in fragments:
                 expected = extract_fragment_embedding(
-                    scene, f, policy, "mvdr", self.HOP, "gated", per_fragment, diagnostics
+                    scene, spec, f, policy, "mvdr", self.HOP, "gated", per_fragment, diagnostics
                 )
                 assert (got[f.fragment_id] is None) == (expected is None)
                 if expected is not None:
