@@ -1,5 +1,14 @@
 """Batch orchestration: dataset generation, sweep execution, evaluation.
 
+The config holds only what a caller sets: the master seed, the number of
+scene worker processes, the swept scene parameters (DatasetConfig; the rest
+of the scene model is SceneSpec's defaults), the sweep (RunConfig: tracker,
+beamformers, durations, pool sizes M, MVDR noise covariance source) and the
+eval settings. The tracker frame period is tracking.DEFAULT_HOP_S and the
+"est" front-end's corruption is the default tracking.NoiseModel, as in the
+library's run_pipeline. ExperimentConfig.validate checks each field's
+declared type before its value; either kind of bad value is a ConfigError.
+
 All randomness derives from one master seed. A scene's seed is
 derive_seed(master, index, "scene"); running it calls the library's seeded
 front-end, reassignment.track_and_enroll, with key (master, index), so every
@@ -8,12 +17,13 @@ library uses. Every sweep cell therefore sees the same scenes, tracks and
 pools, and paired comparisons are meaningful. Each M's trajectories are
 segmented once per scene and shared by that M's cells
 (reassignment.reassign_scene). run and eval take the dataset section from the
-dataset's manifest. run checks each mixture against the manifest's sha256
-before reading it. Its run_manifest.json is written before the first scene
-and binds the results directory to one master seed, run section and dataset;
-a rerun that differs in any of them is refused. Completed scene/cell outputs
-are marked on disk and skipped on resume. eval is one pass over the scenes:
-it reads each scene's ground truth once, scores each M's `before` tracks once
+dataset's manifest; a manifest whose dataset section this config cannot read
+is a DataError. run checks each mixture against the manifest's sha256 before
+reading it. Its run_manifest.json is written before the first scene and binds
+the results directory to one master seed, run section and dataset; a rerun
+that differs in any of them is refused. Completed scene/cell outputs are
+marked on disk and skipped on resume. eval is one pass over the scenes: it
+reads each scene's ground truth once, scores each M's `before` tracks once
 (every cell of that M carries that one report) and each cell's `after`
 tracks, and refuses a cell without its marker, or results whose
 run_manifest.json binds them to another run.
@@ -24,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,9 +50,9 @@ from .reassignment import (
     reassign_scene,
     track_and_enroll,
 )
-from .scene import SEPARATION_REGIMES, SceneSpec, simulate
+from .scene import SceneSpec, simulate
 from .seeding import derive_seed
-from .tracking import NoiseModel
+from .tracking import DEFAULT_HOP_S
 
 COMPLETE_MARKER = "COMPLETE"
 
@@ -56,39 +67,30 @@ class DataError(RuntimeError):
 
 @dataclass(frozen=True)
 class DatasetConfig:
+    """The swept scene parameters; the rest of the scene model is SceneSpec's defaults."""
+
     count: int = 50
     regime: str = "distant"
     duration: float = 30.0
     num_speakers: int = 2
     snr: float | None = 15.0
-    level_diff_low: float = 2.0
-    level_diff_high: float = 4.0
-    segment_low: float = 2.0
-    segment_high: float = 6.0
-    pause_low: float = 1.0
-    pause_high: float = 4.0
     jump_on_silence: bool = True
-    sample_rate: int = 16000
 
     def validate(self) -> None:
         if self.count < 0:
             raise ConfigError("dataset.count must be >= 0")
-        if self.regime not in SEPARATION_REGIMES:
-            raise ConfigError(f"unknown regime {self.regime!r}")
-        if self.duration <= 0:
-            raise ConfigError("dataset.duration must be positive")
+        try:
+            self.scene_spec(0, 0)
+        except ValueError as e:
+            raise ConfigError(f"bad dataset section: {e}") from None
 
     def scene_spec(self, index: int, master_seed: int) -> SceneSpec:
         return SceneSpec(
             seed=derive_seed(master_seed, index, "scene"),
             num_speakers=self.num_speakers,
             duration=self.duration,
-            sample_rate=self.sample_rate,
             snr=self.snr,
-            level_diff_range=(self.level_diff_low, self.level_diff_high),
             separation_regime=self.regime,
-            segment_range=(self.segment_low, self.segment_high),
-            pause_range=(self.pause_low, self.pause_high),
             jump_on_silence=self.jump_on_silence,
         )
 
@@ -100,10 +102,6 @@ class RunConfig:
     durations: tuple[str, ...] = ("whole",)
     enrollment_sizes: tuple[int, ...] = (2,)
     noise_cov: str = "oracle"
-    hop: float = 0.1
-    est_kappa_error: float = 124.0
-    est_miss_prob: float = 0.05
-    est_false_alarm_rate: float = 0.05
 
     def validate(self, num_speakers: int) -> None:
         if self.tracker not in TRACKER_VARIANTS:
@@ -118,12 +116,11 @@ class RunConfig:
                 DurationPolicy.parse(d)
             except ValueError as e:
                 raise ConfigError(f"bad duration {d!r}: {e}") from None
+        if not self.enrollment_sizes:
+            raise ConfigError("run.enrollment_sizes must not be empty")
         for m in self.enrollment_sizes:
             if m < num_speakers:
                 raise ConfigError(f"enrollment size {m} < number of speakers {num_speakers}")
-
-    def noise_model(self) -> NoiseModel:
-        return NoiseModel(self.est_kappa_error, self.est_miss_prob, self.est_false_alarm_rate)
 
 
 @dataclass(frozen=True)
@@ -133,59 +130,80 @@ class EvalConfig:
     bootstrap_iters: int = 100
 
     def validate(self) -> None:
+        if not (0.0 < self.alpha_deg <= 180.0):
+            raise ConfigError("eval.alpha_deg must be in (0, 180]")
         if not (0.0 < self.bootstrap_fraction <= 1.0):
             raise ConfigError("bootstrap fraction must be in (0, 1]")
         if self.bootstrap_iters < 1:
             raise ConfigError("bootstrap iters must be >= 1")
 
 
+def _has_type(value, hint) -> bool:
+    """Whether a config value is of its field's declared type: an int passes
+    for a float, a bool for neither."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, tuple) and all(_has_type(v, args[0]) for v in value)
+    if args:  # a union such as float | None
+        return any(_has_type(value, arg) for arg in args)
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
+def _check_types(section) -> None:
+    for name, hint in typing.get_type_hints(type(section)).items():
+        value = getattr(section, name)
+        if dataclasses.is_dataclass(hint):
+            _check_types(value)
+        elif not _has_type(value, hint):
+            expected = hint.__name__ if isinstance(hint, type) else hint
+            raise ConfigError(f"{type(section).__name__}.{name}: {value!r} is not of type {expected}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     master_seed: int = 0
-    workers: int = 0  # scene processes; 0 or 1 runs scenes in this process
+    workers: int = 1  # scene processes; 1 runs scenes in this process
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     run: RunConfig = field(default_factory=RunConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def validate(self) -> None:
+        _check_types(self)
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
         self.dataset.validate()
         self.run.validate(self.dataset.num_speakers)
         self.eval.validate()
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        def build(klass, d):
-            names = {f.name for f in dataclasses.fields(klass)}
-            unknown = set(d) - names
-            if unknown:
-                raise ConfigError(f"unknown {klass.__name__} keys: {sorted(unknown)}")
-            for key in ("beamformers", "durations", "enrollment_sizes"):
-                if key in d and isinstance(d[key], list):
-                    d[key] = tuple(d[key])
-            if "durations" in d:
-                d["durations"] = tuple(str(x) for x in d["durations"])
-            return klass(**d)
-
-        doc = dict(doc)
-        cfg = cls(
-            master_seed=doc.pop("master_seed", 0),
-            workers=doc.pop("workers", 0),
-            dataset=build(DatasetConfig, doc.pop("dataset", {})),
-            run=build(RunConfig, doc.pop("run", {})),
-            eval=build(EvalConfig, doc.pop("eval", {})),
-        )
-        if doc:
-            raise ConfigError(f"unknown config keys: {sorted(doc)}")
-        return cfg
+        return _from_dict(cls, doc)
 
     def to_dict(self) -> dict:
-        return {
-            "master_seed": self.master_seed,
-            "workers": self.workers,
-            "dataset": dataclasses.asdict(self.dataset),
-            "run": dataclasses.asdict(self.run),
-            "eval": dataclasses.asdict(self.eval),
-        }
+        return dataclasses.asdict(self)
+
+
+def _from_dict(klass, doc):
+    """klass(**doc), its sections built the same way, with lists made tuples
+    and durations strings (YAML reads `250` as an int)."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{klass.__name__} must be a mapping, not {doc!r}")
+    hints = typing.get_type_hints(klass)
+    unknown = set(doc) - set(hints)
+    if unknown:
+        raise ConfigError(f"unknown {klass.__name__} keys: {sorted(unknown)}")
+    values = {}
+    for name, value in doc.items():
+        if dataclasses.is_dataclass(hints[name]):
+            value = _from_dict(hints[name], value)
+        elif isinstance(value, list):
+            value = tuple(str(x) for x in value) if name == "durations" else tuple(value)
+        values[name] = value
+    return klass(**values)
 
 
 def _scene_id(index: int) -> str:
@@ -278,9 +296,7 @@ def _shared_distractors(cfg: ExperimentConfig) -> list[tuple[str, Embedding]]:
     need = max(cfg.run.enrollment_sizes) - cfg.dataset.num_speakers
     if need <= 0:
         return []
-    return build_distractors(
-        need, derive_seed(cfg.master_seed, "distractors"), cfg.dataset.sample_rate
-    )
+    return build_distractors(need, derive_seed(cfg.master_seed, "distractors"))
 
 
 def _run_one(args: tuple) -> str:
@@ -308,13 +324,12 @@ def _run_one(args: tuple) -> str:
         raise DataError(f"{scene_dir / 'mixture.wav'} does not match the sha256 in the dataset manifest")
     scene, _spec = _read(fileio.read_scene, scene_dir)
     tracks_by_m, pool = track_and_enroll(
-        scene, (cfg.master_seed, index), run.tracker, run.enrollment_sizes, run.hop,
-        run.noise_model(), distractors,
+        scene, (cfg.master_seed, index), run.tracker, run.enrollment_sizes, distractors=distractors
     )
     for m, trajectories in tracks_by_m.items():
         fileio.write_trajectories(result_dir / f"tracks_{run.tracker}_m{m}.jsonl", trajectories)
     specs = [(m, bf, DurationPolicy.parse(dur), run.noise_cov) for m, bf, dur in cells]
-    for (m, bf, dur), result in zip(cells, reassign_scene(scene, tracks_by_m, pool, specs, run.hop)):
+    for (m, bf, dur), result in zip(cells, reassign_scene(scene, tracks_by_m, pool, specs)):
         cell_dir = result_dir / cell_name(run.tracker, m, bf, dur)
         cell_dir.mkdir(parents=True, exist_ok=True)
         fileio.write_fragments(cell_dir / "fragments.jsonl", result.fragments)
@@ -415,7 +430,7 @@ def cmd_eval(
 
         def score(path: Path):
             trajectories = _read(fileio.read_trajectories, path)
-            return evaluate_scene(gt, trajectories, spec.duration, run.hop, cfg.eval.alpha_deg)
+            return evaluate_scene(gt, trajectories, spec.duration, DEFAULT_HOP_S, cfg.eval.alpha_deg)
 
         for m, per_scene in before.items():
             per_scene.append(score(result_dir / f"tracks_{run.tracker}_m{m}.jsonl"))

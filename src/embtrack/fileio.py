@@ -3,6 +3,7 @@ fragment JSON lines, and assignment reports."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -29,52 +30,21 @@ def read_wav(path: str | Path) -> FoaSignal:
     return FoaSignal(data.T.astype(np.float64), sample_rate)
 
 
-def _voice_to_dict(voice: VoiceParams) -> dict:
-    return {
-        "f0": voice.f0,
-        "spectral_tilt": voice.spectral_tilt,
-        "resonances": [list(r) for r in voice.resonances],
-        "modulation_rate": voice.modulation_rate,
-    }
+def _tuples(value):
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
 
 
-def _voice_from_dict(d: dict) -> VoiceParams:
-    return VoiceParams(
-        f0=d["f0"],
-        spectral_tilt=d["spectral_tilt"],
-        resonances=tuple(tuple(r) for r in d["resonances"]),
-        modulation_rate=d["modulation_rate"],
-    )
+def _from_json(klass, d: dict):
+    """klass(**d), with the JSON lists made back into the tuples klass holds."""
+    return klass(**{name: _tuples(value) for name, value in d.items()})
 
 
 def spec_to_dict(spec: SceneSpec) -> dict:
-    return {
-        "seed": spec.seed,
-        "num_speakers": spec.num_speakers,
-        "duration": spec.duration,
-        "sample_rate": spec.sample_rate,
-        "snr": spec.snr,
-        "level_diff_range": list(spec.level_diff_range),
-        "separation_regime": spec.separation_regime,
-        "segment_range": list(spec.segment_range),
-        "pause_range": list(spec.pause_range),
-        "jump_on_silence": spec.jump_on_silence,
-    }
+    return dataclasses.asdict(spec)
 
 
 def spec_from_dict(d: dict) -> SceneSpec:
-    return SceneSpec(
-        seed=d["seed"],
-        num_speakers=d["num_speakers"],
-        duration=d["duration"],
-        sample_rate=d["sample_rate"],
-        snr=d["snr"],
-        level_diff_range=tuple(d["level_diff_range"]),
-        separation_regime=d["separation_regime"],
-        segment_range=tuple(d["segment_range"]),
-        pause_range=tuple(d["pause_range"]),
-        jump_on_silence=d["jump_on_silence"],
-    )
+    return _from_json(SceneSpec, d)
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -101,7 +71,7 @@ def write_ground_truth(path: str | Path, ground_truth: list[SpeakerGroundTruth],
         "speakers": [
             {
                 "speaker_id": gt.speaker_id,
-                "voice": _voice_to_dict(gt.voice),
+                "voice": dataclasses.asdict(gt.voice),
                 "segments": [
                     {"onset": on, "offset": off, "azimuth": doa.azimuth, "elevation": doa.elevation}
                     for on, off, doa in gt.segments
@@ -117,7 +87,7 @@ def read_ground_truth(path: str | Path) -> tuple[list[SpeakerGroundTruth], Scene
     doc = json.loads(Path(path).read_text())
     speakers = []
     for s in doc["speakers"]:
-        gt = SpeakerGroundTruth(speaker_id=s["speaker_id"], voice=_voice_from_dict(s["voice"]))
+        gt = SpeakerGroundTruth(speaker_id=s["speaker_id"], voice=_from_json(VoiceParams, s["voice"]))
         gt.segments = [
             (seg["onset"], seg["offset"], DoA(seg["azimuth"], seg["elevation"]))
             for seg in s["segments"]
@@ -148,6 +118,9 @@ def trajectories_to_jsonl(trajectories: list[Trajectory]) -> str:
     """One record per trajectory: {track_id, frames: [[index, az, el, active]]}.
 
     Also the import format for trajectories produced by external trackers.
+    Frame indices count tracker frames of tracking.DEFAULT_HOP_S = 0.1 s
+    from the scene's start: frame i spans [0.1 i, 0.1 (i + 1)) s and is
+    scored at its centre. run and eval read every trajectory on that grid.
     """
     lines = []
     for traj in trajectories:

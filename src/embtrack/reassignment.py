@@ -61,7 +61,6 @@ from .scene import Scene
 from .seeding import derive_seed
 from .tracking import (
     DEFAULT_HOP_S,
-    NoiseModel,
     Trajectory,
     est_tracker_config,
     gt_tracker_config,
@@ -314,10 +313,11 @@ def track_and_enroll(
     tracker_variant: str,
     enrollment_sizes: Sequence[int],
     hop: float = DEFAULT_HOP_S,
-    noise_model: NoiseModel = NoiseModel(),
     distractors: list[tuple[str, Embedding]] | None = None,
 ) -> tuple[dict[int, list[Trajectory]], EnrollmentPool]:
     """The seeded front-end: observe once, track once per M, enroll once.
+
+    The "est" front-end corrupts the ground truth with the default NoiseModel.
 
     Stage seeds are derive_seed(*key, "observe"), derive_seed(*key,
     "tracker", m) and derive_seed(*key, "enrollment"). The pool has
@@ -329,7 +329,7 @@ def track_and_enroll(
         maker = gt_tracker_config
     elif tracker_variant == "est":
         seed = derive_seed(*key, "observe")
-        observations = observe_est(scene.ground_truth, hop, noise_model, seed, scene.duration)
+        observations = observe_est(scene.ground_truth, hop, seed=seed, duration=scene.duration)
         maker = est_tracker_config
     else:
         raise ValueError(f"unknown tracker variant {tracker_variant!r}")

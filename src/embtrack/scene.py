@@ -55,8 +55,8 @@ class SceneSpec:
     jump_on_silence: bool = True
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not (0.0 < self.duration < math.inf):
+            raise ValueError("duration must be positive and finite")
         if self.num_speakers < 1:
             raise ValueError("need at least one speaker")
         if self.level_diff_range[0] > self.level_diff_range[1]:

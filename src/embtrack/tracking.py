@@ -33,9 +33,6 @@ class Trajectory:
     track_id: int | str
     frames: list[tuple[int, DoA, bool]] = field(default_factory=list)
 
-    def active_frames(self) -> list[tuple[int, DoA]]:
-        return [(i, d) for i, d, active in self.frames if active]
-
 
 @dataclass(frozen=True)
 class TrackerConfig:

@@ -25,7 +25,7 @@ from embtrack.geometry import DoA
 from embtrack.metrics import aggregate_report, evaluate_scene
 from embtrack.scene import SceneSpec, simulate
 from embtrack.seeding import derive_seed
-from embtrack.tracking import Trajectory
+from embtrack.tracking import DEFAULT_HOP_S, Trajectory
 
 SMALL = {
     "master_seed": 7,
@@ -98,6 +98,20 @@ class TestFileIo:
         assert data.dtype == np.float32
         assert data.shape[1] == 4
 
+    def test_spec_and_voice_round_trip(self, tmp_path):
+        spec = SceneSpec(
+            seed=5, num_speakers=3, duration=3.0, snr=None, level_diff_range=(1.0, 3.5),
+            separation_regime="close", segment_range=(1.5, 2.5), pause_range=(1.0, 1.5),
+            jump_on_silence=False,
+        )
+        assert fileio.spec_from_dict(json.loads(json.dumps(fileio.spec_to_dict(spec)))) == spec
+        scene = simulate(spec)
+        fileio.write_ground_truth(tmp_path / "gt.json", scene.ground_truth, spec)
+        speakers, spec_back = fileio.read_ground_truth(tmp_path / "gt.json")
+        assert spec_back == spec
+        assert [s.voice for s in speakers] == [gt.voice for gt in scene.ground_truth]
+        assert all(isinstance(r, tuple) for s in speakers for r in s.voice.resonances)
+
     def test_trajectory_jsonl_round_trip(self, tmp_path):
         trajectories = [
             Trajectory(0, [(0, DoA(10, 5), True), (1, DoA(11, 5), False)]),
@@ -133,6 +147,21 @@ class TestConfig:
             ExperimentConfig(run=RunConfig(enrollment_sizes=(1,))).validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(run=RunConfig(durations=("sometimes",))).validate()
+
+    def test_dict_round_trip(self):
+        cfg = ExperimentConfig(
+            master_seed=3,
+            workers=2,
+            dataset=DatasetConfig(count=4, regime="close", snr=None, jump_on_silence=False),
+            run=RunConfig(beamformers=("ds", "mvdr"), durations=("250", "whole"), enrollment_sizes=(2, 4)),
+        )
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    def test_defaults_are_valid(self):
+        cfg = ExperimentConfig()
+        cfg.validate()
+        assert cfg.workers == 1
 
 
 class TestGen:
@@ -383,7 +412,7 @@ class TestEval:
                 gt, spec = fileio.read_ground_truth(data / "scenes" / scene / "ground_truth.json")
                 before = fileio.read_trajectories(results / scene / f"tracks_gt_m{m}.jsonl")
                 per_scene.append(
-                    evaluate_scene(gt, before, spec.duration, cfg.run.hop, cfg.eval.alpha_deg)
+                    evaluate_scene(gt, before, spec.duration, DEFAULT_HOP_S, cfg.eval.alpha_deg)
                 )
             expected[m] = aggregate_report(
                 per_scene,
@@ -502,6 +531,40 @@ class TestCliProcess:
         cfg_path = tmp_path / "bad.yaml"
         cfg_path.write_text("dataset:\n  regime: sideways\n")
         assert main(["gen", "--config", str(cfg_path), "--out", str(tmp_path / "d")]) == 2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"dataset": {"num_speakers": 0}},
+            {"dataset": {"duration": float("nan")}},
+            {"dataset": {"duration": float("inf")}},
+            {"dataset": {"num_speakers": 9}, "run": {"enrollment_sizes": [9]}},
+            {"dataset": {"count": "two"}},
+            {"dataset": {"sample_rate": 8000}},
+            {"run": {"enrollment_sizes": 3}},
+            {"run": {"enrollment_sizes": []}},
+            {"run": {"hop": 0}},
+            {"run": {"est_miss_prob": 2}},
+            {"workers": -2},
+            {"workers": 0},
+            {"eval": {"alpha_deg": -5.0}},
+        ],
+    )
+    def test_bad_config_exit_code(self, tmp_path, doc):
+        cfg_path = tmp_path / "bad.yaml"
+        cfg_path.write_text(yaml.safe_dump(doc))
+        data = tmp_path / "data"
+        assert main(["gen", "--config", str(cfg_path), "--out", str(data)]) == 2
+        assert not (data / "manifest.json").exists()
+
+    def test_dataset_of_another_config_version_exit_code(self, one_scene, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(one_scene, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["dataset"]["sample_rate"] = 16000
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["run", "--dataset", str(data), "--out", str(tmp_path / "results")]) == 3
+        assert not (tmp_path / "results").exists()
 
     def test_missing_dataset_exit_code(self, tmp_path):
         assert (
