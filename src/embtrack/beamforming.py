@@ -96,28 +96,21 @@ def mvdr_weights(noise_cov: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, int]
     """MVDR weights per band: w = R^-1 d / (d^H R^-1 d) after diagonal loading.
 
     noise_cov has shape (bins, 4, 4). Returns (weights (bins, 4), number of
-    bands that fell back to DS because the loaded covariance was singular).
-    All bands are solved in one batched call; only when that raises are the
-    bands solved one by one, so the singular ones can be told apart.
+    bands that fell back to DS). Loading in proportion to the trace makes a
+    Hermitian PSD covariance positive definite unless its trace is 0, so the
+    bands with a positive trace are solved in one batched call and the rest
+    fall back to DS.
     """
-    bins = noise_cov.shape[0]
     d_complex = d.astype(complex)
     trace = np.real(np.trace(noise_cov, axis1=1, axis2=2))
     loaded = noise_cov + (MVDR_LOADING * trace / 4.0)[:, None, None] * np.eye(4)
-    try:
-        rinv_d = np.linalg.solve(loaded, np.broadcast_to(d_complex[:, None], (bins, 4, 1)))
-    except np.linalg.LinAlgError:
-        rinv_d = np.full((bins, 4, 1), np.nan, dtype=complex)
-        for f in range(bins):
-            try:
-                rinv_d[f, :, 0] = np.linalg.solve(loaded[f], d_complex)
-            except np.linalg.LinAlgError:
-                pass  # left NaN: the band falls back to DS below
-    denom = np.real(d_complex @ rinv_d)[:, 0]
-    solved = np.isfinite(denom) & (denom > 0)
-    weights = np.tile((d / float(d @ d)).astype(complex), (bins, 1))
-    weights[solved] = rinv_d[solved, :, 0] / denom[solved, None]
-    return weights, bins - int(solved.sum())
+    solved = trace > 0
+    count = int(solved.sum())
+    rinv_d = np.linalg.solve(loaded[solved], np.broadcast_to(d_complex[:, None], (count, 4, 1)))
+    denom = np.real(d_complex @ rinv_d)
+    weights = np.tile((d / float(d @ d)).astype(complex), (len(trace), 1))
+    weights[solved] = rinv_d[:, :, 0] / denom
+    return weights, len(trace) - count
 
 
 def beamform_mvdr(

@@ -99,7 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _csv_ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ConfigError(f"expected a comma list of integers, got {text!r}") from None
 
 
 def _csv_strs(text: str) -> list[str]:

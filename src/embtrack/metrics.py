@@ -12,7 +12,7 @@ import numpy as np
 
 from .geometry import DoA, angular_distance
 from .scene import SpeakerGroundTruth
-from .tracking import Trajectory
+from .tracking import Trajectory, gt_frame_doas, num_frames
 
 DEFAULT_ALPHA_DEG = 20.0
 _FORBIDDEN = 1e9
@@ -46,19 +46,6 @@ class FrameMatching:
     @property
     def fp(self) -> int:
         return sum(len(u) for u in self.unmatched_pred)
-
-
-def gt_frame_doas(
-    ground_truth: list[SpeakerGroundTruth], hop: float, num_frames: int
-) -> list[dict[Hashable, DoA]]:
-    """Active GT speaker DoAs per frame (frame-center rule)."""
-    frames: list[dict[Hashable, DoA]] = []
-    for t in range(num_frames):
-        center = (t + 0.5) * hop
-        frames.append(
-            {gt.speaker_id: doa for gt in ground_truth if (doa := gt.doa_at(center)) is not None}
-        )
-    return frames
 
 
 def prediction_frame_doas(
@@ -199,10 +186,10 @@ def evaluate_scene(
     alpha_deg: float = DEFAULT_ALPHA_DEG,
 ) -> SceneMetrics:
     """All metrics for one scene's predictions against its ground truth."""
-    num_frames = int(round(duration / hop))
+    n_frames = num_frames(duration, hop)
     matching = match_frames(
-        gt_frame_doas(ground_truth, hop, num_frames),
-        prediction_frame_doas(trajectories, num_frames),
+        gt_frame_doas(ground_truth, hop, n_frames),
+        prediction_frame_doas(trajectories, n_frames),
         alpha_deg,
     )
     tsr, tfr = swap_frag_rates(matching, duration)

@@ -64,6 +64,7 @@ from .tracking import (
     Trajectory,
     est_tracker_config,
     gt_tracker_config,
+    num_frames,
     observe_est,
     observe_gt,
     track,
@@ -292,14 +293,14 @@ def _gated_covariances(
 ) -> Callable[[int], np.ndarray]:
     """Track id -> band covariance of the mixture in the frames where that
     track is inactive, estimated on first use and kept for later ones."""
-    num_frames = int(round(scene.duration / hop))
+    all_frames = set(range(num_frames(scene.duration, hop)))
     by_id = {traj.track_id: traj for traj in trajectories}
     covariances: dict[int, np.ndarray] = {}
 
     def covariance(track_id: int) -> np.ndarray:
         if track_id not in covariances:
             active = {t for t, _, a in by_id[track_id].frames if a}
-            inactive = sorted(set(range(num_frames)) - active)
+            inactive = sorted(all_frames - active)
             noise = gated_noise_reference(scene.mixture, inactive, hop)
             covariances[track_id] = band_covariances(noise, scene.sample_rate)
         return covariances[track_id]

@@ -1,10 +1,25 @@
 """Multi-target Bayesian tracking of DoA observations on the unit sphere.
 
 One von Mises-Fisher particle filter per track, greedy gated association,
-count-based birth confirmation and death. The number of distinct track
-identities over a scene is bounded by TrackerConfig.max_tracks: once the label
-budget is exhausted, a new birth reuses the label of the longest-dead track,
-so a trajectory may contain DoA discontinuities across its inactive gaps.
+count-based birth confirmation and death. A birth candidate is the list of
+its (frame, DoA, unit vector) detections in consecutive frames: its support
+is its length, its last frame and position those of its last detection. A
+detection no track claims extends the nearest candidate within the gate that
+this frame has not yet extended, or else starts a new candidate. A candidate
+that a frame does not extend is dropped, and one whose support reaches
+TrackerConfig.birth_confirm_frames becomes a track. A track dies after
+DEATH_FRAMES consecutive frames without a detection.
+
+The number of distinct track identities over a scene is bounded by
+TrackerConfig.max_tracks: once the label budget is exhausted, a new birth
+reuses the label of the longest-dead track, so a trajectory may contain DoA
+discontinuities across its inactive gaps.
+
+Fixed settings: each filter has PARTICLES_PER_TRACK particles and moves by a
+vMF random walk of concentration KAPPA_DYNAMICS per frame, and an unclaimed
+detection starts a candidate with probability BIRTH_PROBABILITY. That draw is
+taken even at 1.0: dropping it would shift every later draw, and so every
+trajectory.
 """
 
 from __future__ import annotations
@@ -18,6 +33,10 @@ from .geometry import DoA, doa_from_unit_vector, sample_vmf, spherical_mean, uni
 from .scene import SpeakerGroundTruth
 
 DEFAULT_HOP_S = 0.1
+PARTICLES_PER_TRACK = 96
+KAPPA_DYNAMICS = 8000.0
+BIRTH_PROBABILITY = 1.0
+DEATH_FRAMES = 5
 
 
 @dataclass(frozen=True)
@@ -37,13 +56,9 @@ class Trajectory:
 @dataclass(frozen=True)
 class TrackerConfig:
     max_tracks: int
-    particles_per_track: int = 96
-    kappa_dynamics: float = 8000.0
     kappa_observation: float = 500.0
     gate_deg: float = 20.0
-    birth_probability: float = 1.0
     birth_confirm_frames: int = 2
-    death_frames: int = 5
     seed: int = 0
 
     def __post_init__(self):
@@ -51,33 +66,17 @@ class TrackerConfig:
             raise ValueError("max_tracks must be >= 1")
         if not (0.0 < self.gate_deg <= 180.0):
             raise ValueError("gate must be in (0, 180] degrees")
-        if not (0.0 <= self.birth_probability <= 1.0):
-            raise ValueError("birth_probability must be in [0, 1]")
 
 
 def gt_tracker_config(max_tracks: int, seed: int = 0) -> TrackerConfig:
     """Preset for exact ground-truth observations."""
-    return TrackerConfig(
-        max_tracks=max_tracks,
-        kappa_observation=2000.0,
-        gate_deg=15.0,
-        birth_probability=1.0,
-        birth_confirm_frames=2,
-        death_frames=5,
-        seed=seed,
-    )
+    return TrackerConfig(max_tracks, kappa_observation=2000.0, gate_deg=15.0, seed=seed)
 
 
 def est_tracker_config(max_tracks: int, seed: int = 0) -> TrackerConfig:
     """Preset for noisy estimated observations (wider gate, slower births)."""
     return TrackerConfig(
-        max_tracks=max_tracks,
-        kappa_observation=120.0,
-        gate_deg=30.0,
-        birth_probability=1.0,
-        birth_confirm_frames=3,
-        death_frames=5,
-        seed=seed,
+        max_tracks, kappa_observation=120.0, gate_deg=30.0, birth_confirm_frames=3, seed=seed
     )
 
 
@@ -98,10 +97,23 @@ class NoiseModel:
             raise ValueError("false_alarm_rate must be >= 0")
 
 
-def _num_frames(ground_truth: list[SpeakerGroundTruth], hop: float, duration: float | None) -> int:
-    if duration is None:
-        duration = max((seg[1] for gt in ground_truth for seg in gt.segments), default=0.0)
+def num_frames(duration: float, hop: float) -> int:
+    """Tracker frames in a scene of the given duration."""
     return int(round(duration / hop))
+
+
+def gt_frame_doas(
+    ground_truth: list[SpeakerGroundTruth], hop: float, n_frames: int
+) -> list[dict[int, DoA]]:
+    """Active GT speaker DoAs per frame, in ground-truth order: a speaker is
+    active in frame t when it is active at the frame centre (t + 0.5) * hop."""
+    frames: list[dict[int, DoA]] = []
+    for t in range(n_frames):
+        center = (t + 0.5) * hop
+        frames.append(
+            {gt.speaker_id: doa for gt in ground_truth if (doa := gt.doa_at(center)) is not None}
+        )
+    return frames
 
 
 def observe_gt(
@@ -110,16 +122,12 @@ def observe_gt(
     duration: float | None = None,
 ) -> list[ObservationFrame]:
     """One exact detection per active speaker per frame (frame-center rule)."""
-    frames = []
-    for t in range(_num_frames(ground_truth, hop, duration)):
-        center = (t + 0.5) * hop
-        detections = []
-        for gt in ground_truth:
-            doa = gt.doa_at(center)
-            if doa is not None:
-                detections.append((doa, 1.0))
-        frames.append(ObservationFrame(t, detections))
-    return frames
+    if duration is None:
+        duration = max((seg[1] for gt in ground_truth for seg in gt.segments), default=0.0)
+    return [
+        ObservationFrame(t, [(doa, 1.0) for doa in doas.values()])
+        for t, doas in enumerate(gt_frame_doas(ground_truth, hop, num_frames(duration, hop)))
+    ]
 
 
 def observe_est(
@@ -151,7 +159,7 @@ class SphericalParticleFilter:
 
     def __init__(self, rng: np.random.Generator, init_direction: np.ndarray, config: TrackerConfig):
         self.config = config
-        n = config.particles_per_track
+        n = PARTICLES_PER_TRACK
         self.particles = sample_vmf(
             rng, np.tile(init_direction, (n, 1)), config.kappa_observation
         )
@@ -161,10 +169,9 @@ class SphericalParticleFilter:
     def step(self, rng: np.random.Generator, observation: np.ndarray) -> None:
         """Predict with the random walk, reweight by the vMF likelihood,
         resample when the effective sample size drops below half."""
-        cfg = self.config
-        self.particles = sample_vmf(rng, self.particles, cfg.kappa_dynamics)
+        self.particles = sample_vmf(rng, self.particles, KAPPA_DYNAMICS)
         dots = self.particles @ observation
-        log_w = np.log(self.weights) + cfg.kappa_observation * dots
+        log_w = np.log(self.weights) + self.config.kappa_observation * dots
         log_w -= log_w.max()
         w = np.exp(log_w)
         total = w.sum()
@@ -190,29 +197,21 @@ class SphericalParticleFilter:
 
 @dataclass
 class _Track:
+    """A label and its filter; the filter is started when the label is chosen."""
+
     track_id: int
-    filter: SphericalParticleFilter
-    frames: list[tuple[int, DoA, bool]]
-    miss_streak: int = 0
-    last_active_frame: int = 0
-    alive: bool = True
+    filter: SphericalParticleFilter | None = None
+    frames: list[tuple[int, DoA, bool]] = field(default_factory=list)
+    misses: int = 0
 
 
-@dataclass
-class _Candidate:
-    position: np.ndarray
-    support: int
-    last_frame: int
-    history: list[tuple[int, DoA]]
+def _angle_deg(u: np.ndarray, v: np.ndarray) -> float:
+    """Great-circle angle between two unit vectors in degrees."""
+    return math.degrees(math.acos(max(-1.0, min(1.0, float(u @ v)))))
 
 
-def _reinit_track(
-    tr: _Track, rng: np.random.Generator, position: np.ndarray, config: TrackerConfig, t: int
-) -> None:
-    tr.filter = SphericalParticleFilter(rng, position, config)
-    tr.alive = True
-    tr.miss_streak = 0
-    tr.last_active_frame = t
+def _last_active_frame(tr: _Track) -> int:
+    return next(fi for fi, _, active in reversed(tr.frames) if active)
 
 
 def track(observations: list[ObservationFrame], config: TrackerConfig) -> list[Trajectory]:
@@ -222,8 +221,8 @@ def track(observations: list[ObservationFrame], config: TrackerConfig) -> list[T
     track id. Deterministic for a given config.seed.
     """
     rng = np.random.default_rng(config.seed)
-    tracks: list[_Track] = []
-    candidates: list[_Candidate] = []
+    tracks: list[_Track] = []  # tracks[i].track_id == i
+    candidates: list[list[tuple[int, DoA, np.ndarray]]] = []
     gate = config.gate_deg
 
     for frame in observations:
@@ -232,117 +231,87 @@ def track(observations: list[ObservationFrame], config: TrackerConfig) -> list[T
 
         # Greedy nearest-neighbor association within the gate; ties go to the
         # lower track id, then the lower detection index.
-        alive = [tr for tr in tracks if tr.alive]
-        pairs = []
-        for tr in alive:
-            for d, vec in enumerate(det_vecs):
-                dist = math.degrees(
-                    math.acos(max(-1.0, min(1.0, float(tr.filter.mean @ vec))))
-                )
-                if dist <= gate:
-                    pairs.append((dist, tr.track_id, d, tr))
-        pairs.sort(key=lambda p: (p[0], p[1], p[2]))
-        used_tracks: set[int] = set()
-        used_dets: set[int] = set()
-        assoc: list[tuple[_Track, int]] = []
-        for dist, tid, d, tr in pairs:
-            if tid in used_tracks or d in used_dets:
-                continue
-            used_tracks.add(tid)
-            used_dets.add(d)
-            assoc.append((tr, d))
+        alive = [tr for tr in tracks if tr.misses < DEATH_FRAMES]
+        pairs = sorted(
+            (dist, tr.track_id, d)
+            for tr in alive
+            for d, vec in enumerate(det_vecs)
+            if (dist := _angle_deg(tr.filter.mean, vec)) <= gate
+        )
+        assoc: dict[int, int] = {}
+        for _, tid, d in pairs:
+            if tid not in assoc and d not in assoc.values():
+                assoc[tid] = d
 
         # Update associated tracks in track-id order for reproducible rng use.
-        for tr, d in sorted(assoc, key=lambda a: a[0].track_id):
-            tr.filter.step(rng, det_vecs[d])
-            tr.miss_streak = 0
-            tr.last_active_frame = t
+        for tid in sorted(assoc):
+            tr = tracks[tid]
+            tr.filter.step(rng, det_vecs[assoc[tid]])
+            tr.misses = 0
             tr.frames.append((t, doa_from_unit_vector(tr.filter.mean), True))
 
         # Coast or kill unassociated tracks.
         for tr in alive:
-            if tr.track_id in used_tracks:
-                continue
-            tr.miss_streak += 1
-            if tr.miss_streak >= config.death_frames:
-                tr.alive = False
-            else:
-                tr.frames.append((t, doa_from_unit_vector(tr.filter.mean), False))
+            if tr.track_id not in assoc:
+                tr.misses += 1
+                if tr.misses < DEATH_FRAMES:
+                    tr.frames.append((t, doa_from_unit_vector(tr.filter.mean), False))
 
-        # Feed unassociated detections to birth candidates.
-        updated: set[int] = set()
-        for d, vec in enumerate(det_vecs):
-            if d in used_dets:
+        # Feed unassociated detections to birth candidates. Consecutive support
+        # only: the candidates this frame does not extend are dropped. The
+        # extended ones keep their order and the newborn follow in detection
+        # order; candidate ties and the promotion order depend on it.
+        newborn = []
+        for d, (doa, _) in enumerate(frame.detections):
+            if d in assoc.values():
                 continue
+            vec = det_vecs[d]
             best, best_dist = None, gate
-            for c, cand in enumerate(candidates):
-                if c in updated:
+            for cand in candidates:
+                if cand[-1][0] == t:
                     continue
-                dist = math.degrees(math.acos(max(-1.0, min(1.0, float(cand.position @ vec)))))
+                dist = _angle_deg(cand[-1][2], vec)
                 if dist <= best_dist:
-                    best, best_dist = c, dist
+                    best, best_dist = cand, dist
             if best is not None:
-                cand = candidates[best]
-                cand.position = vec
-                cand.support += 1
-                cand.last_frame = t
-                cand.history.append((t, frame.detections[d][0]))
-                updated.add(best)
-            elif rng.random() < config.birth_probability:
-                candidates.append(
-                    _Candidate(
-                        position=vec,
-                        support=1,
-                        last_frame=t,
-                        history=[(t, frame.detections[d][0])],
-                    )
-                )
-                updated.add(len(candidates) - 1)
-
-        # Consecutive support only: unsupported candidates are dropped.
-        candidates = [c for c in candidates if c.last_frame == t]
+                best.append((t, doa, vec))
+            elif rng.random() < BIRTH_PROBABILITY:
+                newborn.append([(t, doa, vec)])
+        candidates = [cand for cand in candidates if cand[-1][0] == t] + newborn
 
         # Promote confirmed candidates. Label choice, in order: a dead track
         # whose last position is within the gate (spatial continuity), a fresh
         # label while the budget allows, then the longest-dead track's label.
-        remaining: list[_Candidate] = []
+        remaining = []
         for cand in candidates:
-            if cand.support < config.birth_confirm_frames:
+            if len(cand) < config.birth_confirm_frames:
                 remaining.append(cand)
                 continue
-            dead = [tr for tr in tracks if not tr.alive]
-            near = []
-            for tr in dead:
-                dist = math.degrees(
-                    math.acos(max(-1.0, min(1.0, float(tr.filter.mean @ cand.position))))
-                )
-                if dist <= gate:
-                    near.append((dist, tr.track_id, tr))
+            position = cand[-1][2]
+            dead = [tr for tr in tracks if tr.misses >= DEATH_FRAMES]
+            near = [
+                (dist, tr.track_id)
+                for tr in dead
+                if (dist := _angle_deg(tr.filter.mean, position)) <= gate
+            ]
             if near:
-                tr = min(near, key=lambda x: (x[0], x[1]))[2]
-                _reinit_track(tr, rng, cand.position, config, t)
+                tr = tracks[min(near)[1]]
             elif len(tracks) < config.max_tracks:
-                tr = _Track(
-                    track_id=len(tracks),
-                    filter=SphericalParticleFilter(rng, cand.position, config),
-                    frames=[],
-                    last_active_frame=t,
-                )
+                tr = _Track(len(tracks))
                 tracks.append(tr)
             elif dead:
-                tr = min(dead, key=lambda tr: (tr.last_active_frame, tr.track_id))
-                _reinit_track(tr, rng, cand.position, config, t)
+                tr = min(dead, key=lambda tr: (_last_active_frame(tr), tr.track_id))
             else:
                 remaining.append(cand)  # budget exhausted, keep waiting
                 continue
+            tr.filter = SphericalParticleFilter(rng, position, config)
+            tr.misses = 0
             # Backfill the frames observed while the candidate was pending so
             # activity coverage starts at the detection that seeded the birth.
             # A reused label keeps its older frames, so only later ones extend it.
             last_emitted = tr.frames[-1][0] if tr.frames else -1
-            tr.frames.extend(
-                (fi, doa, True) for fi, doa in cand.history[:-1] if fi > last_emitted
-            )
+            tr.frames.extend((fi, doa, True) for fi, doa, _ in cand[:-1] if fi > last_emitted)
             tr.frames.append((t, doa_from_unit_vector(tr.filter.mean), True))
         candidates = remaining
 
-    return [Trajectory(tr.track_id, tr.frames) for tr in tracks if tr.frames]
+    return [Trajectory(tr.track_id, tr.frames) for tr in tracks]

@@ -557,6 +557,14 @@ class TestCliProcess:
         assert main(["gen", "--config", str(cfg_path), "--out", str(data)]) == 2
         assert not (data / "manifest.json").exists()
 
+    @pytest.mark.parametrize("sizes", ["a,b", "2.5"])
+    def test_non_integer_enrollment_sizes_exit_code(self, one_scene, tmp_path, capsys, sizes):
+        results = tmp_path / "results"
+        argv = ["run", "--dataset", str(one_scene), "--out", str(results)]
+        assert main(argv + ["--enrollment-sizes", sizes]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not results.exists()
+
     def test_dataset_of_another_config_version_exit_code(self, one_scene, tmp_path):
         data = tmp_path / "data"
         shutil.copytree(one_scene, data)

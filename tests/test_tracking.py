@@ -1,17 +1,21 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from embtrack.geometry import DoA, angular_distance, uniform_sphere
+from embtrack.geometry import DoA, angular_distance, doa_from_unit_vector, uniform_sphere
 from embtrack.metrics import evaluate_scene
 from embtrack.scene import SpeakerGroundTruth, VoiceParams
 from embtrack.tracking import (
+    BIRTH_PROBABILITY,
+    DEATH_FRAMES,
     NoiseModel,
     ObservationFrame,
     SphericalParticleFilter,
     TrackerConfig,
     Trajectory,
+    est_tracker_config,
     gt_tracker_config,
     observe_est,
     observe_gt,
@@ -229,5 +233,181 @@ class TestTrack:
             TrackerConfig(max_tracks=0)
         with pytest.raises(ValueError):
             TrackerConfig(max_tracks=1, gate_deg=0.0)
-        with pytest.raises(ValueError):
-            TrackerConfig(max_tracks=1, birth_probability=1.5)
+
+
+@dataclass
+class _RefTrack:
+    track_id: int
+    filter: SphericalParticleFilter
+    frames: list
+    miss_streak: int = 0
+    last_active_frame: int = 0
+    alive: bool = True
+
+
+@dataclass
+class _RefCandidate:
+    position: np.ndarray
+    support: int
+    last_frame: int
+    history: list
+
+
+def _reference_track(observations, config):
+    """The tracker track replaced, with explicit support, position and
+    liveness bookkeeping, kept as its reference."""
+    rng = np.random.default_rng(config.seed)
+    tracks, candidates = [], []
+    gate = config.gate_deg
+
+    def reinit(tr, position, t):
+        tr.filter = SphericalParticleFilter(rng, position, config)
+        tr.alive, tr.miss_streak, tr.last_active_frame = True, 0, t
+
+    for frame in observations:
+        t = frame.frame_index
+        det_vecs = [doa.unit_vector() for doa, _ in frame.detections]
+        alive = [tr for tr in tracks if tr.alive]
+        pairs = []
+        for tr in alive:
+            for d, vec in enumerate(det_vecs):
+                dist = math.degrees(math.acos(max(-1.0, min(1.0, float(tr.filter.mean @ vec)))))
+                if dist <= gate:
+                    pairs.append((dist, tr.track_id, d, tr))
+        pairs.sort(key=lambda p: (p[0], p[1], p[2]))
+        used_tracks, used_dets, assoc = set(), set(), []
+        for dist, tid, d, tr in pairs:
+            if tid in used_tracks or d in used_dets:
+                continue
+            used_tracks.add(tid)
+            used_dets.add(d)
+            assoc.append((tr, d))
+        for tr, d in sorted(assoc, key=lambda a: a[0].track_id):
+            tr.filter.step(rng, det_vecs[d])
+            tr.miss_streak = 0
+            tr.last_active_frame = t
+            tr.frames.append((t, doa_from_unit_vector(tr.filter.mean), True))
+        for tr in alive:
+            if tr.track_id in used_tracks:
+                continue
+            tr.miss_streak += 1
+            if tr.miss_streak >= DEATH_FRAMES:
+                tr.alive = False
+            else:
+                tr.frames.append((t, doa_from_unit_vector(tr.filter.mean), False))
+        updated = set()
+        for d, vec in enumerate(det_vecs):
+            if d in used_dets:
+                continue
+            best, best_dist = None, gate
+            for c, cand in enumerate(candidates):
+                if c in updated:
+                    continue
+                dist = math.degrees(math.acos(max(-1.0, min(1.0, float(cand.position @ vec)))))
+                if dist <= best_dist:
+                    best, best_dist = c, dist
+            if best is not None:
+                cand = candidates[best]
+                cand.position = vec
+                cand.support += 1
+                cand.last_frame = t
+                cand.history.append((t, frame.detections[d][0]))
+                updated.add(best)
+            elif rng.random() < BIRTH_PROBABILITY:
+                candidates.append(_RefCandidate(vec, 1, t, [(t, frame.detections[d][0])]))
+                updated.add(len(candidates) - 1)
+        candidates = [c for c in candidates if c.last_frame == t]
+        remaining = []
+        for cand in candidates:
+            if cand.support < config.birth_confirm_frames:
+                remaining.append(cand)
+                continue
+            dead = [tr for tr in tracks if not tr.alive]
+            near = []
+            for tr in dead:
+                dist = math.degrees(
+                    math.acos(max(-1.0, min(1.0, float(tr.filter.mean @ cand.position))))
+                )
+                if dist <= gate:
+                    near.append((dist, tr.track_id, tr))
+            if near:
+                tr = min(near, key=lambda x: (x[0], x[1]))[2]
+                reinit(tr, cand.position, t)
+            elif len(tracks) < config.max_tracks:
+                tr = _RefTrack(
+                    len(tracks), SphericalParticleFilter(rng, cand.position, config), [],
+                    last_active_frame=t,
+                )
+                tracks.append(tr)
+            elif dead:
+                tr = min(dead, key=lambda tr: (tr.last_active_frame, tr.track_id))
+                reinit(tr, cand.position, t)
+            else:
+                remaining.append(cand)
+                continue
+            last_emitted = tr.frames[-1][0] if tr.frames else -1
+            tr.frames.extend((fi, doa, True) for fi, doa in cand.history[:-1] if fi > last_emitted)
+            tr.frames.append((t, doa_from_unit_vector(tr.filter.mean), True))
+        candidates = remaining
+    return [Trajectory(tr.track_id, tr.frames) for tr in tracks if tr.frames]
+
+
+def random_gt(rng, num_speakers, duration, turn_s, pause_s):
+    """Speakers with random turns and pauses, each turn at a random DoA."""
+    segments_by_speaker = []
+    for _ in range(num_speakers):
+        segments, t = [], rng.uniform(0.0, pause_s[1])
+        while t < duration:
+            end = min(t + rng.uniform(*turn_s), duration)
+            segments.append((t, end, DoA(rng.uniform(-180, 180), rng.uniform(-40, 40))))
+            t = end + rng.uniform(*pause_s)
+        segments_by_speaker.append(segments)
+    return make_gt(segments_by_speaker)
+
+
+def fast_turn_taking_gt(rng, num_speakers, duration):
+    """One speaker at a time, in short turns from far-apart DoAs."""
+    azimuths = np.linspace(-180, 180, num_speakers, endpoint=False)
+    segments_by_speaker = [[] for _ in range(num_speakers)]
+    t = 0.0
+    while t < duration:
+        j = int(rng.integers(num_speakers))
+        end = min(t + rng.uniform(0.3, 1.2), duration)
+        segments_by_speaker[j].append((t, end, DoA(azimuths[j], 0.0)))
+        t = end + rng.uniform(0.0, 1.0)
+    return make_gt(segments_by_speaker)
+
+
+class TestReferenceEquality:
+    """track must emit exactly the ids and frames of _reference_track."""
+
+    DURATION = 40.0
+
+    @staticmethod
+    def assert_same(observations, config):
+        ours = track(observations, config)
+        ref = _reference_track(observations, config)
+        assert [(tr.track_id, tr.frames) for tr in ours] == [
+            (tr.track_id, tr.frames) for tr in ref
+        ]
+
+    def observations(self, gt, variant, seed):
+        if variant == "gt":
+            return observe_gt(gt, 0.1, self.DURATION)
+        return observe_est(gt, 0.1, seed=seed, duration=self.DURATION)
+
+    @pytest.mark.parametrize("variant", ["gt", "est"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_random_ground_truth(self, variant, m):
+        maker = gt_tracker_config if variant == "gt" else est_tracker_config
+        for seed in range(3):
+            rng = np.random.default_rng([m, seed])
+            gt = random_gt(rng, m + 1, self.DURATION, (0.3, 4.0), (0.2, 3.0))
+            self.assert_same(self.observations(gt, variant, seed), maker(m, seed))
+
+    @pytest.mark.parametrize("variant", ["gt", "est"])
+    def test_fast_turn_taking_single_label(self, variant):
+        maker = gt_tracker_config if variant == "gt" else est_tracker_config
+        for seed in range(3):
+            gt = fast_turn_taking_gt(np.random.default_rng(seed), 3, self.DURATION)
+            self.assert_same(self.observations(gt, variant, seed), maker(1, seed))
