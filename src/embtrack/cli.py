@@ -1,7 +1,10 @@
 """Command line interface: embtrack gen | run | eval.
 
 Configuration comes from an optional YAML file; command-line flags override
-file values. Exit codes: 0 success, 2 configuration error, 3 data error.
+file values. run and eval take the dataset section from the dataset's
+manifest, and eval takes the run section from the results'
+run_manifest.json. Exit codes: 0 success, 2 configuration error, 3 data
+error.
 """
 
 from __future__ import annotations

@@ -17,8 +17,9 @@ library uses. Every sweep cell therefore sees the same scenes, tracks and
 pools, and paired comparisons are meaningful. Each M's trajectories are
 segmented once per scene and shared by that M's cells
 (reassignment.reassign_scene). run and eval take the dataset section from the
-dataset's manifest; a manifest whose dataset section this config cannot read
-is a DataError. run checks each mixture against the manifest's sha256 before
+dataset's manifest, and eval takes the run section from the results'
+run_manifest.json; a manifest whose section this config cannot read is a
+DataError. run checks each mixture against the manifest's sha256 before
 reading it. Its run_manifest.json is written before the first scene and binds
 the results directory to one master seed, run section and dataset; a rerun
 that differs in any of them is refused. Completed scene/cell outputs are
@@ -26,7 +27,7 @@ marked on disk and skipped on resume. eval is one pass over the scenes: it
 reads each scene's ground truth once, scores each M's `before` tracks once
 (every cell of that M carries that one report) and each cell's `after`
 tracks, and refuses a cell without its marker, or results whose
-run_manifest.json binds them to another run.
+run_manifest.json binds them to another master seed or dataset.
 """
 
 from __future__ import annotations
@@ -405,19 +406,25 @@ def cmd_eval(
 ) -> dict:
     """Paired before/after metrics per sweep cell, with bootstrap statistics.
 
-    One pass over the scenes: each scene's ground truth and each M's `before`
-    trajectories are read and scored once, and every cell of that M carries
-    the one `before` report. A cell without its COMPLETE marker, or a missing
-    run_manifest.json, is a DataError; results of another master seed, run
-    section or dataset are a ConfigError. Either way no report is written.
+    The cells are those of the run section in results_dir's
+    run_manifest.json; cfg's own run section is not used. One pass over the
+    scenes: each scene's ground truth and each M's `before` trajectories are
+    read and scored once, and every cell of that M carries the one `before`
+    report. A cell without its COMPLETE marker, or a missing or unreadable
+    run_manifest.json, is a DataError; results of another master seed or
+    dataset are a ConfigError. Either way no report is written.
     """
-    cfg, scenes = _open_dataset(cfg, dataset_dir)
     results_dir = Path(results_dir)
     dataset_dir = Path(dataset_dir)
     if not results_dir.exists():
         raise DataError(f"no results directory {results_dir}")
+    run = _read(
+        lambda p: _from_dict(RunConfig, json.loads(p.read_text())["config"]["run"]),
+        results_dir / "run_manifest.json",
+    )
+    cfg, scenes = _open_dataset(dataclasses.replace(cfg, run=run), dataset_dir)
+    _check_binding(results_dir, _run_manifest(cfg, scenes))
 
-    run = cfg.run
     names = {(m, bf, dur): cell_name(run.tracker, m, bf, dur) for m, bf, dur in run_cells(cfg)}
     before = {m: [] for m in run.enrollment_sizes}
     after = {name: [] for name in names.values()}
@@ -438,8 +445,6 @@ def cmd_eval(
             if not (result_dir / name / COMPLETE_MARKER).exists():
                 raise DataError(f"missing or incomplete results for {scene_id}/{name}")
             per_scene.append(score(result_dir / name / "tracks_after.jsonl"))
-    # After the scan, so a cell the run never made is reported as missing.
-    _check_binding(results_dir, _run_manifest(cfg, scenes))
 
     kwargs = dict(
         fraction=cfg.eval.bootstrap_fraction,

@@ -1,15 +1,29 @@
 """On-disk formats: float32 WAV audio, ground-truth JSON, trajectory and
-fragment JSON lines, and assignment reports."""
+fragment JSON lines, and assignment reports.
+
+A WAV file holds one FoaSignal, little-endian throughout:
+
+    "RIFF" <u32 file size - 8> "WAVE"
+    "fmt " <u32 18> <u16 3 (IEEE float)> <u16 4 channels> <u32 sample rate>
+           <u32 16 * sample rate (bytes/s)> <u16 16 (block align)>
+           <u16 32 (bits)> <u16 0 (cbSize)>
+    "fact" <u32 4> <u32 samples per channel>
+    "data" <u32 16 * samples> <f4 W Y Z X, one sample of each channel in turn>
+
+read_wav walks the chunks in any order, skips the ones it does not know
+(an odd-sized chunk is followed by a pad byte) and accepts only 4-channel
+32-bit float audio; anything else is a ValueError.
+"""
 
 from __future__ import annotations
 
 import dataclasses
 import json
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from .beamforming import MvdrDiagnostics
 from .fragments import Fragment
@@ -18,16 +32,55 @@ from .reassignment import AssignmentResult
 from .scene import FoaSignal, Scene, SceneSpec, SpeakerGroundTruth, VoiceParams
 from .tracking import Trajectory
 
+_IEEE_FLOAT = 3
+_CHANNELS = 4
+_BLOCK_ALIGN = 4 * _CHANNELS
+
 
 def write_wav(path: str | Path, signal: FoaSignal) -> None:
-    wavfile.write(path, signal.sample_rate, signal.channels.astype(np.float32).T)
+    samples = np.ascontiguousarray(signal.channels.T, dtype="<f4")
+    data = samples.tobytes()
+    rate = signal.sample_rate
+    fmt = struct.pack(
+        "<HHIIHHH", _IEEE_FLOAT, _CHANNELS, rate, rate * _BLOCK_ALIGN, _BLOCK_ALIGN, 32, 0
+    )
+    chunks = (
+        b"fmt " + struct.pack("<I", len(fmt)) + fmt
+        + b"fact" + struct.pack("<II", 4, len(samples))
+        + b"data" + struct.pack("<I", len(data))
+    )
+    riff = b"RIFF" + struct.pack("<I", 4 + len(chunks) + len(data)) + b"WAVE"
+    with open(path, "wb") as f:
+        f.write(riff + chunks)
+        f.write(data)
 
 
 def read_wav(path: str | Path) -> FoaSignal:
-    sample_rate, data = wavfile.read(path)
-    if data.ndim != 2 or data.shape[1] != 4:
-        raise ValueError(f"{path}: expected a 4-channel WAV")
-    return FoaSignal(data.T.astype(np.float64), sample_rate)
+    raw = memoryview(Path(path).read_bytes())
+    if raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
+        raise ValueError(f"{path}: not a RIFF/WAVE file")
+    chunks = {}
+    pos = 12
+    while pos + 8 <= len(raw):
+        chunk_id, size = struct.unpack_from("<4sI", raw, pos)
+        body = raw[pos + 8 : pos + 8 + size]
+        if len(body) < size:
+            raise ValueError(f"{path}: {chunk_id!r} chunk truncated")
+        chunks.setdefault(chunk_id, body)
+        pos += 8 + size + size % 2
+    fmt, data = chunks.get(b"fmt "), chunks.get(b"data")
+    if fmt is None or data is None or len(fmt) < 16:
+        raise ValueError(f"{path}: no 16-byte fmt chunk or no data chunk")
+    tag, channels, sample_rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt)
+    if (tag, channels, bits) != (_IEEE_FLOAT, _CHANNELS, 32):
+        raise ValueError(
+            f"{path}: expected 4-channel 32-bit float audio, got format {tag}, "
+            f"{channels} channels, {bits} bits"
+        )
+    if len(data) % _BLOCK_ALIGN:
+        raise ValueError(f"{path}: data chunk is not a whole number of samples")
+    samples = np.frombuffer(data, dtype="<f4").reshape(-1, _CHANNELS)
+    return FoaSignal(samples.T.astype(np.float64), sample_rate)
 
 
 def _tuples(value):

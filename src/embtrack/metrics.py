@@ -60,6 +60,66 @@ def prediction_frame_doas(
     return frames
 
 
+def _assign(cost: list[list[float]]) -> list[tuple[int, int]]:
+    """Minimum-cost assignment of min(rows, cols) (row, col) pairs of a
+    rectangular cost matrix, sorted by row.
+
+    Shortest augmenting paths with dual potentials (Crouse, IEEE TAES 2016):
+    rows join one at a time, each by a Dijkstra search over the columns in
+    reduced costs. A matrix with more rows than columns is solved transposed.
+    Among columns at equal path cost the search prefers a free one, and it
+    scans columns from the last, so an all-equal matrix gives the diagonal.
+    """
+    transpose = len(cost) > len(cost[0])
+    if transpose:
+        cost = [list(column) for column in zip(*cost)]
+    n_cols = len(cost[0])
+    u = [0.0] * len(cost)
+    v = [0.0] * n_cols
+    col4row = [-1] * len(cost)
+    row4col = [-1] * n_cols
+    path = [-1] * n_cols
+    for cur in range(len(cost)):
+        short = [math.inf] * n_cols
+        seen_rows: list[int] = []
+        seen_cols: list[int] = []
+        remaining = list(range(n_cols - 1, -1, -1))
+        i, min_val, sink = cur, 0.0, -1
+        while sink == -1:
+            seen_rows.append(i)
+            index, lowest = -1, math.inf
+            for k, j in enumerate(remaining):
+                r = min_val + cost[i][j] - u[i] - v[j]
+                if r < short[j]:
+                    path[j] = i
+                    short[j] = r
+                if short[j] < lowest or (short[j] == lowest and row4col[j] == -1):
+                    index, lowest = k, short[j]
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in seen_rows[1:]:
+            u[i] += min_val - short[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - short[j]
+        j = sink
+        while True:  # augment along the path back to the new row
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    pairs = enumerate(col4row)
+    return sorted((c, r) for r, c in pairs) if transpose else list(pairs)
+
+
 def match_frames(
     gt_frames: list[dict[Hashable, DoA]],
     pred_frames: list[dict[Hashable, DoA]],
@@ -67,10 +127,6 @@ def match_frames(
 ) -> FrameMatching:
     """Hungarian matching per frame on the angular-distance matrix; pairs
     beyond alpha are forbidden."""
-    # Imported here: scipy.optimize costs every CLI process about 0.3 s and
-    # 27 MB of memory, and only eval matches frames.
-    from scipy.optimize import linear_sum_assignment
-
     if len(gt_frames) != len(pred_frames):
         raise ValueError("ground truth and prediction frame counts differ")
     matching = FrameMatching(alpha_deg=alpha_deg)
@@ -79,14 +135,11 @@ def match_frames(
         pred_ids = sorted(pred_doas, key=str)
         matched: list[tuple[Hashable, Hashable, float]] = []
         if gt_ids and pred_ids:
-            dist = np.array(
-                [[angular_distance(gt_doas[g], pred_doas[p]) for p in pred_ids] for g in gt_ids]
-            )
-            cost = np.where(dist <= alpha_deg, dist, _FORBIDDEN)
-            rows, cols = linear_sum_assignment(cost)
-            for r, c in zip(rows, cols):
-                if dist[r, c] <= alpha_deg:
-                    matched.append((gt_ids[r], pred_ids[c], float(dist[r, c])))
+            dist = [[angular_distance(gt_doas[g], pred_doas[p]) for p in pred_ids] for g in gt_ids]
+            cost = [[d if d <= alpha_deg else _FORBIDDEN for d in row] for row in dist]
+            for r, c in _assign(cost):
+                if dist[r][c] <= alpha_deg:
+                    matched.append((gt_ids[r], pred_ids[c], dist[r][c]))
         matched_gt = {g for g, _, _ in matched}
         matched_pred = {p for _, p, _ in matched}
         matching.matches.append(matched)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -13,6 +14,7 @@ import yaml
 from embtrack import fileio
 from embtrack.cli import main
 from embtrack.experiment import (
+    COMPLETE_MARKER,
     ConfigError,
     DatasetConfig,
     ExperimentConfig,
@@ -23,7 +25,7 @@ from embtrack.experiment import (
 )
 from embtrack.geometry import DoA
 from embtrack.metrics import aggregate_report, evaluate_scene
-from embtrack.scene import SceneSpec, simulate
+from embtrack.scene import FoaSignal, SceneSpec, simulate
 from embtrack.seeding import derive_seed
 from embtrack.tracking import DEFAULT_HOP_S, Trajectory
 
@@ -97,6 +99,35 @@ class TestFileIo:
         assert sr == 16000
         assert data.dtype == np.float32
         assert data.shape[1] == 4
+
+    @pytest.mark.parametrize("num_samples", [0, 1, 3, 16000])
+    def test_wav_bytes_match_an_independent_writer(self, tmp_path, num_samples):
+        from scipy.io import wavfile
+
+        channels = np.random.default_rng(num_samples).standard_normal((4, num_samples))
+        fileio.write_wav(tmp_path / "ours.wav", FoaSignal(channels, 16000))
+        wavfile.write(tmp_path / "reference.wav", 16000, channels.astype(np.float32).T)
+        assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "reference.wav").read_bytes()
+
+    def test_wav_round_trip_is_exact_for_float32_values(self, tmp_path):
+        rng = np.random.default_rng(4)
+        channels = rng.standard_normal((4, 5001))
+        channels[:, :4] = [0.0, -0.0, 1e-40, 3.4e38]  # zero signs, a subnormal, near the max
+        channels = channels.astype(np.float32).astype(np.float64)
+        fileio.write_wav(tmp_path / "x.wav", FoaSignal(channels, 22050))
+        back = fileio.read_wav(tmp_path / "x.wav")
+        assert back.sample_rate == 22050
+        assert back.channels.tobytes() == channels.tobytes()
+
+    def test_wav_reader_skips_unknown_and_odd_sized_chunks(self, tmp_path):
+        channels = np.arange(12.0).reshape(4, 3)
+        fileio.write_wav(tmp_path / "x.wav", FoaSignal(channels, 16000))
+        raw = (tmp_path / "x.wav").read_bytes()
+        extra = b"LIST" + (3).to_bytes(4, "little") + b"abc" + b"\0"
+        raw = raw[:12] + extra + raw[12:]
+        raw = raw[:4] + (len(raw) - 8).to_bytes(4, "little") + raw[8:]
+        (tmp_path / "y.wav").write_bytes(raw)
+        assert np.array_equal(fileio.read_wav(tmp_path / "y.wav").channels, channels)
 
     def test_spec_and_voice_round_trip(self, tmp_path):
         spec = SceneSpec(
@@ -286,6 +317,28 @@ class TestRun:
             path.write_bytes(content)
         assert main(["run", "--dataset", str(data), "--out", str(tmp_path / "results")]) == 3
 
+    @pytest.mark.parametrize("kind", ["pcm16", "two_channels", "truncated", "not_riff"])
+    def test_unreadable_mixture_wav_exit_code(self, one_scene, tmp_path, capsys, kind):
+        from scipy.io import wavfile
+
+        data = tmp_path / "data"
+        shutil.copytree(one_scene, data)
+        path = data / "scenes" / "scene_0000" / "mixture.wav"
+        if kind == "pcm16":
+            wavfile.write(path, 16000, np.zeros((800, 4), dtype=np.int16))
+        elif kind == "two_channels":
+            wavfile.write(path, 16000, np.zeros((800, 2), dtype=np.float32))
+        elif kind == "truncated":
+            path.write_bytes(path.read_bytes()[:-7])
+        else:
+            path.write_bytes(b"RIFX" + path.read_bytes()[4:])
+        # The manifest is made to match, so the WAV reader is what refuses the file.
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["scenes"][0]["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["run", "--dataset", str(data), "--out", str(tmp_path / "results")]) == 3
+        assert f"cannot read {path.parent}: {path}: " in capsys.readouterr().err
+
     def test_mixture_not_matching_manifest_sha256_exit_code(self, small_dataset, tmp_path):
         _cfg, data = small_dataset
         copy = tmp_path / "data"
@@ -438,7 +491,7 @@ class TestEval:
         "flags, run_section, code",
         [
             (["--seed", "99"], {}, 2),
-            ([], {"noise_cov": "gated"}, 2),
+            ([], {"noise_cov": "gated"}, 0),  # the run section is the results'
             (["--alpha", "30"], {}, 0),  # the eval section is not bound
         ],
     )
@@ -452,6 +505,31 @@ class TestEval:
         argv = ["eval", "--config", str(config), "--dataset", str(data), "--results", str(results)]
         assert main(argv + ["--out", str(report)] + flags) == code
         assert report.exists() == (code == 0)
+        if code == 0:
+            run_manifest = json.loads((results / "run_manifest.json").read_text())
+            assert json.loads(report.read_text())["config"]["run"] == run_manifest["config"]["run"]
+
+    def test_results_on_another_dataset_are_refused(self, small_results, tmp_path, capsys):
+        _cfg, _data, results = small_results
+        other = tmp_path / "other"
+        cmd_gen(ExperimentConfig.from_dict(SMALL | {"master_seed": 8}), other)
+        report = tmp_path / "r.json"
+        argv = ["eval", "--seed", "7", "--dataset", str(other), "--results", str(results)]
+        assert main(argv + ["--out", str(report)]) == 2
+        assert "another scene hashes" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_plain_eval_after_a_flag_only_run(self, one_scene, tmp_path):
+        results = tmp_path / "results"
+        report = tmp_path / "report.json"
+        assert main([
+            "run", "--dataset", str(one_scene), "--out", str(results),
+            "--tracker", "est", "--beamformers", "ds,mvdr", "--noise-cov", "gated",
+        ]) == 0
+        assert main(["eval", "--dataset", str(one_scene), "--results", str(results), "--out", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert sorted(doc["cells"]) == ["est_m2_ds_whole", "est_m2_mvdr_whole"]
+        assert doc["config"]["run"]["noise_cov"] == "gated"
 
     @pytest.mark.parametrize("content", [None, "not json\n"])
     def test_missing_or_unreadable_run_manifest_exit_code(
@@ -507,25 +585,17 @@ class TestCliProcess:
             "run", "--config", str(cfg_path), "--dataset", str(data), "--out", str(results),
             "--beamformers", "ideal", "--durations", "whole",
         ]) == 0
-        assert main([
+        eval_argv = [
             "eval", "--config", str(cfg_path), "--dataset", str(data),
             "--results", str(results), "--out", str(report),
-        ]) == 3  # config asks for ds/250 cells that were never run
-        cfg_small = tmp_path / "cfg_small.yaml"
-        cfg_small.write_text(
-            yaml.safe_dump(
-                SMALL
-                | {
-                    "dataset": {"count": 2, "duration": 6.0},
-                    "run": {"beamformers": ["ideal"], "durations": ["whole"]},
-                }
-            )
-        )
-        assert main([
-            "eval", "--config", str(cfg_small), "--dataset", str(data),
-            "--results", str(results), "--out", str(report),
-        ]) == 0
-        assert report.exists()
+        ]
+        # The config's ds/250 cells were never run; eval scores the run's cells.
+        assert main(eval_argv) == 0
+        assert list(json.loads(report.read_text())["cells"]) == ["gt_m2_ideal_whole"]
+        report.unlink()
+        (results / "scene_0001" / "gt_m2_ideal_whole" / COMPLETE_MARKER).unlink()
+        assert main(eval_argv) == 3
+        assert not report.exists()
 
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.yaml"
@@ -581,14 +651,41 @@ class TestCliProcess:
         )
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # Only eval's frame matching needs it; gen and run should not pay for it.
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # No command needs scipy: importing the CLI and a whole gen/run/eval
+    # cycle in one process leave every scipy module unloaded.
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, embtrack.cli; print('scipy.optimize' in sys.modules)"
+    code = f"""
+import json, sys
+import embtrack.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+after_import = scipy_modules()
+optimize = "scipy.optimize" in sys.modules
+root = {str(tmp_path)!r}
+codes = [
+    embtrack.cli.main(["gen", "--count", "1", "--duration", "4", "--out", root + "/data"]),
+    embtrack.cli.main([
+        "run", "--dataset", root + "/data", "--out", root + "/results",
+        "--beamformers", "ideal,mvdr", "--durations", "whole,250",
+    ]),
+    embtrack.cli.main([
+        "eval", "--dataset", root + "/data", "--results", root + "/results",
+        "--out", root + "/report.json",
+    ]),
+]
+print(json.dumps([optimize, after_import, codes, scipy_modules()]))
+"""
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    optimize, after_import, codes, after_eval = json.loads(proc.stdout.splitlines()[-1])
+    assert optimize is False
+    assert after_import == []
+    assert codes == [0, 0, 0]
+    assert after_eval == []

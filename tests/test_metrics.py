@@ -6,6 +6,7 @@ import pytest
 from embtrack.geometry import DoA, angular_distance
 from embtrack.metrics import (
     FrameMatching,
+    _assign,
     aggregate_report,
     assa,
     bootstrap_stats,
@@ -88,6 +89,47 @@ class TestMatchFrames:
             assert matching.tp == tp_oracle
             total = sum(d for _, _, d in matching.matches[0])
             assert total == pytest.approx(dist_oracle, abs=1e-9)
+
+
+class TestAssign:
+    def test_within_alpha_pairs_match_a_reference_solver(self):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(10)
+        alpha = 20.0
+        for trial in range(3000):
+            n_rows, n_cols = (int(x) for x in rng.integers(1, 8, size=2))
+            dist = rng.uniform(0.0, 60.0, size=(n_rows, n_cols))
+            if trial % 3 == 0:
+                dist = np.round(dist / 5.0) * 5.0  # exact ties
+            cost = np.where(dist <= alpha, dist, 1e9)
+            rows, cols = linear_sum_assignment(cost)
+            expected = [(r, c) for r, c in zip(rows.tolist(), cols.tolist()) if dist[r, c] <= alpha]
+            got = _assign(cost.tolist())
+            assert [(r, c) for r, c in got if dist[r, c] <= alpha] == expected
+            assert len(got) == min(n_rows, n_cols)
+            assert sum(cost[r, c] for r, c in got) == pytest.approx(cost[rows, cols].sum())
+
+    def test_one_by_one(self):
+        assert _assign([[3.5]]) == [(0, 0)]
+
+    def test_more_rows_than_columns(self):
+        cost = [[5.0, 2.0], [1.0, 9.0], [0.5, 0.5], [7.0, 7.0]]
+        assert _assign(cost) == [(1, 0), (2, 1)]
+
+    def test_all_forbidden_row(self):
+        cost = [[1e9, 1e9, 1e9], [2.0, 1.0, 3.0]]
+        got = _assign(cost)
+        assert len(got) == 2 and got[1] == (1, 1)
+
+    def test_more_gt_than_tracks_and_a_forbidden_gt(self):
+        gt = {0: DoA(0, 0), 1: DoA(30, 0), 2: DoA(120, 0)}
+        pred = {"a": DoA(28, 0), "b": DoA(3, 0)}
+        matching = match_frames([gt], [pred], alpha_deg=20.0)
+        assert [(g, p) for g, p, _ in matching.matches[0]] == [(0, "b"), (1, "a")]
+        assert matching.unmatched_gt == [[2]] and matching.unmatched_pred == [[]]
+        far = match_frames([{0: DoA(0, 0), 1: DoA(90, 0)}], [{"a": DoA(170, 0)}], alpha_deg=20.0)
+        assert far.matches == [[]] and far.fn == 2 and far.fp == 1
 
 
 class TestAssa:
