@@ -5,9 +5,11 @@ reassign_scene takes one unpadded STFT of the mixture per scene (foa_stft).
 A fragment reads the frames of that grid whose centre lies in its extraction
 window, a slice of the frame axis, and every beamformer returns the beam's
 single-channel STFT on those frames, shape (bins, frames); the embedder pools
-|Y|^2 from it directly, so no beam is resynthesised. The MVDR noise
-covariances are still estimated from time-domain references
-(oracle_noise_reference, gated_noise_reference) by band_covariances.
+|Y|^2 from it directly, so no beam is resynthesised. band_covariances
+estimates the MVDR noise covariances from a 4-channel STFT: the gated one
+from the frames of the scene's foa_stft that gated_noise_reference selects,
+the oracle one from the padded STFT of its time-domain reference
+(oracle_noise_reference).
 
 The SN3D steering vector for a direction (az, el) is
     d = (1, sin az cos el, sin el, cos az cos el),  ||d||^2 = 2,
@@ -21,11 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import StftConfig, num_full_frames, stft
+from .embedding import analysis_frame_centers
 from .geometry import DoA, angular_distance
 from .scene import FoaSignal, SpeakerGroundTruth, foa_gains
 
 MVDR_LOADING = 1e-3
 MIN_COV_FRAMES = 10
+# Bins per block when band_covariances gathers selected frames: a block is a
+# small fraction of the STFT, and the per-bin sums are those of one einsum
+# over the whole selection.
+_COV_BLOCK_BINS = 32
 
 
 def steering_vector(doa: DoA) -> np.ndarray:
@@ -35,10 +42,13 @@ def steering_vector(doa: DoA) -> np.ndarray:
 
 @dataclass
 class MvdrDiagnostics:
-    """Per-run counters: bands where the loaded covariance was still singular."""
+    """Per-cell counters: bands where the loaded covariance was still
+    singular and, in a gated MVDR cell (None in other cells), the tracks
+    whose gated mask fell back to every frame of the mixture."""
 
     fallback_bands: int = 0
     total_bands: int = 0
+    gated_fallback_tracks: set[int] | None = None
 
 
 def foa_stft(signal: FoaSignal) -> np.ndarray:
@@ -72,23 +82,25 @@ def beamform_ds(mixture: FoaSignal | np.ndarray, doa: DoA) -> np.ndarray:
     return np.tensordot(w, channels, axes=1)
 
 
-def band_covariances(channels: np.ndarray, sample_rate: int, cfg: StftConfig = StftConfig()) -> np.ndarray:
-    """Per-band spatial covariance of a 4-channel signal, shape (bins, 4, 4).
+def band_covariances(spec: np.ndarray, frames: np.ndarray | None = None) -> np.ndarray:
+    """Per-band spatial covariance of a 4-channel STFT, shape (bins, 4, 4).
 
-    channels is the estimation material, 4 x T'. It must provide at least
-    MIN_COV_FRAMES STFT frames.
+    spec is (4, bins, frames): the padded stft of a time-domain reference, or
+    foa_stft of the mixture with frames, a boolean mask over its frame axis,
+    selecting the frames to average (all of them when frames is None). At
+    least MIN_COV_FRAMES must be selected. A selection is gathered
+    _COV_BLOCK_BINS bins at a time, so it is never copied whole.
     """
-    channels = np.atleast_2d(channels)
-    n_window = cfg.window_samples(sample_rate)
-    n_hop = cfg.hop_samples(sample_rate)
-    min_samples = n_window + (MIN_COV_FRAMES - 1) * n_hop - 2 * n_window
-    if channels.shape[1] < max(n_hop, min_samples):
-        raise ValueError(
-            f"noise reference too short for covariance estimation ({channels.shape[1]} samples)"
-        )
-    spec = stft(channels, n_window, n_hop)
-    # spec: (4, bins, frames) -> covariance over frames per bin
-    cov = np.einsum("cft,dft->fcd", spec, np.conj(spec)) / spec.shape[2]
+    count = spec.shape[2] if frames is None else int(np.count_nonzero(frames))
+    if count < MIN_COV_FRAMES:
+        raise ValueError(f"noise reference too short for covariance estimation ({count} frames)")
+    step = spec.shape[1] if frames is None else _COV_BLOCK_BINS
+    cov = np.empty((spec.shape[1], 4, 4), dtype=complex)
+    for lo in range(0, spec.shape[1], step):
+        block = spec[:, lo : lo + step]
+        if frames is not None:
+            block = block[..., frames]
+        cov[lo : lo + step] = np.einsum("cft,dft->fcd", block, np.conj(block)) / count
     return 0.5 * (cov + np.conj(np.transpose(cov, (0, 2, 1))))
 
 
@@ -123,12 +135,12 @@ def beamform_mvdr(
 
     mixture is a 4-channel STFT (4, bins, frames), such as a frame slice of
     foa_stft; returns the beam's STFT (bins, frames). noise_cov is
-    band_covariances of the estimation material: the oracle
-    interferer-plus-noise components of the fragment's window, or the mixture
-    frames gated to the target track's inactivity. The gated covariance
-    depends only on the track, so reassign_scene estimates it once per track
-    and every fragment of that track reuses it; the weights are solved per
-    call, since the steering DoA is per fragment.
+    band_covariances of the estimation material: the STFT of the oracle
+    interferer-plus-noise components of the fragment's window, or the frames
+    of the scene's foa_stft gated to the target track's inactivity. The gated
+    covariance depends only on the track, so reassign_scene estimates it once
+    per track and every fragment of that track reuses it; the weights are
+    solved per call, since the steering DoA is per fragment.
     """
     weights, fallbacks = mvdr_weights(noise_cov, steering_vector(doa))
     if diagnostics is not None:
@@ -166,17 +178,19 @@ def gated_noise_reference(
     hop: float,
     min_duration: float = 0.5,
 ) -> np.ndarray:
-    """Mixture samples from frames where the target's track is inactive."""
+    """Boolean mask over the frames of foa_stft(mixture): the analysis frames
+    whose centre lies in a tracker frame (floor(centre / (hop * sr))) where
+    the target's track is inactive.
+
+    When the selected frames cover less than min_duration, one analysis hop
+    each, every frame is selected: the covariance is the full mixture's.
+    """
     sr = mixture.sample_rate
-    mask = np.zeros(mixture.num_samples, dtype=bool)
-    for t in inactive_frames:
-        a = int(round(t * hop * sr))
-        b = min(mixture.num_samples, int(round((t + 1) * hop * sr)))
-        mask[a:b] = True
-    if mask.sum() < int(min_duration * sr):
-        # Not enough gated material: fall back to the full mixture.
-        return mixture.channels
-    return mixture.channels[:, mask]
+    tracker_frames = np.floor(analysis_frame_centers(mixture.num_samples, sr) / (hop * sr))
+    mask = np.isin(tracker_frames.astype(int), inactive_frames)
+    if np.count_nonzero(mask) * StftConfig().hop_samples(sr) < min_duration * sr:
+        mask[:] = True
+    return mask
 
 
 def nearest_speaker_index(

@@ -226,9 +226,10 @@ def write_fragments(path: str | Path, fragments: list[Fragment]) -> None:
 
 def assignment_to_dict(result: AssignmentResult, mvdr: MvdrDiagnostics) -> dict:
     """The cell's assignments, per-fragment diagnostics and MVDR band counts
-    (0 for cells without MVDR); the reassigned trajectories are the cell's
-    tracks_after.jsonl."""
-    return {
+    (0 for cells without MVDR), plus, in a gated MVDR cell, the number of
+    tracks whose gated covariance fell back to the full mixture; the
+    reassigned trajectories are the cell's tracks_after.jsonl."""
+    doc = {
         "assignments": {str(k): v for k, v in result.assignments.items()},
         "mvdr_fallback_bands": mvdr.fallback_bands,
         "mvdr_total_bands": mvdr.total_bands,
@@ -248,6 +249,9 @@ def assignment_to_dict(result: AssignmentResult, mvdr: MvdrDiagnostics) -> dict:
             for d in result.diagnostics
         ],
     }
+    if mvdr.gated_fallback_tracks is not None:
+        doc["mvdr_gated_fallback_tracks"] = len(mvdr.gated_fallback_tracks)
+    return doc
 
 
 def write_assignment(path: str | Path, result: AssignmentResult, mvdr: MvdrDiagnostics) -> None:

@@ -24,9 +24,11 @@ is (master seed, scene index) in the batch runner and (seed,) in
 run_pipeline. reassign_scene is the post-tracking step: it segments each M's
 trajectories once and then, per cell (m, beamformer, policy, noise covariance
 source), beamforms, embeds and reassigns every fragment. The gated MVDR noise
-covariance is taken from the mixture where the fragment's track is inactive,
-so it depends only on the track: it is estimated once per track and M, on
-that track's first gated MVDR fragment, and shared by every cell of that M.
+covariance is taken from the frames of the scene STFT whose centre lies in a
+tracker frame where the fragment's track is inactive, so it depends only on
+the track: it is estimated once per track and M, on that track's first gated
+MVDR fragment, and shared by every cell of that M. The oracle one is taken
+from the STFT of the fragment window's interferer-plus-noise signal.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .beamforming import (
     nearest_speaker_index,
     oracle_noise_reference,
 )
+from .dsp import StftConfig, stft
 from .embedding import (
     MIN_EMBED_FRAMES,
     Embedding,
@@ -232,7 +235,7 @@ def extract_fragment_embedding(
     beamformer: str,
     hop: float = DEFAULT_HOP_S,
     noise_cov_source: str = "oracle",
-    gated_covariance: Callable[[int], np.ndarray] | None = None,
+    gated_covariance: Callable[[int], tuple[np.ndarray, bool]] | None = None,
     diagnostics: MvdrDiagnostics | None = None,
 ) -> Embedding | None:
     """Beamform the fragment window and embed it; None when it is too short.
@@ -245,9 +248,11 @@ def extract_fragment_embedding(
     also carries another track's speaker (embed_power pools over all frames
     when fewer than MIN_EMBED_FRAMES are free). "ideal" reads only the
     target's wet signal and always pools over all frames. gated_covariance
-    maps a track id to its gated MVDR noise covariance (needed for
-    noise_cov_source "gated"); the oracle covariance is estimated per
-    fragment, from its own window.
+    maps a track id to its gated MVDR noise covariance and whether that fell
+    back to the full mixture (needed for noise_cov_source "gated"; a fallback
+    track is added to diagnostics.gated_fallback_tracks, which must then be a
+    set); the oracle covariance is estimated per fragment, from the STFT of
+    its own window's reference.
     """
     window = extraction_window(frag, policy, hop)
     steer = window_doa(frag, policy, hop)
@@ -264,9 +269,13 @@ def extract_fragment_embedding(
             midpoint = 0.5 * (window[0] + window[1])
             target = nearest_speaker_index(scene.ground_truth, steer, midpoint)
             noise = oracle_noise_reference(scene.mixture, scene.wet, target, window)
-            noise_cov = band_covariances(noise, scene.sample_rate)
+            cfg = StftConfig()
+            spec = stft(noise, cfg.window_samples(scene.sample_rate), cfg.hop_samples(scene.sample_rate))
+            noise_cov = band_covariances(spec)
         elif noise_cov_source == "gated":
-            noise_cov = gated_covariance(frag.source_track_id)
+            noise_cov, full_mixture = gated_covariance(frag.source_track_id)
+            if full_mixture and diagnostics is not None:
+                diagnostics.gated_fallback_tracks.add(frag.source_track_id)
         else:
             raise ValueError(f"unknown noise covariance source {noise_cov_source!r}")
         beam = beamform_mvdr(mixture_stft[..., frames], steer, noise_cov, diagnostics)
@@ -289,20 +298,21 @@ def _window_frames(
 
 
 def _gated_covariances(
-    scene: Scene, trajectories: list[Trajectory], hop: float
-) -> Callable[[int], np.ndarray]:
-    """Track id -> band covariance of the mixture in the frames where that
-    track is inactive, estimated on first use and kept for later ones."""
+    scene: Scene, mixture_stft: np.ndarray | None, trajectories: list[Trajectory], hop: float
+) -> Callable[[int], tuple[np.ndarray, bool]]:
+    """Track id -> (band covariance of the frames of mixture_stft whose centre
+    lies in a tracker frame where that track is inactive, whether the mask
+    fell back to every frame), estimated on first use and kept for later ones."""
     all_frames = set(range(num_frames(scene.duration, hop)))
     by_id = {traj.track_id: traj for traj in trajectories}
-    covariances: dict[int, np.ndarray] = {}
+    covariances: dict[int, tuple[np.ndarray, bool]] = {}
 
-    def covariance(track_id: int) -> np.ndarray:
+    def covariance(track_id: int) -> tuple[np.ndarray, bool]:
         if track_id not in covariances:
             active = {t for t, _, a in by_id[track_id].frames if a}
             inactive = sorted(all_frames - active)
-            noise = gated_noise_reference(scene.mixture, inactive, hop)
-            covariances[track_id] = band_covariances(noise, scene.sample_rate)
+            mask = gated_noise_reference(scene.mixture, inactive, hop)
+            covariances[track_id] = band_covariances(mixture_stft, mask), bool(mask.all())
         return covariances[track_id]
 
     return covariance
@@ -359,25 +369,27 @@ def reassign_scene(
     A cell is (m, beamformer, duration policy, noise covariance source). The
     trajectories of each M named by a cell are segmented once, and the
     mixture's STFT is taken once (not at all when every cell is "ideal").
-    The gated MVDR noise covariance of a track is estimated once per M, on
-    the first gated MVDR fragment of that track, and reused by every later
-    fragment of the track in every cell of that M; other cells estimate
-    none. Each cell embeds
-    every fragment and reassigns against the first m pool entries. Yields one
+    The gated MVDR noise covariance of a track is estimated once per M from
+    that STFT, on the first gated MVDR fragment of that track, and reused by
+    every later fragment of the track in every cell of that M; other cells
+    estimate none. A gated MVDR cell's diagnostics name the tracks it used
+    whose gated mask fell back to every frame. Each cell embeds every
+    fragment and reassigns against the first m pool entries. Yields one
     result per cell, in order, each computed when it is asked for, so the
     batch runner writes and marks a cell complete before the next one starts.
     """
-    segmented = {
-        m: (segment(tracks_by_m[m]), _gated_covariances(scene, tracks_by_m[m], hop))
-        for m in {cell[0] for cell in cells}
-    }
     mixture_stft = None
     if any(cell[1] != "ideal" for cell in cells):
         mixture_stft = foa_stft(scene.mixture)
+    segmented = {
+        m: (segment(tracks_by_m[m]), _gated_covariances(scene, mixture_stft, tracks_by_m[m], hop))
+        for m in {cell[0] for cell in cells}
+    }
 
     for m, beamformer, policy, noise_cov_source in cells:
         fragments, gated_covariance = segmented[m]
-        diagnostics = MvdrDiagnostics()
+        gated = beamformer == "mvdr" and noise_cov_source == "gated"
+        diagnostics = MvdrDiagnostics(gated_fallback_tracks=set() if gated else None)
         embeddings = {
             frag.fragment_id: extract_fragment_embedding(
                 scene, mixture_stft, frag, policy, beamformer, hop, noise_cov_source,

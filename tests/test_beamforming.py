@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from embtrack.scene import (
     encode_foa,
     generate_scene,
 )
+from embtrack.tracking import Trajectory
 
 SR = 16000
 VOICE = VoiceParams(f0=120.0, spectral_tilt=-6.0, resonances=(), modulation_rate=3.0)
@@ -176,7 +179,7 @@ class TestMvdr:
         doa = DoA(-70, 25)
         noise = rng.standard_normal((4, 20 * SR))
         # white uncorrelated noise reference -> covariance ~ scaled identity
-        out_mvdr = beamform_mvdr(spec, doa, band_covariances(noise, SR))
+        out_mvdr = beamform_mvdr(spec, doa, band_covariances(stft(noise, 512, 256)))
         out_ds = beamform_ds(spec, doa)
         rel = np.sqrt(np.mean(np.abs(out_mvdr - out_ds) ** 2) / np.mean(np.abs(out_ds) ** 2))
         assert rel < 0.1  # sample covariance is only approximately identity
@@ -215,7 +218,7 @@ class TestMvdr:
         onset, offset, doa = gt[0].segments[0]
         window = (onset, offset)
         frames = slice(int(onset * SR) // 256, int(offset * SR) // 256 - 1)
-        noise_cov = band_covariances(oracle_noise_reference(mixture, wet, 0, window), SR)
+        noise_cov = band_covariances(stft(oracle_noise_reference(mixture, wet, 0, window), 512, 256))
         target_only = foa_stft(FoaSignal(wet[0].channels, SR))[..., frames]
         others = foa_stft(FoaSignal(mixture.channels - wet[0].channels, SR))[..., frames]
         ds_sir = power(np.abs(beamform_ds(target_only, doa))) / power(
@@ -232,27 +235,27 @@ class TestMvdr:
         y1 = foa_stft(FoaSignal(rng.standard_normal((4, 2048)), SR))
         y2 = foa_stft(FoaSignal(rng.standard_normal((4, 2048)), SR))
         doa = DoA(120, -30)
-        noise_cov = band_covariances(noise_ref, SR)
+        noise_cov = band_covariances(stft(noise_ref, 512, 256))
         lhs = beamform_mvdr(1.5 * y1 + 0.5 * y2, doa, noise_cov)
         rhs = 1.5 * beamform_mvdr(y1, doa, noise_cov) + 0.5 * beamform_mvdr(y2, doa, noise_cov)
         assert np.allclose(lhs, rhs, atol=1e-9)
 
     def test_short_noise_reference_rejected(self):
         with pytest.raises(ValueError):
-            band_covariances(np.zeros((4, 100)), SR)
+            band_covariances(stft(np.zeros((4, 100)), 512, 256))
 
     def test_diagnostics_counts_bands(self):
         rng = np.random.default_rng(11)
         spec = foa_stft(FoaSignal(rng.standard_normal((4, 4096)), SR))
         diag = MvdrDiagnostics()
-        noise_cov = band_covariances(rng.standard_normal((4, SR)), SR)
+        noise_cov = band_covariances(stft(rng.standard_normal((4, SR)), 512, 256))
         beamform_mvdr(spec, DoA(0, 0), noise_cov, diagnostics=diag)
         assert diag.total_bands == 257
         assert diag.fallback_bands == 0
 
     def test_band_covariances_hermitian(self):
         rng = np.random.default_rng(12)
-        cov = band_covariances(rng.standard_normal((4, 8000)), SR)
+        cov = band_covariances(stft(rng.standard_normal((4, 8000)), 512, 256))
         assert np.allclose(cov, np.conj(np.transpose(cov, (0, 2, 1))))
 
 
@@ -337,14 +340,78 @@ class TestNoiseReferences:
             expected = residual[:, a:b]
         assert np.array_equal(oracle_noise_reference(mixture, wet, 1, window), expected)
 
-    def test_gated_uses_inactive_frames(self):
+    # A hand-built track on a 2 s mixture at a 0.1 s tracker hop: active in
+    # tracker frames 2-4 and 12. Analysis frame k (centre 256 k + 256 samples)
+    # lies in tracker frame floor(centre / 1600), so frames 2-4 hold the
+    # analysis frames 12-30 and frame 12 holds 74-80.
+    HOP = 0.1
+
+    def gated_mask(self, active, min_duration=0.5):
         rng = np.random.default_rng(14)
-        mixture = FoaSignal(rng.standard_normal((4, SR)), SR)
-        ref = gated_noise_reference(mixture, list(range(5)), hop=0.1)
-        assert ref.shape[1] == int(0.5 * SR)
+        mixture = FoaSignal(rng.standard_normal((4, 2 * SR)), SR)
+        track = Trajectory(0, [(t, DoA(30, 0), t in active) for t in range(20)])
+        inactive = [t for t, _, a in track.frames if not a]
+        return gated_noise_reference(mixture, inactive, self.HOP, min_duration)
+
+    def test_gated_uses_inactive_frames(self):
+        mask = self.gated_mask({2, 3, 4, 12})
+        assert mask.shape == (num_full_frames(2 * SR, 512, 256),) == (124,)
+        expected = np.ones(124, dtype=bool)
+        expected[12:31] = False
+        expected[74:81] = False
+        assert np.array_equal(mask, expected)
 
     def test_gated_falls_back_to_full_mixture(self):
-        rng = np.random.default_rng(15)
-        mixture = FoaSignal(rng.standard_normal((4, SR)), SR)
-        ref = gated_noise_reference(mixture, [0], hop=0.1)
-        assert ref.shape[1] == SR
+        # inactive only in tracker frame 0: analysis frames 0-5, 6 x 16 ms < 0.5 s
+        mask = self.gated_mask(set(range(1, 20)))
+        assert mask.shape == (124,) and mask.all()
+        # the same track with a shorter minimum keeps its 6 gated frames
+        assert np.flatnonzero(self.gated_mask(set(range(1, 20)), min_duration=0.09)).tolist() == [
+            0, 1, 2, 3, 4, 5,
+        ]
+
+
+def reference_band_covariances(spec):
+    """The covariance formula over a whole 4-channel STFT, in one einsum."""
+    cov = np.einsum("cft,dft->fcd", spec, np.conj(spec)) / spec.shape[2]
+    return 0.5 * (cov + np.conj(np.transpose(cov, (0, 2, 1))))
+
+
+class TestBandCovariances:
+    @pytest.mark.parametrize("samples", [1792, 5000, 3 * SR])
+    def test_time_domain_reference_bits_unchanged(self, samples):
+        # the oracle path: the padded STFT of a time-domain reference
+        spec = stft(np.random.default_rng(samples).standard_normal((4, samples)), 512, 256)
+        assert np.array_equal(band_covariances(spec), reference_band_covariances(spec))
+
+    @pytest.mark.parametrize("fraction", [0.05, 0.6, 1.0])
+    def test_gated_equals_gathered_frames(self, fraction):
+        rng = np.random.default_rng(16)
+        spec = foa_stft(FoaSignal(rng.standard_normal((4, 5 * SR)), SR))
+        mask = rng.random(spec.shape[2]) < fraction
+        got = band_covariances(spec, mask)
+        expected = reference_band_covariances(spec[..., mask])
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_too_few_gated_frames_rejected(self):
+        spec = foa_stft(FoaSignal(np.random.default_rng(17).standard_normal((4, SR)), SR))
+        mask = np.zeros(spec.shape[2], dtype=bool)
+        mask[:9] = True
+        with pytest.raises(ValueError):
+            band_covariances(spec, mask)
+
+    def test_gated_covariance_allocates_a_fraction_of_the_scene_stft(self):
+        # A 30 s scene and a track active for its middle 10 s: the old splice
+        # and padded STFT of the gated samples allocated more than the scene
+        # STFT itself.
+        rng = np.random.default_rng(18)
+        mixture = FoaSignal(rng.standard_normal((4, 30 * SR)), SR)
+        spec = foa_stft(mixture)
+        inactive = [t for t in range(300) if not 100 <= t < 200]
+        tracemalloc.start()
+        try:
+            cov = band_covariances(spec, gated_noise_reference(mixture, inactive, 0.1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - cov.nbytes < spec.nbytes / 4

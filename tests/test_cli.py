@@ -243,17 +243,25 @@ class TestRun:
         cmd_run(cfg, data, results)
         assert (victim / "assignment.json").read_text() == reference
 
-    def test_assignment_document_shape(self, small_results):
+    def test_assignment_document_shape(self, small_results, one_scene, tmp_path):
         cfg, data, results = small_results
         doc = json.loads(
             (results / "scene_0000" / "gt_m2_ideal_whole" / "assignment.json").read_text()
         )
-        assert set(doc) == {
-            "assignments",
-            "diagnostics",
-            "mvdr_fallback_bands",
-            "mvdr_total_bands",
-        }
+        keys = {"assignments", "diagnostics", "mvdr_fallback_bands", "mvdr_total_bands"}
+        assert set(doc) == keys
+        # a gated MVDR cell also counts its tracks whose gated mask fell back
+        # to the full mixture
+        gated = tmp_path / "gated"
+        assert main([
+            "run", "--dataset", str(one_scene), "--out", str(gated),
+            "--beamformers", "mvdr", "--durations", "whole", "--noise-cov", "gated",
+        ]) == 0
+        cell = gated / "scene_0000"
+        gated_doc = json.loads((cell / "gt_m2_mvdr_whole" / "assignment.json").read_text())
+        assert set(gated_doc) == keys | {"mvdr_gated_fallback_tracks"}
+        tracks = fileio.read_trajectories(cell / "tracks_gt_m2.jsonl")
+        assert 0 <= gated_doc["mvdr_gated_fallback_tracks"] <= len(tracks)
         for d in doc["diagnostics"]:
             assert set(d) >= {
                 "fragment_id", "identity", "score", "excluded", "window", "runner_up", "margin",
@@ -296,6 +304,7 @@ class TestRun:
         assert mvdr["mvdr_total_bands"] > 0
         assert 0 <= mvdr["mvdr_fallback_bands"] <= mvdr["mvdr_total_bands"]
         assert (ds["mvdr_total_bands"], ds["mvdr_fallback_bands"]) == (0, 0)
+        assert "mvdr_gated_fallback_tracks" not in mvdr  # oracle covariances
 
     @pytest.mark.parametrize(
         "name, content",

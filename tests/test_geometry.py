@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from embtrack.geometry import (
     DoA,
+    _cross,
     angular_distance,
     doa_from_unit_vector,
     sample_vmf,
@@ -112,3 +113,14 @@ def test_vmf_deterministic_per_seed():
     a = sample_vmf(np.random.default_rng(7), mu, 50.0)
     b = sample_vmf(np.random.default_rng(7), mu, 50.0)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 96, 1000])
+def test_tangent_cross_products_match_np_cross_bitwise(n):
+    rng = np.random.default_rng(n)
+    mu = rng.standard_normal((n, 3))
+    mu /= np.linalg.norm(mu, axis=1, keepdims=True)
+    ref = np.where(np.abs(mu[:, 2:3]) < 0.9, [[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]])
+    t1 = np.cross(mu, ref)
+    assert np.array_equal(_cross(mu, ref), t1)
+    assert np.array_equal(_cross(mu, t1), np.cross(mu, t1))

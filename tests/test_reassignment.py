@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embtrack import reassignment
+from embtrack import beamforming, dsp, embedding, reassignment
 from embtrack.beamforming import (
     MvdrDiagnostics,
     band_covariances,
@@ -19,6 +19,7 @@ from embtrack.embedding import (
     embed,
     embed_power,
 )
+from embtrack.fileio import assignment_to_dict
 from embtrack.fragments import DurationPolicy, Fragment, segment
 from embtrack.geometry import DoA
 from embtrack.metrics import evaluate_scene
@@ -456,15 +457,16 @@ class TestGatedCovariancePerTrack:
             for traj in tracks_by_m[2]
         }
 
-        def per_fragment(track_id):
-            noise = gated_noise_reference(scene.mixture, inactive[track_id], self.HOP)
-            return band_covariances(noise, scene.sample_rate)
-
         spec = foa_stft(scene.mixture)
+
+        def per_fragment(track_id):
+            mask = gated_noise_reference(scene.mixture, inactive[track_id], self.HOP)
+            return band_covariances(spec, mask), bool(mask.all())
+
         for (_m, _bf, policy, _src), result, (fragments, got, *_) in zip(
             self.GATED, results, reassign_calls
         ):
-            diagnostics = MvdrDiagnostics()
+            diagnostics = MvdrDiagnostics(gated_fallback_tracks=set())
             for f in fragments:
                 expected = extract_fragment_embedding(
                     scene, spec, f, policy, "mvdr", self.HOP, "gated", per_fragment, diagnostics
@@ -475,3 +477,36 @@ class TestGatedCovariancePerTrack:
                     assert got[f.fragment_id].pooled_frames == expected.pooled_frames
             assert diagnostics.total_bands > 0
             assert result.mvdr_diagnostics == diagnostics
+
+    def test_gated_covariance_takes_no_second_stft(self, inputs, monkeypatch):
+        scene, tracks_by_m, pool = inputs
+        calls = []
+        original = dsp.stft
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # every module attribute that holds dsp.stft
+        for module in (dsp, beamforming, embedding, reassignment):
+            if getattr(module, "stft", None) is original:
+                monkeypatch.setattr(module, "stft", counted)
+        results = list(reassign_scene(scene, tracks_by_m, pool, self.GATED, self.HOP))
+        assert results[0].mvdr_diagnostics.total_bands > 0
+        assert len(calls) == 4  # foa_stft's four channels, and nothing else
+
+    def test_track_active_for_the_whole_scene_is_counted(self, inputs):
+        scene, tracks_by_m, pool = inputs
+        n = int(round(scene.duration / self.HOP))
+        whole = Trajectory(7, [(t, DoA(40, 0), True) for t in range(n)])
+        gapped = Trajectory(8, [(t, DoA(-60, 0), t < n // 2) for t in range(n)])
+        results = list(reassign_scene(scene, {2: [whole, gapped]}, pool, self.GATED, self.HOP))
+        for result in results:
+            assert result.mvdr_diagnostics.gated_fallback_tracks == {7}
+            doc = assignment_to_dict(result.assignment, result.mvdr_diagnostics)
+            assert doc["mvdr_gated_fallback_tracks"] == 1
+        ds_cell = [(2, "ds", DurationPolicy(), "gated")]
+        ds = next(reassign_scene(scene, {2: [whole, gapped]}, pool, ds_cell, self.HOP))
+        assert ds.mvdr_diagnostics.gated_fallback_tracks is None
+        doc = assignment_to_dict(ds.assignment, ds.mvdr_diagnostics)
+        assert "mvdr_gated_fallback_tracks" not in doc
