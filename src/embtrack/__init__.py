@@ -7,10 +7,7 @@ from .embedding import (
     Embedding,
     EnrollmentPool,
     build_enrollment,
-    cosine,
     embed,
-    load_embeddings,
-    save_embeddings,
 )
 from .fragments import DurationPolicy, Fragment, extraction_window, segment
 from .geometry import DoA, angular_distance
@@ -32,7 +29,6 @@ from .scene import (
     SceneSpec,
     SpeakerGroundTruth,
     VoiceParams,
-    encode_foa,
     generate_diffuse_noise,
     generate_scene,
     simulate,
@@ -75,21 +71,17 @@ __all__ = [
     "beamform_ideal",
     "beamform_mvdr",
     "build_enrollment",
-    "cosine",
     "embed",
-    "encode_foa",
     "evaluate_scene",
     "extraction_window",
     "generate_diffuse_noise",
     "generate_scene",
     "le",
-    "load_embeddings",
     "match_frames",
     "observe_est",
     "observe_gt",
     "reassign",
     "run_pipeline",
-    "save_embeddings",
     "segment",
     "simulate",
     "steering_vector",

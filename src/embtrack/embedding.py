@@ -1,12 +1,11 @@
-"""Speaker embeddings: deterministic spectral-statistics extractor, enrollment
-pools, cosine scoring, and a text interchange format for external embeddings.
+"""Speaker embeddings: a deterministic spectral-statistics extractor and the
+enrollment pools that fragments are scored against by cosine similarity.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -52,13 +51,6 @@ class Embedding:
     @property
     def dim(self) -> int:
         return self.vector.shape[0]
-
-
-def cosine(a: Embedding, b: Embedding) -> float:
-    """Cosine similarity of two unit-norm embeddings, in [-1, 1]."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return float(np.clip(np.dot(a.vector, b.vector), -1.0, 1.0))
 
 
 def _hz_to_mel(f):
@@ -230,71 +222,4 @@ def build_enrollment(
         entries.extend(distractors[:needed])
     else:
         entries.extend(build_distractors(needed, int(rng.integers(2**63 - 1)), sample_rate))
-    return EnrollmentPool(entries)
-
-
-class SpkembParseError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
-def save_embeddings(pool: EnrollmentPool, path: str | Path) -> None:
-    """Write a pool in the SPKEMB v1 text format."""
-    dim = pool.entries[0][1].dim if pool.entries else 0
-    lines = [f"SPKEMB v1 dim={dim} count={pool.size}"]
-    for identity, emb in pool.entries:
-        lines.append(identity + "," + ",".join(repr(float(c)) for c in emb.vector))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_embeddings(path: str | Path) -> EnrollmentPool:
-    """Read a SPKEMB v1 file; raises SpkembParseError with the offending line.
-
-    An empty file is a valid empty pool. Rows already unit-norm (within the
-    Embedding tolerance) load bit-exact; other rows are scaled to unit norm.
-    """
-    text = Path(path).read_text()
-    if not text.strip():
-        return EnrollmentPool([])
-    lines = text.splitlines()
-    if not lines:
-        raise SpkembParseError("missing SPKEMB header", 1)
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != "SPKEMB" or header[1] != "v1":
-        raise SpkembParseError(f"bad header {lines[0]!r}", 1)
-    try:
-        dim = int(header[2].removeprefix("dim="))
-        count = int(header[3].removeprefix("count="))
-    except ValueError:
-        raise SpkembParseError(f"bad header fields {lines[0]!r}", 1) from None
-    entries: list[tuple[str, Embedding]] = []
-    seen: set[str] = set()
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if parts[0] in seen:
-            raise SpkembParseError(f"repeated identity {parts[0]!r}", i)
-        seen.add(parts[0])
-        if len(parts) != dim + 1:
-            raise SpkembParseError(
-                f"expected {dim} components, got {len(parts) - 1}", i
-            )
-        try:
-            vec = np.array([float(p) for p in parts[1:]])
-        except ValueError:
-            raise SpkembParseError("non-numeric component", i) from None
-        if not np.all(np.isfinite(vec)):
-            raise SpkembParseError("non-finite component", i)
-        norm = float(np.linalg.norm(vec))
-        if norm == 0:
-            raise SpkembParseError("zero-norm embedding", i)
-        # A row Embedding accepts as unit-norm keeps its written bits, so a
-        # save/load round trip is exact; any other row is normalized.
-        if abs(norm - 1.0) > _UNIT_NORM_TOL:
-            vec = vec / norm
-        entries.append((parts[0], Embedding(vec)))
-    if len(entries) != count:
-        raise SpkembParseError(f"header announced {count} rows, found {len(entries)}", len(lines))
     return EnrollmentPool(entries)

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import fileio
-from .embedding import Embedding, build_distractors
+from .embedding import MIN_EMBED_FRAMES, Embedding, analysis_frame_centers, build_distractors
 from .fragments import DurationPolicy
 from .metrics import aggregate_report, evaluate_scene
 from .reassignment import (
@@ -81,9 +81,17 @@ class DatasetConfig:
         if self.count < 0:
             raise ConfigError("dataset.count must be >= 0")
         try:
-            self.scene_spec(0, 0)
+            spec = self.scene_spec(0, 0)
         except ValueError as e:
             raise ConfigError(f"bad dataset section: {e}") from None
+        # Every fragment window reads at least MIN_EMBED_FRAMES frames of the scene grid.
+        num_samples = int(round(spec.duration * spec.sample_rate))
+        frames = len(analysis_frame_centers(num_samples, spec.sample_rate))
+        if frames < MIN_EMBED_FRAMES:
+            raise ConfigError(
+                f"dataset.duration {self.duration} s holds {frames} analysis frames, "
+                f"fewer than the {MIN_EMBED_FRAMES} an embedding needs"
+            )
 
     def scene_spec(self, index: int, master_seed: int) -> SceneSpec:
         return SceneSpec(

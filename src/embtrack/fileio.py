@@ -237,10 +237,9 @@ def assignment_to_dict(result: AssignmentResult, mvdr: MvdrDiagnostics) -> dict:
             {
                 "fragment_id": d.fragment_id,
                 "identity": d.identity,
-                "score": None if d.score != d.score else d.score,  # NaN -> null
+                "score": d.score,
                 "excluded": d.excluded,
                 "window": list(d.window),
-                "used_fallback": d.used_fallback,
                 "pooled_frames": d.pooled_frames,
                 "pooling_fallback": d.pooling_fallback,
                 "runner_up": d.runner_up,

@@ -111,12 +111,3 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
     b0, b1, b2 = b[:, 0], b[:, 1], b[:, 2]
     return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=1)
-
-
-def vmf_mean_angle_deg(kappa: float, n: int = 200_000, seed: int = 0) -> float:
-    """Monte-Carlo mean angular deviation (degrees) of a vMF draw on S^2."""
-    rng = np.random.default_rng(seed)
-    mu = np.tile(np.array([0.0, 0.0, 1.0]), (n, 1))
-    samples = sample_vmf(rng, mu, kappa)
-    return float(np.mean(np.degrees(np.arccos(np.clip(samples[:, 2], -1.0, 1.0)))))
-

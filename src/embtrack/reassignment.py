@@ -10,6 +10,11 @@ extraction window reads the frames of that grid whose centre lies in it. The
 beamformers weight those frames per bin, and the embedder pools log-mel
 statistics straight from the beam's |Y|^2; nothing is resynthesised.
 
+Every fragment is embedded. A window in which fewer than MIN_EMBED_FRAMES
+frame centres lie (a prefix or tracker frame shorter than 64 ms, or the
+scene's last tracker frame) reads the MIN_EMBED_FRAMES frames that start at
+its first centre, or the grid's last ones where that would run past its end.
+
 A fragment's embedding is pooled over the frames of its extraction window in
 which no other track is active, when the beamformer reads the mixture (DS,
 MVDR): its beam passes the other speaker only partly attenuated (the FOA DS
@@ -59,7 +64,6 @@ from .embedding import (
     embed_power,
 )
 from .fragments import DurationPolicy, Fragment, extraction_window, segment, window_doa
-from .geometry import angular_distance
 from .scene import Scene
 from .seeding import derive_seed
 from .tracking import (
@@ -78,10 +82,6 @@ TRACKER_VARIANTS = ("gt", "est")
 NOISE_COV_SOURCES = ("oracle", "gated")
 
 
-class OverlapExclusionError(RuntimeError):
-    """No identity left for a fragment: overlap degree exceeded the pool size."""
-
-
 @dataclass
 class FragmentDiagnostic:
     fragment_id: int
@@ -89,13 +89,14 @@ class FragmentDiagnostic:
     score: float
     excluded: list[str]
     window: tuple[float, float]
-    used_fallback: bool
-    pooled_frames: int | None  # analysis frames in the embedding; None without one
+    pooled_frames: int  # analysis frames the embedding was pooled over
     pooling_fallback: bool  # too few frames free of other tracks: pooled all
     # Second-best admissible identity and score minus its score; None when
-    # only one candidate is left or the spatial fallback decided.
+    # only one candidate is left.
     runner_up: str | None
     margin: float | None
+    # Always False and never written out: bench/tracer.py still sums it.
+    used_fallback: bool = False
 
 
 @dataclass
@@ -107,18 +108,22 @@ class AssignmentResult:
 
 def reassign(
     fragments: list[Fragment],
-    fragment_embeddings: dict[int, Embedding | None],
+    fragment_embeddings: dict[int, Embedding],
     pool: EnrollmentPool,
     hop: float = DEFAULT_HOP_S,
     policy: DurationPolicy = DurationPolicy(),
 ) -> AssignmentResult:
     """FIFO assignment with overlap exclusion.
 
-    fragment_embeddings maps fragment id to its embedding, or None for
-    fragments too short to embed; those fall back to the identity of the
-    nearest-DoA previously assigned fragment that is still admissible.
-    policy is the one the embeddings were extracted with; the diagnostics
-    record its extraction window.
+    fragment_embeddings maps fragment id to its embedding. policy is the one
+    the embeddings were extracted with; the diagnostics record its extraction
+    window.
+
+    Some identity is always left. Fragments are visited by onset, so every
+    already-assigned fragment that overlaps a fragment f contains f's onset
+    frame, and fragments of one track are disjoint, so those come from
+    distinct tracks other than f's. A tracker with max_tracks = pool.size
+    therefore leaves at most pool.size - 1 identities excluded.
     """
     order = sorted(fragments, key=lambda f: (f.onset_frame, f.source_track_id))
     assignments: dict[int, str] = {}
@@ -135,26 +140,18 @@ def reassign(
             for idx, identity in enumerate(pool.identities)
             if identity not in excluded
         ]
-        if not candidates:
-            raise OverlapExclusionError(
-                f"fragment {frag.fragment_id} (frames {frag.onset_frame}-{frag.offset_frame}): "
-                f"all {pool.size} identities are assigned to overlapping fragments"
-            )
-        emb = fragment_embeddings.get(frag.fragment_id)
-        used_fallback = emb is None
+        assert candidates, f"fragment {frag.fragment_id}: more overlapping tracks than identities"
+        emb = fragment_embeddings[frag.fragment_id]
+        scores = pool_matrix[[idx for idx, _ in candidates]] @ emb.vector
+        best = int(np.argmax(scores))
+        identity = candidates[best][1]
+        score = float(scores[best])
         runner_up, margin = None, None
-        if emb is not None:
-            scores = pool_matrix[[idx for idx, _ in candidates]] @ emb.vector
-            best = int(np.argmax(scores))
-            identity = candidates[best][1]
-            score = float(scores[best])
-            if len(candidates) > 1:
-                rest = scores.copy()
-                rest[best] = -np.inf
-                second = int(np.argmax(rest))
-                runner_up, margin = candidates[second][1], score - float(scores[second])
-        else:
-            identity, score = _spatial_fallback(frag, assigned, assignments, candidates)
+        if len(candidates) > 1:
+            rest = scores.copy()
+            rest[best] = -np.inf
+            second = int(np.argmax(rest))
+            runner_up, margin = candidates[second][1], score - float(scores[second])
         assignments[frag.fragment_id] = identity
         assigned.append(frag)
         diagnostics.append(
@@ -164,9 +161,8 @@ def reassign(
                 score=score,
                 excluded=excluded,
                 window=extraction_window(frag, policy, hop),
-                used_fallback=used_fallback,
-                pooled_frames=None if emb is None else emb.pooled_frames,
-                pooling_fallback=emb is not None and emb.pooling_fallback,
+                pooled_frames=emb.pooled_frames,
+                pooling_fallback=emb.pooling_fallback,
                 runner_up=runner_up,
                 margin=margin,
             )
@@ -174,29 +170,6 @@ def reassign(
 
     new_trajectories = _build_trajectories(order, assignments)
     return AssignmentResult(assignments, new_trajectories, diagnostics)
-
-
-def _spatial_fallback(
-    frag: Fragment,
-    assigned: list[Fragment],
-    assignments: dict[int, str],
-    candidates: list[tuple[int, str]],
-) -> tuple[str, float]:
-    """Identity of the nearest-DoA previously assigned fragment that is still
-    admissible; lowest pool index when there is none."""
-    admissible = {identity for _, identity in candidates}
-    best_identity = None
-    best_dist = float("inf")
-    for prev in assigned:
-        identity = assignments[prev.fragment_id]
-        if identity not in admissible:
-            continue
-        dist = angular_distance(frag.representative_doa, prev.representative_doa)
-        if dist < best_dist:
-            best_identity, best_dist = identity, dist
-    if best_identity is None:
-        best_identity = candidates[0][1]
-    return best_identity, float("nan")
 
 
 def _build_trajectories(
@@ -237,12 +210,12 @@ def extract_fragment_embedding(
     noise_cov_source: str = "oracle",
     gated_covariance: Callable[[int], tuple[np.ndarray, bool]] | None = None,
     diagnostics: MvdrDiagnostics | None = None,
-) -> Embedding | None:
-    """Beamform the fragment window and embed it; None when it is too short.
+) -> Embedding:
+    """Beamform the fragment window and embed it.
 
     mixture_stft is foa_stft(scene.mixture), which "ds" and "mvdr" read ("ideal"
     does not; it may then be None). The window reads the frames of that grid
-    whose centre lies in it; fewer than MIN_EMBED_FRAMES make it too short.
+    whose centre lies in it, and at least MIN_EMBED_FRAMES (_window_frames).
     For "ds" and "mvdr" the embedding is pooled over the frames whose centre's
     tracker frame is not in frag.overlapped_frames, since there the mixture
     also carries another track's speaker (embed_power pools over all frames
@@ -257,8 +230,6 @@ def extract_fragment_embedding(
     window = extraction_window(frag, policy, hop)
     steer = window_doa(frag, policy, hop)
     frames, free = _window_frames(frag, window, scene.mixture.num_samples, scene.sample_rate, hop)
-    if frames.stop - frames.start < MIN_EMBED_FRAMES:
-        return None
     if beamformer == "ideal":
         beam = beamform_ideal(scene.wet, scene.ground_truth, steer, window, frames)
         free = None
@@ -289,10 +260,18 @@ def _window_frames(
 ) -> tuple[slice, np.ndarray]:
     """The analysis frames of the scene grid whose centre lies in the window,
     as a slice of the frame axis, and for each of them whether its centre
-    lies in a tracker frame where no other track is active."""
+    lies in a tracker frame where no other track is active.
+
+    When fewer than MIN_EMBED_FRAMES centres lie in the window, the slice is
+    the MIN_EMBED_FRAMES frames that start at its first centre, or the grid's
+    last ones if those would run past its end.
+    """
     centers = analysis_frame_centers(num_samples, sample_rate)
     bounds = [round(window[0] * sample_rate), round(window[1] * sample_rate)]
     start, stop = (int(i) for i in np.searchsorted(centers, bounds))
+    if stop - start < MIN_EMBED_FRAMES:
+        start = max(0, min(start, len(centers) - MIN_EMBED_FRAMES))
+        stop = start + MIN_EMBED_FRAMES
     tracker_frames = np.floor(centers[start:stop] / (hop * sample_rate)).astype(int)
     return slice(start, stop), ~np.isin(tracker_frames, frag.overlapped_frames)
 

@@ -125,14 +125,6 @@ def foa_gains(doa: DoA) -> np.ndarray:
     )
 
 
-def encode_foa(mono: np.ndarray, doa: DoA, sample_rate: int) -> FoaSignal:
-    """Direct-path FOA encoding of a mono source at a fixed direction."""
-    mono = np.asarray(mono, dtype=np.float64)
-    if not np.all(np.isfinite(mono)):
-        raise ValueError("source samples must be finite")
-    return FoaSignal(foa_gains(doa)[:, None] * mono[None, :], sample_rate)
-
-
 def sample_voice_params(rng: np.random.Generator) -> VoiceParams:
     """Draw a voice from the identity prior used for speakers and distractors.
 

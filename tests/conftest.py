@@ -1,10 +1,32 @@
 import numpy as np
 import pytest
 
-from embtrack.embedding import embed
-from embtrack.scene import sample_voice_params, synthesize_voice
+from embtrack.embedding import Embedding, embed
+from embtrack.geometry import DoA, sample_vmf
+from embtrack.scene import FoaSignal, foa_gains, sample_voice_params, synthesize_voice
 
 PANEL_SR = 16000
+
+
+def cosine(a: Embedding, b: Embedding) -> float:
+    """Cosine similarity of two unit-norm embeddings, in [-1, 1]."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    return float(np.clip(np.dot(a.vector, b.vector), -1.0, 1.0))
+
+
+def encode_foa(mono: np.ndarray, doa: DoA, sample_rate: int) -> FoaSignal:
+    """Direct-path FOA encoding of a mono source at a fixed direction."""
+    mono = np.asarray(mono, dtype=np.float64)
+    return FoaSignal(foa_gains(doa)[:, None] * mono[None, :], sample_rate)
+
+
+def vmf_mean_angle_deg(kappa: float, n: int = 200_000, seed: int = 0) -> float:
+    """Monte-Carlo mean angular deviation (degrees) of a vMF draw on S^2."""
+    rng = np.random.default_rng(seed)
+    mu = np.tile(np.array([0.0, 0.0, 1.0]), (n, 1))
+    samples = sample_vmf(rng, mu, kappa)
+    return float(np.mean(np.degrees(np.arccos(np.clip(samples[:, 2], -1.0, 1.0)))))
 
 
 @pytest.fixture(scope="session")
@@ -25,8 +47,6 @@ def voice_panel():
 @pytest.fixture(scope="session")
 def panel_similarities(voice_panel):
     """(same-pair cosines, cross-pair cosines) over the whole panel."""
-    from embtrack.embedding import cosine
-
     _, embeddings = voice_panel
     flat = [(i, e) for i, row in enumerate(embeddings) for e in row]
     same, cross = [], []

@@ -15,12 +15,12 @@ import yaml
 
 from embtrack.beamforming import mvdr_weights, steering_vector
 from embtrack.cli import main as cli_main
-from embtrack.embedding import EnrollmentPool, build_distractors, build_enrollment, cosine, embed
+from embtrack.embedding import EnrollmentPool, build_distractors, build_enrollment, embed
 from embtrack.fragments import DurationPolicy
 from embtrack.geometry import DoA, angular_distance, doa_from_unit_vector, uniform_sphere
 from embtrack.metrics import assa, evaluate_scene, le, match_frames, swap_frag_rates
 from embtrack.reassignment import reassign_scene
-from embtrack.scene import SceneSpec, encode_foa, simulate, synthesize_voice
+from embtrack.scene import SceneSpec, simulate, synthesize_voice
 from embtrack.seeding import derive_seed
 from embtrack.tracking import (
     NoiseModel,
@@ -30,6 +30,7 @@ from embtrack.tracking import (
     track,
 )
 
+from conftest import cosine, encode_foa
 from test_metrics import brute_force_match, matching_from_pairs
 
 HOP = 0.1

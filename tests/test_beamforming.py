@@ -24,10 +24,11 @@ from embtrack.scene import (
     SceneSpec,
     SpeakerGroundTruth,
     VoiceParams,
-    encode_foa,
     generate_scene,
 )
 from embtrack.tracking import Trajectory
+
+from conftest import encode_foa
 
 SR = 16000
 VOICE = VoiceParams(f0=120.0, spectral_tilt=-6.0, resonances=(), modulation_rate=3.0)

@@ -263,12 +263,12 @@ class TestRun:
         tracks = fileio.read_trajectories(cell / "tracks_gt_m2.jsonl")
         assert 0 <= gated_doc["mvdr_gated_fallback_tracks"] <= len(tracks)
         for d in doc["diagnostics"]:
-            assert set(d) >= {
-                "fragment_id", "identity", "score", "excluded", "window", "runner_up", "margin",
+            assert set(d) == {
+                "fragment_id", "identity", "score", "excluded", "window", "pooled_frames",
+                "pooling_fallback", "runner_up", "margin",
             }
-            if d["used_fallback"]:
-                assert d["runner_up"] is None and d["margin"] is None
-            elif d["runner_up"] is not None:
+            assert isinstance(d["score"], float)  # every fragment is scored by its embedding
+            if d["runner_up"] is not None:
                 assert d["runner_up"] != d["identity"] and d["margin"] >= 0.0
 
     def test_assignment_records_cell_window_and_pooling(self, small_results):
@@ -285,12 +285,9 @@ class TestRun:
             start, end = d["window"]
             assert end - start <= 0.25 + 1e-9
             assert isinstance(d["pooling_fallback"], bool)
-            if d["used_fallback"]:
-                assert d["pooled_frames"] is None
-            else:
-                # MIN_EMBED_FRAMES to the 15 or 16 frames of the scene grid
-                # whose centre lies in a 250 ms window (4000 / 256 = 15.6)
-                assert 3 <= d["pooled_frames"] <= 16
+            # MIN_EMBED_FRAMES to the 15 or 16 frames of the scene grid
+            # whose centre lies in a 250 ms window (4000 / 256 = 15.6)
+            assert 3 <= d["pooled_frames"] <= 16
 
 
     def test_mvdr_band_counts_recorded_per_cell(self, one_scene, tmp_path):
@@ -635,6 +632,22 @@ class TestCliProcess:
         data = tmp_path / "data"
         assert main(["gen", "--config", str(cfg_path), "--out", str(data)]) == 2
         assert not (data / "manifest.json").exists()
+
+    def test_scene_too_short_to_embed_exit_code(self, one_scene, tmp_path):
+        # 0.063 s is 1008 samples: 2 analysis frames, one short of MIN_EMBED_FRAMES
+        data = tmp_path / "data"
+        assert main(["gen", "--count", "1", "--duration", "0.063", "--out", str(data)]) == 2
+        assert not (data / "manifest.json").exists()
+        assert main(["gen", "--count", "1", "--duration", "0.064", "--out", str(data)]) == 0
+        # a dataset written before such durations were refused
+        old = tmp_path / "old"
+        shutil.copytree(one_scene, old)
+        manifest = json.loads((old / "manifest.json").read_text())
+        manifest["dataset"]["duration"] = 0.03
+        (old / "manifest.json").write_text(json.dumps(manifest))
+        results = tmp_path / "results"
+        assert main(["run", "--dataset", str(old), "--out", str(results)]) == 2
+        assert not results.exists()
 
     @pytest.mark.parametrize("sizes", ["a,b", "2.5"])
     def test_non_integer_enrollment_sizes_exit_code(self, one_scene, tmp_path, capsys, sizes):

@@ -6,19 +6,17 @@ from embtrack.embedding import (
     Embedding,
     EnrollmentPool,
     ShortInputError,
-    SpkembParseError,
     analysis_frame_centers,
     build_distractors,
     build_enrollment,
-    cosine,
     embed,
     embed_power,
-    load_embeddings,
     mel_filterbank,
-    save_embeddings,
 )
 from embtrack.dsp import stft
 from embtrack.scene import sample_voice_params, synthesize_voice
+
+from conftest import cosine
 
 SR = 16000
 
@@ -244,104 +242,6 @@ class TestEnrollment:
         e = unit([1, 0])
         with pytest.raises(ValueError):
             EnrollmentPool([("a", e), ("a", e)])
-
-
-class TestSpkembFormat:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        entries = [(f"id{k}", unit(rng.standard_normal(48))) for k in range(3)]
-        pool = EnrollmentPool(entries)
-        path = tmp_path / "pool.spkemb"
-        save_embeddings(pool, path)
-        loaded = load_embeddings(path)
-        assert loaded.identities == pool.identities
-        for (_, a), (_, b) in zip(loaded.entries, pool.entries):
-            assert np.max(np.abs(a.vector - b.vector)) < 1e-6
-
-    def test_enrollment_round_trip_is_bit_exact(self, tmp_path):
-        voices = [sample_voice_params(np.random.default_rng(k)) for k in (1, 2)]
-        path = tmp_path / "pool.spkemb"
-        for seed in range(6):
-            pool = build_enrollment(voices, 4, seed=seed, sample_rate=SR)
-            save_embeddings(pool, path)
-            loaded = load_embeddings(path)
-            assert loaded.identities == pool.identities
-            for (_, a), (_, b) in zip(loaded.entries, pool.entries):
-                assert np.array_equal(a.vector, b.vector)
-
-    def test_non_unit_row_loads_normalized(self, tmp_path):
-        path = tmp_path / "pool.spkemb"
-        path.write_text("SPKEMB v1 dim=2 count=1\nspk,3.0,4.0\n")
-        (_, emb), = load_embeddings(path).entries
-        assert np.allclose(emb.vector, [0.6, 0.8])
-        assert np.linalg.norm(emb.vector) == pytest.approx(1.0, abs=1e-15)
-
-    def test_zero_norm_row_rejected(self, tmp_path):
-        path = tmp_path / "pool.spkemb"
-        path.write_text("SPKEMB v1 dim=2 count=2\nspk,0.6,0.8\nnul,0.0,0.0\n")
-        with pytest.raises(SpkembParseError) as info:
-            load_embeddings(path)
-        assert info.value.line == 3
-
-    def test_non_finite_row_rejected(self, tmp_path):
-        path = tmp_path / "pool.spkemb"
-        path.write_text("SPKEMB v1 dim=2 count=1\nspk,nan,1.0\n")
-        with pytest.raises(SpkembParseError) as info:
-            load_embeddings(path)
-        assert info.value.line == 2
-
-    def test_repeated_identity_reports_line(self, tmp_path):
-        path = tmp_path / "pool.spkemb"
-        path.write_text("SPKEMB v1 dim=2 count=2\nspk,0.6,0.8\nspk,0.8,0.6\n")
-        with pytest.raises(SpkembParseError) as info:
-            load_embeddings(path)
-        assert info.value.line == 3
-
-    def test_header_format(self, tmp_path):
-        pool = EnrollmentPool([("spk", unit([3, 4]))])
-        path = tmp_path / "pool.spkemb"
-        save_embeddings(pool, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "SPKEMB v1 dim=2 count=1"
-
-    def test_dim_mismatch_reports_line(self, tmp_path):
-        path = tmp_path / "bad.spkemb"
-        path.write_text("SPKEMB v1 dim=3 count=1\nspk,0.6,0.8\n")
-        with pytest.raises(SpkembParseError) as err:
-            load_embeddings(path)
-        assert err.value.line == 2
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.spkemb"
-        path.write_text("EMBPOOL v9\n")
-        with pytest.raises(SpkembParseError) as err:
-            load_embeddings(path)
-        assert err.value.line == 1
-
-    def test_non_numeric_component(self, tmp_path):
-        path = tmp_path / "bad.spkemb"
-        path.write_text("SPKEMB v1 dim=2 count=1\nspk,0.6,zebra\n")
-        with pytest.raises(SpkembParseError) as err:
-            load_embeddings(path)
-        assert err.value.line == 2
-
-    def test_empty_file_is_empty_pool(self, tmp_path):
-        path = tmp_path / "empty.spkemb"
-        path.write_text("")
-        assert load_embeddings(path).size == 0
-
-    def test_count_mismatch(self, tmp_path):
-        path = tmp_path / "bad.spkemb"
-        path.write_text("SPKEMB v1 dim=2 count=2\nspk,0.6,0.8\n")
-        with pytest.raises(SpkembParseError):
-            load_embeddings(path)
-
-    def test_192_dim_supported(self, tmp_path):
-        rng = np.random.default_rng(8)
-        pool = EnrollmentPool([("ecapa0", unit(rng.standard_normal(192)))])
-        path = tmp_path / "pool.spkemb"
-        save_embeddings(pool, path)
-        assert load_embeddings(path).entries[0][1].dim == 192
 
 
 def test_mel_filterbank_covers_band():

@@ -13,9 +13,10 @@ from embtrack.geometry import (
     sample_vmf,
     spherical_mean,
     uniform_sphere,
-    vmf_mean_angle_deg,
     wrap_azimuth,
 )
+
+from conftest import vmf_mean_angle_deg
 
 azimuths = st.floats(min_value=-180.0, max_value=179.999, allow_nan=False)
 elevations = st.floats(min_value=-89.0, max_value=89.0, allow_nan=False)

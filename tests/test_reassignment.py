@@ -13,6 +13,7 @@ from embtrack.beamforming import (
     nearest_speaker_index,
 )
 from embtrack.embedding import (
+    MIN_EMBED_FRAMES,
     Embedding,
     EnrollmentPool,
     analysis_frame_centers,
@@ -25,7 +26,6 @@ from embtrack.geometry import DoA
 from embtrack.metrics import evaluate_scene
 from embtrack.reassignment import (
     BEAMFORMERS,
-    OverlapExclusionError,
     extract_fragment_embedding,
     reassign,
     reassign_scene,
@@ -89,9 +89,10 @@ class TestReassign:
         assert result.assignments[0] == "only"
 
     def test_overlap_degree_exceeding_pool_errors(self):
+        # three tracks at one frame cannot come from a tracker with max_tracks = 2
         fragments = [frag(0, 0, 0, 50), frag(1, 1, 0, 50), frag(2, 2, 0, 50)]
         embeddings = {i: unit([1, 0, 0]) for i in range(3)}
-        with pytest.raises(OverlapExclusionError, match="fragment 2"):
+        with pytest.raises(AssertionError, match="fragment 2"):
             reassign(fragments, embeddings, POOL)
 
     def test_fifo_order_is_onset_then_track(self):
@@ -107,19 +108,6 @@ class TestReassign:
         pool = EnrollmentPool([("first", unit([1, 0])), ("second", unit([1, 0]))])
         result = reassign([frag(0, 0, 0, 10)], {0: unit([1, 0])}, pool)
         assert result.assignments[0] == "first"
-
-    def test_short_fragment_spatial_fallback(self):
-        fragments = [
-            frag(0, 0, 0, 30, DoA(10, 0)),
-            frag(1, 1, 10, 40, DoA(100, 0)),
-            frag(2, 0, 60, 62, DoA(12, 0)),  # too short to embed
-        ]
-        embeddings = {0: unit([1, 0, 0]), 1: unit([0, 1, 0]), 2: None}
-        result = reassign(fragments, embeddings, POOL)
-        # nearest previously assigned fragment by DoA is fragment 0 -> alice
-        assert result.assignments[2] == "alice"
-        diag = {d.fragment_id: d for d in result.diagnostics}
-        assert diag[2].used_fallback
 
     def test_runner_up_and_margin_recorded(self):
         pool = EnrollmentPool(
@@ -148,33 +136,12 @@ class TestReassign:
         (d,) = reassign([frag(0, 0, 0, 10)], {0: unit([1, 0])}, pool).diagnostics
         assert (d.identity, d.runner_up, d.margin) == ("first", "second", 0.0)
 
-    def test_no_runner_up_with_one_candidate_or_spatial_fallback(self):
-        fragments = [frag(0, 0, 0, 50), frag(1, 1, 0, 50), frag(2, 0, 60, 62)]
-        embeddings = {0: unit([1, 0, 0]), 1: unit([1, 0.1, 0]), 2: None}
+    def test_no_runner_up_with_one_candidate(self):
+        fragments = [frag(0, 0, 0, 50), frag(1, 1, 0, 50)]
+        embeddings = {0: unit([1, 0, 0]), 1: unit([1, 0.1, 0])}
         diag = {d.fragment_id: d for d in reassign(fragments, embeddings, POOL).diagnostics}
         assert diag[0].runner_up == "bob" and diag[0].margin > 0
         assert (diag[1].runner_up, diag[1].margin) == (None, None)  # alice excluded
-        assert diag[2].used_fallback
-        assert (diag[2].runner_up, diag[2].margin) == (None, None)
-
-    def test_short_fragment_fallback_respects_exclusion(self):
-        fragments = [
-            frag(0, 0, 0, 30, DoA(10, 0)),
-            frag(1, 1, 25, 60, DoA(100, 0)),
-            frag(2, 2, 28, 40, DoA(11, 0)),  # overlaps fragment 0 and 1? no: 0 and 1
-        ]
-        # fragment 2 overlaps both fragments -> no candidate left? pool is 2.
-        # Use a 3-entry pool so one identity remains.
-        pool = EnrollmentPool(
-            [("alice", unit([1, 0, 0])), ("bob", unit([0, 1, 0])), ("carol", unit([0, 0, 1]))]
-        )
-        embeddings = {0: unit([1, 0, 0]), 1: unit([0, 1, 0]), 2: None}
-        result = reassign(fragments, embeddings, pool)
-        assert result.assignments[2] == "carol"
-
-    def test_short_fragment_without_history_takes_lowest_index(self):
-        result = reassign([frag(0, 0, 0, 1)], {0: None}, POOL)
-        assert result.assignments[0] == "alice"
 
     def test_every_fragment_assigned_exactly_once(self):
         rng = np.random.default_rng(0)
@@ -303,40 +270,71 @@ class TestExtractFragmentEmbedding:
         assert emb.pooling_fallback
         assert emb.pooled_frames == 15  # every frame centred in the 250 ms window
 
-    def test_window_with_too_few_frames_has_no_embedding(self, scene, spec):
-        # one 30 ms tracker frame, [0, 30 ms): only the first frame is centred in it
+    def test_window_with_too_few_frames_reads_three(self, scene, spec):
+        # one 30 ms tracker frame, [0, 30 ms): only the first frame is centred
+        # in it, so the window reads the first MIN_EMBED_FRAMES frames
         short = frag(0, 0, 0, 0, DoA(30, 0))
         frames, _ = reassignment._window_frames(short, (0.0, 0.03), scene.mixture.num_samples, self.SR, 0.03)
-        assert frames == slice(0, 1)
+        assert frames == slice(0, MIN_EMBED_FRAMES)
         for beamformer in BEAMFORMERS:
-            assert extract_fragment_embedding(scene, spec, short, DurationPolicy(), beamformer, 0.03) is None
+            emb = extract_fragment_embedding(scene, spec, short, DurationPolicy(), beamformer, 0.03)
+            assert emb.pooled_frames == MIN_EMBED_FRAMES
+        ideal = extract_fragment_embedding(scene, spec, short, DurationPolicy(), "ideal", 0.03)
+        target = nearest_speaker_index(scene.ground_truth, DoA(30, 0), 0.015)
+        mono = scene.wet[target].channels[0, : 512 + (MIN_EMBED_FRAMES - 1) * 256]
+        assert np.array_equal(ideal.vector, embed(mono, self.SR).vector)
 
 
 class TestWindowFrames:
     SR = 16000
-    NUM_SAMPLES = 30 * SR
 
     @settings(max_examples=200, deadline=None)
     @given(
-        start=st.floats(min_value=0.0, max_value=29.9),
-        length=st.floats(min_value=0.01, max_value=30.0),
+        num_samples=st.integers(min_value=512 + (MIN_EMBED_FRAMES - 1) * 256, max_value=30 * SR),
+        start=st.floats(min_value=0.0, max_value=0.999),
+        length=st.floats(min_value=0.0, max_value=30.0),
         overlapped=st.sets(st.integers(min_value=0, max_value=299), max_size=20),
     )
-    def test_frames_are_those_centred_in_the_window(self, start, length, overlapped):
+    def test_frames_are_those_centred_in_the_window(self, num_samples, start, length, overlapped):
         hop = 0.1
-        window = (start, min(30.0, start + length))
+        duration = num_samples / self.SR
+        window = (start * duration, min(duration, start * duration + length))
         f = frag(0, 0, 0, 0, overlapped=sorted(overlapped))
-        frames, free = reassignment._window_frames(f, window, self.NUM_SAMPLES, self.SR, hop)
-        centers = analysis_frame_centers(self.NUM_SAMPLES, self.SR)
+        frames, free = reassignment._window_frames(f, window, num_samples, self.SR, hop)
+        centers = analysis_frame_centers(num_samples, self.SR)
         a, b = round(window[0] * self.SR), round(window[1] * self.SR)
-        inside = centers[frames]
-        assert np.all((inside >= a) & (inside < b))
-        if frames.start > 0:
-            assert centers[frames.start - 1] < a
-        if frames.stop < len(centers):
-            assert centers[frames.stop] >= b
-        tracker_frames = np.floor(inside / (hop * self.SR)).astype(int)
+        assert 0 <= frames.start and frames.stop <= len(centers)
+        assert frames.stop - frames.start >= MIN_EMBED_FRAMES
+        in_window = np.flatnonzero((centers >= a) & (centers < b))
+        if len(in_window) >= MIN_EMBED_FRAMES:
+            inside = centers[frames]
+            assert np.all((inside >= a) & (inside < b))
+            if frames.start > 0:
+                assert centers[frames.start - 1] < a
+            if frames.stop < len(centers):
+                assert centers[frames.stop] >= b
+        else:
+            # the MIN_EMBED_FRAMES frames from the first centre at or after the
+            # window start, or the grid's last ones where those run past its end
+            first = int(np.sum(centers < a))
+            assert frames.stop - frames.start == MIN_EMBED_FRAMES
+            assert frames.start == first or (frames.stop == len(centers) and frames.start < first)
+            assert set(in_window) <= set(range(frames.start, frames.stop))
+        tracker_frames = np.floor(centers[frames] / (hop * self.SR)).astype(int)
         assert free.tolist() == [t not in overlapped for t in tracker_frames]
+
+    def test_last_tracker_frame_reads_the_grids_last_frames(self):
+        # 1.35 s: 83 analysis frames, the last centred at 21248 samples; the
+        # last tracker frame, [1.3 s, 1.4 s), holds the centres of frames 81, 82
+        num_samples = 21600
+        centers = analysis_frame_centers(num_samples, self.SR)
+        window = (1.3, 1.4)
+        assert len(centers) == 83
+        assert np.flatnonzero((centers >= 20800) & (centers < 22400)).tolist() == [81, 82]
+        last = frag(0, 0, 13, 13, overlapped=[12])
+        frames, free = reassignment._window_frames(last, window, num_samples, self.SR, 0.1)
+        assert frames == slice(80, 83)
+        assert free.tolist() == [False, True, True]  # frame 80 is centred in tracker frame 12
 
 
 class TestRunPipeline:
@@ -372,10 +370,26 @@ class TestRunPipeline:
             assert ta.frames == tb.frames
 
     def test_short_fragment_fallback_in_pipeline(self):
-        # tiny hop makes one-frame fragments shorter than the embeddable minimum
+        # a 10 ms prefix holds at most one analysis frame centre, so every
+        # window reads the MIN_EMBED_FRAMES frames from its first centre
         scene = simulate(SceneSpec(seed=10, duration=8.0))
-        result = run_pipeline(scene, "gt", "ideal", DurationPolicy(), m=2, seed=47, hop=0.05)
-        assert len(result.assignment.assignments) == len(result.fragments)
+        for beamformer in ("ideal", "ds"):
+            result = run_pipeline(scene, "gt", beamformer, DurationPolicy(10), m=2, seed=47, hop=0.05)
+            assert len(result.assignment.assignments) == len(result.fragments)
+            assert {d.pooled_frames for d in result.assignment.diagnostics} == {MIN_EMBED_FRAMES}
+
+    def test_fragment_on_the_last_tracker_frame_is_embedded(self):
+        # the est tracker leaves fragment 2 on the last tracker frame, (3.1 s,
+        # 3.2 s), in which only two analysis frames of the 3.151 s scene are centred
+        scene = simulate(SceneSpec(seed=5, duration=3.151))
+        tracks_by_m, pool = track_and_enroll(scene, (5,), "est", [2])
+        cells = [(2, "ideal", DurationPolicy(), "oracle"), (2, "ds", DurationPolicy(), "oracle")]
+        for result in reassign_scene(scene, tracks_by_m, pool, cells):
+            diagnostics = result.assignment.diagnostics
+            assert (3.1, 3.2) in [tuple(round(t, 6) for t in d.window) for d in diagnostics]
+            for d in diagnostics:
+                assert d.pooled_frames >= MIN_EMBED_FRAMES
+                assert np.isfinite(d.score)
 
     def test_est_tracker_variant_runs(self):
         scene = simulate(SceneSpec(seed=11, duration=10.0))
@@ -471,10 +485,8 @@ class TestGatedCovariancePerTrack:
                 expected = extract_fragment_embedding(
                     scene, spec, f, policy, "mvdr", self.HOP, "gated", per_fragment, diagnostics
                 )
-                assert (got[f.fragment_id] is None) == (expected is None)
-                if expected is not None:
-                    assert np.array_equal(got[f.fragment_id].vector, expected.vector)
-                    assert got[f.fragment_id].pooled_frames == expected.pooled_frames
+                assert np.array_equal(got[f.fragment_id].vector, expected.vector)
+                assert got[f.fragment_id].pooled_frames == expected.pooled_frames
             assert diagnostics.total_bands > 0
             assert result.mvdr_diagnostics == diagnostics
 

@@ -7,7 +7,7 @@ from embtrack.scene import (
     SEPARATION_REGIMES,
     SceneSpec,
     VoiceParams,
-    encode_foa,
+    foa_gains,
     generate_diffuse_noise,
     generate_scene,
     sample_voice_params,
@@ -55,33 +55,23 @@ def one_segment_spec(**kwargs):
 
 
 class TestEncodeFoa:
+    """foa_gains, the plane-wave encoding simulate applies to every source."""
+
     def test_front_direction(self):
-        s = np.array([1.0, -0.5, 0.25])
-        foa = encode_foa(s, DoA(0.0, 0.0), 16000)
-        assert np.allclose(foa.channels[0], s)  # W
-        assert np.allclose(foa.channels[1], 0)  # Y
-        assert np.allclose(foa.channels[2], 0)  # Z
-        assert np.allclose(foa.channels[3], s)  # X
+        assert np.allclose(foa_gains(DoA(0.0, 0.0)), [1, 0, 0, 1])  # W, Y, Z, X
 
     def test_left_direction(self):
-        s = np.array([1.0, 2.0])
-        foa = encode_foa(s, DoA(90.0, 0.0), 16000)
-        assert np.allclose(foa.channels[0], s)
-        assert np.allclose(foa.channels[1], s)
-        assert np.allclose(foa.channels[2], 0)
-        assert np.allclose(foa.channels[3], 0, atol=1e-15)
+        assert np.allclose(foa_gains(DoA(90.0, 0.0)), [1, 1, 0, 0], atol=1e-15)
 
     def test_zenith_direction(self):
-        s = np.array([0.5])
-        foa = encode_foa(s, DoA(0.0, 90.0), 16000)
-        assert np.allclose(foa.channels[0], s)
-        assert np.allclose(foa.channels[1], 0)
-        assert np.allclose(foa.channels[2], s)
-        assert np.allclose(foa.channels[3], 0, atol=1e-15)
+        assert np.allclose(foa_gains(DoA(0.0, 90.0)), [1, 0, 1, 0], atol=1e-15)
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            encode_foa(np.array([np.inf]), DoA(0, 0), 16000)
+    def test_unit_w_and_sn3d_norm(self):
+        rng = np.random.default_rng(5)
+        for az, el in zip(rng.uniform(-180, 180, 50), rng.uniform(-90, 90, 50)):
+            gains = foa_gains(DoA(az, el))
+            assert gains[0] == 1.0
+            assert float(gains @ gains) == pytest.approx(2.0)
 
 
 class TestDiffuseNoise:
