@@ -8,8 +8,9 @@ single-channel STFT on those frames, shape (bins, frames); the embedder pools
 |Y|^2 from it directly, so no beam is resynthesised. band_covariances
 estimates the MVDR noise covariances from a 4-channel STFT: the gated one
 from the frames of the scene's foa_stft that gated_noise_reference selects,
-the oracle one from the padded STFT of its time-domain reference
-(oracle_noise_reference).
+gathered a few bins at a time into one batched matrix product per block, the
+oracle one from the padded STFT of its time-domain reference
+(oracle_noise_reference), in one einsum.
 
 The SN3D steering vector for a direction (az, el) is
     d = (1, sin az cos el, sin el, cos az cos el),  ||d||^2 = 2,
@@ -30,9 +31,9 @@ from .scene import FoaSignal, SpeakerGroundTruth, foa_gains
 MVDR_LOADING = 1e-3
 MIN_COV_FRAMES = 10
 # Bins per block when band_covariances gathers selected frames: a block is a
-# small fraction of the STFT, and the per-bin sums are those of one einsum
-# over the whole selection.
-_COV_BLOCK_BINS = 32
+# small fraction of the STFT, and with 8 bins its batched matrix product ran
+# fastest of 4, 8, 16 and 32 on a 30 s scene with one BLAS thread.
+_COV_BLOCK_BINS = 8
 
 
 def steering_vector(doa: DoA) -> np.ndarray:
@@ -88,19 +89,24 @@ def band_covariances(spec: np.ndarray, frames: np.ndarray | None = None) -> np.n
     spec is (4, bins, frames): the padded stft of a time-domain reference, or
     foa_stft of the mixture with frames, a boolean mask over its frame axis,
     selecting the frames to average (all of them when frames is None). At
-    least MIN_COV_FRAMES must be selected. A selection is gathered
-    _COV_BLOCK_BINS bins at a time, so it is never copied whole.
+    least MIN_COV_FRAMES must be selected. Without a mask the covariance is
+    one einsum over spec. With one, the selected frames are gathered
+    _COV_BLOCK_BINS bins at a time into a contiguous (bins, 4, frames) block,
+    so the selection is never copied whole, and each block's covariance is
+    one batched product x @ x^H. Either result is made exactly Hermitian.
     """
     count = spec.shape[2] if frames is None else int(np.count_nonzero(frames))
     if count < MIN_COV_FRAMES:
         raise ValueError(f"noise reference too short for covariance estimation ({count} frames)")
-    step = spec.shape[1] if frames is None else _COV_BLOCK_BINS
-    cov = np.empty((spec.shape[1], 4, 4), dtype=complex)
-    for lo in range(0, spec.shape[1], step):
-        block = spec[:, lo : lo + step]
-        if frames is not None:
-            block = block[..., frames]
-        cov[lo : lo + step] = np.einsum("cft,dft->fcd", block, np.conj(block)) / count
+    if frames is None:
+        cov = np.einsum("cft,dft->fcd", spec, np.conj(spec)) / count
+    else:
+        selected = np.flatnonzero(frames)
+        cov = np.empty((spec.shape[1], 4, 4), dtype=complex)
+        for lo in range(0, spec.shape[1], _COV_BLOCK_BINS):
+            x = np.take(spec[:, lo : lo + _COV_BLOCK_BINS].transpose(1, 0, 2), selected, axis=2)
+            cov[lo : lo + _COV_BLOCK_BINS] = x @ np.conj(x).swapaxes(1, 2)
+        cov /= count
     return 0.5 * (cov + np.conj(np.transpose(cov, (0, 2, 1))))
 
 

@@ -48,6 +48,7 @@ from .reassignment import (
     BEAMFORMERS,
     NOISE_COV_SOURCES,
     TRACKER_VARIANTS,
+    reads_wet,
     reassign_scene,
     track_and_enroll,
 )
@@ -331,7 +332,8 @@ def _run_one(args: tuple) -> str:
 
     if _read(_sha256_file, scene_dir / "mixture.wav") != sha256:
         raise DataError(f"{scene_dir / 'mixture.wav'} does not match the sha256 in the dataset manifest")
-    scene, _spec = _read(fileio.read_scene, scene_dir)
+    wet = any(reads_wet(bf, run.noise_cov) for _, bf, _ in cells)
+    scene, _spec = _read(lambda path: fileio.read_scene(path, wet), scene_dir)
     tracks_by_m, pool = track_and_enroll(
         scene, (cfg.master_seed, index), run.tracker, run.enrollment_sizes, distractors=distractors
     )

@@ -159,12 +159,15 @@ def write_scene(scene_dir: str | Path, scene: Scene, spec: SceneSpec) -> None:
     write_ground_truth(scene_dir / "ground_truth.json", scene.ground_truth, spec)
 
 
-def read_scene(scene_dir: str | Path) -> tuple[Scene, SceneSpec]:
+def read_scene(scene_dir: str | Path, wet: bool = True) -> tuple[Scene, SceneSpec]:
+    """The scene write_scene wrote; with wet False its speakerNN.wav files are
+    not read and scene.wet is empty."""
     scene_dir = Path(scene_dir)
     ground_truth, spec = read_ground_truth(scene_dir / "ground_truth.json")
     mixture = read_wav(scene_dir / "mixture.wav")
-    wet = [read_wav(scene_dir / f"speaker{j:02d}.wav") for j in range(len(ground_truth))]
-    return Scene(mixture, wet, ground_truth), spec
+    speakers = range(len(ground_truth)) if wet else ()
+    signals = [read_wav(scene_dir / f"speaker{j:02d}.wav") for j in speakers]
+    return Scene(mixture, signals, ground_truth), spec
 
 
 def trajectories_to_jsonl(trajectories: list[Trajectory]) -> str:

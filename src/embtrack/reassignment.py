@@ -200,6 +200,13 @@ class PipelineResult:
         return self.assignment.new_trajectories
 
 
+def reads_wet(beamformer: str, noise_cov_source: str) -> bool:
+    """Whether a cell reads scene.wet: the ideal beamformer's target signal and
+    the oracle MVDR noise reference come from the wet signals; DS and gated
+    MVDR read only the mixture."""
+    return beamformer == "ideal" or (beamformer == "mvdr" and noise_cov_source == "oracle")
+
+
 def extract_fragment_embedding(
     scene: Scene,
     mixture_stft: np.ndarray | None,

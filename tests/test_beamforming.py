@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from embtrack.beamforming import (
+    MIN_COV_FRAMES,
     MVDR_LOADING,
     MvdrDiagnostics,
     band_covariances,
@@ -393,6 +394,25 @@ class TestBandCovariances:
         got = band_covariances(spec, mask)
         expected = reference_band_covariances(spec[..., mask])
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize(
+        "n_fft, selected",
+        [
+            (512, slice(None)),  # every frame: the full-mixture fallback
+            (512, slice(5, 5 + 3 * MIN_COV_FRAMES, 3)),  # exactly MIN_COV_FRAMES frames
+            (512, slice(60, 131)),  # one contiguous run
+            (301, slice(0, None, 3)),  # 151 bins: the last block is a partial one
+        ],
+    )
+    def test_gated_blocks_equal_the_reference(self, n_fft, selected):
+        x = np.random.default_rng(n_fft).standard_normal((4, 3 * SR))
+        spec = stft(x, n_fft, n_fft // 2, pad=False)
+        mask = np.zeros(spec.shape[2], dtype=bool)
+        mask[selected] = True
+        got = band_covariances(spec, mask)
+        expected = reference_band_covariances(spec[..., mask])
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.array_equal(got, np.conj(np.transpose(got, (0, 2, 1))))
 
     def test_too_few_gated_frames_rejected(self):
         spec = foa_stft(FoaSignal(np.random.default_rng(17).standard_normal((4, SR)), SR))

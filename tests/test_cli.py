@@ -323,6 +323,23 @@ class TestRun:
             path.write_bytes(content)
         assert main(["run", "--dataset", str(data), "--out", str(tmp_path / "results")]) == 3
 
+    def test_only_ideal_and_oracle_mvdr_read_wet_signals(self, one_scene, tmp_path, capsys):
+        dry = tmp_path / "dry"
+        shutil.copytree(one_scene, dry)
+        for path in dry.glob("scenes/*/speaker*.wav"):
+            path.unlink()
+        gated = ["--tracker", "est", "--beamformers", "ds,mvdr", "--noise-cov", "gated"]
+        trees = []
+        for data, out in ((one_scene, "results_full"), (dry, "results_dry")):
+            assert main(["run", "--dataset", str(data), "--out", str(tmp_path / out), *gated]) == 0
+            trees.append(tree_bytes(tmp_path / out))
+        assert trees[0] == trees[1]
+        capsys.readouterr()
+        for beamformer, out in (("ideal", "results_ideal"), ("mvdr", "results_oracle")):
+            argv = ["run", "--dataset", str(dry), "--out", str(tmp_path / out), "--beamformers", beamformer]
+            assert main(argv) == 3
+            assert "speaker00.wav" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["pcm16", "two_channels", "truncated", "not_riff"])
     def test_unreadable_mixture_wav_exit_code(self, one_scene, tmp_path, capsys, kind):
         from scipy.io import wavfile
