@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import StftConfig, num_full_frames, stft
-from .embedding import analysis_frame_centers
+from .dsp import num_full_frames, stft, stft_grid
+from .embedding import analysis_frame_tracker_frames
 from .geometry import DoA, angular_distance
 from .scene import FoaSignal, SpeakerGroundTruth, foa_gains
 
@@ -59,9 +59,7 @@ def foa_stft(signal: FoaSignal) -> np.ndarray:
     analyses a signal on. The channels are transformed one at a time into one
     preallocated array, so only one channel's framed copy is held at a time.
     """
-    cfg = StftConfig()
-    n_window = cfg.window_samples(signal.sample_rate)
-    n_hop = cfg.hop_samples(signal.sample_rate)
+    n_window, n_hop = stft_grid(signal.sample_rate)
     n_frames = num_full_frames(signal.num_samples, n_window, n_hop)
     spec = np.empty((4, n_window // 2 + 1, n_frames), dtype=complex)
     for c in range(4):
@@ -181,20 +179,19 @@ def oracle_noise_reference(
 def gated_noise_reference(
     mixture: FoaSignal,
     inactive_frames: list[int],
-    hop: float,
+    *,
     min_duration: float = 0.5,
 ) -> np.ndarray:
     """Boolean mask over the frames of foa_stft(mixture): the analysis frames
-    whose centre lies in a tracker frame (floor(centre / (hop * sr))) where
+    whose centre lies in a tracker frame (analysis_frame_tracker_frames) where
     the target's track is inactive.
 
     When the selected frames cover less than min_duration, one analysis hop
     each, every frame is selected: the covariance is the full mixture's.
     """
     sr = mixture.sample_rate
-    tracker_frames = np.floor(analysis_frame_centers(mixture.num_samples, sr) / (hop * sr))
-    mask = np.isin(tracker_frames.astype(int), inactive_frames)
-    if np.count_nonzero(mask) * StftConfig().hop_samples(sr) < min_duration * sr:
+    mask = np.isin(analysis_frame_tracker_frames(mixture.num_samples, sr), inactive_frames)
+    if np.count_nonzero(mask) * stft_grid(sr)[1] < min_duration * sr:
         mask[:] = True
     return mask
 
@@ -233,8 +230,6 @@ def beamform_ideal(
     """
     midpoint = 0.5 * (window[0] + window[1])
     wet = wet_signals[nearest_speaker_index(ground_truth, doa, midpoint)]
-    cfg = StftConfig()
-    n_window = cfg.window_samples(wet.sample_rate)
-    n_hop = cfg.hop_samples(wet.sample_rate)
+    n_window, n_hop = stft_grid(wet.sample_rate)
     span = wet.channels[0, frames.start * n_hop : (frames.stop - 1) * n_hop + n_window]
     return stft(span, n_window, n_hop, pad=False)

@@ -4,24 +4,17 @@ STFT-domain beamformers against time-domain ones."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+# The analysis grid: periodic-Hann windows at 50% overlap (perfect reconstruction).
+STFT_WINDOW_S = 0.032
+STFT_HOP_S = 0.016
 
-@dataclass(frozen=True)
-class StftConfig:
-    """Periodic-Hann STFT at 50% overlap (perfect reconstruction)."""
 
-    window_s: float = 0.032
-    hop_s: float = 0.016
-
-    def window_samples(self, sample_rate: float) -> int:
-        return int(round(self.window_s * sample_rate))
-
-    def hop_samples(self, sample_rate: float) -> int:
-        return int(round(self.hop_s * sample_rate))
+def stft_grid(sample_rate: float) -> tuple[int, int]:
+    """(window, hop) of the analysis grid, in samples at sample_rate."""
+    return int(round(STFT_WINDOW_S * sample_rate)), int(round(STFT_HOP_S * sample_rate))
 
 
 def periodic_hann(n: int) -> np.ndarray:

@@ -9,8 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import StftConfig, num_full_frames, stft
+from .dsp import num_full_frames, stft, stft_grid
 from .scene import VoiceParams, sample_voice_params, synthesize_voice
+from .tracking import DEFAULT_HOP_S
 
 _N_MEL_BANDS = 24
 _MEL_LO_HZ = 100.0
@@ -48,10 +49,6 @@ class Embedding:
             raise ValueError(f"embedding must be unit norm, got {norm}")
         object.__setattr__(self, "vector", v)
 
-    @property
-    def dim(self) -> int:
-        return self.vector.shape[0]
-
 
 def _hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f) / 700.0)
@@ -84,11 +81,16 @@ def mel_filterbank(sample_rate: int, n_fft: int, n_bands: int = _N_MEL_BANDS) ->
 def analysis_frame_centers(num_samples: int, sample_rate: int) -> np.ndarray:
     """Centre of each analysis frame embed() computes for a signal of
     num_samples, in samples from the signal start (empty if too short)."""
-    cfg = StftConfig()
-    n_window = cfg.window_samples(sample_rate)
-    n_hop = cfg.hop_samples(sample_rate)
+    n_window, n_hop = stft_grid(sample_rate)
     n_frames = num_full_frames(num_samples, n_window, n_hop)
     return n_hop * np.arange(n_frames) + 0.5 * n_window
+
+
+def analysis_frame_tracker_frames(num_samples: int, sample_rate: int) -> np.ndarray:
+    """For each analysis frame of analysis_frame_centers, the tracker frame
+    (of DEFAULT_HOP_S) in which its centre lies."""
+    centers = analysis_frame_centers(num_samples, sample_rate)
+    return np.floor(centers / (DEFAULT_HOP_S * sample_rate)).astype(int)
 
 
 def embed(
@@ -98,9 +100,7 @@ def embed(
     (32 ms windows, 16 ms hop, only windows fully inside the signal) pooled by
     embed_power, with frame_mask one boolean per analysis frame."""
     signal = np.asarray(signal, dtype=np.float64)
-    cfg = StftConfig()
-    n_window = cfg.window_samples(sample_rate)
-    n_hop = cfg.hop_samples(sample_rate)
+    n_window, n_hop = stft_grid(sample_rate)
     if num_full_frames(len(signal), n_window, n_hop) < MIN_EMBED_FRAMES:
         raise ShortInputError(
             f"need at least {MIN_EMBED_FRAMES} analysis frames "
@@ -129,7 +129,7 @@ def embed_power(
     n_frames = power.shape[1]
     if n_frames < MIN_EMBED_FRAMES:
         raise ShortInputError(f"need at least {MIN_EMBED_FRAMES} analysis frames, got {n_frames}")
-    fb = mel_filterbank(sample_rate, StftConfig().window_samples(sample_rate))
+    fb = mel_filterbank(sample_rate, stft_grid(sample_rate)[0])
     energies = fb @ power
     fallback = False
     if frame_mask is not None:

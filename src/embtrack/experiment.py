@@ -4,30 +4,33 @@ The config holds only what a caller sets: the master seed, the number of
 scene worker processes, the swept scene parameters (DatasetConfig; the rest
 of the scene model is SceneSpec's defaults), the sweep (RunConfig: tracker,
 beamformers, durations, pool sizes M, MVDR noise covariance source) and the
-eval settings. The tracker frame period is tracking.DEFAULT_HOP_S and the
-"est" front-end's corruption is the default tracking.NoiseModel, as in the
-library's run_pipeline. ExperimentConfig.validate checks each field's
-declared type before its value; either kind of bad value is a ConfigError.
+eval settings. Neither time grid is a setting, here or in the library:
+tracker frames are tracking.DEFAULT_HOP_S long and the analysis grid is
+dsp.stft_grid's. The "est" front-end's corruption is the default
+tracking.NoiseModel, as in the library's run_pipeline.
+ExperimentConfig.validate checks each field's declared type before its
+value; either kind of bad value is a ConfigError.
 
 All randomness derives from one master seed. A scene's seed is
 derive_seed(master, index, "scene"); running it calls the library's seeded
 front-end, reassignment.track_and_enroll, with key (master, index), so every
-later stage seed is derive_seed(master, index, stage[, m]), the same rule the
-library uses. Every sweep cell therefore sees the same scenes, tracks and
-pools, and paired comparisons are meaningful. Each M's trajectories are
+later stage seed is derive_seed(master, index, stage[, m]), the same rule
+the library uses. Every sweep cell therefore sees the same scenes, tracks
+and pools, and paired comparisons are meaningful. Each M's trajectories are
 segmented once per scene and shared by that M's cells
-(reassignment.reassign_scene). run and eval take the dataset section from the
-dataset's manifest, and eval takes the run section from the results'
+(reassignment.reassign_scene). run and eval take the dataset section from
+the dataset's manifest, and eval takes the run section from the results'
 run_manifest.json; a manifest whose section this config cannot read is a
-DataError. run checks each mixture against the manifest's sha256 before
-reading it. Its run_manifest.json is written before the first scene and binds
-the results directory to one master seed, run section and dataset; a rerun
-that differs in any of them is refused. Completed scene/cell outputs are
-marked on disk and skipped on resume. eval is one pass over the scenes: it
-reads each scene's ground truth once, scores each M's `before` tracks once
-(every cell of that M carries that one report) and each cell's `after`
-tracks, and refuses a cell without its marker, or results whose
-run_manifest.json binds them to another master seed or dataset.
+DataError. run reads each mixture once and checks its bytes against the
+manifest's sha256 before parsing them. Its run_manifest.json is written
+before the first scene and binds the results directory to one master seed,
+run section and dataset; a rerun that differs in any of them is refused.
+Completed scene/cell outputs are marked on disk and skipped on resume. eval
+is one pass over the scenes: it reads each scene's ground truth once, scores
+each M's `before` tracks once (every cell of that M carries that one report)
+and each cell's `after` tracks, and refuses a cell without its marker, or
+results whose run_manifest.json binds them to another master seed or
+dataset.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ from .reassignment import (
 )
 from .scene import SceneSpec, simulate
 from .seeding import derive_seed
-from .tracking import DEFAULT_HOP_S
 
 COMPLETE_MARKER = "COMPLETE"
 
@@ -330,10 +332,8 @@ def _run_one(args: tuple) -> str:
     if not cells and not tracks_missing:
         return scene_id
 
-    if _read(_sha256_file, scene_dir / "mixture.wav") != sha256:
-        raise DataError(f"{scene_dir / 'mixture.wav'} does not match the sha256 in the dataset manifest")
     wet = any(reads_wet(bf, run.noise_cov) for _, bf, _ in cells)
-    scene, _spec = _read(lambda path: fileio.read_scene(path, wet), scene_dir)
+    scene, _spec = _read(lambda path: fileio.read_scene(path, wet, sha256=sha256), scene_dir)
     tracks_by_m, pool = track_and_enroll(
         scene, (cfg.master_seed, index), run.tracker, run.enrollment_sizes, distractors=distractors
     )
@@ -447,7 +447,7 @@ def cmd_eval(
 
         def score(path: Path):
             trajectories = _read(fileio.read_trajectories, path)
-            return evaluate_scene(gt, trajectories, spec.duration, DEFAULT_HOP_S, cfg.eval.alpha_deg)
+            return evaluate_scene(gt, trajectories, spec.duration, alpha_deg=cfg.eval.alpha_deg)
 
         for m, per_scene in before.items():
             per_scene.append(score(result_dir / f"tracks_{run.tracker}_m{m}.jsonl"))

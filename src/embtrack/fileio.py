@@ -12,12 +12,15 @@ A WAV file holds one FoaSignal, little-endian throughout:
 
 read_wav walks the chunks in any order, skips the ones it does not know
 (an odd-sized chunk is followed by a pad byte) and accepts only 4-channel
-32-bit float audio; anything else is a ValueError.
+32-bit float audio; anything else is a ValueError. Given a sha256, it hashes
+the bytes it read and checks them before it parses them, so a file whose
+hash is checked is read once.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import struct
@@ -55,8 +58,11 @@ def write_wav(path: str | Path, signal: FoaSignal) -> None:
         f.write(data)
 
 
-def read_wav(path: str | Path) -> FoaSignal:
-    raw = memoryview(Path(path).read_bytes())
+def read_wav(path: str | Path, *, sha256: str | None = None) -> FoaSignal:
+    raw = Path(path).read_bytes()
+    if sha256 is not None and hashlib.sha256(raw).hexdigest() != sha256:
+        raise ValueError(f"{path} does not match sha256 {sha256}")
+    raw = memoryview(raw)
     if raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise ValueError(f"{path}: not a RIFF/WAVE file")
     chunks = {}
@@ -159,12 +165,15 @@ def write_scene(scene_dir: str | Path, scene: Scene, spec: SceneSpec) -> None:
     write_ground_truth(scene_dir / "ground_truth.json", scene.ground_truth, spec)
 
 
-def read_scene(scene_dir: str | Path, wet: bool = True) -> tuple[Scene, SceneSpec]:
+def read_scene(
+    scene_dir: str | Path, wet: bool = True, *, sha256: str | None = None
+) -> tuple[Scene, SceneSpec]:
     """The scene write_scene wrote; with wet False its speakerNN.wav files are
-    not read and scene.wet is empty."""
+    not read and scene.wet is empty. sha256, when given, is the hash the
+    mixture.wav bytes must have (read_wav checks it before parsing them)."""
     scene_dir = Path(scene_dir)
     ground_truth, spec = read_ground_truth(scene_dir / "ground_truth.json")
-    mixture = read_wav(scene_dir / "mixture.wav")
+    mixture = read_wav(scene_dir / "mixture.wav", sha256=sha256)
     speakers = range(len(ground_truth)) if wet else ()
     signals = [read_wav(scene_dir / f"speaker{j:02d}.wav") for j in speakers]
     return Scene(mixture, signals, ground_truth), spec
@@ -176,7 +185,8 @@ def trajectories_to_jsonl(trajectories: list[Trajectory]) -> str:
     Also the import format for trajectories produced by external trackers.
     Frame indices count tracker frames of tracking.DEFAULT_HOP_S = 0.1 s
     from the scene's start: frame i spans [0.1 i, 0.1 (i + 1)) s and is
-    scored at its centre. run and eval read every trajectory on that grid.
+    scored at its centre. That period is a constant, not a parameter, so
+    the library, run and eval all read every trajectory on that one grid.
     """
     lines = []
     for traj in trajectories:

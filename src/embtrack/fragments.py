@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DoA, doa_from_unit_vector, spherical_mean
-from .tracking import Trajectory
+from .tracking import DEFAULT_HOP_S, Trajectory
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,6 @@ class Fragment:
     doas: list[DoA]
     representative_doa: DoA
     overlapped_frames: tuple[int, ...] = ()
-
-    @property
-    def num_frames(self) -> int:
-        return self.offset_frame - self.onset_frame + 1
 
     def overlaps(self, other: "Fragment") -> bool:
         return self.onset_frame <= other.offset_frame and other.onset_frame <= self.offset_frame
@@ -111,26 +107,24 @@ def segment(trajectories: list[Trajectory]) -> list[Fragment]:
     ]
 
 
-def extraction_window(
-    fragment: Fragment, policy: DurationPolicy, hop: float
-) -> tuple[float, float]:
+def extraction_window(fragment: Fragment, policy: DurationPolicy) -> tuple[float, float]:
     """Time window (seconds) of the fragment used for embedding extraction.
 
     Prefix windows start at the fragment onset and are clipped to its end;
     fragments shorter than the prefix are used whole.
     """
-    start = fragment.onset_frame * hop
-    end = (fragment.offset_frame + 1) * hop
+    start = fragment.onset_frame * DEFAULT_HOP_S
+    end = (fragment.offset_frame + 1) * DEFAULT_HOP_S
     if policy.is_whole:
         return start, end
     return start, min(end, start + policy.prefix_ms / 1000.0)
 
 
-def window_doa(fragment: Fragment, policy: DurationPolicy, hop: float) -> DoA:
+def window_doa(fragment: Fragment, policy: DurationPolicy) -> DoA:
     """Beam-steering direction: spherical mean of the DoAs inside the window."""
     if policy.is_whole:
         return fragment.representative_doa
-    _, end = extraction_window(fragment, policy, hop)
-    last = min(fragment.offset_frame, int(np.ceil(end / hop)) - 1)
+    _, end = extraction_window(fragment, policy)
+    last = min(fragment.offset_frame, int(np.ceil(end / DEFAULT_HOP_S)) - 1)
     count = max(1, last - fragment.onset_frame + 1)
     return _mean_doa(fragment.doas[:count])

@@ -32,10 +32,6 @@ class FrameMatching:
     unmatched_pred: list[list[Hashable]] = field(default_factory=list)
 
     @property
-    def num_frames(self) -> int:
-        return len(self.matches)
-
-    @property
     def tp(self) -> int:
         return sum(len(m) for m in self.matches)
 
@@ -235,13 +231,13 @@ def evaluate_scene(
     ground_truth: list[SpeakerGroundTruth],
     trajectories: list[Trajectory],
     duration: float,
-    hop: float,
+    *,
     alpha_deg: float = DEFAULT_ALPHA_DEG,
 ) -> SceneMetrics:
     """All metrics for one scene's predictions against its ground truth."""
-    n_frames = num_frames(duration, hop)
+    n_frames = num_frames(duration)
     matching = match_frames(
-        gt_frame_doas(ground_truth, hop, n_frames),
+        gt_frame_doas(ground_truth, n_frames),
         prediction_frame_doas(trajectories, n_frames),
         alpha_deg,
     )

@@ -4,11 +4,14 @@ Fragments are visited first-in-first-out (by onset). Each one takes the
 enrolled identity with the highest cosine similarity among the identities not
 already assigned to a temporally overlapping fragment.
 
-The spectral work is done once per scene: reassign_scene takes one STFT of
-the 4-channel mixture (foa_stft, 32 ms windows, 16 ms hop), and a fragment's
-extraction window reads the frames of that grid whose centre lies in it. The
-beamformers weight those frames per bin, and the embedder pools log-mel
-statistics straight from the beam's |Y|^2; nothing is resynthesised.
+Both time grids are fixed: tracker frames of tracking.DEFAULT_HOP_S and the
+32 ms / 16 ms analysis grid of dsp.stft_grid; an analysis frame belongs to
+the tracker frame its centre lies in (analysis_frame_tracker_frames). The
+spectral work is done once per scene: reassign_scene takes one STFT of the
+4-channel mixture (foa_stft), and a fragment's extraction window reads the
+frames of that grid whose centre lies in it. The beamformers weight those
+frames per bin, and the embedder pools log-mel statistics straight from the
+beam's |Y|^2; nothing is resynthesised.
 
 Every fragment is embedded. A window in which fewer than MIN_EMBED_FRAMES
 frame centres lie (a prefix or tracker frame shorter than 64 ms, or the
@@ -54,12 +57,13 @@ from .beamforming import (
     nearest_speaker_index,
     oracle_noise_reference,
 )
-from .dsp import StftConfig, stft
+from .dsp import stft, stft_grid
 from .embedding import (
     MIN_EMBED_FRAMES,
     Embedding,
     EnrollmentPool,
     analysis_frame_centers,
+    analysis_frame_tracker_frames,
     build_enrollment,
     embed_power,
 )
@@ -67,7 +71,6 @@ from .fragments import DurationPolicy, Fragment, extraction_window, segment, win
 from .scene import Scene
 from .seeding import derive_seed
 from .tracking import (
-    DEFAULT_HOP_S,
     Trajectory,
     est_tracker_config,
     gt_tracker_config,
@@ -110,7 +113,6 @@ def reassign(
     fragments: list[Fragment],
     fragment_embeddings: dict[int, Embedding],
     pool: EnrollmentPool,
-    hop: float = DEFAULT_HOP_S,
     policy: DurationPolicy = DurationPolicy(),
 ) -> AssignmentResult:
     """FIFO assignment with overlap exclusion.
@@ -160,7 +162,7 @@ def reassign(
                 identity=identity,
                 score=score,
                 excluded=excluded,
-                window=extraction_window(frag, policy, hop),
+                window=extraction_window(frag, policy),
                 pooled_frames=emb.pooled_frames,
                 pooling_fallback=emb.pooling_fallback,
                 runner_up=runner_up,
@@ -213,7 +215,7 @@ def extract_fragment_embedding(
     frag: Fragment,
     policy: DurationPolicy,
     beamformer: str,
-    hop: float = DEFAULT_HOP_S,
+    *,
     noise_cov_source: str = "oracle",
     gated_covariance: Callable[[int], tuple[np.ndarray, bool]] | None = None,
     diagnostics: MvdrDiagnostics | None = None,
@@ -234,9 +236,9 @@ def extract_fragment_embedding(
     set); the oracle covariance is estimated per fragment, from the STFT of
     its own window's reference.
     """
-    window = extraction_window(frag, policy, hop)
-    steer = window_doa(frag, policy, hop)
-    frames, free = _window_frames(frag, window, scene.mixture.num_samples, scene.sample_rate, hop)
+    window = extraction_window(frag, policy)
+    steer = window_doa(frag, policy)
+    frames, free = _window_frames(frag, window, scene.mixture.num_samples, scene.sample_rate)
     if beamformer == "ideal":
         beam = beamform_ideal(scene.wet, scene.ground_truth, steer, window, frames)
         free = None
@@ -247,9 +249,7 @@ def extract_fragment_embedding(
             midpoint = 0.5 * (window[0] + window[1])
             target = nearest_speaker_index(scene.ground_truth, steer, midpoint)
             noise = oracle_noise_reference(scene.mixture, scene.wet, target, window)
-            cfg = StftConfig()
-            spec = stft(noise, cfg.window_samples(scene.sample_rate), cfg.hop_samples(scene.sample_rate))
-            noise_cov = band_covariances(spec)
+            noise_cov = band_covariances(stft(noise, *stft_grid(scene.sample_rate)))
         elif noise_cov_source == "gated":
             noise_cov, full_mixture = gated_covariance(frag.source_track_id)
             if full_mixture and diagnostics is not None:
@@ -263,7 +263,7 @@ def extract_fragment_embedding(
 
 
 def _window_frames(
-    frag: Fragment, window: tuple[float, float], num_samples: int, sample_rate: int, hop: float
+    frag: Fragment, window: tuple[float, float], num_samples: int, sample_rate: int
 ) -> tuple[slice, np.ndarray]:
     """The analysis frames of the scene grid whose centre lies in the window,
     as a slice of the frame axis, and for each of them whether its centre
@@ -279,17 +279,17 @@ def _window_frames(
     if stop - start < MIN_EMBED_FRAMES:
         start = max(0, min(start, len(centers) - MIN_EMBED_FRAMES))
         stop = start + MIN_EMBED_FRAMES
-    tracker_frames = np.floor(centers[start:stop] / (hop * sample_rate)).astype(int)
+    tracker_frames = analysis_frame_tracker_frames(num_samples, sample_rate)[start:stop]
     return slice(start, stop), ~np.isin(tracker_frames, frag.overlapped_frames)
 
 
 def _gated_covariances(
-    scene: Scene, mixture_stft: np.ndarray | None, trajectories: list[Trajectory], hop: float
+    scene: Scene, mixture_stft: np.ndarray | None, trajectories: list[Trajectory]
 ) -> Callable[[int], tuple[np.ndarray, bool]]:
     """Track id -> (band covariance of the frames of mixture_stft whose centre
     lies in a tracker frame where that track is inactive, whether the mask
     fell back to every frame), estimated on first use and kept for later ones."""
-    all_frames = set(range(num_frames(scene.duration, hop)))
+    all_frames = set(range(num_frames(scene.duration)))
     by_id = {traj.track_id: traj for traj in trajectories}
     covariances: dict[int, tuple[np.ndarray, bool]] = {}
 
@@ -297,7 +297,7 @@ def _gated_covariances(
         if track_id not in covariances:
             active = {t for t, _, a in by_id[track_id].frames if a}
             inactive = sorted(all_frames - active)
-            mask = gated_noise_reference(scene.mixture, inactive, hop)
+            mask = gated_noise_reference(scene.mixture, inactive)
             covariances[track_id] = band_covariances(mixture_stft, mask), bool(mask.all())
         return covariances[track_id]
 
@@ -309,7 +309,6 @@ def track_and_enroll(
     key: tuple[int | str, ...],
     tracker_variant: str,
     enrollment_sizes: Sequence[int],
-    hop: float = DEFAULT_HOP_S,
     distractors: list[tuple[str, Embedding]] | None = None,
 ) -> tuple[dict[int, list[Trajectory]], EnrollmentPool]:
     """The seeded front-end: observe once, track once per M, enroll once.
@@ -322,11 +321,11 @@ def track_and_enroll(
     since scene speakers come first and distractors are shared.
     """
     if tracker_variant == "gt":
-        observations = observe_gt(scene.ground_truth, hop, scene.duration)
+        observations = observe_gt(scene.ground_truth, scene.duration)
         maker = gt_tracker_config
     elif tracker_variant == "est":
         seed = derive_seed(*key, "observe")
-        observations = observe_est(scene.ground_truth, hop, seed=seed, duration=scene.duration)
+        observations = observe_est(scene.ground_truth, seed=seed, duration=scene.duration)
         maker = est_tracker_config
     else:
         raise ValueError(f"unknown tracker variant {tracker_variant!r}")
@@ -348,7 +347,6 @@ def reassign_scene(
     tracks_by_m: dict[int, list[Trajectory]],
     pool: EnrollmentPool,
     cells: Sequence[tuple[int, str, DurationPolicy, str]],
-    hop: float = DEFAULT_HOP_S,
 ) -> Iterator[PipelineResult]:
     """The post-tracking step: segment -> window -> beamform -> embed -> reassign.
 
@@ -368,7 +366,7 @@ def reassign_scene(
     if any(cell[1] != "ideal" for cell in cells):
         mixture_stft = foa_stft(scene.mixture)
     segmented = {
-        m: (segment(tracks_by_m[m]), _gated_covariances(scene, mixture_stft, tracks_by_m[m], hop))
+        m: (segment(tracks_by_m[m]), _gated_covariances(scene, mixture_stft, tracks_by_m[m]))
         for m in {cell[0] for cell in cells}
     }
 
@@ -378,13 +376,13 @@ def reassign_scene(
         diagnostics = MvdrDiagnostics(gated_fallback_tracks=set() if gated else None)
         embeddings = {
             frag.fragment_id: extract_fragment_embedding(
-                scene, mixture_stft, frag, policy, beamformer, hop, noise_cov_source,
-                gated_covariance, diagnostics,
+                scene, mixture_stft, frag, policy, beamformer, noise_cov_source=noise_cov_source,
+                gated_covariance=gated_covariance, diagnostics=diagnostics,
             )
             for frag in fragments
         }
         m_pool = EnrollmentPool(pool.entries[:m])
-        assignment = reassign(fragments, embeddings, m_pool, hop, policy)
+        assignment = reassign(fragments, embeddings, m_pool, policy)
         yield PipelineResult(tracks_by_m[m], fragments, m_pool, assignment, diagnostics)
 
 
@@ -395,7 +393,7 @@ def run_pipeline(
     policy: DurationPolicy = DurationPolicy(),
     m: int = 2,
     seed: int = 0,
-    hop: float = DEFAULT_HOP_S,
+    *,
     noise_cov_source: str = "oracle",
 ) -> PipelineResult:
     """track -> segment -> window -> beamform -> embed -> reassign for one cell.
@@ -404,6 +402,6 @@ def run_pipeline(
     be evaluated as a pair. Deterministic for a given seed: the stage seeds
     are track_and_enroll's with key (seed,).
     """
-    tracks_by_m, pool = track_and_enroll(scene, (seed,), tracker_variant, [m], hop)
+    tracks_by_m, pool = track_and_enroll(scene, (seed,), tracker_variant, [m])
     cell = (m, beamformer, policy, noise_cov_source)
-    return next(reassign_scene(scene, tracks_by_m, pool, [cell], hop))
+    return next(reassign_scene(scene, tracks_by_m, pool, [cell]))

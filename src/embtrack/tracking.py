@@ -97,19 +97,18 @@ class NoiseModel:
             raise ValueError("false_alarm_rate must be >= 0")
 
 
-def num_frames(duration: float, hop: float) -> int:
+def num_frames(duration: float) -> int:
     """Tracker frames in a scene of the given duration."""
-    return int(round(duration / hop))
+    return int(round(duration / DEFAULT_HOP_S))
 
 
-def gt_frame_doas(
-    ground_truth: list[SpeakerGroundTruth], hop: float, n_frames: int
-) -> list[dict[int, DoA]]:
+def gt_frame_doas(ground_truth: list[SpeakerGroundTruth], n_frames: int) -> list[dict[int, DoA]]:
     """Active GT speaker DoAs per frame, in ground-truth order: a speaker is
-    active in frame t when it is active at the frame centre (t + 0.5) * hop."""
+    active in frame t when it is active at the frame centre, (t + 0.5)
+    DEFAULT_HOP_S."""
     frames: list[dict[int, DoA]] = []
     for t in range(n_frames):
-        center = (t + 0.5) * hop
+        center = (t + 0.5) * DEFAULT_HOP_S
         frames.append(
             {gt.speaker_id: doa for gt in ground_truth if (doa := gt.doa_at(center)) is not None}
         )
@@ -117,22 +116,19 @@ def gt_frame_doas(
 
 
 def observe_gt(
-    ground_truth: list[SpeakerGroundTruth],
-    hop: float = DEFAULT_HOP_S,
-    duration: float | None = None,
+    ground_truth: list[SpeakerGroundTruth], duration: float | None = None
 ) -> list[ObservationFrame]:
     """One exact detection per active speaker per frame (frame-center rule)."""
     if duration is None:
         duration = max((seg[1] for gt in ground_truth for seg in gt.segments), default=0.0)
     return [
         ObservationFrame(t, [(doa, 1.0) for doa in doas.values()])
-        for t, doas in enumerate(gt_frame_doas(ground_truth, hop, num_frames(duration, hop)))
+        for t, doas in enumerate(gt_frame_doas(ground_truth, num_frames(duration)))
     ]
 
 
 def observe_est(
     ground_truth: list[SpeakerGroundTruth],
-    hop: float = DEFAULT_HOP_S,
     noise_model: NoiseModel = NoiseModel(),
     seed: int = 0,
     duration: float | None = None,
@@ -141,7 +137,7 @@ def observe_est(
     Poisson false alarms drawn uniformly on the sphere."""
     rng = np.random.default_rng(seed)
     frames = []
-    for frame in observe_gt(ground_truth, hop, duration):
+    for frame in observe_gt(ground_truth, duration):
         detections: list[tuple[DoA, float]] = []
         for doa, conf in frame.detections:
             if rng.random() < noise_model.miss_prob:

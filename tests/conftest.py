@@ -10,8 +10,8 @@ PANEL_SR = 16000
 
 def cosine(a: Embedding, b: Embedding) -> float:
     """Cosine similarity of two unit-norm embeddings, in [-1, 1]."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if a.vector.shape != b.vector.shape:
+        raise ValueError(f"dimension mismatch: {a.vector.shape} vs {b.vector.shape}")
     return float(np.clip(np.dot(a.vector, b.vector), -1.0, 1.0))
 
 

@@ -33,7 +33,6 @@ from embtrack.tracking import (
 from conftest import cosine, encode_foa
 from test_metrics import brute_force_match, matching_from_pairs
 
-HOP = 0.1
 MASTER = 20_25
 N_SCENES = 50
 
@@ -53,16 +52,16 @@ def run_suite(scenes, cells, m, distractors, tag):
     after = {cell: [] for cell in cells}
     specs = [(m, bf, DurationPolicy.parse(dur), source) for bf, dur, source in cells]
     for i, scene in enumerate(scenes):
-        observations = observe_gt(scene.ground_truth, HOP, scene.duration)
+        observations = observe_gt(scene.ground_truth, scene.duration)
         cfg = gt_tracker_config(m, derive_seed(MASTER, tag, i, "tracker"))
         trajectories = track(observations, cfg)
-        before.append(evaluate_scene(scene.ground_truth, trajectories, scene.duration, HOP))
+        before.append(evaluate_scene(scene.ground_truth, trajectories, scene.duration))
         pool = build_enrollment(
             scene.voices, m, derive_seed(MASTER, tag, i, "enroll"), distractors=distractors
         )
-        results = reassign_scene(scene, {m: trajectories}, pool, specs, HOP)
+        results = reassign_scene(scene, {m: trajectories}, pool, specs)
         for cell, result in zip(cells, results):
-            after[cell].append(evaluate_scene(scene.ground_truth, result.after, scene.duration, HOP))
+            after[cell].append(evaluate_scene(scene.ground_truth, result.after, scene.duration))
     return before, after
 
 
@@ -382,8 +381,8 @@ class TestCriterion9TrackerSanity:
         voice = VoiceParams(120.0, -6.0, (), 3.0)
         gt = SpeakerGroundTruth(0, voice)
         gt.segments = [(0.0, 20.0, DoA(40, 10))]
-        trajectories = track(observe_gt([gt], HOP), gt_tracker_config(2, seed=0))
-        metrics = evaluate_scene([gt], trajectories, 20.0, HOP)
+        trajectories = track(observe_gt([gt]), gt_tracker_config(2, seed=0))
+        metrics = evaluate_scene([gt], trajectories, 20.0)
         static_ok = (
             len(trajectories) == 1
             and metrics.le <= 5.0
@@ -392,7 +391,7 @@ class TestCriterion9TrackerSanity:
         )
 
         frames = observe_est(
-            [gt], HOP, NoiseModel(kappa_error=124.0, miss_prob=0.0, false_alarm_rate=0.0), seed=1
+            [gt], NoiseModel(kappa_error=124.0, miss_prob=0.0, false_alarm_rate=0.0), seed=1
         )
         errors = [
             angular_distance(f.detections[0][0], DoA(40, 10)) for f in frames

@@ -346,14 +346,12 @@ class TestNoiseReferences:
     # tracker frames 2-4 and 12. Analysis frame k (centre 256 k + 256 samples)
     # lies in tracker frame floor(centre / 1600), so frames 2-4 hold the
     # analysis frames 12-30 and frame 12 holds 74-80.
-    HOP = 0.1
-
     def gated_mask(self, active, min_duration=0.5):
         rng = np.random.default_rng(14)
         mixture = FoaSignal(rng.standard_normal((4, 2 * SR)), SR)
         track = Trajectory(0, [(t, DoA(30, 0), t in active) for t in range(20)])
         inactive = [t for t, _, a in track.frames if not a]
-        return gated_noise_reference(mixture, inactive, self.HOP, min_duration)
+        return gated_noise_reference(mixture, inactive, min_duration=min_duration)
 
     def test_gated_uses_inactive_frames(self):
         mask = self.gated_mask({2, 3, 4, 12})
@@ -431,7 +429,7 @@ class TestBandCovariances:
         inactive = [t for t in range(300) if not 100 <= t < 200]
         tracemalloc.start()
         try:
-            cov = band_covariances(spec, gated_noise_reference(mixture, inactive, 0.1))
+            cov = band_covariances(spec, gated_noise_reference(mixture, inactive))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -27,7 +27,7 @@ from embtrack.geometry import DoA
 from embtrack.metrics import aggregate_report, evaluate_scene
 from embtrack.scene import FoaSignal, SceneSpec, simulate
 from embtrack.seeding import derive_seed
-from embtrack.tracking import DEFAULT_HOP_S, Trajectory
+from embtrack.tracking import Trajectory
 
 SMALL = {
     "master_seed": 7,
@@ -128,6 +128,15 @@ class TestFileIo:
         raw = raw[:4] + (len(raw) - 8).to_bytes(4, "little") + raw[8:]
         (tmp_path / "y.wav").write_bytes(raw)
         assert np.array_equal(fileio.read_wav(tmp_path / "y.wav").channels, channels)
+
+    def test_wav_reader_checks_the_sha256_of_the_bytes_it_parses(self, tmp_path):
+        channels = np.arange(12.0).reshape(4, 3)
+        path = tmp_path / "x.wav"
+        fileio.write_wav(path, FoaSignal(channels, 16000))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert np.array_equal(fileio.read_wav(path, sha256=digest).channels, channels)
+        with pytest.raises(ValueError, match="does not match sha256"):
+            fileio.read_wav(path, sha256=hashlib.sha256(b"other").hexdigest())
 
     def test_spec_and_voice_round_trip(self, tmp_path):
         spec = SceneSpec(
@@ -371,6 +380,17 @@ class TestRun:
         argv = ["run", "--dataset", str(copy), "--out", str(tmp_path / "results")]
         assert main(argv + ["--beamformers", "ideal", "--durations", "whole"]) == 3
 
+    def test_resuming_a_complete_run_reads_no_scene_file(self, one_scene, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(one_scene, data)
+        results = tmp_path / "results"
+        argv = ["run", "--dataset", str(data), "--out", str(results)]
+        assert main(argv) == 0
+        before = tree_bytes(results)
+        (data / "scenes" / "scene_0000" / "mixture.wav").unlink()
+        assert main(argv) == 0
+        assert tree_bytes(results) == before
+
     @pytest.mark.parametrize(
         "flags, code",
         [
@@ -488,7 +508,7 @@ class TestEval:
                 gt, spec = fileio.read_ground_truth(data / "scenes" / scene / "ground_truth.json")
                 before = fileio.read_trajectories(results / scene / f"tracks_gt_m{m}.jsonl")
                 per_scene.append(
-                    evaluate_scene(gt, before, spec.duration, DEFAULT_HOP_S, cfg.eval.alpha_deg)
+                    evaluate_scene(gt, before, spec.duration, alpha_deg=cfg.eval.alpha_deg)
                 )
             expected[m] = aggregate_report(
                 per_scene,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from embtrack.dsp import StftConfig, istft, num_full_frames, periodic_hann, stft
+from embtrack.dsp import istft, num_full_frames, periodic_hann, stft, stft_grid
 
 
 def test_periodic_hann_cola_at_half_overlap():
@@ -49,9 +49,7 @@ def test_unpadded_stft_rejects_short_signal():
 
 
 def test_config_sample_counts():
-    cfg = StftConfig()
-    assert cfg.window_samples(16000) == 512
-    assert cfg.hop_samples(16000) == 256
+    assert stft_grid(16000) == (512, 256)
 
 
 def framed_stft(x, n_window, n_hop, pad):

@@ -7,6 +7,7 @@ from embtrack.embedding import (
     EnrollmentPool,
     ShortInputError,
     analysis_frame_centers,
+    analysis_frame_tracker_frames,
     build_distractors,
     build_enrollment,
     embed,
@@ -35,7 +36,7 @@ class TestEmbed:
     def test_dimension_and_norm(self):
         voice = sample_voice_params(np.random.default_rng(1))
         e = embed(synthesize_voice(voice, 1.0, SR, seed=4), SR)
-        assert e.dim == 48
+        assert e.vector.shape == (48,)
         assert np.linalg.norm(e.vector) == pytest.approx(1.0, abs=1e-9)
 
     def test_gain_invariance(self):
@@ -164,6 +165,15 @@ def test_analysis_frame_centers_match_embed_frames():
     centers = analysis_frame_centers(512 + 4 * 256, SR)
     assert centers.tolist() == [256.0, 512.0, 768.0, 1024.0, 1280.0]
     assert analysis_frame_centers(500, SR).size == 0
+
+
+def test_analysis_frames_map_to_the_tracker_frame_of_their_centre():
+    # 2 s at 16 kHz: frame k is centred at 256 k + 256 samples, and a 0.1 s
+    # tracker frame is 1600 samples, so frames 12-30 lie in tracker frames 2-4
+    k = np.arange(124)
+    tracker_frames = analysis_frame_tracker_frames(2 * SR, SR)
+    assert tracker_frames.tolist() == ((256 * k + 256) // 1600).tolist()
+    assert np.flatnonzero(np.isin(tracker_frames, [2, 3, 4])).tolist() == list(range(12, 31))
 
 
 class TestCosine:

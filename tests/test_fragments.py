@@ -23,7 +23,7 @@ class TestSegment:
     def test_fully_active_single_fragment(self):
         frags = segment([traj_from_mask(0, [1] * 25)])
         assert len(frags) == 1
-        assert frags[0].num_frames == 25
+        assert frags[0].offset_frame - frags[0].onset_frame + 1 == 25
 
     def test_global_onset_order_and_ids(self):
         t0 = traj_from_mask(0, [0, 0, 1, 1, 0, 0, 0, 1, 1, 1])
@@ -107,26 +107,26 @@ class TestDurationPolicy:
 class TestExtractionWindow:
     def test_prefix_window(self):
         (frag,) = segment([traj_from_mask(0, [1] * 30)])  # 3 s at 0.1 hop
-        start, end = extraction_window(frag, DurationPolicy(750), hop=0.1)
+        start, end = extraction_window(frag, DurationPolicy(750))
         assert start == pytest.approx(0.0)
         assert end == pytest.approx(0.75)
 
     def test_short_fragment_clipped(self):
         (frag,) = segment([traj_from_mask(0, [1, 1])])  # 0.2 s
-        start, end = extraction_window(frag, DurationPolicy(250), hop=0.1)
+        start, end = extraction_window(frag, DurationPolicy(250))
         assert (start, end) == (pytest.approx(0.0), pytest.approx(0.2))
 
     def test_whole_spans_fragment(self):
         mask = [0] * 5 + [1] * 20
         (frag,) = segment([traj_from_mask(0, mask)])
-        start, end = extraction_window(frag, DurationPolicy(None), hop=0.1)
+        start, end = extraction_window(frag, DurationPolicy(None))
         assert (start, end) == (pytest.approx(0.5), pytest.approx(2.5))
 
     def test_window_stays_inside_fragment(self):
         mask = [0] * 3 + [1] * 7
         (frag,) = segment([traj_from_mask(0, mask)])
         for policy in (DurationPolicy(None), DurationPolicy(250), DurationPolicy(1500)):
-            start, end = extraction_window(frag, policy, hop=0.1)
+            start, end = extraction_window(frag, policy)
             assert start == pytest.approx(frag.onset_frame * 0.1)
             assert end <= (frag.offset_frame + 1) * 0.1 + 1e-12
 
@@ -135,7 +135,7 @@ class TestWindowDoa:
     def test_whole_uses_representative(self):
         traj = Trajectory(0, [(0, DoA(10, 0), True), (1, DoA(-10, 0), True)])
         (frag,) = segment([traj])
-        doa = window_doa(frag, DurationPolicy(None), hop=0.1)
+        doa = window_doa(frag, DurationPolicy(None))
         assert doa == frag.representative_doa
 
     def test_prefix_uses_leading_frames(self):
@@ -143,5 +143,5 @@ class TestWindowDoa:
             (i, DoA(90, 0), True) for i in range(2, 10)
         ]
         (frag,) = segment([Trajectory(0, frames)])
-        doa = window_doa(frag, DurationPolicy(200), hop=0.1)
+        doa = window_doa(frag, DurationPolicy(200))
         assert doa.azimuth == pytest.approx(0.0, abs=1e-9)

@@ -275,7 +275,7 @@ class TestBootstrap:
             gt = SpeakerGroundTruth(0, VOICE)
             gt.segments = [(0.0, 2.0, DoA(0, 0))]
             traj = Trajectory(0, [(i, DoA(0, 0), True) for i in range(20)])
-            scenes.append(evaluate_scene([gt], [traj], 2.0, 0.1))
+            scenes.append(evaluate_scene([gt], [traj], 2.0))
         report = aggregate_report(scenes, fraction=0.8, iters=100, seed=5)
         assert report.mean["assa"] == pytest.approx(1.0)
         assert report.bootstrap_std["assa"] <= 0.01
@@ -291,7 +291,7 @@ class TestEvaluateScene:
         gt = SpeakerGroundTruth(0, VOICE)
         gt.segments = [(0.0, 3.0, DoA(12, -4))]
         traj = Trajectory("spk", [(i, DoA(12, -4), True) for i in range(30)])
-        m = evaluate_scene([gt], [traj], 3.0, 0.1)
+        m = evaluate_scene([gt], [traj], 3.0)
         assert m.assa == 1.0
         assert m.le == pytest.approx(0.0, abs=1e-4)
         assert (m.tsr, m.tfr) == (0.0, 0.0)

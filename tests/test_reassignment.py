@@ -41,6 +41,22 @@ def unit(v):
     return Embedding(v / np.linalg.norm(v))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: evaluate_scene([], [], 1.0, 0.1),
+        lambda: gated_noise_reference(None, [], 0.1),
+        lambda: extract_fragment_embedding(None, None, None, DurationPolicy(), "ds", 0.1),
+        lambda: run_pipeline(None, "gt", "ds", DurationPolicy(), 2, 0, 0.1),
+    ],
+)
+def test_positional_tracker_period_is_refused(call):
+    # The tracker frame period is a constant; a call that still passes one
+    # positionally must fail, not bind it to the parameter that follows.
+    with pytest.raises(TypeError):
+        call()
+
+
 def frag(fid, track, onset, offset, doa=DoA(0, 0), overlapped=()):
     return Fragment(
         fragment_id=fid,
@@ -232,7 +248,7 @@ class TestExtractFragmentEmbedding:
     WINDOW_SAMPLES = 186 * 256 + 512
 
     def test_ideal_pools_every_frame(self, scene, spec):
-        emb = extract_fragment_embedding(scene, spec, self.OVERLAPPED, DurationPolicy(), "ideal", 0.1)
+        emb = extract_fragment_embedding(scene, spec, self.OVERLAPPED, DurationPolicy(), "ideal")
         target = nearest_speaker_index(scene.ground_truth, DoA(30, 0), 1.5)
         mono = scene.wet[target].channels[0, : self.WINDOW_SAMPLES]
         assert np.array_equal(emb.vector, embed(mono, self.SR).vector)
@@ -240,12 +256,12 @@ class TestExtractFragmentEmbedding:
         assert not emb.pooling_fallback
 
     def test_ideal_needs_no_mixture_stft(self, scene, spec):
-        with_spec = extract_fragment_embedding(scene, spec, self.OVERLAPPED, DurationPolicy(), "ideal", 0.1)
-        without = extract_fragment_embedding(scene, None, self.OVERLAPPED, DurationPolicy(), "ideal", 0.1)
+        with_spec = extract_fragment_embedding(scene, spec, self.OVERLAPPED, DurationPolicy(), "ideal")
+        without = extract_fragment_embedding(scene, None, self.OVERLAPPED, DurationPolicy(), "ideal")
         assert np.array_equal(with_spec.vector, without.vector)
 
     def test_ds_leaves_out_overlapped_frames(self, scene, spec):
-        emb = extract_fragment_embedding(scene, spec, self.OVERLAPPED, DurationPolicy(), "ds", 0.1)
+        emb = extract_fragment_embedding(scene, spec, self.OVERLAPPED, DurationPolicy(), "ds")
         mono = beamform_ds(scene.mixture, DoA(30, 0))[: self.WINDOW_SAMPLES]
         # 187 analysis frames; the 62 centred in [1.0 s, 2.0 s) are left out
         assert emb.pooled_frames == 125
@@ -257,7 +273,7 @@ class TestExtractFragmentEmbedding:
 
     def test_ds_without_overlap_pools_every_frame(self, scene, spec):
         lone = frag(0, 0, 0, 29, DoA(30, 0))
-        emb = extract_fragment_embedding(scene, spec, lone, DurationPolicy(), "ds", 0.1)
+        emb = extract_fragment_embedding(scene, spec, lone, DurationPolicy(), "ds")
         beam = beamform_ds(spec[..., : self.WINDOW_FRAMES], DoA(30, 0))
         assert np.array_equal(emb.vector, embed_power(np.abs(beam) ** 2, self.SR).vector)
         # the STFT-domain beam is the STFT of the time-domain one
@@ -266,20 +282,20 @@ class TestExtractFragmentEmbedding:
 
     def test_fully_overlapped_window_falls_back_to_all_frames(self, scene, spec):
         shared = frag(0, 0, 0, 29, DoA(30, 0), overlapped=range(30))
-        emb = extract_fragment_embedding(scene, spec, shared, DurationPolicy(250), "ds", 0.1)
+        emb = extract_fragment_embedding(scene, spec, shared, DurationPolicy(250), "ds")
         assert emb.pooling_fallback
         assert emb.pooled_frames == 15  # every frame centred in the 250 ms window
 
     def test_window_with_too_few_frames_reads_three(self, scene, spec):
-        # one 30 ms tracker frame, [0, 30 ms): only the first frame is centred
-        # in it, so the window reads the first MIN_EMBED_FRAMES frames
+        # a 30 ms prefix, [0, 30 ms): only the first frame is centred in it,
+        # so the window reads the first MIN_EMBED_FRAMES frames
         short = frag(0, 0, 0, 0, DoA(30, 0))
-        frames, _ = reassignment._window_frames(short, (0.0, 0.03), scene.mixture.num_samples, self.SR, 0.03)
+        frames, _ = reassignment._window_frames(short, (0.0, 0.03), scene.mixture.num_samples, self.SR)
         assert frames == slice(0, MIN_EMBED_FRAMES)
         for beamformer in BEAMFORMERS:
-            emb = extract_fragment_embedding(scene, spec, short, DurationPolicy(), beamformer, 0.03)
+            emb = extract_fragment_embedding(scene, spec, short, DurationPolicy(30), beamformer)
             assert emb.pooled_frames == MIN_EMBED_FRAMES
-        ideal = extract_fragment_embedding(scene, spec, short, DurationPolicy(), "ideal", 0.03)
+        ideal = extract_fragment_embedding(scene, spec, short, DurationPolicy(30), "ideal")
         target = nearest_speaker_index(scene.ground_truth, DoA(30, 0), 0.015)
         mono = scene.wet[target].channels[0, : 512 + (MIN_EMBED_FRAMES - 1) * 256]
         assert np.array_equal(ideal.vector, embed(mono, self.SR).vector)
@@ -300,7 +316,7 @@ class TestWindowFrames:
         duration = num_samples / self.SR
         window = (start * duration, min(duration, start * duration + length))
         f = frag(0, 0, 0, 0, overlapped=sorted(overlapped))
-        frames, free = reassignment._window_frames(f, window, num_samples, self.SR, hop)
+        frames, free = reassignment._window_frames(f, window, num_samples, self.SR)
         centers = analysis_frame_centers(num_samples, self.SR)
         a, b = round(window[0] * self.SR), round(window[1] * self.SR)
         assert 0 <= frames.start and frames.stop <= len(centers)
@@ -332,7 +348,7 @@ class TestWindowFrames:
         assert len(centers) == 83
         assert np.flatnonzero((centers >= 20800) & (centers < 22400)).tolist() == [81, 82]
         last = frag(0, 0, 13, 13, overlapped=[12])
-        frames, free = reassignment._window_frames(last, window, num_samples, self.SR, 0.1)
+        frames, free = reassignment._window_frames(last, window, num_samples, self.SR)
         assert frames == slice(80, 83)
         assert free.tolist() == [False, True, True]  # frame 80 is centred in tracker frame 12
 
@@ -342,8 +358,8 @@ class TestRunPipeline:
         # seed 2 produces a scene whose jumps break the tracker's identities
         scene = simulate(SceneSpec(seed=2, duration=30.0))
         result = run_pipeline(scene, "gt", "ideal", DurationPolicy(), m=2, seed=44)
-        before = evaluate_scene(scene.ground_truth, result.before, scene.duration, 0.1)
-        after = evaluate_scene(scene.ground_truth, result.after, scene.duration, 0.1)
+        before = evaluate_scene(scene.ground_truth, result.before, scene.duration)
+        after = evaluate_scene(scene.ground_truth, result.after, scene.duration)
         assert after.assa > before.assa
 
     def test_static_scene_with_perfect_tracking_is_not_damaged(self):
@@ -356,8 +372,8 @@ class TestRunPipeline:
         )
         scene = simulate(spec)
         result = run_pipeline(scene, "gt", "ideal", DurationPolicy(), m=2, seed=45)
-        before = evaluate_scene(scene.ground_truth, result.before, scene.duration, 0.1)
-        after = evaluate_scene(scene.ground_truth, result.after, scene.duration, 0.1)
+        before = evaluate_scene(scene.ground_truth, result.before, scene.duration)
+        after = evaluate_scene(scene.ground_truth, result.after, scene.duration)
         assert before.assa == pytest.approx(1.0)
         assert after.assa == pytest.approx(1.0)
 
@@ -374,7 +390,7 @@ class TestRunPipeline:
         # window reads the MIN_EMBED_FRAMES frames from its first centre
         scene = simulate(SceneSpec(seed=10, duration=8.0))
         for beamformer in ("ideal", "ds"):
-            result = run_pipeline(scene, "gt", beamformer, DurationPolicy(10), m=2, seed=47, hop=0.05)
+            result = run_pipeline(scene, "gt", beamformer, DurationPolicy(10), m=2, seed=47)
             assert len(result.assignment.assignments) == len(result.fragments)
             assert {d.pooled_frames for d in result.assignment.diagnostics} == {MIN_EMBED_FRAMES}
 
@@ -429,7 +445,7 @@ class TestGatedCovariancePerTrack:
     @pytest.fixture(scope="class")
     def inputs(self):
         scene = simulate(SceneSpec(seed=12, duration=10.0))
-        tracks_by_m, pool = track_and_enroll(scene, (51,), "gt", [2], self.HOP)
+        tracks_by_m, pool = track_and_enroll(scene, (51,), "gt", [2])
         return scene, tracks_by_m, pool
 
     @staticmethod
@@ -447,7 +463,7 @@ class TestGatedCovariancePerTrack:
     def test_one_band_covariance_per_track(self, inputs, monkeypatch):
         scene, tracks_by_m, pool = inputs
         calls = self.count_calls(monkeypatch, "band_covariances")
-        results = list(reassign_scene(scene, tracks_by_m, pool, self.GATED, self.HOP))
+        results = list(reassign_scene(scene, tracks_by_m, pool, self.GATED))
         tracks = {f.source_track_id for f in results[0].fragments}
         assert len(results[0].fragments) > len(tracks)  # fragments share tracks
         assert len(calls) == len(tracks)
@@ -457,14 +473,14 @@ class TestGatedCovariancePerTrack:
         calls = self.count_calls(monkeypatch, "band_covariances")
         gated = self.count_calls(monkeypatch, "gated_noise_reference")
         cells = [(2, "ds", DurationPolicy(), "gated"), (2, "mvdr", DurationPolicy(), "oracle")]
-        results = list(reassign_scene(scene, tracks_by_m, pool, cells, self.HOP))
+        results = list(reassign_scene(scene, tracks_by_m, pool, cells))
         assert gated == []
         assert len(calls) == len(results[1].fragments)  # the oracle's own window, per fragment
 
     def test_equals_per_fragment_estimation(self, inputs, monkeypatch):
         scene, tracks_by_m, pool = inputs
         reassign_calls = self.count_calls(monkeypatch, "reassign")  # (fragments, embeddings, ...)
-        results = list(reassign_scene(scene, tracks_by_m, pool, self.GATED, self.HOP))
+        results = list(reassign_scene(scene, tracks_by_m, pool, self.GATED))
         num_frames = int(round(scene.duration / self.HOP))
         inactive = {
             traj.track_id: sorted(set(range(num_frames)) - {t for t, _, a in traj.frames if a})
@@ -474,7 +490,7 @@ class TestGatedCovariancePerTrack:
         spec = foa_stft(scene.mixture)
 
         def per_fragment(track_id):
-            mask = gated_noise_reference(scene.mixture, inactive[track_id], self.HOP)
+            mask = gated_noise_reference(scene.mixture, inactive[track_id])
             return band_covariances(spec, mask), bool(mask.all())
 
         for (_m, _bf, policy, _src), result, (fragments, got, *_) in zip(
@@ -483,7 +499,8 @@ class TestGatedCovariancePerTrack:
             diagnostics = MvdrDiagnostics(gated_fallback_tracks=set())
             for f in fragments:
                 expected = extract_fragment_embedding(
-                    scene, spec, f, policy, "mvdr", self.HOP, "gated", per_fragment, diagnostics
+                    scene, spec, f, policy, "mvdr", noise_cov_source="gated",
+                    gated_covariance=per_fragment, diagnostics=diagnostics,
                 )
                 assert np.array_equal(got[f.fragment_id].vector, expected.vector)
                 assert got[f.fragment_id].pooled_frames == expected.pooled_frames
@@ -503,7 +520,7 @@ class TestGatedCovariancePerTrack:
         for module in (dsp, beamforming, embedding, reassignment):
             if getattr(module, "stft", None) is original:
                 monkeypatch.setattr(module, "stft", counted)
-        results = list(reassign_scene(scene, tracks_by_m, pool, self.GATED, self.HOP))
+        results = list(reassign_scene(scene, tracks_by_m, pool, self.GATED))
         assert results[0].mvdr_diagnostics.total_bands > 0
         assert len(calls) == 4  # foa_stft's four channels, and nothing else
 
@@ -512,13 +529,13 @@ class TestGatedCovariancePerTrack:
         n = int(round(scene.duration / self.HOP))
         whole = Trajectory(7, [(t, DoA(40, 0), True) for t in range(n)])
         gapped = Trajectory(8, [(t, DoA(-60, 0), t < n // 2) for t in range(n)])
-        results = list(reassign_scene(scene, {2: [whole, gapped]}, pool, self.GATED, self.HOP))
+        results = list(reassign_scene(scene, {2: [whole, gapped]}, pool, self.GATED))
         for result in results:
             assert result.mvdr_diagnostics.gated_fallback_tracks == {7}
             doc = assignment_to_dict(result.assignment, result.mvdr_diagnostics)
             assert doc["mvdr_gated_fallback_tracks"] == 1
         ds_cell = [(2, "ds", DurationPolicy(), "gated")]
-        ds = next(reassign_scene(scene, {2: [whole, gapped]}, pool, ds_cell, self.HOP))
+        ds = next(reassign_scene(scene, {2: [whole, gapped]}, pool, ds_cell))
         assert ds.mvdr_diagnostics.gated_fallback_tracks is None
         doc = assignment_to_dict(ds.assignment, ds.mvdr_diagnostics)
         assert "mvdr_gated_fallback_tracks" not in doc

@@ -37,7 +37,7 @@ def make_gt(segments_by_speaker):
 class TestObserveGt:
     def test_single_speaker_every_frame(self):
         gt = make_gt([[(0.0, 2.0, DoA(30, 0))]])
-        frames = observe_gt(gt, hop=0.1)
+        frames = observe_gt(gt)
         assert len(frames) == 20
         for i, frame in enumerate(frames):
             assert frame.frame_index == i
@@ -48,7 +48,7 @@ class TestObserveGt:
 
     def test_inactive_frames_empty(self):
         gt = make_gt([[(0.5, 1.0, DoA(0, 0))]])
-        frames = observe_gt(gt, hop=0.1, duration=2.0)
+        frames = observe_gt(gt, duration=2.0)
         assert len(frames) == 20
         assert frames[0].detections == []
         assert len(frames[7].detections) == 1
@@ -56,16 +56,16 @@ class TestObserveGt:
 
     def test_two_active_speakers_two_detections(self):
         gt = make_gt([[(0.0, 1.0, DoA(10, 0))], [(0.0, 1.0, DoA(-60, 10))]])
-        frames = observe_gt(gt, hop=0.1)
+        frames = observe_gt(gt)
         assert all(len(f.detections) == 2 for f in frames)
 
 
 class TestObserveEst:
     def test_degenerate_noise_equals_gt(self):
         gt = make_gt([[(0.0, 1.5, DoA(25, -10))]])
-        clean = observe_gt(gt, hop=0.1)
+        clean = observe_gt(gt)
         noisy = observe_est(
-            gt, hop=0.1, noise_model=NoiseModel(math.inf, 0.0, 0.0), seed=3
+            gt, noise_model=NoiseModel(math.inf, 0.0, 0.0), seed=3
         )
         for a, b in zip(clean, noisy):
             assert a.frame_index == b.frame_index
@@ -75,26 +75,26 @@ class TestObserveEst:
 
     def test_all_missed(self):
         gt = make_gt([[(0.0, 1.0, DoA(0, 0))]])
-        frames = observe_est(gt, hop=0.1, noise_model=NoiseModel(124.0, 1.0, 0.0), seed=0)
+        frames = observe_est(gt, noise_model=NoiseModel(124.0, 1.0, 0.0), seed=0)
         assert all(f.detections == [] for f in frames)
 
     def test_mean_error_calibration(self):
         gt = make_gt([[(0.0, 300.0, DoA(40, 20))]])
-        frames = observe_est(gt, hop=0.1, noise_model=NoiseModel(124.0, 0.0, 0.0), seed=5)
+        frames = observe_est(gt, noise_model=NoiseModel(124.0, 0.0, 0.0), seed=5)
         errors = [angular_distance(f.detections[0][0], DoA(40, 20)) for f in frames]
         assert 6.0 <= float(np.mean(errors)) <= 7.0
 
     def test_false_alarm_rate(self):
         gt = make_gt([[(0.0, 200.0, DoA(0, 0))]])
-        frames = observe_est(gt, hop=0.1, noise_model=NoiseModel(124.0, 0.0, 0.5), seed=9)
+        frames = observe_est(gt, noise_model=NoiseModel(124.0, 0.0, 0.5), seed=9)
         extra = sum(len(f.detections) - 1 for f in frames)
         assert extra / len(frames) == pytest.approx(0.5, rel=0.2)
 
     def test_deterministic(self):
         gt = make_gt([[(0.0, 5.0, DoA(0, 0))]])
         model = NoiseModel(124.0, 0.1, 0.2)
-        a = observe_est(gt, 0.1, model, seed=12)
-        b = observe_est(gt, 0.1, model, seed=12)
+        a = observe_est(gt, model, seed=12)
+        b = observe_est(gt, model, seed=12)
         assert all(
             len(fa.detections) == len(fb.detections)
             and all(da == db for (da, _), (db, _) in zip(fa.detections, fb.detections))
@@ -136,10 +136,10 @@ class TestTrack:
 
     def test_single_static_source(self):
         gt = make_gt([[(0.0, 10.0, DoA(30, 10))]])
-        frames = observe_gt(gt, hop=0.1)
+        frames = observe_gt(gt)
         trajectories = track(frames, gt_tracker_config(2, seed=0))
         assert len(trajectories) == 1
-        metrics = evaluate_scene(gt, trajectories, 10.0, 0.1)
+        metrics = evaluate_scene(gt, trajectories, 10.0)
         assert metrics.le <= 5.0
         assert metrics.tsr == 0.0
         assert metrics.tfr == 0.0
@@ -147,14 +147,14 @@ class TestTrack:
 
     def test_reappearance_far_away_makes_two_trajectories(self):
         gt = make_gt([[(0.0, 3.0, DoA(0, 0)), (6.0, 9.0, DoA(90, 0))]])
-        frames = observe_gt(gt, hop=0.1, duration=9.0)
+        frames = observe_gt(gt, duration=9.0)
         cfg = gt_tracker_config(4, seed=0)  # death spans 0.5 s < 3 s gap
         trajectories = track(frames, cfg)
         assert len(trajectories) == 2
 
     def test_reappearance_same_place_resumes_track(self):
         gt = make_gt([[(0.0, 3.0, DoA(0, 0)), (6.0, 9.0, DoA(0, 0))]])
-        frames = observe_gt(gt, hop=0.1, duration=9.0)
+        frames = observe_gt(gt, duration=9.0)
         trajectories = track(frames, gt_tracker_config(4, seed=0))
         assert len(trajectories) == 1
 
@@ -162,10 +162,10 @@ class TestTrack:
         gt = make_gt(
             [[(0.0, 8.0, DoA(0, 0))], [(0.0, 8.0, DoA(90, 0))]]
         )
-        frames = observe_gt(gt, hop=0.1)
+        frames = observe_gt(gt)
         trajectories = track(frames, gt_tracker_config(2, seed=0))
         assert len(trajectories) == 2
-        metrics = evaluate_scene(gt, trajectories, 8.0, 0.1)
+        metrics = evaluate_scene(gt, trajectories, 8.0)
         assert metrics.assa == pytest.approx(1.0)
 
     def test_track_count_never_exceeds_budget(self):
@@ -186,7 +186,7 @@ class TestTrack:
     def test_no_detection_shared_between_tracks(self):
         # two detections per frame, two tracks: per-frame claimed DoAs differ
         gt = make_gt([[(0.0, 5.0, DoA(0, 0))], [(0.0, 5.0, DoA(120, 0))]])
-        frames = observe_gt(gt, hop=0.1)
+        frames = observe_gt(gt)
         trajectories = track(frames, gt_tracker_config(2, seed=0))
         per_frame = {}
         for tr in trajectories:
@@ -199,7 +199,7 @@ class TestTrack:
 
     def test_frame_indices_strictly_increasing(self):
         gt = make_gt([[(0.0, 2.0, DoA(0, 0)), (4.0, 6.0, DoA(40, 0)), (8.0, 10.0, DoA(-90, 0))]])
-        frames = observe_gt(gt, hop=0.1, duration=10.0)
+        frames = observe_gt(gt, duration=10.0)
         for tr in track(frames, gt_tracker_config(2, seed=3)):
             indices = [i for i, _, _ in tr.frames]
             assert indices == sorted(indices)
@@ -208,7 +208,7 @@ class TestTrack:
     def test_error_shrinks_with_filtering(self):
         gt = make_gt([[(0.0, 20.0, DoA(0, 0))]])
         model = NoiseModel(kappa_error=124.0, miss_prob=0.0, false_alarm_rate=0.0)
-        frames = observe_est(gt, 0.1, model, seed=4)
+        frames = observe_est(gt, model, seed=4)
         cfg = TrackerConfig(max_tracks=1, kappa_observation=120.0, gate_deg=30.0, seed=0)
         (trajectory,) = track(frames, cfg)
         errors = [
@@ -220,7 +220,7 @@ class TestTrack:
     def test_deterministic(self):
         gt = make_gt([[(0.0, 5.0, DoA(10, 5)), (7.0, 10.0, DoA(-120, 0))]])
         model = NoiseModel(124.0, 0.05, 0.1)
-        frames = observe_est(gt, 0.1, model, seed=8)
+        frames = observe_est(gt, model, seed=8)
         a = track(frames, gt_tracker_config(3, seed=21))
         b = track(frames, gt_tracker_config(3, seed=21))
         assert len(a) == len(b)
@@ -393,8 +393,8 @@ class TestReferenceEquality:
 
     def observations(self, gt, variant, seed):
         if variant == "gt":
-            return observe_gt(gt, 0.1, self.DURATION)
-        return observe_est(gt, 0.1, seed=seed, duration=self.DURATION)
+            return observe_gt(gt, self.DURATION)
+        return observe_est(gt, seed=seed, duration=self.DURATION)
 
     @pytest.mark.parametrize("variant", ["gt", "est"])
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
