@@ -30,6 +30,9 @@ from .scene import FoaSignal, SpeakerGroundTruth, foa_gains
 
 MVDR_LOADING = 1e-3
 MIN_COV_FRAMES = 10
+# Shortest noise reference: an oracle window is widened to it, and a gated
+# selection covering less falls back to the whole mixture.
+MIN_NOISE_REFERENCE_S = 0.5
 # Bins per block when band_covariances gathers selected frames: a block is a
 # small fraction of the STFT, and with 8 bins its batched matrix product ran
 # fastest of 4, 8, 16 and 32 on a 30 s scene with one BLAS thread.
@@ -141,10 +144,9 @@ def beamform_mvdr(
     foa_stft; returns the beam's STFT (bins, frames). noise_cov is
     band_covariances of the estimation material: the STFT of the oracle
     interferer-plus-noise components of the fragment's window, or the frames
-    of the scene's foa_stft gated to the target track's inactivity. The gated
-    covariance depends only on the track, so reassign_scene estimates it once
-    per track and every fragment of that track reuses it; the weights are
-    solved per call, since the steering DoA is per fragment.
+    of the scene's foa_stft gated to the target track's inactivity (estimated
+    once per track by reassign_scene). The weights are solved per call, since
+    the steering DoA is per fragment.
     """
     weights, fallbacks = mvdr_weights(noise_cov, steering_vector(doa))
     if diagnostics is not None:
@@ -158,40 +160,35 @@ def oracle_noise_reference(
     wet_signals: list[FoaSignal],
     target_index: int,
     window: tuple[float, float] | None = None,
-    min_duration: float = 0.5,
 ) -> np.ndarray:
     """Everything except the target: mixture minus the target's wet signal.
 
-    When a window is given it is symmetrically widened to min_duration so the
-    covariance has enough frames.
+    When a window is given it is symmetrically widened to
+    MIN_NOISE_REFERENCE_S so the covariance has enough frames.
     """
     a, b = 0, mixture.num_samples
     if window is not None:
         start, end = window
-        if end - start < min_duration:
-            pad = 0.5 * (min_duration - (end - start))
+        if end - start < MIN_NOISE_REFERENCE_S:
+            pad = 0.5 * (MIN_NOISE_REFERENCE_S - (end - start))
             start, end = start - pad, end + pad
         a = max(0, int(round(start * mixture.sample_rate)))
         b = min(mixture.num_samples, int(round(end * mixture.sample_rate)))
     return mixture.channels[:, a:b] - wet_signals[target_index].channels[:, a:b]
 
 
-def gated_noise_reference(
-    mixture: FoaSignal,
-    inactive_frames: list[int],
-    *,
-    min_duration: float = 0.5,
-) -> np.ndarray:
+def gated_noise_reference(mixture: FoaSignal, inactive_frames: list[int]) -> np.ndarray:
     """Boolean mask over the frames of foa_stft(mixture): the analysis frames
     whose centre lies in a tracker frame (analysis_frame_tracker_frames) where
     the target's track is inactive.
 
-    When the selected frames cover less than min_duration, one analysis hop
-    each, every frame is selected: the covariance is the full mixture's.
+    When the selected frames cover less than MIN_NOISE_REFERENCE_S, one
+    analysis hop each, every frame is selected: the covariance is the full
+    mixture's.
     """
     sr = mixture.sample_rate
     mask = np.isin(analysis_frame_tracker_frames(mixture.num_samples, sr), inactive_frames)
-    if np.count_nonzero(mask) * stft_grid(sr)[1] < min_duration * sr:
+    if np.count_nonzero(mask) * stft_grid(sr)[1] < MIN_NOISE_REFERENCE_S * sr:
         mask[:] = True
     return mask
 

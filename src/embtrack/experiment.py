@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import fileio
+from .beamforming import MIN_COV_FRAMES
 from .embedding import MIN_EMBED_FRAMES, Embedding, analysis_frame_centers, build_distractors
 from .fragments import DurationPolicy
 from .metrics import aggregate_report, evaluate_scene
@@ -88,8 +89,7 @@ class DatasetConfig:
         except ValueError as e:
             raise ConfigError(f"bad dataset section: {e}") from None
         # Every fragment window reads at least MIN_EMBED_FRAMES frames of the scene grid.
-        num_samples = int(round(spec.duration * spec.sample_rate))
-        frames = len(analysis_frame_centers(num_samples, spec.sample_rate))
+        frames = _analysis_frames(spec)
         if frames < MIN_EMBED_FRAMES:
             raise ConfigError(
                 f"dataset.duration {self.duration} s holds {frames} analysis frames, "
@@ -105,6 +105,12 @@ class DatasetConfig:
             separation_regime=self.regime,
             jump_on_silence=self.jump_on_silence,
         )
+
+
+def _analysis_frames(spec: SceneSpec) -> int:
+    """Frames of the analysis grid in a scene of spec."""
+    num_samples = int(round(spec.duration * spec.sample_rate))
+    return len(analysis_frame_centers(num_samples, spec.sample_rate))
 
 
 @dataclass(frozen=True)
@@ -190,6 +196,15 @@ class ExperimentConfig:
         self.dataset.validate()
         self.run.validate(self.dataset.num_speakers)
         self.eval.validate()
+        # A gated mask that falls back selects every frame of the scene, and a
+        # covariance needs at least MIN_COV_FRAMES of them.
+        if "mvdr" in self.run.beamformers and self.run.noise_cov == "gated":
+            frames = _analysis_frames(self.dataset.scene_spec(0, self.master_seed))
+            if frames < MIN_COV_FRAMES:
+                raise ConfigError(
+                    f"dataset.duration {self.dataset.duration} s holds {frames} analysis frames, "
+                    f"fewer than the {MIN_COV_FRAMES} a gated MVDR noise covariance needs"
+                )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":

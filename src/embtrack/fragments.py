@@ -25,9 +25,6 @@ class DurationPolicy:
     def is_whole(self) -> bool:
         return self.prefix_ms is None
 
-    def __str__(self) -> str:
-        return "whole" if self.is_whole else f"{self.prefix_ms}ms"
-
     @classmethod
     def parse(cls, text: str) -> "DurationPolicy":
         text = text.strip().lower().removesuffix("ms")

@@ -46,10 +46,14 @@ def doa_from_unit_vector(v: np.ndarray) -> DoA:
     return DoA(wrap_azimuth(az), el)
 
 
+def angle_between(u: np.ndarray, v: np.ndarray) -> float:
+    """Great-circle angle between two unit vectors in degrees, in [0, 180]."""
+    return math.degrees(math.acos(max(-1.0, min(1.0, float(u @ v)))))
+
+
 def angular_distance(a: DoA, b: DoA) -> float:
     """Great-circle angle between two DoAs in degrees, in [0, 180]."""
-    dot = float(np.dot(a.unit_vector(), b.unit_vector()))
-    return math.degrees(math.acos(max(-1.0, min(1.0, dot))))
+    return angle_between(a.unit_vector(), b.unit_vector())
 
 
 def spherical_mean(vectors: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:

@@ -34,14 +34,15 @@ trajectories once and then, per cell (m, beamformer, policy, noise covariance
 source), beamforms, embeds and reassigns every fragment. The gated MVDR noise
 covariance is taken from the frames of the scene STFT whose centre lies in a
 tracker frame where the fragment's track is inactive, so it depends only on
-the track: it is estimated once per track and M, on that track's first gated
-MVDR fragment, and shared by every cell of that M. The oracle one is taken
-from the STFT of the fragment window's interferer-plus-noise signal.
+the track: before the first cell, each M with a gated MVDR cell estimates it
+once for every track that has a fragment, and every gated cell of that M
+shares those covariances. The oracle one is taken from the STFT of the
+fragment window's interferer-plus-noise signal.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,8 +217,7 @@ def extract_fragment_embedding(
     policy: DurationPolicy,
     beamformer: str,
     *,
-    noise_cov_source: str = "oracle",
-    gated_covariance: Callable[[int], tuple[np.ndarray, bool]] | None = None,
+    noise_cov: np.ndarray | None = None,
     diagnostics: MvdrDiagnostics | None = None,
 ) -> Embedding:
     """Beamform the fragment window and embed it.
@@ -229,12 +229,10 @@ def extract_fragment_embedding(
     tracker frame is not in frag.overlapped_frames, since there the mixture
     also carries another track's speaker (embed_power pools over all frames
     when fewer than MIN_EMBED_FRAMES are free). "ideal" reads only the
-    target's wet signal and always pools over all frames. gated_covariance
-    maps a track id to its gated MVDR noise covariance and whether that fell
-    back to the full mixture (needed for noise_cov_source "gated"; a fallback
-    track is added to diagnostics.gated_fallback_tracks, which must then be a
-    set); the oracle covariance is estimated per fragment, from the STFT of
-    its own window's reference.
+    target's wet signal and always pools over all frames. noise_cov is the
+    "mvdr" band covariance, such as the gated one of the fragment's track;
+    when it is None the oracle covariance is estimated from the STFT of the
+    fragment window's own interferer-plus-noise reference.
     """
     window = extraction_window(frag, policy)
     steer = window_doa(frag, policy)
@@ -245,17 +243,11 @@ def extract_fragment_embedding(
     elif beamformer == "ds":
         beam = beamform_ds(mixture_stft[..., frames], steer)
     elif beamformer == "mvdr":
-        if noise_cov_source == "oracle":
+        if noise_cov is None:
             midpoint = 0.5 * (window[0] + window[1])
             target = nearest_speaker_index(scene.ground_truth, steer, midpoint)
             noise = oracle_noise_reference(scene.mixture, scene.wet, target, window)
             noise_cov = band_covariances(stft(noise, *stft_grid(scene.sample_rate)))
-        elif noise_cov_source == "gated":
-            noise_cov, full_mixture = gated_covariance(frag.source_track_id)
-            if full_mixture and diagnostics is not None:
-                diagnostics.gated_fallback_tracks.add(frag.source_track_id)
-        else:
-            raise ValueError(f"unknown noise covariance source {noise_cov_source!r}")
         beam = beamform_mvdr(mixture_stft[..., frames], steer, noise_cov, diagnostics)
     else:
         raise ValueError(f"unknown beamformer {beamformer!r}")
@@ -284,24 +276,23 @@ def _window_frames(
 
 
 def _gated_covariances(
-    scene: Scene, mixture_stft: np.ndarray | None, trajectories: list[Trajectory]
-) -> Callable[[int], tuple[np.ndarray, bool]]:
-    """Track id -> (band covariance of the frames of mixture_stft whose centre
-    lies in a tracker frame where that track is inactive, whether the mask
-    fell back to every frame), estimated on first use and kept for later ones."""
+    scene: Scene, mixture_stft: np.ndarray, tracks: list[Trajectory], fragments: list[Fragment]
+) -> tuple[dict[int, np.ndarray], set[int]]:
+    """For every track with a fragment, the band covariance of the frames of
+    mixture_stft whose centre lies in a tracker frame where that track is
+    inactive; and the tracks whose mask fell back to every frame."""
     all_frames = set(range(num_frames(scene.duration)))
-    by_id = {traj.track_id: traj for traj in trajectories}
-    covariances: dict[int, tuple[np.ndarray, bool]] = {}
-
-    def covariance(track_id: int) -> tuple[np.ndarray, bool]:
-        if track_id not in covariances:
-            active = {t for t, _, a in by_id[track_id].frames if a}
-            inactive = sorted(all_frames - active)
+    used = {frag.source_track_id for frag in fragments}
+    covariances: dict[int, np.ndarray] = {}
+    fallback_tracks: set[int] = set()
+    for traj in tracks:
+        if traj.track_id in used:
+            inactive = sorted(all_frames - {t for t, _, a in traj.frames if a})
             mask = gated_noise_reference(scene.mixture, inactive)
-            covariances[track_id] = band_covariances(mixture_stft, mask), bool(mask.all())
-        return covariances[track_id]
-
-    return covariance
+            covariances[traj.track_id] = band_covariances(mixture_stft, mask)
+            if mask.all():
+                fallback_tracks.add(traj.track_id)
+    return covariances, fallback_tracks
 
 
 def track_and_enroll(
@@ -321,7 +312,7 @@ def track_and_enroll(
     since scene speakers come first and distractors are shared.
     """
     if tracker_variant == "gt":
-        observations = observe_gt(scene.ground_truth, scene.duration)
+        observations = observe_gt(scene.ground_truth, duration=scene.duration)
         maker = gt_tracker_config
     elif tracker_variant == "est":
         seed = derive_seed(*key, "observe")
@@ -353,11 +344,11 @@ def reassign_scene(
     A cell is (m, beamformer, duration policy, noise covariance source). The
     trajectories of each M named by a cell are segmented once, and the
     mixture's STFT is taken once (not at all when every cell is "ideal").
-    The gated MVDR noise covariance of a track is estimated once per M from
-    that STFT, on the first gated MVDR fragment of that track, and reused by
-    every later fragment of the track in every cell of that M; other cells
-    estimate none. A gated MVDR cell's diagnostics name the tracks it used
-    whose gated mask fell back to every frame. Each cell embeds every
+    Before the first cell, each M with a gated MVDR cell estimates from that
+    STFT the gated noise covariance of every track with a fragment, and the
+    set of those tracks whose gated mask fell back to every frame; each gated
+    MVDR cell of that M uses those covariances and names that set in its
+    diagnostics. Other cells estimate none. Each cell embeds every
     fragment and reassigns against the first m pool entries. Yields one
     result per cell, in order, each computed when it is asked for, so the
     batch runner writes and marks a cell complete before the next one starts.
@@ -365,19 +356,21 @@ def reassign_scene(
     mixture_stft = None
     if any(cell[1] != "ideal" for cell in cells):
         mixture_stft = foa_stft(scene.mixture)
-    segmented = {
-        m: (segment(tracks_by_m[m]), _gated_covariances(scene, mixture_stft, tracks_by_m[m]))
-        for m in {cell[0] for cell in cells}
+    fragments_by_m = {m: segment(tracks_by_m[m]) for m in {cell[0] for cell in cells}}
+    gated_by_m = {
+        m: _gated_covariances(scene, mixture_stft, tracks_by_m[m], fragments_by_m[m])
+        for m in {m for m, bf, _, source in cells if bf == "mvdr" and source == "gated"}
     }
 
     for m, beamformer, policy, noise_cov_source in cells:
-        fragments, gated_covariance = segmented[m]
+        fragments = fragments_by_m[m]
         gated = beamformer == "mvdr" and noise_cov_source == "gated"
-        diagnostics = MvdrDiagnostics(gated_fallback_tracks=set() if gated else None)
+        covariances, fallback_tracks = gated_by_m[m] if gated else ({}, None)
+        diagnostics = MvdrDiagnostics(gated_fallback_tracks=fallback_tracks)
         embeddings = {
             frag.fragment_id: extract_fragment_embedding(
-                scene, mixture_stft, frag, policy, beamformer, noise_cov_source=noise_cov_source,
-                gated_covariance=gated_covariance, diagnostics=diagnostics,
+                scene, mixture_stft, frag, policy, beamformer,
+                noise_cov=covariances.get(frag.source_track_id), diagnostics=diagnostics,
             )
             for frag in fragments
         }

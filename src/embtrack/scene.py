@@ -257,10 +257,6 @@ def _overlapping_doas(
     return doas
 
 
-def _respects_regime(doa: DoA, others: list[DoA], lo: float, hi: float) -> bool:
-    return all(lo <= angular_distance(doa, o) <= hi for o in others)
-
-
 def _draw_doa(
     rng: np.random.Generator,
     others: list[DoA],
@@ -273,7 +269,7 @@ def _draw_doa(
         doa = doa_from_unit_vector(uniform_sphere(rng, 1)[0])
         if avoid is not None and angular_distance(doa, avoid) < 1.0:
             continue
-        if _respects_regime(doa, others, lo, hi):
+        if all(lo <= angular_distance(doa, o) <= hi for o in others):
             return doa
     raise SceneConstraintError(
         f"could not place a source satisfying separation in [{lo}, {hi}] degrees"
@@ -318,17 +314,10 @@ def generate_scene(
             gt.segments.sort(key=lambda s: s[0])
     else:
         for j, activity in enumerate(activities):
-            placed = speakers[:j]
-            for _ in range(2000):
-                doa = doa_from_unit_vector(uniform_sphere(rng, 1)[0])
-                ok = all(
-                    _respects_regime(doa, _overlapping_doas(placed, on, off), lo, hi)
-                    for on, off in activity
-                )
-                if ok:
-                    break
-            else:
-                raise SceneConstraintError("static placement failed separation regime")
+            # one DoA for every segment: it must respect every placed DoA that
+            # overlaps any of them
+            others = [o for on, off in activity for o in _overlapping_doas(speakers[:j], on, off)]
+            doa = _draw_doa(rng, others, lo, hi)
             for onset, offset in activity:
                 speakers[j].segments.append((onset, offset, doa))
 

@@ -24,12 +24,18 @@ trajectory.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DoA, doa_from_unit_vector, sample_vmf, spherical_mean, uniform_sphere
+from .geometry import (
+    DoA,
+    angle_between,
+    doa_from_unit_vector,
+    sample_vmf,
+    spherical_mean,
+    uniform_sphere,
+)
 from .scene import SpeakerGroundTruth
 
 DEFAULT_HOP_S = 0.1
@@ -116,7 +122,7 @@ def gt_frame_doas(ground_truth: list[SpeakerGroundTruth], n_frames: int) -> list
 
 
 def observe_gt(
-    ground_truth: list[SpeakerGroundTruth], duration: float | None = None
+    ground_truth: list[SpeakerGroundTruth], *, duration: float | None = None
 ) -> list[ObservationFrame]:
     """One exact detection per active speaker per frame (frame-center rule)."""
     if duration is None:
@@ -137,7 +143,7 @@ def observe_est(
     Poisson false alarms drawn uniformly on the sphere."""
     rng = np.random.default_rng(seed)
     frames = []
-    for frame in observe_gt(ground_truth, duration):
+    for frame in observe_gt(ground_truth, duration=duration):
         detections: list[tuple[DoA, float]] = []
         for doa, conf in frame.detections:
             if rng.random() < noise_model.miss_prob:
@@ -201,11 +207,6 @@ class _Track:
     misses: int = 0
 
 
-def _angle_deg(u: np.ndarray, v: np.ndarray) -> float:
-    """Great-circle angle between two unit vectors in degrees."""
-    return math.degrees(math.acos(max(-1.0, min(1.0, float(u @ v)))))
-
-
 def _last_active_frame(tr: _Track) -> int:
     return next(fi for fi, _, active in reversed(tr.frames) if active)
 
@@ -232,7 +233,7 @@ def track(observations: list[ObservationFrame], config: TrackerConfig) -> list[T
             (dist, tr.track_id, d)
             for tr in alive
             for d, vec in enumerate(det_vecs)
-            if (dist := _angle_deg(tr.filter.mean, vec)) <= gate
+            if (dist := angle_between(tr.filter.mean, vec)) <= gate
         )
         assoc: dict[int, int] = {}
         for _, tid, d in pairs:
@@ -266,7 +267,7 @@ def track(observations: list[ObservationFrame], config: TrackerConfig) -> list[T
             for cand in candidates:
                 if cand[-1][0] == t:
                     continue
-                dist = _angle_deg(cand[-1][2], vec)
+                dist = angle_between(cand[-1][2], vec)
                 if dist <= best_dist:
                     best, best_dist = cand, dist
             if best is not None:
@@ -288,7 +289,7 @@ def track(observations: list[ObservationFrame], config: TrackerConfig) -> list[T
             near = [
                 (dist, tr.track_id)
                 for tr in dead
-                if (dist := _angle_deg(tr.filter.mean, position)) <= gate
+                if (dist := angle_between(tr.filter.mean, position)) <= gate
             ]
             if near:
                 tr = tracks[min(near)[1]]

@@ -52,7 +52,7 @@ def run_suite(scenes, cells, m, distractors, tag):
     after = {cell: [] for cell in cells}
     specs = [(m, bf, DurationPolicy.parse(dur), source) for bf, dur, source in cells]
     for i, scene in enumerate(scenes):
-        observations = observe_gt(scene.ground_truth, scene.duration)
+        observations = observe_gt(scene.ground_truth, duration=scene.duration)
         cfg = gt_tracker_config(m, derive_seed(MASTER, tag, i, "tracker"))
         trajectories = track(observations, cfg)
         before.append(evaluate_scene(scene.ground_truth, trajectories, scene.duration))

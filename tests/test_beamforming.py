@@ -322,7 +322,7 @@ class TestNoiseReferences:
     def test_oracle_window_widened_to_minimum(self):
         spec = SceneSpec(seed=2, num_speakers=2, duration=4.0, snr=15.0)
         mixture, wet, _ = generate_scene(spec)
-        ref = oracle_noise_reference(mixture, wet, 0, window=(1.0, 1.1), min_duration=0.5)
+        ref = oracle_noise_reference(mixture, wet, 0, window=(1.0, 1.1))
         assert ref.shape[1] == int(0.5 * SR)
 
     @pytest.mark.parametrize("window", [(1.0, 2.5), (1.0, 1.1), (3.9, 3.95), None])
@@ -346,12 +346,12 @@ class TestNoiseReferences:
     # tracker frames 2-4 and 12. Analysis frame k (centre 256 k + 256 samples)
     # lies in tracker frame floor(centre / 1600), so frames 2-4 hold the
     # analysis frames 12-30 and frame 12 holds 74-80.
-    def gated_mask(self, active, min_duration=0.5):
+    def gated_mask(self, active):
         rng = np.random.default_rng(14)
         mixture = FoaSignal(rng.standard_normal((4, 2 * SR)), SR)
         track = Trajectory(0, [(t, DoA(30, 0), t in active) for t in range(20)])
         inactive = [t for t, _, a in track.frames if not a]
-        return gated_noise_reference(mixture, inactive, min_duration=min_duration)
+        return gated_noise_reference(mixture, inactive)
 
     def test_gated_uses_inactive_frames(self):
         mask = self.gated_mask({2, 3, 4, 12})
@@ -361,12 +361,13 @@ class TestNoiseReferences:
         expected[74:81] = False
         assert np.array_equal(mask, expected)
 
-    def test_gated_falls_back_to_full_mixture(self):
+    def test_gated_falls_back_to_full_mixture(self, monkeypatch):
         # inactive only in tracker frame 0: analysis frames 0-5, 6 x 16 ms < 0.5 s
         mask = self.gated_mask(set(range(1, 20)))
         assert mask.shape == (124,) and mask.all()
         # the same track with a shorter minimum keeps its 6 gated frames
-        assert np.flatnonzero(self.gated_mask(set(range(1, 20)), min_duration=0.09)).tolist() == [
+        monkeypatch.setattr("embtrack.beamforming.MIN_NOISE_REFERENCE_S", 0.09)
+        assert np.flatnonzero(self.gated_mask(set(range(1, 20)))).tolist() == [
             0, 1, 2, 3, 4, 5,
         ]
 

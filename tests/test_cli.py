@@ -686,6 +686,23 @@ class TestCliProcess:
         assert main(["run", "--dataset", str(old), "--out", str(results)]) == 2
         assert not results.exists()
 
+    @pytest.mark.parametrize("duration, code", [("0.17", 2), ("0.176", 0)])
+    def test_scene_too_short_for_a_gated_covariance_exit_code(self, tmp_path, duration, code):
+        # A track's gated mask falls back to every analysis frame of the scene:
+        # 0.17 s holds 9, 0.176 s (2816 samples) exactly MIN_COV_FRAMES = 10.
+        data = tmp_path / "data"
+        assert main(["gen", "--count", "1", "--duration", duration, "--out", str(data)]) == 0
+        results = tmp_path / "results"
+        argv = ["run", "--dataset", str(data), "--out", str(results), "--beamformers", "mvdr"]
+        assert main(argv + ["--noise-cov", "gated"]) == code
+        assert (results / "run_manifest.json").exists() == (code == 0)
+        if code == 0:  # every track fell back to the scene's 10 frames
+            doc = json.loads((results / "scene_0000/gt_m2_mvdr_whole/assignment.json").read_text())
+            assert doc["mvdr_gated_fallback_tracks"] == len(doc["assignments"]) > 0
+        # DS and oracle MVDR run on the same scene
+        oracle = ["run", "--dataset", str(data), "--out", str(tmp_path / "oracle")]
+        assert main(oracle + ["--beamformers", "ds,mvdr"]) == 0
+
     @pytest.mark.parametrize("sizes", ["a,b", "2.5"])
     def test_non_integer_enrollment_sizes_exit_code(self, one_scene, tmp_path, capsys, sizes):
         results = tmp_path / "results"

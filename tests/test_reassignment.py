@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embtrack import beamforming, dsp, embedding, reassignment
+from embtrack import beamforming, dsp, embedding, reassignment, tracking
 from embtrack.beamforming import (
     MvdrDiagnostics,
     band_covariances,
@@ -439,7 +439,6 @@ class TestGatedCovariancePerTrack:
     """The gated MVDR noise covariance depends only on the track, so
     reassign_scene estimates it once per track and M and reuses it."""
 
-    HOP = 0.1
     GATED = [(2, "mvdr", DurationPolicy(), "gated"), (2, "mvdr", DurationPolicy(250), "gated")]
 
     @pytest.fixture(scope="class")
@@ -481,7 +480,7 @@ class TestGatedCovariancePerTrack:
         scene, tracks_by_m, pool = inputs
         reassign_calls = self.count_calls(monkeypatch, "reassign")  # (fragments, embeddings, ...)
         results = list(reassign_scene(scene, tracks_by_m, pool, self.GATED))
-        num_frames = int(round(scene.duration / self.HOP))
+        num_frames = tracking.num_frames(scene.duration)
         inactive = {
             traj.track_id: sorted(set(range(num_frames)) - {t for t, _, a in traj.frames if a})
             for traj in tracks_by_m[2]
@@ -490,8 +489,7 @@ class TestGatedCovariancePerTrack:
         spec = foa_stft(scene.mixture)
 
         def per_fragment(track_id):
-            mask = gated_noise_reference(scene.mixture, inactive[track_id])
-            return band_covariances(spec, mask), bool(mask.all())
+            return band_covariances(spec, gated_noise_reference(scene.mixture, inactive[track_id]))
 
         for (_m, _bf, policy, _src), result, (fragments, got, *_) in zip(
             self.GATED, results, reassign_calls
@@ -499,8 +497,8 @@ class TestGatedCovariancePerTrack:
             diagnostics = MvdrDiagnostics(gated_fallback_tracks=set())
             for f in fragments:
                 expected = extract_fragment_embedding(
-                    scene, spec, f, policy, "mvdr", noise_cov_source="gated",
-                    gated_covariance=per_fragment, diagnostics=diagnostics,
+                    scene, spec, f, policy, "mvdr",
+                    noise_cov=per_fragment(f.source_track_id), diagnostics=diagnostics,
                 )
                 assert np.array_equal(got[f.fragment_id].vector, expected.vector)
                 assert got[f.fragment_id].pooled_frames == expected.pooled_frames
@@ -526,7 +524,7 @@ class TestGatedCovariancePerTrack:
 
     def test_track_active_for_the_whole_scene_is_counted(self, inputs):
         scene, tracks_by_m, pool = inputs
-        n = int(round(scene.duration / self.HOP))
+        n = tracking.num_frames(scene.duration)
         whole = Trajectory(7, [(t, DoA(40, 0), True) for t in range(n)])
         gapped = Trajectory(8, [(t, DoA(-60, 0), t < n // 2) for t in range(n)])
         results = list(reassign_scene(scene, {2: [whole, gapped]}, pool, self.GATED))

@@ -54,6 +54,13 @@ class TestObserveGt:
         assert len(frames[7].detections) == 1
         assert frames[15].detections == []
 
+    def test_duration_is_keyword_only(self):
+        # a positional second argument used to be the tracker hop
+        gt = make_gt([[(0.0, 5.0, DoA(0, 0))]])
+        with pytest.raises(TypeError):
+            observe_gt(gt, 0.1)
+        assert len(observe_gt(gt, duration=5.0)) == 50
+
     def test_two_active_speakers_two_detections(self):
         gt = make_gt([[(0.0, 1.0, DoA(10, 0))], [(0.0, 1.0, DoA(-60, 10))]])
         frames = observe_gt(gt)
@@ -393,7 +400,7 @@ class TestReferenceEquality:
 
     def observations(self, gt, variant, seed):
         if variant == "gt":
-            return observe_gt(gt, self.DURATION)
+            return observe_gt(gt, duration=self.DURATION)
         return observe_est(gt, seed=seed, duration=self.DURATION)
 
     @pytest.mark.parametrize("variant", ["gt", "est"])
