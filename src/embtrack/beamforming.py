@@ -59,14 +59,16 @@ def foa_stft(signal: FoaSignal) -> np.ndarray:
     """Unpadded STFT of a 4-channel signal, shape (4, bins, frames).
 
     Frame k covers samples [k * hop, k * hop + window), the grid embed()
-    analyses a signal on. The channels are transformed one at a time into one
-    preallocated array, so only one channel's framed copy is held at a time.
+    analyses a signal on. stft fills one preallocated C-ordered array one
+    channel at a time (a channel of the sample-major mixture a WAV read gives
+    is strided), each in blocks of dsp.STFT_BLOCK_FRAMES frames, so at most
+    one block's frames and spectra are held besides the result.
     """
     n_window, n_hop = stft_grid(signal.sample_rate)
     n_frames = num_full_frames(signal.num_samples, n_window, n_hop)
     spec = np.empty((4, n_window // 2 + 1, n_frames), dtype=complex)
     for c in range(4):
-        spec[c] = stft(signal.channels[c], n_window, n_hop, pad=False)
+        stft(signal.channels[c], n_window, n_hop, pad=False, out=spec[c])
     return spec
 
 

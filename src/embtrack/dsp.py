@@ -21,20 +21,55 @@ def periodic_hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def stft(x: np.ndarray, n_window: int, n_hop: int, pad: bool = True) -> np.ndarray:
+# Frames windowed and transformed at a time: stft's working memory is one
+# block's frames and spectra, whatever the signal length.
+STFT_BLOCK_FRAMES = 256
+
+
+def stft(
+    x: np.ndarray, n_window: int, n_hop: int, pad: bool = True, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Complex STFT, shape (bins, frames). x may be (T,) or (channels, T) -> (ch, bins, frames).
 
     With pad=True the signal is zero-padded by one window on each side so the
     inverse transform reconstructs the full length; pad=False keeps only the
     windows fully inside the signal (used for feature extraction).
+
+    Each channel is windowed and transformed STFT_BLOCK_FRAMES frames at a
+    time, and the padding is made per block, so no full-length copy of x or
+    of its frames is held. Without out, the result is a (…, bins, frames)
+    view of a frames-major array (frame k's bins are contiguous); out, if
+    given, is an array of that shape to fill instead, in any memory order,
+    and is returned. Every value is the same as one rfft over all frames.
     """
-    if pad:
-        zeros = np.zeros(x.shape[:-1] + (n_window,))
-        x = np.concatenate([zeros, x, zeros], axis=-1)
-    if x.shape[-1] < n_window:
+    edge = n_window if pad else 0
+    n_frames = num_full_frames(x.shape[-1] + 2 * edge, n_window, n_hop)
+    if n_frames == 0:
         raise ValueError(f"signal too short for a {n_window}-sample window")
-    frames = sliding_window_view(x, n_window, axis=-1)[..., ::n_hop, :] * periodic_hann(n_window)
-    return np.swapaxes(np.fft.rfft(frames, axis=-1), -1, -2)
+    lead, n_bins = x.shape[:-1], n_window // 2 + 1
+    if out is None:
+        out = np.empty(lead + (n_frames, n_bins), dtype=complex).swapaxes(-1, -2)
+    elif out.shape != lead + (n_bins, n_frames):
+        raise ValueError(f"out has shape {out.shape}, the STFT {lead + (n_bins, n_frames)}")
+    win = periodic_hann(n_window)
+    for channel in np.ndindex(lead):
+        for f0 in range(0, n_frames, STFT_BLOCK_FRAMES):
+            f1 = min(f0 + STFT_BLOCK_FRAMES, n_frames)
+            start = f0 * n_hop - edge
+            span = _zero_extended(x[channel], start, start + (f1 - f0 - 1) * n_hop + n_window)
+            frames = sliding_window_view(span, n_window)[::n_hop] * win
+            out[channel][:, f0:f1] = np.fft.rfft(frames).T
+    return out
+
+
+def _zero_extended(x: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """x[start:stop] of a 1-D x, with zeros where the range leaves x."""
+    if 0 <= start and stop <= len(x):
+        return x[start:stop]
+    span = np.zeros(stop - start)
+    lo, hi = max(start, 0), min(stop, len(x))
+    span[lo - start : hi - start] = x[lo:hi]
+    return span
 
 
 def istft(spec: np.ndarray, n_window: int, n_hop: int, length: int) -> np.ndarray:

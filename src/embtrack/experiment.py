@@ -39,7 +39,6 @@ import dataclasses
 import hashlib
 import json
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -252,6 +251,9 @@ def _sha256_file(path: Path) -> str:
 def _map(fn, tasks: list, workers: int) -> list:
     """[fn(t) for t in tasks], in a pool of `workers` processes when that is more than one."""
     if workers > 1 and len(tasks) > 1:
+        # Imported here: a serial command need not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]

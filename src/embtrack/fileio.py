@@ -41,8 +41,8 @@ _BLOCK_ALIGN = 4 * _CHANNELS
 
 
 def write_wav(path: str | Path, signal: FoaSignal) -> None:
+    # The float32 samples are written from their own buffer, not a bytes copy.
     samples = np.ascontiguousarray(signal.channels.T, dtype="<f4")
-    data = samples.tobytes()
     rate = signal.sample_rate
     fmt = struct.pack(
         "<HHIIHHH", _IEEE_FLOAT, _CHANNELS, rate, rate * _BLOCK_ALIGN, _BLOCK_ALIGN, 32, 0
@@ -50,12 +50,12 @@ def write_wav(path: str | Path, signal: FoaSignal) -> None:
     chunks = (
         b"fmt " + struct.pack("<I", len(fmt)) + fmt
         + b"fact" + struct.pack("<II", 4, len(samples))
-        + b"data" + struct.pack("<I", len(data))
+        + b"data" + struct.pack("<I", samples.nbytes)
     )
-    riff = b"RIFF" + struct.pack("<I", 4 + len(chunks) + len(data)) + b"WAVE"
+    riff = b"RIFF" + struct.pack("<I", 4 + len(chunks) + samples.nbytes) + b"WAVE"
     with open(path, "wb") as f:
         f.write(riff + chunks)
-        f.write(data)
+        f.write(samples)
 
 
 def read_wav(path: str | Path, *, sha256: str | None = None) -> FoaSignal:

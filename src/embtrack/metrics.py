@@ -10,7 +10,7 @@ from typing import Hashable
 
 import numpy as np
 
-from .geometry import DoA, angular_distance
+from .geometry import DoA, angle_between
 from .scene import SpeakerGroundTruth
 from .tracking import Trajectory, gt_frame_doas, num_frames
 
@@ -131,7 +131,10 @@ def match_frames(
         pred_ids = sorted(pred_doas, key=str)
         matched: list[tuple[Hashable, Hashable, float]] = []
         if gt_ids and pred_ids:
-            dist = [[angular_distance(gt_doas[g], pred_doas[p]) for p in pred_ids] for g in gt_ids]
+            # angular_distance, with each DoA's unit vector made once per frame.
+            gt_units = [gt_doas[g].unit_vector() for g in gt_ids]
+            pred_units = [pred_doas[p].unit_vector() for p in pred_ids]
+            dist = [[angle_between(u, v) for v in pred_units] for u in gt_units]
             cost = [[d if d <= alpha_deg else _FORBIDDEN for d in row] for row in dist]
             for r, c in _assign(cost):
                 if dist[r][c] <= alpha_deg:

@@ -7,7 +7,9 @@ plane wave s from (az, el) encodes as
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,18 +170,37 @@ def synthesize_voice(
     operation is elementwise and there is no recurrence over time, so any
     block size of at least 2 samples gives the same bits. It differs from
     the per-harmonic sin sum by rounding only (below 1e-9 for 60 s).
+
+    The full-length arrays (vibrato, drift, instantaneous f0, phase,
+    envelope) are computed in place and dropped once used, so at most four
+    are live at a time; each step keeps the operands and their order of the
+    plain expression in the comment above it, so the bits are those of that
+    expression.
     """
     n = int(round(duration * sample_rate))
     if n == 0:
         return np.zeros(0)
     rng = np.random.default_rng(seed)
-    t = np.arange(n) / sample_rate
+    # t = np.arange(n) / sample_rate
+    t = np.arange(n, dtype=np.float64)
+    t /= sample_rate
 
     # Small vibrato plus stochastic drift on the fundamental.
-    vib = 0.004 * np.sin(2.0 * np.pi * 4.7 * t + rng.uniform(0.0, 2.0 * np.pi))
-    drift = 0.006 * _slow_noise(rng, n, sample_rate, 3.0)
-    inst_f0 = voice.f0 * (1.0 + vib + drift)
-    phase = 2.0 * np.pi * np.cumsum(inst_f0) / sample_rate
+    # inst_f0 = f0 * (1 + 0.004 sin(2 pi 4.7 t + u) + 0.006 slow_noise)
+    inst_f0 = t * (2.0 * np.pi * 4.7)
+    inst_f0 += rng.uniform(0.0, 2.0 * np.pi)
+    np.sin(inst_f0, out=inst_f0)
+    inst_f0 *= 0.004
+    inst_f0 += 1.0
+    drift = _slow_noise(rng, n, sample_rate, 3.0)
+    drift *= 0.006
+    inst_f0 += drift
+    del drift
+    inst_f0 *= voice.f0
+    # phase = 2 pi cumsum(inst_f0) / sample_rate
+    phase = np.cumsum(inst_f0, out=inst_f0)
+    phase *= 2.0 * np.pi
+    phase /= sample_rate
 
     max_freq = min(7400.0, 0.45 * sample_rate)
     n_harm = max(1, int(max_freq / voice.f0))
@@ -204,13 +225,46 @@ def synthesize_voice(
             acc += c
             acc *= z
         sig[start:stop] = acc.imag
+    del phase, inst_f0
 
-    env = 1.0 + 0.35 * np.sin(2.0 * np.pi * voice.modulation_rate * t + rng.uniform(0.0, 2.0 * np.pi))
-    env *= 1.0 + 0.15 * _slow_noise(rng, n, sample_rate, 2.0)
-    sig *= np.maximum(env, 0.05)
+    # env = max((1 + 0.35 sin(2 pi rate t + u)) (1 + 0.15 slow_noise), 0.05)
+    env = t
+    env *= 2.0 * np.pi * voice.modulation_rate
+    env += rng.uniform(0.0, 2.0 * np.pi)
+    np.sin(env, out=env)
+    env *= 0.35
+    env += 1.0
+    slow = _slow_noise(rng, n, sample_rate, 2.0)
+    slow *= 0.15
+    slow += 1.0
+    env *= slow
+    del slow
+    np.maximum(env, 0.05, out=env)
+    sig *= env
 
-    rms = math.sqrt(float(np.mean(sig**2)))
-    return sig / rms if rms > 0 else sig
+    # rms = sqrt(mean(sig**2)); sig / rms
+    rms = math.sqrt(float(np.mean(np.square(sig, out=env))))
+    if rms > 0:
+        sig /= rms
+    return sig
+
+
+# SN3D isotropic channel variances 1, 1/3, 1/3, 1/3, as standard deviations.
+_DIFFUSE_SCALES = (1.0, 1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0))
+
+
+def _diffuse_noise_channels(n: int, seed: int) -> Iterator[np.ndarray]:
+    """The four channels of generate_diffuse_noise(n samples, seed) in turn,
+    each drawn into one buffer of n samples that the next one overwrites:
+    channel c is the c-th standard_normal(n) draw of the seed's generator,
+    scaled by _DIFFUSE_SCALES[c] (four successive draws are the bits of one
+    standard_normal((4, n)))."""
+    rng = np.random.default_rng(seed)
+    channel = np.empty(n)
+    for scale in _DIFFUSE_SCALES:
+        rng.standard_normal(out=channel)
+        channel *= scale
+        yield channel
 
 
 def generate_diffuse_noise(duration: float, sample_rate: int, seed: int) -> FoaSignal:
@@ -218,14 +272,14 @@ def generate_diffuse_noise(duration: float, sample_rate: int, seed: int) -> FoaS
 
     Sampled directly as independent Gaussian channels with the SN3D isotropic
     variances, which is the exact infinite-direction limit of superposing
-    uncorrelated plane waves from a uniform direction field.
+    uncorrelated plane waves from a uniform direction field. The channels
+    come from _diffuse_noise_channels, the definition generate_scene mixes
+    in one channel at a time.
     """
     n = int(round(duration * sample_rate))
-    if n == 0:
-        return FoaSignal(np.zeros((4, n)), sample_rate)
-    rng = np.random.default_rng(seed)
-    scales = np.array([1.0, 1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)])
-    channels = scales[:, None] * rng.standard_normal((4, n))
+    channels = np.empty((4, n))
+    for row, channel in zip(channels, _diffuse_noise_channels(n, seed)):
+        row[:] = channel
     return FoaSignal(channels, sample_rate)
 
 
@@ -276,12 +330,48 @@ def _draw_doa(
     )
 
 
+def _mix(wet: list[FoaSignal], snr: float | None, noise_seed: int | None) -> np.ndarray:
+    """Sum of the wet signals plus, unless noise_seed is None, the diffuse
+    noise generate_diffuse_noise draws from noise_seed, scaled so that the W
+    channel's speech-to-noise ratio is snr dB (no noise is added to silence).
+
+    The noise is drawn, scaled and added one channel at a time, and the W
+    row is summed first: until the other rows are summed, row 1 holds the
+    squares whose means set the noise gain. So besides the result only one
+    channel of noise is held.
+    """
+    mixture = np.zeros_like(wet[0].channels)
+    for w in wet:
+        mixture[0] += w.channels[0]
+    noise_gain = None
+    if noise_seed is not None:
+        noise = _diffuse_noise_channels(mixture.shape[1], noise_seed)
+        w_noise = next(noise)
+        speech_power = float(np.mean(np.square(mixture[0], out=mixture[1])))
+        noise_power = float(np.mean(np.square(w_noise, out=mixture[1])))
+        mixture[1] = 0.0
+        if noise_power > 0 and speech_power > 0:
+            target = speech_power / (10.0 ** (snr / 10.0))
+            noise_gain = math.sqrt(target / noise_power)
+    for w in wet:
+        mixture[1:] += w.channels[1:]
+    if noise_gain is not None:
+        # w_noise's buffer is refilled with each next channel.
+        for row, channel in zip(mixture, itertools.chain([w_noise], noise)):
+            channel *= noise_gain
+            row += channel
+    return mixture
+
+
 def generate_scene(
     spec: SceneSpec,
 ) -> tuple[FoaSignal, list[FoaSignal], list[SpeakerGroundTruth]]:
     """Build mixture = sum of per-speaker wet FOA signals + diffuse noise at spec.snr.
 
     Returns (mixture, wet signals, ground truth), all deterministic in spec.seed.
+    Each voice segment is added to its wet signal one channel at a time, and
+    _mix draws, scales and adds the noise one channel at a time, so besides
+    the returned arrays at most one channel-length array is held.
     """
     rng = np.random.default_rng(spec.seed)
     lo, hi = SEPARATION_REGIMES[spec.separation_regime]
@@ -338,23 +428,14 @@ def generate_scene(
             b = int(round(offset * spec.sample_rate))
             mono = synthesize_voice(gt.voice, (b - a) / spec.sample_rate, spec.sample_rate, seg_seed)
             mono = _apply_fades(mono, spec.sample_rate)
-            channels[:, a : a + len(mono)] += foa_gains(doa)[:, None] * mono[None, :] * gain
+            for row, foa_gain in zip(channels, foa_gains(doa)):
+                row[a : a + len(mono)] += foa_gain * mono * gain
         wet.append(FoaSignal(channels, spec.sample_rate))
 
-    mixture = np.zeros((4, n))
-    for w in wet:
-        mixture += w.channels
-
+    noise_seed = None
     if spec.snr is not None and math.isfinite(spec.snr):
         noise_seed = int(rng.integers(0, 2**63 - 1))
-        noise = generate_diffuse_noise(spec.duration, spec.sample_rate, noise_seed)
-        speech_power = float(np.mean(mixture[0] ** 2))
-        noise_power = float(np.mean(noise.channels[0] ** 2))
-        if noise_power > 0 and speech_power > 0:
-            target = speech_power / (10.0 ** (spec.snr / 10.0))
-            noise.channels *= math.sqrt(target / noise_power)
-            mixture = mixture + noise.channels
-
+    mixture = _mix(wet, spec.snr, noise_seed)
     return FoaSignal(mixture, spec.sample_rate), wet, speakers
 
 

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from embtrack.beamforming import (
     MIN_COV_FRAMES,
@@ -18,7 +19,7 @@ from embtrack.beamforming import (
     oracle_noise_reference,
     steering_vector,
 )
-from embtrack.dsp import istft, num_full_frames, stft
+from embtrack.dsp import istft, num_full_frames, periodic_hann, stft
 from embtrack.geometry import DoA, doa_from_unit_vector, uniform_sphere
 from embtrack.scene import (
     FoaSignal,
@@ -62,6 +63,17 @@ class TestFoaStft:
         assert spec.shape == (4, 257, num_full_frames(5000, 512, 256))
         for c in range(4):
             assert np.array_equal(spec[c], stft(signal.channels[c], 512, 256, pad=False))
+
+    def test_blocked_channels_of_a_sample_major_mixture_match_one_rfft(self):
+        # A 30 s mixture as read_wav gives it (sample-major, so each channel
+        # is strided), several STFT blocks long: the result is C-ordered and
+        # equals one windowed rfft over all frames.
+        samples = np.random.default_rng(19).standard_normal((30 * SR + 100, 4)).astype(np.float32)
+        signal = FoaSignal(samples.T.astype(np.float64), SR)
+        spec = foa_stft(signal)
+        assert spec.flags.c_contiguous
+        frames = sliding_window_view(signal.channels, 512, axis=-1)[..., ::256, :]
+        assert np.array_equal(spec, np.fft.rfft(frames * periodic_hann(512), axis=-1).swapaxes(1, 2))
 
 
 class TestDelayAndSum:

@@ -765,3 +765,24 @@ print(json.dumps([optimize, after_import, codes, scipy_modules()]))
     assert after_import == []
     assert codes == [0, 0, 0]
     assert after_eval == []
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # A serial command never starts a pool: importing the CLI loads neither
+    # multiprocessing nor concurrent.futures.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = """
+import json, sys
+import embtrack.cli
+print(json.dumps(sorted(
+    m for m in sys.modules
+    if m.split(".")[0] == "multiprocessing" or m.startswith("concurrent.futures")
+)))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from embtrack.dsp import istft, num_full_frames, periodic_hann, stft, stft_grid
+from embtrack.dsp import STFT_BLOCK_FRAMES, istft, num_full_frames, periodic_hann, stft, stft_grid
 
 
 def test_periodic_hann_cola_at_half_overlap():
@@ -67,3 +70,67 @@ def test_multichannel_stft_equals_per_channel_reference(pad):
     spec = stft(x, 512, 256, pad=pad)
     assert np.array_equal(spec, np.stack([framed_stft(ch, 512, 256, pad) for ch in x]))
     assert np.array_equal(stft(x[2], 512, 256, pad=pad), framed_stft(x[2], 512, 256, pad))
+
+
+def unblocked_stft(x, n_window, n_hop, pad=True):
+    """stft as one sliding-window product and one rfft over every frame: the
+    reference the blocked stft must match bit for bit, memory order included."""
+    if pad:
+        zeros = np.zeros(x.shape[:-1] + (n_window,))
+        x = np.concatenate([zeros, x, zeros], axis=-1)
+    frames = sliding_window_view(x, n_window, axis=-1)[..., ::n_hop, :] * periodic_hann(n_window)
+    return np.swapaxes(np.fft.rfft(frames, axis=-1), -1, -2)
+
+
+def assert_same_stft(spec, reference):
+    assert spec.shape == reference.shape
+    assert spec.strides == reference.strides
+    assert np.array_equal(spec, reference)
+
+
+# Frame counts of a few blocks with a partial last block, one frame past and
+# one short of a whole block, and the 3-50 frame windows of the ideal and DS
+# beamformers.
+@pytest.mark.parametrize(
+    "frames", [3, 7, 50, STFT_BLOCK_FRAMES - 1, STFT_BLOCK_FRAMES, STFT_BLOCK_FRAMES + 1, 3 * STFT_BLOCK_FRAMES + 41]
+)
+@pytest.mark.parametrize("pad", [True, False])
+def test_blocked_stft_equals_unblocked_reference(frames, pad):
+    rng = np.random.default_rng(frames)
+    # unpadded, `frames` whole frames and a partial hop of leftover samples
+    length = 512 + 256 * (frames - 1) + 100
+    for x in (rng.standard_normal(length), rng.standard_normal((4, length))):
+        assert_same_stft(stft(x, 512, 256, pad=pad), unblocked_stft(x, 512, 256, pad=pad))
+    # a float32 strided channel, as read from a sample-major WAV
+    x32 = rng.standard_normal((length, 4)).astype(np.float32).T
+    assert_same_stft(stft(x32[1], 512, 256, pad=pad), unblocked_stft(x32[1], 512, 256, pad=pad))
+
+
+@pytest.mark.parametrize("length", [0, 1, 511, 512])
+def test_blocked_padded_stft_of_short_signals(length):
+    x = np.random.default_rng(length).standard_normal(length)
+    assert_same_stft(stft(x, 512, 256), unblocked_stft(x, 512, 256))
+
+
+def test_stft_out_is_filled_and_returned_in_its_own_memory_order():
+    x = np.random.default_rng(3).standard_normal((2, 16000 * 3))
+    reference = unblocked_stft(x, 512, 256, pad=False)
+    out = np.empty(reference.shape, dtype=complex)  # C order: bins-major
+    assert stft(x, 512, 256, pad=False, out=out) is out
+    assert out.flags.c_contiguous
+    assert np.array_equal(out, reference)
+    with pytest.raises(ValueError):
+        stft(x, 512, 256, pad=False, out=np.empty(reference.shape[:-1] + (1,), dtype=complex))
+
+
+def test_stft_working_memory_is_a_fraction_of_its_output():
+    # 30 s of 4 channels: the unblocked transform held a padded copy of the
+    # signal, every windowed frame and every spectrum besides the result.
+    x = np.random.default_rng(4).standard_normal((4, 30 * 16000))
+    tracemalloc.start()
+    try:
+        spec = stft(x, 512, 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - spec.nbytes <= spec.nbytes / 8

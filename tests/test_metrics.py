@@ -90,6 +90,19 @@ class TestMatchFrames:
             total = sum(d for _, _, d in matching.matches[0])
             assert total == pytest.approx(dist_oracle, abs=1e-9)
 
+    def test_matched_distances_equal_angular_distance_exactly(self):
+        # Unit vectors made once per frame give angular_distance's bits.
+        rng = np.random.default_rng(1)
+        gt_frames, pred_frames = [], []
+        for _ in range(200):
+            gt_frames.append({g: DoA(*rng.uniform([-180, -90], [180, 90])) for g in range(3)})
+            pred_frames.append({p: DoA(*rng.uniform([-180, -90], [180, 90])) for p in "abcd"})
+        matching = match_frames(gt_frames, pred_frames, alpha_deg=180.0)
+        for gt, pred, matches in zip(gt_frames, pred_frames, matching.matches):
+            assert len(matches) == 3
+            for g, p, d in matches:
+                assert d == angular_distance(gt[g], pred[p])
+
 
 class TestAssign:
     def test_within_alpha_pairs_match_a_reference_solver(self):

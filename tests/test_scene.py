@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,73 @@ def _per_harmonic_voice(voice, duration, sample_rate, seed):
     env *= 1.0 + 0.15 * scene._slow_noise(rng, n, sample_rate, 2.0)
     sig *= np.maximum(env, 0.05)
     return sig / np.sqrt(np.mean(sig**2))
+
+
+def _out_of_place_voice(voice, duration, sample_rate, seed):
+    """synthesize_voice with a new array for every full-length expression:
+    the reference the in-place version must match bit for bit."""
+    n = int(round(duration * sample_rate))
+    if n == 0:
+        return np.zeros(0)
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / sample_rate
+    vib = 0.004 * np.sin(2.0 * np.pi * 4.7 * t + rng.uniform(0.0, 2.0 * np.pi))
+    drift = 0.006 * scene._slow_noise(rng, n, sample_rate, 3.0)
+    inst_f0 = voice.f0 * (1.0 + vib + drift)
+    phase = 2.0 * np.pi * np.cumsum(inst_f0) / sample_rate
+    n_harm = max(1, int(min(7400.0, 0.45 * sample_rate) / voice.f0))
+    freqs = voice.f0 * np.arange(1, n_harm + 1)
+    level_db = voice.spectral_tilt * np.log2(freqs / voice.f0)
+    for center, bandwidth, gain_db in voice.resonances:
+        level_db = level_db + gain_db * np.exp(-0.5 * ((freqs - center) / bandwidth) ** 2)
+    amps = 10.0 ** (level_db / 20.0)
+    coeffs = amps * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n_harm))
+    sig = np.empty(n)
+    edges = [*range(0, max(n - 1, 1), 8192), n]
+    for start, stop in zip(edges, edges[1:]):
+        z = np.exp(1j * phase[start:stop])
+        acc = coeffs[-1] * z
+        for c in coeffs[-2::-1]:
+            acc += c
+            acc *= z
+        sig[start:stop] = acc.imag
+    env = 1.0 + 0.35 * np.sin(2.0 * np.pi * voice.modulation_rate * t + rng.uniform(0.0, 2.0 * np.pi))
+    env *= 1.0 + 0.15 * scene._slow_noise(rng, n, sample_rate, 2.0)
+    sig *= np.maximum(env, 0.05)
+    rms = np.sqrt(np.mean(sig**2))
+    return sig / rms if rms > 0 else sig
+
+
+DIFFUSE_SCALES = np.array([1.0, 1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0)])
+
+
+def _whole_array_mix(wet, snr, noise_seed):
+    """The mixture with all four noise channels drawn, scaled and added as
+    whole (4, n) arrays: the reference for the per-channel mix."""
+    mixture = np.zeros_like(wet[0].channels)
+    for w in wet:
+        mixture += w.channels
+    if noise_seed is None:
+        return mixture
+    n = mixture.shape[1]
+    noise = DIFFUSE_SCALES[:, None] * np.random.default_rng(noise_seed).standard_normal((4, n))
+    speech_power = float(np.mean(mixture[0] ** 2))
+    noise_power = float(np.mean(noise[0] ** 2))
+    if noise_power > 0 and speech_power > 0:
+        noise *= np.sqrt(speech_power / (10.0 ** (snr / 10.0)) / noise_power)
+        mixture = mixture + noise
+    return mixture
+
+
+def _peak_bytes(fn, *args):
+    """(fn(*args), tracemalloc's peak while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def one_segment_spec(**kwargs):
@@ -101,6 +170,13 @@ class TestDiffuseNoise:
         assert np.array_equal(a.channels, b.channels)
 
 
+    @pytest.mark.parametrize("duration", [0.0, 1 / 16000, 1.0, 7.3])
+    def test_equals_one_whole_array_draw(self, duration):
+        n = int(round(duration * 16000))
+        reference = DIFFUSE_SCALES[:, None] * np.random.default_rng(5).standard_normal((4, n))
+        assert np.array_equal(generate_diffuse_noise(duration, 16000, seed=5).channels, reference)
+
+
 class TestSynthesizeVoice:
     def test_unit_rms(self):
         voice = sample_voice_params(np.random.default_rng(0))
@@ -136,6 +212,22 @@ class TestSynthesizeVoice:
             monkeypatch.setattr(scene, "_SYNTH_BLOCK", block)
             assert np.array_equal(synthesize_voice(voice, duration, 16000, seed=11), reference)
 
+    @pytest.mark.parametrize("duration", [20.0, 3.3, 0.5])
+    def test_in_place_synthesis_changes_no_bit(self, duration):
+        rng = np.random.default_rng(21)
+        for k in range(12):
+            voice = sample_voice_params(rng)
+            assert np.array_equal(
+                synthesize_voice(voice, duration, 16000, seed=k),
+                _out_of_place_voice(voice, duration, 16000, seed=k),
+            )
+
+    def test_holds_at_most_five_full_length_arrays(self):
+        # The out-of-place synthesis peaked at about nine 20 s arrays.
+        voice = sample_voice_params(np.random.default_rng(0))
+        sig, peak = _peak_bytes(synthesize_voice, voice, 20.0, 16000, 1)
+        assert peak <= 5 * sig.nbytes
+
     def test_f0_bounds_enforced(self):
         with pytest.raises(ValueError):
             VoiceParams(f0=40.0, spectral_tilt=-6.0, resonances=(), modulation_rate=3.0)
@@ -151,6 +243,33 @@ class TestSynthesizeVoice:
 
 
 class TestGenerateScene:
+    @pytest.mark.parametrize("snr", [15.0, 0.0, -20.0, None])
+    def test_per_channel_noise_mix_equals_whole_array_mix(self, snr):
+        _, wet, _ = generate_scene(SceneSpec(seed=4, duration=6.0, num_speakers=2, snr=None))
+        seed = None if snr is None else 77
+        assert np.array_equal(scene._mix(wet, snr, seed), _whole_array_mix(wet, snr, seed))
+
+    def test_mixture_is_the_wet_sum_plus_whole_array_noise(self, monkeypatch):
+        calls = []
+
+        def recorded(wet, snr, noise_seed):
+            calls.append((wet, snr, noise_seed))
+            return mix(wet, snr, noise_seed)
+
+        mix = scene._mix
+        monkeypatch.setattr(scene, "_mix", recorded)
+        mixture, wet, _ = generate_scene(SceneSpec(seed=9, duration=8.0, num_speakers=3))
+        [(mixed_wet, snr, noise_seed)] = calls
+        assert mixed_wet is wet and snr == 15.0 and noise_seed is not None
+        assert np.array_equal(mixture.channels, _whole_array_mix(wet, snr, noise_seed))
+
+    def test_holds_at_most_half_a_signal_beyond_its_outputs(self):
+        # 30 s, 2 speakers: the whole-array noise draw, its scaled copy and the
+        # noisy sum held two full 4-channel signals beyond the outputs.
+        (mixture, wet, _), peak = _peak_bytes(generate_scene, SceneSpec(seed=1, duration=30.0))
+        outputs = mixture.channels.nbytes + sum(w.channels.nbytes for w in wet)
+        assert peak - outputs <= mixture.channels.nbytes / 2
+
     def test_deterministic_bit_identical(self):
         spec = SceneSpec(seed=42, duration=6.0)
         mix_a, wet_a, gt_a = generate_scene(spec)
