@@ -34,10 +34,10 @@ EXIT_DATA = 3
 def _load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     doc: dict = {}
     if path is not None:
-        cfg_path = Path(path)
-        if not cfg_path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        loaded = yaml.safe_load(cfg_path.read_text())
+        try:
+            loaded = yaml.safe_load(Path(path).read_text())
+        except (yaml.YAMLError, UnicodeDecodeError, OSError) as e:
+            raise ConfigError(f"cannot read config file {path}: {e}") from None
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):

@@ -26,11 +26,13 @@ manifest's sha256 before parsing them. Its run_manifest.json is written
 before the first scene and binds the results directory to one master seed,
 run section and dataset; a rerun that differs in any of them is refused.
 Completed scene/cell outputs are marked on disk and skipped on resume. eval
-is one pass over the scenes: it reads each scene's ground truth once, scores
-each M's `before` tracks once (every cell of that M carries that one report)
-and each cell's `after` tracks, and refuses a cell without its marker, or
-results whose run_manifest.json binds them to another master seed or
-dataset.
+is one pass over the scenes: it reads each scene's ground truth once, and of
+that scene's trajectory files (each M's `before` tracks and each cell's
+`after` tracks) it parses and scores each distinct text once, since cells
+that reach the same identity decisions write the same bytes. Each distinct
+list of per-scene scores is aggregated once. eval refuses a cell without its
+marker, or results whose run_manifest.json binds them to another master seed
+or dataset.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from . import fileio
 from .beamforming import MIN_COV_FRAMES
 from .embedding import MIN_EMBED_FRAMES, Embedding, analysis_frame_centers, build_distractors
 from .fragments import DurationPolicy
-from .metrics import aggregate_report, evaluate_scene
+from .metrics import SceneMetrics, aggregate_report, evaluate_scene
 from .reassignment import (
     BEAMFORMERS,
     NOISE_COV_SOURCES,
@@ -292,15 +294,27 @@ def load_manifest(dataset_dir: str | Path) -> dict:
     return _read(lambda path: json.loads(path.read_text()), Path(dataset_dir) / "manifest.json")
 
 
+def _is_scene_row(row) -> bool:
+    return (
+        isinstance(row, dict)
+        and isinstance(row.get("scene_id"), str)
+        and _has_type(row.get("index"), int)
+        and isinstance(row.get("sha256"), str)
+    )
+
+
 def _open_dataset(cfg: ExperimentConfig, dataset_dir: str | Path) -> tuple[ExperimentConfig, list[dict]]:
     """cfg with the dataset section the dataset was generated with, validated,
-    and the dataset's scene rows."""
+    and the dataset's scene rows. Each row must be a mapping with a str
+    scene_id, an int index and a str sha256; any other row is a DataError."""
     manifest = load_manifest(dataset_dir)
     try:
         cfg = dataclasses.replace(cfg, dataset=DatasetConfig(**manifest["dataset"]))
         scenes = manifest["scenes"]
     except (KeyError, TypeError) as e:
         raise DataError(f"malformed dataset manifest in {dataset_dir}: {e!r}") from None
+    if not isinstance(scenes, list) or not all(_is_scene_row(row) for row in scenes):
+        raise DataError(f"malformed scene rows in the dataset manifest in {dataset_dir}")
     cfg.validate()
     if not scenes:
         raise DataError("dataset manifest lists no scenes")
@@ -435,11 +449,16 @@ def cmd_eval(
 
     The cells are those of the run section in results_dir's
     run_manifest.json; cfg's own run section is not used. One pass over the
-    scenes: each scene's ground truth and each M's `before` trajectories are
-    read and scored once, and every cell of that M carries the one `before`
-    report. A cell without its COMPLETE marker, or a missing or unreadable
-    run_manifest.json, is a DataError; results of another master seed or
-    dataset are a ConfigError. Either way no report is written.
+    scenes: each scene's ground truth is read once, and of its trajectory
+    files (each M's `before` file, which every cell of that M shares, and
+    each cell's `after` file) each distinct text is parsed and scored once; a
+    file whose bytes repeat another's in that scene reuses its score. Each
+    distinct list of per-scene scores is aggregated once: aggregate_report
+    seeds its own generator, so the report is the same as scoring every file.
+    A cell without its COMPLETE marker, an unreadable or malformed trajectory
+    file, or a missing or unreadable run_manifest.json, is a DataError;
+    results of another master seed or dataset are a ConfigError. Either way
+    no report is written.
     """
     results_dir = Path(results_dir)
     dataset_dir = Path(dataset_dir)
@@ -453,25 +472,35 @@ def cmd_eval(
     _check_binding(results_dir, _run_manifest(cfg, scenes))
 
     names = {(m, bf, dur): cell_name(run.tracker, m, bf, dur) for m, bf, dur in run_cells(cfg)}
-    before = {m: [] for m in run.enrollment_sizes}
-    after = {name: [] for name in names.values()}
+    # Each M's `before` file, then each cell's `after` file, relative to a scene's results.
+    files = {m: f"tracks_{run.tracker}_m{m}.jsonl" for m in run.enrollment_sizes}
+    files.update({name: f"{name}/tracks_after.jsonl" for name in names.values()})
+    # Per scene, the score of each distinct file text, and per file, the
+    # index of its text's score in each scene.
+    scores: list[list[SceneMetrics]] = []
+    text_ids: dict[int | str, list[int]] = {key: [] for key in files}
     for row in scenes:
         scene_id = row["scene_id"]
         gt, spec = _read(
             fileio.read_ground_truth, dataset_dir / "scenes" / scene_id / "ground_truth.json"
         )
         result_dir = results_dir / scene_id
-
-        def score(path: Path):
-            trajectories = _read(fileio.read_trajectories, path)
-            return evaluate_scene(gt, trajectories, spec.duration, alpha_deg=cfg.eval.alpha_deg)
-
-        for m, per_scene in before.items():
-            per_scene.append(score(result_dir / f"tracks_{run.tracker}_m{m}.jsonl"))
-        for name, per_scene in after.items():
+        for name in names.values():
             if not (result_dir / name / COMPLETE_MARKER).exists():
                 raise DataError(f"missing or incomplete results for {scene_id}/{name}")
-            per_scene.append(score(result_dir / name / "tracks_after.jsonl"))
+        seen: dict[bytes, int] = {}
+        scene_scores: list[SceneMetrics] = []
+        for key, relative in files.items():
+            path = result_dir / relative
+            text = _read(Path.read_bytes, path)
+            if text not in seen:
+                seen[text] = len(scene_scores)
+                trajectories = _read(fileio.read_trajectories, path)
+                scene_scores.append(
+                    evaluate_scene(gt, trajectories, spec.duration, alpha_deg=cfg.eval.alpha_deg)
+                )
+            text_ids[key].append(seen[text])
+        scores.append(scene_scores)
 
     kwargs = dict(
         fraction=cfg.eval.bootstrap_fraction,
@@ -479,12 +508,18 @@ def cmd_eval(
         seed=derive_seed(cfg.master_seed, "bootstrap"),
         alpha_deg=cfg.eval.alpha_deg,
     )
-    before_reports = {m: aggregate_report(scores, **kwargs).as_dict() for m, scores in before.items()}
+    # aggregate_report seeds its own generator, so equal score lists give equal reports.
+    reports: dict[tuple[int, ...], dict] = {}
+
+    def report_of(key: int | str) -> dict:
+        ids = tuple(text_ids[key])
+        if ids not in reports:
+            per_scene = [distinct[i] for distinct, i in zip(scores, ids)]
+            reports[ids] = aggregate_report(per_scene, **kwargs).as_dict()
+        return reports[ids]
+
     cells = {
-        name: {
-            "before": before_reports[m],
-            "after": aggregate_report(after[name], **kwargs).as_dict(),
-        }
+        name: {"before": report_of(m), "after": report_of(name)}
         for (m, _bf, _dur), name in names.items()
     }
     trend_rows = [

@@ -284,11 +284,17 @@ class MetricsReport:
 def bootstrap_stats(
     values: list[float], fraction: float, iters: int, rng: np.random.Generator
 ) -> tuple[float, float]:
-    """Mean and std over `iters` subsample means (without replacement)."""
+    """Mean and std over `iters` subsample means (without replacement).
+
+    The subsamples are drawn one `rng.choice` call at a time, which fixes the
+    random stream, and averaged in one gather: each row mean sums its k
+    values in the order a single subsample's mean does.
+    """
     n = len(values)
     k = max(1, math.ceil(fraction * n))
     arr = np.asarray(values)
-    means = np.array([arr[rng.choice(n, size=k, replace=False)].mean() for _ in range(iters)])
+    draws = np.array([rng.choice(n, size=k, replace=False) for _ in range(iters)])
+    means = arr[draws].mean(axis=1)
     return float(means.mean()), float(means.std())
 
 

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 import yaml
 
-from embtrack import fileio
+from embtrack import experiment, fileio
 from embtrack.cli import main
 from embtrack.experiment import (
     COMPLETE_MARKER,
     ConfigError,
+    DataError,
     DatasetConfig,
     ExperimentConfig,
     RunConfig,
@@ -522,9 +523,81 @@ class TestEval:
             for bf in ("ideal", "ds"):
                 assert report["cells"][f"gt_m{m}_{bf}_whole"]["before"] == expected[m]
 
-    def test_missing_results_is_data_error(self, small_dataset, tmp_path):
-        from embtrack.experiment import DataError
+    def test_repeated_trajectory_texts_are_scored_once(self, small_results, tmp_path, monkeypatch):
+        cfg, data, results = small_results
+        copy = tmp_path / "results"
+        shutil.copytree(results, copy)
+        # In one scene two cells' after files become byte-identical and a third differs.
+        scene = copy / "scene_0001"
+        text = (scene / "gt_m2_ideal_whole" / "tracks_after.jsonl").read_bytes()
+        (scene / "gt_m2_ds_whole" / "tracks_after.jsonl").write_bytes(text)
+        trajectories = fileio.read_trajectories(scene / "gt_m2_ideal_whole" / "tracks_after.jsonl")
+        fileio.write_trajectories(scene / "gt_m2_ds_250" / "tracks_after.jsonl", trajectories[1:])
 
+        run = SMALL["run"]
+        cells = [f"gt_m2_{bf}_{dur}" for bf in run["beamformers"] for dur in run["durations"]]
+        files = {"before": "tracks_gt_m2.jsonl"}
+        files.update({cell: f"{cell}/tracks_after.jsonl" for cell in cells})
+        scenes = ("scene_0000", "scene_0001", "scene_0002")
+        texts = {key: tuple((copy / s / f).read_bytes() for s in scenes) for key, f in files.items()}
+        assert texts["gt_m2_ds_250"][1] != text
+        distinct_files = sum(len({texts[key][i] for key in files}) for i in range(len(scenes)))
+        assert distinct_files < len(files) * len(scenes)
+
+        # The reference scores every file.
+        kwargs = dict(
+            fraction=cfg.eval.bootstrap_fraction,
+            iters=cfg.eval.bootstrap_iters,
+            seed=derive_seed(cfg.master_seed, "bootstrap"),
+            alpha_deg=cfg.eval.alpha_deg,
+        )
+        expected = {}
+        for key, relative in files.items():
+            per_scene = []
+            for s in scenes:
+                gt, spec = fileio.read_ground_truth(data / "scenes" / s / "ground_truth.json")
+                trajectories = fileio.read_trajectories(copy / s / relative)
+                per_scene.append(
+                    evaluate_scene(gt, trajectories, spec.duration, alpha_deg=cfg.eval.alpha_deg)
+                )
+            expected[key] = aggregate_report(per_scene, **kwargs).as_dict()
+
+        calls = {"evaluate_scene": 0, "read_trajectories": 0, "aggregate_report": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+
+            return wrapper
+
+        monkeypatch.setattr(experiment, "evaluate_scene", counted("evaluate_scene", evaluate_scene))
+        monkeypatch.setattr(experiment, "aggregate_report", counted("aggregate_report", aggregate_report))
+        monkeypatch.setattr(
+            fileio, "read_trajectories", counted("read_trajectories", fileio.read_trajectories)
+        )
+        report = cmd_eval(cfg, copy, data, tmp_path / "report.json")
+        for cell in cells:
+            assert report["cells"][cell] == {"before": expected["before"], "after": expected[cell]}
+        assert calls == {
+            "evaluate_scene": distinct_files,
+            "read_trajectories": distinct_files,
+            "aggregate_report": len(set(texts.values())),
+        }
+
+    def test_truncated_duplicate_trajectory_file_is_a_data_error(self, small_results, tmp_path):
+        cfg, data, results = small_results
+        copy = tmp_path / "results"
+        shutil.copytree(results, copy)
+        scene = copy / "scene_0001"
+        text = (scene / "gt_m2_ideal_whole" / "tracks_after.jsonl").read_bytes()
+        # Without its last "}\n" the copy's last record is cut off.
+        (scene / "gt_m2_ds_whole" / "tracks_after.jsonl").write_bytes(text[:-2])
+        with pytest.raises(DataError):
+            cmd_eval(cfg, copy, data, tmp_path / "report.json")
+        assert not (tmp_path / "report.json").exists()
+
+    def test_missing_results_is_data_error(self, small_dataset, tmp_path):
         cfg, data = small_dataset
         with pytest.raises(DataError):
             cmd_eval(cfg, tmp_path / "nowhere", data, tmp_path / "r.json")
@@ -669,6 +742,51 @@ class TestCliProcess:
         data = tmp_path / "data"
         assert main(["gen", "--config", str(cfg_path), "--out", str(data)]) == 2
         assert not (data / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"a: [\n", b"dataset:\n  regime: \xff\xfe\n", "directory", "missing"],
+        ids=["yaml", "not-utf8", "directory", "missing"],
+    )
+    def test_malformed_config_file_exit_code(self, tmp_path, capsys, content):
+        cfg_path = tmp_path / "bad.yaml"
+        if content == "directory":
+            cfg_path.mkdir()
+        elif content != "missing":
+            cfg_path.write_bytes(content)
+        data = tmp_path / "data"
+        assert main(["gen", "--config", str(cfg_path), "--out", str(data)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (data / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"scene_id": "scene_0000", "index": 0},
+            "scene_0000",
+            {"index": 0, "sha256": "0" * 64},
+            {"scene_id": "scene_0000", "index": "0", "sha256": "0" * 64},
+        ],
+        ids=["no-sha256", "not-a-mapping", "no-scene_id", "str-index"],
+    )
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    def test_malformed_manifest_row_exit_code(self, one_scene, tmp_path, capsys, command, row):
+        data = tmp_path / "data"
+        shutil.copytree(one_scene, data)
+        results = tmp_path / "results"
+        if command == "eval":
+            assert main(["run", "--dataset", str(data), "--out", str(results)]) == 0
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["scenes"] = [row]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        report = tmp_path / "report.json"
+        argv = [command, "--dataset", str(data), "--out", str(report if command == "eval" else results)]
+        if command == "eval":
+            argv += ["--results", str(results)]
+        assert main(argv) == 3
+        assert "data error" in capsys.readouterr().err
+        assert not report.exists()
+        assert (results / "run_manifest.json").exists() == (command == "eval")
 
     def test_scene_too_short_to_embed_exit_code(self, one_scene, tmp_path):
         # 0.063 s is 1008 samples: 2 analysis frames, one short of MIN_EMBED_FRAMES

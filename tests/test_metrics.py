@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -280,6 +281,21 @@ class TestBootstrap:
         a = bootstrap_stats(values, 0.8, 100, np.random.default_rng(42))
         b = bootstrap_stats(values, 0.8, 100, np.random.default_rng(42))
         assert a == b
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 50, 200, 1000])
+    @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.8, 1.0])
+    def test_matches_one_subsample_mean_per_iteration(self, n, fraction):
+        iters = 100
+        for seed in range(5):
+            values = np.random.default_rng(1000 + seed).uniform(0, 1, n)
+            rng = np.random.default_rng(seed)
+            k = max(1, math.ceil(fraction * n))
+            means = np.array(
+                [values[rng.choice(n, size=k, replace=False)].mean() for _ in range(iters)]
+            )
+            expected = (float(means.mean()), float(means.std()))
+            got = bootstrap_stats(list(values), fraction, iters, np.random.default_rng(seed))
+            assert got == expected
 
     def test_aggregate_report_shape(self):
         scenes = []
