@@ -166,7 +166,9 @@ def oracle_noise_reference(
     """Everything except the target: mixture minus the target's wet signal.
 
     When a window is given it is symmetrically widened to
-    MIN_NOISE_REFERENCE_S so the covariance has enough frames.
+    MIN_NOISE_REFERENCE_S so the covariance has enough frames. The difference
+    is taken in float64, so the float32 signals fileio.read_wav gives yield
+    the same bits as their float64 copies.
     """
     a, b = 0, mixture.num_samples
     if window is not None:
@@ -176,7 +178,8 @@ def oracle_noise_reference(
             start, end = start - pad, end + pad
         a = max(0, int(round(start * mixture.sample_rate)))
         b = min(mixture.num_samples, int(round(end * mixture.sample_rate)))
-    return mixture.channels[:, a:b] - wet_signals[target_index].channels[:, a:b]
+    target = wet_signals[target_index]
+    return np.subtract(mixture.channels[:, a:b], target.channels[:, a:b], dtype=np.float64)
 
 
 def gated_noise_reference(mixture: FoaSignal, inactive_frames: list[int]) -> np.ndarray:

@@ -41,6 +41,8 @@ def stft(
     view of a frames-major array (frame k's bins are contiguous); out, if
     given, is an array of that shape to fill instead, in any memory order,
     and is returned. Every value is the same as one rfft over all frames.
+    A float32 x is windowed in float64, a widening that is exact, so it gives
+    the same values as its float64 copy.
     """
     edge = n_window if pad else 0
     n_frames = num_full_frames(x.shape[-1] + 2 * edge, n_window, n_hop)

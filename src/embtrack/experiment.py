@@ -20,11 +20,13 @@ and pools, and paired comparisons are meaningful. Each M's trajectories are
 segmented once per scene and shared by that M's cells
 (reassignment.reassign_scene). run and eval take the dataset section from
 the dataset's manifest, and eval takes the run section from the results'
-run_manifest.json; a manifest whose section this config cannot read is a
-DataError. run reads each mixture once and checks its bytes against the
-manifest's sha256 before parsing them. Its run_manifest.json is written
-before the first scene and binds the results directory to one master seed,
-run section and dataset; a rerun that differs in any of them is refused.
+run_manifest.json; a manifest whose section this config cannot read, or
+that lists a scene_id or index twice, is a DataError. gen records the
+sha256 of the mixture bytes it writes; run reads each mixture once and
+checks its bytes against that hash before parsing them. Its
+run_manifest.json is written before the first scene and binds the results
+directory to one master seed, run section and dataset; a rerun that
+differs in any of them is refused.
 Completed scene/cell outputs are marked on disk and skipped on resume. eval
 is one pass over the scenes: it reads each scene's ground truth once, and of
 that scene's trajectory files (each M's `before` tracks and each cell's
@@ -38,7 +40,6 @@ or dataset.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import typing
 from dataclasses import dataclass, field
@@ -246,10 +247,6 @@ def _read(reader, path: Path):
         raise DataError(f"cannot read {path}: {e}") from None
 
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _map(fn, tasks: list, workers: int) -> list:
     """[fn(t) for t in tasks], in a pool of `workers` processes when that is more than one."""
     if workers > 1 and len(tasks) > 1:
@@ -265,13 +262,8 @@ def _gen_one(args: tuple) -> dict:
     cfg, index, out_dir = args
     spec = cfg.dataset.scene_spec(index, cfg.master_seed)
     scene_dir = Path(out_dir) / "scenes" / _scene_id(index)
-    fileio.write_scene(scene_dir, simulate(spec), spec)
-    return {
-        "scene_id": _scene_id(index),
-        "index": index,
-        "seed": spec.seed,
-        "sha256": _sha256_file(scene_dir / "mixture.wav"),
-    }
+    sha256 = fileio.write_scene(scene_dir, simulate(spec), spec)
+    return {"scene_id": _scene_id(index), "index": index, "seed": spec.seed, "sha256": sha256}
 
 
 def cmd_gen(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
@@ -306,7 +298,8 @@ def _is_scene_row(row) -> bool:
 def _open_dataset(cfg: ExperimentConfig, dataset_dir: str | Path) -> tuple[ExperimentConfig, list[dict]]:
     """cfg with the dataset section the dataset was generated with, validated,
     and the dataset's scene rows. Each row must be a mapping with a str
-    scene_id, an int index and a str sha256; any other row is a DataError."""
+    scene_id, an int index and a str sha256, and no two rows may share a
+    scene_id or an index; anything else is a DataError."""
     manifest = load_manifest(dataset_dir)
     try:
         cfg = dataclasses.replace(cfg, dataset=DatasetConfig(**manifest["dataset"]))
@@ -315,6 +308,10 @@ def _open_dataset(cfg: ExperimentConfig, dataset_dir: str | Path) -> tuple[Exper
         raise DataError(f"malformed dataset manifest in {dataset_dir}: {e!r}") from None
     if not isinstance(scenes, list) or not all(_is_scene_row(row) for row in scenes):
         raise DataError(f"malformed scene rows in the dataset manifest in {dataset_dir}")
+    for key in ("scene_id", "index"):
+        values = [row[key] for row in scenes]
+        if len(set(values)) < len(values):
+            raise DataError(f"the dataset manifest in {dataset_dir} lists a {key} twice")
     cfg.validate()
     if not scenes:
         raise DataError("dataset manifest lists no scenes")

@@ -10,11 +10,14 @@ A WAV file holds one FoaSignal, little-endian throughout:
     "fact" <u32 4> <u32 samples per channel>
     "data" <u32 16 * samples> <f4 W Y Z X, one sample of each channel in turn>
 
-read_wav walks the chunks in any order, skips the ones it does not know
-(an odd-sized chunk is followed by a pad byte) and accepts only 4-channel
-32-bit float audio; anything else is a ValueError. Given a sha256, it hashes
-the bytes it read and checks them before it parses them, so a file whose
-hash is checked is read once.
+write_wav returns the sha256 of the bytes it wrote. read_wav walks the
+chunks in any order, skips the ones it does not know (an odd-sized chunk is
+followed by a pad byte) and accepts only 4-channel 32-bit float audio;
+anything else is a ValueError. Given a sha256, it hashes the bytes it read
+and checks them before it parses them, so a file whose hash is checked is
+read once. The signal it returns is a read-only float32 (4, T) view of
+those bytes, so it takes no memory beyond the file's; its consumers widen
+the samples to float64, which is exact, where they compute with them.
 """
 
 from __future__ import annotations
@@ -40,8 +43,12 @@ _CHANNELS = 4
 _BLOCK_ALIGN = 4 * _CHANNELS
 
 
-def write_wav(path: str | Path, signal: FoaSignal) -> None:
-    # The float32 samples are written from their own buffer, not a bytes copy.
+def write_wav(path: str | Path, signal: FoaSignal) -> str:
+    """Write signal as float32 WAV; returns the sha256 hex digest of the file.
+
+    The float32 samples are written and hashed from their own buffer, not a
+    bytes copy.
+    """
     samples = np.ascontiguousarray(signal.channels.T, dtype="<f4")
     rate = signal.sample_rate
     fmt = struct.pack(
@@ -53,9 +60,13 @@ def write_wav(path: str | Path, signal: FoaSignal) -> None:
         + b"data" + struct.pack("<I", samples.nbytes)
     )
     riff = b"RIFF" + struct.pack("<I", 4 + len(chunks) + samples.nbytes) + b"WAVE"
+    header = riff + chunks
+    digest = hashlib.sha256(header)
+    digest.update(samples)
     with open(path, "wb") as f:
-        f.write(riff + chunks)
+        f.write(header)
         f.write(samples)
+    return digest.hexdigest()
 
 
 def read_wav(path: str | Path, *, sha256: str | None = None) -> FoaSignal:
@@ -86,7 +97,7 @@ def read_wav(path: str | Path, *, sha256: str | None = None) -> FoaSignal:
     if len(data) % _BLOCK_ALIGN:
         raise ValueError(f"{path}: data chunk is not a whole number of samples")
     samples = np.frombuffer(data, dtype="<f4").reshape(-1, _CHANNELS)
-    return FoaSignal(samples.T.astype(np.float64), sample_rate)
+    return FoaSignal(samples.T, sample_rate)
 
 
 def _tuples(value):
@@ -155,14 +166,16 @@ def read_ground_truth(path: str | Path) -> tuple[list[SpeakerGroundTruth], Scene
     return speakers, spec_from_dict(doc["spec"])
 
 
-def write_scene(scene_dir: str | Path, scene: Scene, spec: SceneSpec) -> None:
-    """Mixture and wet WAVs plus the ground-truth JSON document."""
+def write_scene(scene_dir: str | Path, scene: Scene, spec: SceneSpec) -> str:
+    """Mixture and wet WAVs plus the ground-truth JSON document; returns the
+    sha256 of mixture.wav."""
     scene_dir = Path(scene_dir)
     scene_dir.mkdir(parents=True, exist_ok=True)
-    write_wav(scene_dir / "mixture.wav", scene.mixture)
+    sha256 = write_wav(scene_dir / "mixture.wav", scene.mixture)
     for j, wet in enumerate(scene.wet):
         write_wav(scene_dir / f"speaker{j:02d}.wav", wet)
     write_ground_truth(scene_dir / "ground_truth.json", scene.ground_truth, spec)
+    return sha256
 
 
 def read_scene(
@@ -170,12 +183,23 @@ def read_scene(
 ) -> tuple[Scene, SceneSpec]:
     """The scene write_scene wrote; with wet False its speakerNN.wav files are
     not read and scene.wet is empty. sha256, when given, is the hash the
-    mixture.wav bytes must have (read_wav checks it before parsing them)."""
+    mixture.wav bytes must have (read_wav checks it before parsing them). A
+    speaker WAV whose sample rate or length differs from the mixture's is a
+    ValueError."""
     scene_dir = Path(scene_dir)
     ground_truth, spec = read_ground_truth(scene_dir / "ground_truth.json")
     mixture = read_wav(scene_dir / "mixture.wav", sha256=sha256)
     speakers = range(len(ground_truth)) if wet else ()
-    signals = [read_wav(scene_dir / f"speaker{j:02d}.wav") for j in speakers]
+    signals = []
+    for j in speakers:
+        path = scene_dir / f"speaker{j:02d}.wav"
+        signal = read_wav(path)
+        if (signal.sample_rate, signal.num_samples) != (mixture.sample_rate, mixture.num_samples):
+            raise ValueError(
+                f"{path}: {signal.num_samples} samples at {signal.sample_rate} Hz, the mixture "
+                f"has {mixture.num_samples} at {mixture.sample_rate} Hz"
+            )
+        signals.append(signal)
     return Scene(mixture, signals, ground_truth), spec
 
 

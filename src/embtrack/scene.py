@@ -97,13 +97,21 @@ class SpeakerGroundTruth:
 
 @dataclass
 class FoaSignal:
-    """4 x T sample matrix in ACN order (W, Y, Z, X), SN3D normalization."""
+    """4 x T sample matrix in ACN order (W, Y, Z, X), SN3D normalization.
+
+    A float32 array is kept as it is: fileio.read_wav gives the read-only
+    float32 samples of the file, and every consumer widens them to float64
+    exactly where it computes. Any other input is converted to float64.
+    """
 
     channels: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
-        self.channels = np.atleast_2d(np.asarray(self.channels, dtype=np.float64))
+        channels = np.asarray(self.channels)
+        if channels.dtype != np.float32:
+            channels = channels.astype(np.float64, copy=False)
+        self.channels = np.atleast_2d(channels)
         if self.channels.shape[0] != 4:
             raise ValueError("FOA signal must have exactly 4 channels")
         if not np.all(np.isfinite(self.channels)):

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -118,7 +119,55 @@ class TestFileIo:
         fileio.write_wav(tmp_path / "x.wav", FoaSignal(channels, 22050))
         back = fileio.read_wav(tmp_path / "x.wav")
         assert back.sample_rate == 22050
-        assert back.channels.tobytes() == channels.tobytes()
+        assert back.channels.dtype == np.float32
+        assert back.channels.astype(np.float64).tobytes() == channels.tobytes()
+
+    def test_wav_reader_returns_a_read_only_view_of_the_bytes_it_read(self, tmp_path):
+        # 30 s at 16 kHz: a 7.68 MB file. Besides the bytes read, only the
+        # finiteness check's boolean array (a quarter of their size) is
+        # allocated; any copy of the samples, even a float32 one, would take
+        # the peak past twice the file size.
+        channels = np.random.default_rng(5).standard_normal((4, 30 * 16000))
+        path = tmp_path / "x.wav"
+        fileio.write_wav(path, FoaSignal(channels, 16000))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            back = fileio.read_wav(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * size
+        samples = back.channels
+        assert samples.dtype == np.float32 and samples.shape == (4, 30 * 16000)
+        assert np.array_equal(samples, channels.astype(np.float32))
+        assert not samples.flags.writeable
+        with pytest.raises(ValueError):
+            samples[0, 0] = 1.0
+        base = samples
+        while isinstance(base, np.ndarray):
+            base = base.base
+        raw = base.obj  # the memoryview over the bytes read_wav read
+        assert raw == path.read_bytes()
+        assert np.shares_memory(samples, np.frombuffer(raw, dtype=np.uint8))
+
+    def test_signal_keeps_float32_and_widens_other_input(self):
+        single = np.zeros((4, 3), dtype=np.float32)
+        assert FoaSignal(single, 16000).channels is single
+        for channels in (np.zeros((4, 3), dtype=np.int16), np.zeros((4, 3), dtype=np.float16), [[0]] * 4):
+            assert FoaSignal(channels, 16000).channels.dtype == np.float64
+
+    @pytest.mark.parametrize("num_samples", [0, 3, 16000])
+    def test_wav_writer_returns_the_sha256_of_the_file(self, tmp_path, num_samples):
+        channels = np.random.default_rng(num_samples).standard_normal((4, num_samples))
+        path = tmp_path / "x.wav"
+        digest = fileio.write_wav(path, FoaSignal(channels, 16000))
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_scene_writer_returns_the_sha256_of_the_mixture(self, tmp_path):
+        spec = SceneSpec(seed=1, duration=1.0)
+        digest = fileio.write_scene(tmp_path / "s", simulate(spec), spec)
+        assert digest == hashlib.sha256((tmp_path / "s" / "mixture.wav").read_bytes()).hexdigest()
 
     def test_wav_reader_skips_unknown_and_odd_sized_chunks(self, tmp_path):
         channels = np.arange(12.0).reshape(4, 3)
@@ -349,6 +398,23 @@ class TestRun:
             argv = ["run", "--dataset", str(dry), "--out", str(tmp_path / out), "--beamformers", beamformer]
             assert main(argv) == 3
             assert "speaker00.wav" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["short", "sample_rate"])
+    def test_speaker_wav_not_matching_the_mixture_exit_code(self, one_scene, tmp_path, capsys, kind):
+        data = tmp_path / "data"
+        shutil.copytree(one_scene, data)
+        path = data / "scenes" / "scene_0000" / "speaker00.wav"
+        wet = fileio.read_wav(path)
+        if kind == "short":
+            signal = FoaSignal(wet.channels[:, : wet.num_samples // 3], wet.sample_rate)
+        else:
+            signal = FoaSignal(wet.channels, 22050)
+        fileio.write_wav(path, signal)
+        results = tmp_path / "results"
+        argv = ["run", "--dataset", str(data), "--out", str(results), "--beamformers", "ideal,mvdr"]
+        assert main(argv) == 3
+        assert f"{path}: " in capsys.readouterr().err
+        assert list(results.rglob(COMPLETE_MARKER)) == []
 
     @pytest.mark.parametrize("kind", ["pcm16", "two_channels", "truncated", "not_riff"])
     def test_unreadable_mixture_wav_exit_code(self, one_scene, tmp_path, capsys, kind):
@@ -785,6 +851,32 @@ class TestCliProcess:
             argv += ["--results", str(results)]
         assert main(argv) == 3
         assert "data error" in capsys.readouterr().err
+        assert not report.exists()
+        assert (results / "run_manifest.json").exists() == (command == "eval")
+
+    @pytest.mark.parametrize("repeat", ["row", "scene_id", "index"])
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    def test_manifest_listing_a_scene_twice_exit_code(self, small_dataset, tmp_path, capsys, command, repeat):
+        _cfg, dataset = small_dataset
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        results = tmp_path / "results"
+        if command == "eval":
+            run = ["run", "--dataset", str(data), "--out", str(results), "--beamformers", "ds"]
+            assert main(run + ["--durations", "whole"]) == 0
+        manifest = json.loads((data / "manifest.json").read_text())
+        first, second = manifest["scenes"][:2]
+        if repeat == "row":
+            manifest["scenes"].append(first)
+        else:
+            second[repeat] = first[repeat]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        report = tmp_path / "report.json"
+        argv = [command, "--dataset", str(data), "--out", str(report if command == "eval" else results)]
+        if command == "eval":
+            argv += ["--results", str(results)]
+        assert main(argv) == 3
+        assert "twice" in capsys.readouterr().err
         assert not report.exists()
         assert (results / "run_manifest.json").exists() == (command == "eval")
 

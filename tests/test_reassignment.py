@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embtrack import beamforming, dsp, embedding, reassignment, tracking
+from embtrack import beamforming, dsp, embedding, fileio, reassignment, tracking
 from embtrack.beamforming import (
     MvdrDiagnostics,
     band_covariances,
     beamform_ds,
+    beamform_ideal,
     foa_stft,
     gated_noise_reference,
     nearest_speaker_index,
+    oracle_noise_reference,
 )
 from embtrack.embedding import (
     MIN_EMBED_FRAMES,
@@ -32,7 +34,7 @@ from embtrack.reassignment import (
     run_pipeline,
     track_and_enroll,
 )
-from embtrack.scene import SceneSpec, simulate
+from embtrack.scene import FoaSignal, Scene, SceneSpec, simulate
 from embtrack.tracking import Trajectory
 
 
@@ -537,3 +539,72 @@ class TestGatedCovariancePerTrack:
         assert ds.mvdr_diagnostics.gated_fallback_tracks is None
         doc = assignment_to_dict(ds.assignment, ds.mvdr_diagnostics)
         assert "mvdr_gated_fallback_tracks" not in doc
+
+
+class TestFloat32ReadScene:
+    """A scene read from disk holds the float32 samples of its WAV files;
+    every result computed from it equals the one computed from the same
+    samples widened to float64, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def scenes(self, tmp_path_factory):
+        # 10 s: the scene STFT spans several dsp.STFT_BLOCK_FRAMES blocks
+        spec = SceneSpec(seed=22, duration=10.0)
+        scene_dir = tmp_path_factory.mktemp("float32") / "scene"
+        fileio.write_scene(scene_dir, simulate(spec), spec)
+        read, _ = fileio.read_scene(scene_dir)
+
+        def widened(signal):
+            return FoaSignal(signal.channels.astype(np.float64), signal.sample_rate)
+
+        wide = Scene(widened(read.mixture), [widened(w) for w in read.wet], read.ground_truth)
+        assert read.mixture.channels.dtype == np.float32
+        assert all(w.channels.dtype == np.float32 for w in read.wet)
+        assert wide.mixture.channels.dtype == np.float64
+        return read, wide
+
+    def test_foa_stft(self, scenes):
+        read, wide = scenes
+        assert np.array_equal(foa_stft(read.mixture), foa_stft(wide.mixture))
+
+    # inside the scene, widened at its start, widened past its end
+    @pytest.mark.parametrize("window", [(2.0, 3.5), (0.0, 0.1), (9.8, 10.0), None])
+    def test_oracle_noise_reference(self, scenes, window):
+        read, wide = scenes
+        for target in range(len(read.wet)):
+            got = oracle_noise_reference(read.mixture, read.wet, target, window)
+            expected = oracle_noise_reference(wide.mixture, wide.wet, target, window)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("frames", [slice(0, 3), slice(200, 420), slice(600, 622)])
+    def test_beamform_ideal(self, scenes, frames):
+        read, wide = scenes
+        for doa in (DoA(0, 0), DoA(120, 10), DoA(-90, -20)):
+            got = beamform_ideal(read.wet, read.ground_truth, doa, (1.0, 2.0), frames)
+            expected = beamform_ideal(wide.wet, wide.ground_truth, doa, (1.0, 2.0), frames)
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("beamformer", ["ideal", "ds", "mvdr"])
+    def test_reassign_scene_cell(self, scenes, beamformer, monkeypatch):
+        calls = []
+        original = reassignment.reassign
+
+        def recorded(fragments, embeddings, *args, **kwargs):
+            calls.append(embeddings)
+            return original(fragments, embeddings, *args, **kwargs)
+
+        monkeypatch.setattr(reassignment, "reassign", recorded)
+        cell = [(2, beamformer, DurationPolicy(750), "oracle")]
+        results = []
+        for scene in scenes:
+            tracks_by_m, pool = track_and_enroll(scene, (23,), "gt", [2])
+            results.append(next(reassign_scene(scene, tracks_by_m, pool, cell)))
+        got, expected = calls
+        assert got.keys() == expected.keys() and len(got) > 2
+        for fragment_id, embedding in got.items():
+            assert np.array_equal(embedding.vector, expected[fragment_id].vector)
+        read, wide = results
+        assert read.assignment.assignments == wide.assignment.assignments
+        assert read.assignment.diagnostics == wide.assignment.diagnostics
+        assert read.mvdr_diagnostics == wide.mvdr_diagnostics
