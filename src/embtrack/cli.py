@@ -50,6 +50,8 @@ def _load_config(path: str | None, overrides: dict) -> ExperimentConfig:
         *parents, leaf = dotted.split(".")
         for key in parents:
             target = target.setdefault(key, {})
+            if not isinstance(target, dict):
+                raise ConfigError(f"config section {key!r} must be a mapping, not {target!r}")
         target[leaf] = value
     return ExperimentConfig.from_dict(doc)
 

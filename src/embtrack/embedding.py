@@ -198,28 +198,24 @@ def build_enrollment(
     voices: list[VoiceParams],
     m: int,
     seed: int,
+    distractors: list[tuple[str, Embedding]],
     sample_rate: int = 16000,
-    distractors: list[tuple[str, Embedding]] | None = None,
 ) -> EnrollmentPool:
-    """Enroll the scene voices plus m - len(voices) distractor identities.
+    """Enroll the scene voices plus the first m - len(voices) distractors.
 
-    Each entry is the embedding of a fresh 20 s utterance never used in any
-    mixture. Scene speakers come first (speakerNN), then distractors, which
-    may be passed in precomputed (the predefined-pool setting) or are sampled
-    here from the voice prior.
+    Each scene voice is enrolled with the embedding of a fresh 20 s utterance
+    never used in any mixture, its seed drawn from seed. Scene speakers come
+    first (speakerNN), then the distractors the caller passes in, already
+    embedded (the predefined-pool setting; [] for a speakers-only pool).
     """
     if m < len(voices):
         raise ValueError(f"pool size {m} smaller than number of scene voices {len(voices)}")
+    needed = m - len(voices)
+    if len(distractors) < needed:
+        raise ValueError(f"need {needed} distractors, got {len(distractors)}")
     rng = np.random.default_rng(seed)
     entries: list[tuple[str, Embedding]] = []
     for j, voice in enumerate(voices):
         utt = synthesize_voice(voice, ENROLLMENT_UTTERANCE_S, sample_rate, int(rng.integers(2**63 - 1)))
         entries.append((f"speaker{j:02d}", embed(utt, sample_rate)))
-    needed = m - len(voices)
-    if distractors is not None:
-        if len(distractors) < needed:
-            raise ValueError(f"need {needed} distractors, got {len(distractors)}")
-        entries.extend(distractors[:needed])
-    else:
-        entries.extend(build_distractors(needed, int(rng.integers(2**63 - 1)), sample_rate))
-    return EnrollmentPool(entries)
+    return EnrollmentPool(entries + distractors[:needed])

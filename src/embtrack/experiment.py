@@ -9,45 +9,44 @@ tracker frames are tracking.DEFAULT_HOP_S long and the analysis grid is
 dsp.stft_grid's. The "est" front-end's corruption is the default
 tracking.NoiseModel, as in the library's run_pipeline.
 ExperimentConfig.validate checks each field's declared type before its
-value; either kind of bad value is a ConfigError.
+value; either kind of bad value, or a sweep value listed twice, is a
+ConfigError.
 
 All randomness derives from one master seed. A scene's seed is
-derive_seed(master, index, "scene"); running it calls the library's seeded
-front-end, reassignment.track_and_enroll, with key (master, index), so every
-later stage seed is derive_seed(master, index, stage[, m]), the same rule
-the library uses. Every sweep cell therefore sees the same scenes, tracks
-and pools, and paired comparisons are meaningful. Each M's trajectories are
-segmented once per scene and shared by that M's cells
-(reassignment.reassign_scene). run and eval take the dataset section from
-the dataset's manifest, and eval takes the run section from the results'
-run_manifest.json; a manifest whose section this config cannot read, or
-that lists a scene_id or index twice, is a DataError. gen records the
-sha256 of the mixture bytes it writes; run reads each mixture once and
-checks its bytes against that hash before parsing them. Its
-run_manifest.json is written before the first scene and binds the results
-directory to one master seed, run section and dataset; a rerun that
-differs in any of them is refused.
+derive_seed(master, index, "scene"). run draws the pool's distractors once,
+with the library's one rule (reassignment.shared_distractors, seeded with
+derive_seed(master, "distractors")), and runs each scene through the
+library's seeded front-end, reassignment.track_and_enroll, with key (master,
+index): every later stage seed is derive_seed(master, index, stage[, m]).
+Every sweep cell therefore sees the same scenes, tracks and pools, and paired
+comparisons are meaningful. Each M's trajectories are segmented once per
+scene and shared by that M's cells (reassignment.reassign_scene). run and
+eval take the dataset section from the dataset's manifest, and eval takes
+the run section from the results' run_manifest.json; a manifest whose
+section this config cannot read, or that lists a scene_id or index twice,
+is a DataError. gen records the sha256 of the mixture bytes it writes; run
+reads each mixture once and checks its bytes against that hash before
+parsing them. Its run_manifest.json is written before the first scene and
+binds the results directory to one master seed, run section and dataset; a
+rerun that differs in any of them is refused.
 Completed scene/cell outputs are marked on disk and skipped on resume. eval
-is one pass over the scenes: it reads each scene's ground truth once, and of
-that scene's trajectory files (each M's `before` tracks and each cell's
-`after` tracks) it parses and scores each distinct text once, since cells
-that reach the same identity decisions write the same bytes. Each distinct
-list of per-scene scores is aggregated once. eval refuses a cell without its
-marker, or results whose run_manifest.json binds them to another master seed
-or dataset.
+scores each distinct trajectory file of a scene once (cmd_eval), and refuses
+a cell without its marker, or results whose run_manifest.json binds them to
+another master seed or dataset.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import fileio
+from . import fileio, metrics
 from .beamforming import MIN_COV_FRAMES
-from .embedding import MIN_EMBED_FRAMES, Embedding, analysis_frame_centers, build_distractors
+from .embedding import MIN_EMBED_FRAMES, analysis_frame_centers
 from .fragments import DurationPolicy
 from .metrics import SceneMetrics, aggregate_report, evaluate_scene
 from .reassignment import (
@@ -56,6 +55,7 @@ from .reassignment import (
     TRACKER_VARIANTS,
     reads_wet,
     reassign_scene,
+    shared_distractors,
     track_and_enroll,
 )
 from .scene import SceneSpec, simulate
@@ -138,16 +138,24 @@ class RunConfig:
                 raise ConfigError(f"bad duration {d!r}: {e}") from None
         if not self.enrollment_sizes:
             raise ConfigError("run.enrollment_sizes must not be empty")
+        # A repeated value would name, and compute, the same cell twice.
+        cells = [(m, bf, DurationPolicy.parse(d)) for m, bf, d in self.cells()]
+        if len(set(cells)) < len(cells):
+            raise ConfigError(f"the run section lists a value twice: {self}")
         for m in self.enrollment_sizes:
             if m < num_speakers:
                 raise ConfigError(f"enrollment size {m} < number of speakers {num_speakers}")
 
+    def cells(self) -> list[tuple[int, str, str]]:
+        """The Cartesian sweep {M} x {beamformer} x {duration}."""
+        return list(itertools.product(self.enrollment_sizes, self.beamformers, self.durations))
+
 
 @dataclass(frozen=True)
 class EvalConfig:
-    alpha_deg: float = 20.0
-    bootstrap_fraction: float = 0.8
-    bootstrap_iters: int = 100
+    alpha_deg: float = metrics.DEFAULT_ALPHA_DEG
+    bootstrap_fraction: float = metrics.DEFAULT_BOOTSTRAP_FRACTION
+    bootstrap_iters: int = metrics.DEFAULT_BOOTSTRAP_ITERS
 
     def validate(self) -> None:
         if not (0.0 < self.alpha_deg <= 180.0):
@@ -322,23 +330,6 @@ def cell_name(tracker: str, m: int, beamformer: str, duration: str) -> str:
     return f"{tracker}_m{m}_{beamformer}_{duration}"
 
 
-def run_cells(cfg: ExperimentConfig) -> list[tuple[int, str, str]]:
-    """The Cartesian sweep {M} x {beamformer} x {duration}."""
-    return [
-        (m, bf, dur)
-        for m in cfg.run.enrollment_sizes
-        for bf in cfg.run.beamformers
-        for dur in cfg.run.durations
-    ]
-
-
-def _shared_distractors(cfg: ExperimentConfig) -> list[tuple[str, Embedding]]:
-    need = max(cfg.run.enrollment_sizes) - cfg.dataset.num_speakers
-    if need <= 0:
-        return []
-    return build_distractors(need, derive_seed(cfg.master_seed, "distractors"))
-
-
 def _run_one(args: tuple) -> str:
     cfg, index, sha256, dataset_dir, out_dir, distractors = args
     scene_id = _scene_id(index)
@@ -349,7 +340,7 @@ def _run_one(args: tuple) -> str:
     run = cfg.run
     cells = [
         (m, bf, dur)
-        for (m, bf, dur) in run_cells(cfg)
+        for (m, bf, dur) in run.cells()
         if not (result_dir / cell_name(run.tracker, m, bf, dur) / COMPLETE_MARKER).exists()
     ]
     tracks_missing = [
@@ -363,7 +354,7 @@ def _run_one(args: tuple) -> str:
     wet = any(reads_wet(bf, run.noise_cov) for _, bf, _ in cells)
     scene, _spec = _read(lambda path: fileio.read_scene(path, wet, sha256=sha256), scene_dir)
     tracks_by_m, pool = track_and_enroll(
-        scene, (cfg.master_seed, index), run.tracker, run.enrollment_sizes, distractors=distractors
+        scene, (cfg.master_seed, index), run.tracker, run.enrollment_sizes, distractors
     )
     for m, trajectories in tracks_by_m.items():
         fileio.write_trajectories(result_dir / f"tracks_{run.tracker}_m{m}.jsonl", trajectories)
@@ -383,7 +374,7 @@ def _run_one(args: tuple) -> str:
 def _run_manifest(cfg: ExperimentConfig, scenes: list[dict]) -> dict:
     return {
         "config": cfg.to_dict(),
-        "cells": [cell_name(cfg.run.tracker, m, bf, dur) for m, bf, dur in run_cells(cfg)],
+        "cells": [cell_name(cfg.run.tracker, m, bf, dur) for m, bf, dur in cfg.run.cells()],
         "scenes": [row["scene_id"] for row in scenes],
         "sha256": {row["scene_id"]: row["sha256"] for row in scenes},
     }
@@ -425,7 +416,7 @@ def cmd_run(cfg: ExperimentConfig, dataset_dir: str | Path, out_dir: str | Path)
         _check_binding(out_dir, run_manifest)
     out_dir.mkdir(parents=True, exist_ok=True)
     fileio.dump_json(run_manifest, path)
-    distractors = _shared_distractors(cfg)
+    distractors = shared_distractors(cfg.master_seed, cfg.run.enrollment_sizes, cfg.dataset.num_speakers)
     tasks = [
         (cfg, row["index"], row["sha256"], str(dataset_dir), str(out_dir), distractors)
         for row in scenes
@@ -468,7 +459,7 @@ def cmd_eval(
     cfg, scenes = _open_dataset(dataclasses.replace(cfg, run=run), dataset_dir)
     _check_binding(results_dir, _run_manifest(cfg, scenes))
 
-    names = {(m, bf, dur): cell_name(run.tracker, m, bf, dur) for m, bf, dur in run_cells(cfg)}
+    names = {(m, bf, dur): cell_name(run.tracker, m, bf, dur) for m, bf, dur in run.cells()}
     # Each M's `before` file, then each cell's `after` file, relative to a scene's results.
     files = {m: f"tracks_{run.tracker}_m{m}.jsonl" for m in run.enrollment_sizes}
     files.update({name: f"{name}/tracks_after.jsonl" for name in names.values()})

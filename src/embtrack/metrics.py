@@ -15,6 +15,8 @@ from .scene import SpeakerGroundTruth
 from .tracking import Trajectory, gt_frame_doas, num_frames
 
 DEFAULT_ALPHA_DEG = 20.0
+DEFAULT_BOOTSTRAP_FRACTION = 0.8
+DEFAULT_BOOTSTRAP_ITERS = 100
 _FORBIDDEN = 1e9
 
 
@@ -300,8 +302,8 @@ def bootstrap_stats(
 
 def aggregate_report(
     per_scene: list[SceneMetrics],
-    fraction: float = 0.8,
-    iters: int = 100,
+    fraction: float = DEFAULT_BOOTSTRAP_FRACTION,
+    iters: int = DEFAULT_BOOTSTRAP_ITERS,
     seed: int = 0,
     alpha_deg: float = DEFAULT_ALPHA_DEG,
 ) -> MetricsReport:

@@ -28,16 +28,14 @@ ideal beamformer reads the target's own wet signal and pools over all frames.
 Every per-scene path (the library's run_pipeline, the batch runner and the
 acceptance suite) runs the same two steps. track_and_enroll is the seeded
 front-end: it owns every stage seed, derive_seed(*key, stage[, m]). The key
-is (master seed, scene index) in the batch runner and (seed,) in
-run_pipeline. reassign_scene is the post-tracking step: it segments each M's
-trajectories once and then, per cell (m, beamformer, policy, noise covariance
-source), beamforms, embeds and reassigns every fragment. The gated MVDR noise
-covariance is taken from the frames of the scene STFT whose centre lies in a
-tracker frame where the fragment's track is inactive, so it depends only on
-the track: before the first cell, each M with a gated MVDR cell estimates it
-once for every track that has a fragment, and every gated cell of that M
-shares those covariances. The oracle one is taken from the STFT of the
-fragment window's interferer-plus-noise signal.
+is (master seed, scene index) in the batch runner, (seed,) in run_pipeline
+and (master seed, suite tag, scene index) in the acceptance suite. Its
+distractors come from the one distractor rule, shared_distractors: one set
+per master seed, shared by every scene. reassign_scene is the post-tracking
+step: it segments each M's trajectories once and then, per cell (m,
+beamformer, policy, noise covariance source), beamforms, embeds and
+reassigns every fragment. A gated MVDR noise covariance depends only on the
+fragment's track, so it is estimated once per track and M.
 """
 
 from __future__ import annotations
@@ -65,6 +63,7 @@ from .embedding import (
     EnrollmentPool,
     analysis_frame_centers,
     analysis_frame_tracker_frames,
+    build_distractors,
     build_enrollment,
     embed_power,
 )
@@ -295,21 +294,31 @@ def _gated_covariances(
     return covariances, fallback_tracks
 
 
+def shared_distractors(
+    master_seed: int, enrollment_sizes: Sequence[int], num_speakers: int
+) -> list[tuple[str, Embedding]]:
+    """The one distractor rule: max(enrollment_sizes) - num_speakers entries
+    drawn with derive_seed(master_seed, "distractors"), once per run (not per
+    scene) and shared by every scene. A smaller set is a prefix of a larger."""
+    need = max(enrollment_sizes) - num_speakers
+    return build_distractors(need, derive_seed(master_seed, "distractors")) if need > 0 else []
+
+
 def track_and_enroll(
     scene: Scene,
     key: tuple[int | str, ...],
     tracker_variant: str,
     enrollment_sizes: Sequence[int],
-    distractors: list[tuple[str, Embedding]] | None = None,
+    distractors: list[tuple[str, Embedding]],
 ) -> tuple[dict[int, list[Trajectory]], EnrollmentPool]:
     """The seeded front-end: observe once, track once per M, enroll once.
 
     The "est" front-end corrupts the ground truth with the default NoiseModel.
 
     Stage seeds are derive_seed(*key, "observe"), derive_seed(*key,
-    "tracker", m) and derive_seed(*key, "enrollment"). The pool has
-    max(enrollment_sizes) entries; the pool for a smaller M is its prefix,
-    since scene speakers come first and distractors are shared.
+    "tracker", m) and derive_seed(*key, "enrollment"). The pool is the scene
+    speakers, then the first of distractors (shared_distractors' of the
+    master seed), max(enrollment_sizes) entries; a smaller M takes a prefix.
     """
     if tracker_variant == "gt":
         observations = observe_gt(scene.ground_truth, duration=scene.duration)
@@ -323,13 +332,8 @@ def track_and_enroll(
     tracks_by_m = {
         m: track(observations, maker(m, derive_seed(*key, "tracker", m))) for m in enrollment_sizes
     }
-    pool = build_enrollment(
-        scene.voices,
-        max(enrollment_sizes),
-        derive_seed(*key, "enrollment"),
-        scene.sample_rate,
-        distractors,
-    )
+    seed = derive_seed(*key, "enrollment")
+    pool = build_enrollment(scene.voices, max(enrollment_sizes), seed, distractors, scene.sample_rate)
     return tracks_by_m, pool
 
 
@@ -392,9 +396,10 @@ def run_pipeline(
     """track -> segment -> window -> beamform -> embed -> reassign for one cell.
 
     Emits both the tracker trajectories and the reassigned ones so the two can
-    be evaluated as a pair. Deterministic for a given seed: the stage seeds
-    are track_and_enroll's with key (seed,).
+    be evaluated as a pair. Deterministic for a given seed: the master seed
+    of track_and_enroll's key (seed,) and of shared_distractors.
     """
-    tracks_by_m, pool = track_and_enroll(scene, (seed,), tracker_variant, [m])
+    distractors = shared_distractors(seed, [m], len(scene.voices))
+    tracks_by_m, pool = track_and_enroll(scene, (seed,), tracker_variant, [m], distractors)
     cell = (m, beamformer, policy, noise_cov_source)
     return next(reassign_scene(scene, tracks_by_m, pool, [cell]))

@@ -1,12 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 The heavyweight scene suites are computed once per session and shared across
-criteria; tracking and enrollment are reused across sweep cells exactly like
-the batch runner does.
+criteria. Each scene runs the library's seeded front-end and post-tracking
+step, with the one distractor rule, so tracking and enrollment are reused
+across sweep cells exactly like the batch runner does.
 """
 
-import itertools
-import json
 import time
 
 import numpy as np
@@ -15,11 +14,11 @@ import yaml
 
 from embtrack.beamforming import mvdr_weights, steering_vector
 from embtrack.cli import main as cli_main
-from embtrack.embedding import EnrollmentPool, build_distractors, build_enrollment, embed
+from embtrack.embedding import embed
 from embtrack.fragments import DurationPolicy
 from embtrack.geometry import DoA, angular_distance, doa_from_unit_vector, uniform_sphere
 from embtrack.metrics import assa, evaluate_scene, le, match_frames, swap_frag_rates
-from embtrack.reassignment import reassign_scene
+from embtrack.reassignment import reassign_scene, shared_distractors, track_and_enroll
 from embtrack.scene import SceneSpec, simulate, synthesize_voice
 from embtrack.seeding import derive_seed
 from embtrack.tracking import (
@@ -43,8 +42,10 @@ def report(criterion, ok, detail):
 
 
 def run_suite(scenes, cells, m, distractors, tag):
-    """Track once per scene, then evaluate every (beamformer, duration, noise
-    covariance source) cell with the library's post-tracking step.
+    """Per scene, the library's seeded front-end (track_and_enroll with key
+    (MASTER, tag, scene index) and the shared distractors of MASTER), then
+    every (beamformer, duration, noise covariance source) cell with its
+    post-tracking step, as the batch runner does.
 
     Returns (before metrics list, {cell: after metrics list}).
     """
@@ -52,15 +53,9 @@ def run_suite(scenes, cells, m, distractors, tag):
     after = {cell: [] for cell in cells}
     specs = [(m, bf, DurationPolicy.parse(dur), source) for bf, dur, source in cells]
     for i, scene in enumerate(scenes):
-        observations = observe_gt(scene.ground_truth, duration=scene.duration)
-        cfg = gt_tracker_config(m, derive_seed(MASTER, tag, i, "tracker"))
-        trajectories = track(observations, cfg)
-        before.append(evaluate_scene(scene.ground_truth, trajectories, scene.duration))
-        pool = build_enrollment(
-            scene.voices, m, derive_seed(MASTER, tag, i, "enroll"), distractors=distractors
-        )
-        results = reassign_scene(scene, {m: trajectories}, pool, specs)
-        for cell, result in zip(cells, results):
+        tracks_by_m, pool = track_and_enroll(scene, (MASTER, tag, i), "gt", [m], distractors)
+        before.append(evaluate_scene(scene.ground_truth, tracks_by_m[m], scene.duration))
+        for cell, result in zip(cells, reassign_scene(scene, tracks_by_m, pool, specs)):
             after[cell].append(evaluate_scene(scene.ground_truth, result.after, scene.duration))
     return before, after
 
@@ -78,7 +73,8 @@ def distant_suite():
         simulate(SceneSpec(seed=derive_seed(MASTER, "distant", i, "scene"), duration=30.0))
         for i in range(N_SCENES)
     ]
-    before, core = run_suite(scenes, [("ideal", "whole", "oracle")], 2, None, "distant")
+    distractors = shared_distractors(MASTER, [2], 2)
+    before, core = run_suite(scenes, [("ideal", "whole", "oracle")], 2, distractors, "distant")
     criterion1_runtime = time.time() - t0
     _, rest = run_suite(
         scenes,
@@ -92,7 +88,7 @@ def distant_suite():
             ("mvdr", "whole", "gated"),
         ],
         2,
-        None,
+        distractors,
         "distant",
     )
     after = core | rest
@@ -115,7 +111,7 @@ def close_suite():
         scenes,
         [("ds", "whole", "oracle"), ("mvdr", "whole", "gated")],
         2,
-        None,
+        shared_distractors(MASTER, [2], 2),
         "close",
     )
     return {"after": after}
@@ -136,10 +132,12 @@ def enrollment_sweep():
         )
         for i in range(20)
     ]
-    distractors = build_distractors(28, derive_seed(MASTER, "distractors"))
+    sizes = (2, 10, 20, 30)
+    # 28 distractors; the pool for a smaller M takes their prefix
+    distractors = shared_distractors(MASTER, sizes, 2)
     pre = {}
     post = {}
-    for m in (2, 10, 20, 30):
+    for m in sizes:
         before, after = run_suite(
             scenes, [("ideal", "whole", "oracle")], m, distractors, f"msweep{m}"
         )

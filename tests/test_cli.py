@@ -25,8 +25,10 @@ from embtrack.experiment import (
     cmd_gen,
     cmd_run,
 )
+from embtrack.fragments import DurationPolicy
 from embtrack.geometry import DoA
 from embtrack.metrics import aggregate_report, evaluate_scene
+from embtrack.reassignment import reassign_scene, shared_distractors, track_and_enroll
 from embtrack.scene import FoaSignal, SceneSpec, simulate
 from embtrack.seeding import derive_seed
 from embtrack.tracking import Trajectory
@@ -290,6 +292,26 @@ class TestRun:
                 assert (cell_dir / "assignment.json").exists()
                 assert (cell_dir / "tracks_after.jsonl").exists()
                 assert (cell_dir / "fragments.jsonl").exists()
+
+    def test_pool_is_the_library_front_end_with_the_shared_distractors(self, one_scene, tmp_path):
+        # M=4 over two speakers: the pool holds two of the run's shared distractors
+        cfg = ExperimentConfig.from_dict(
+            {"master_seed": 3, "run": {"beamformers": ["ds"], "enrollment_sizes": [4]}}
+        )
+        results = tmp_path / "results"
+        cmd_run(cfg, one_scene, results)
+        scene, _spec = fileio.read_scene(one_scene / "scenes" / "scene_0000", wet=False)
+        distractors = shared_distractors(3, [4], 2)
+        tracks_by_m, pool = track_and_enroll(scene, (3, 0), "gt", [4], distractors)
+        assert pool.identities == ["speaker00", "speaker01", "distractor00", "distractor01"]
+        for (_, got), (_, drawn) in zip(pool.entries[2:], distractors, strict=True):
+            assert np.array_equal(got.vector, drawn.vector)
+        cell = (4, "ds", DurationPolicy(), "oracle")
+        result = next(reassign_scene(scene, tracks_by_m, pool, [cell]))
+        expected = tmp_path / "assignment.json"
+        fileio.write_assignment(expected, result.assignment, result.mvdr_diagnostics)
+        written = results / "scene_0000" / "gt_m4_ds_whole" / "assignment.json"
+        assert written.read_bytes() == expected.read_bytes()
 
     def test_resume_skips_and_matches(self, small_results, tmp_path):
         cfg, data, results = small_results
@@ -808,6 +830,43 @@ class TestCliProcess:
         data = tmp_path / "data"
         assert main(["gen", "--config", str(cfg_path), "--out", str(data)]) == 2
         assert not (data / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "content, argv",
+        [
+            ("run:\n", ["run", "--tracker", "est"]),
+            ("run: 5\n", ["run", "--beamformers", "ds"]),
+            ("dataset: [1]\n", ["gen", "--count", "1"]),
+        ],
+        ids=["null-run", "int-run", "list-dataset"],
+    )
+    def test_non_mapping_section_set_by_a_flag_exit_code(
+        self, one_scene, tmp_path, capsys, content, argv
+    ):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(content)
+        out = tmp_path / "out"
+        dataset = ["--dataset", str(one_scene)] if argv[0] == "run" else []
+        assert main(argv + dataset + ["--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "must be a mapping" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--beamformers", "ds,ds"],
+            ["--enrollment-sizes", "2,4,2"],
+            ["--durations", "250,250ms"],
+            ["--beamformers", "ds,ds", "--durations", "whole,whole"],
+        ],
+        ids=["beamformer", "enrollment-size", "duration", "beamformer-and-duration"],
+    )
+    def test_repeated_sweep_value_exit_code(self, one_scene, tmp_path, capsys, flags):
+        # a repeated value would name, and compute, the same cell twice
+        results = tmp_path / "results"
+        assert main(["run", "--dataset", str(one_scene), "--out", str(results)] + flags) == 2
+        assert "lists a value twice" in capsys.readouterr().err
+        assert not (results / "run_manifest.json").exists()
 
     @pytest.mark.parametrize(
         "content",

@@ -206,22 +206,25 @@ class TestEnrollment:
     def test_pool_of_scene_speakers_only(self):
         rng = np.random.default_rng(4)
         voices = [sample_voice_params(rng) for _ in range(2)]
-        pool = build_enrollment(voices, 2, seed=11)
+        pool = build_enrollment(voices, 2, seed=11, distractors=[])
         assert pool.identities == ["speaker00", "speaker01"]
 
     def test_distractors_fill_pool(self):
         rng = np.random.default_rng(4)
         voices = [sample_voice_params(rng) for _ in range(2)]
-        pool = build_enrollment(voices, 6, seed=11)
+        distractors = build_distractors(4, seed=21)
+        pool = build_enrollment(voices, 6, seed=11, distractors=distractors)
         assert pool.size == 6
         assert pool.identities[:2] == ["speaker00", "speaker01"]
         assert all(i.startswith("distractor") for i in pool.identities[2:])
+        # the caller's entries, in order
+        assert all(got is drawn for got, drawn in zip(pool.entries[2:], distractors, strict=True))
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         voices = [sample_voice_params(rng) for _ in range(2)]
-        a = build_enrollment(voices, 4, seed=11)
-        b = build_enrollment(voices, 4, seed=11)
+        a = build_enrollment(voices, 4, seed=11, distractors=build_distractors(2, seed=21))
+        b = build_enrollment(voices, 4, seed=11, distractors=build_distractors(2, seed=21))
         for (ia, ea), (ib, eb) in zip(a.entries, b.entries):
             assert ia == ib
             assert np.array_equal(ea.vector, eb.vector)
@@ -230,12 +233,18 @@ class TestEnrollment:
         rng = np.random.default_rng(4)
         voices = [sample_voice_params(rng) for _ in range(3)]
         with pytest.raises(ValueError):
-            build_enrollment(voices, 2, seed=0)
+            build_enrollment(voices, 2, seed=0, distractors=[])
+
+    def test_too_few_distractors_rejected(self):
+        rng = np.random.default_rng(4)
+        voices = [sample_voice_params(rng) for _ in range(2)]
+        with pytest.raises(ValueError, match="need 2 distractors, got 1"):
+            build_enrollment(voices, 4, seed=0, distractors=[("distractor00", unit([1, 0]))])
 
     def test_enrollment_matches_own_speaker(self):
         rng = np.random.default_rng(5)
         voices = [sample_voice_params(rng) for _ in range(2)]
-        pool = build_enrollment(voices, 2, seed=3)
+        pool = build_enrollment(voices, 2, seed=3, distractors=[])
         probe = embed(synthesize_voice(voices[0], 5.0, SR, seed=99), SR)
         scores = [cosine(probe, emb) for _, emb in pool.entries]
         assert scores[0] > scores[1]

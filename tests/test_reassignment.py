@@ -32,6 +32,7 @@ from embtrack.reassignment import (
     reassign,
     reassign_scene,
     run_pipeline,
+    shared_distractors,
     track_and_enroll,
 )
 from embtrack.scene import FoaSignal, Scene, SceneSpec, simulate
@@ -387,6 +388,20 @@ class TestRunPipeline:
         for ta, tb in zip(a.after, b.after):
             assert ta.frames == tb.frames
 
+    def test_pool_holds_the_shared_distractors_of_the_seed(self):
+        # the distractors are the one rule's for master seed 46, not a per-scene draw
+        scene = simulate(SceneSpec(seed=9, duration=6.0))
+        result = run_pipeline(scene, "gt", "ds", DurationPolicy(), m=4, seed=46)
+        distractors = shared_distractors(46, [4], 2)
+        _, pool = track_and_enroll(scene, (46,), "gt", [4], distractors)
+        assert result.pool.identities == pool.identities == [
+            "speaker00", "speaker01", "distractor00", "distractor01"
+        ]
+        for (_, got), (_, expected) in zip(result.pool.entries, pool.entries, strict=True):
+            assert np.array_equal(got.vector, expected.vector)
+        for (_, got), (_, drawn) in zip(result.pool.entries[2:], distractors, strict=True):
+            assert np.array_equal(got.vector, drawn.vector)
+
     def test_short_fragment_fallback_in_pipeline(self):
         # a 10 ms prefix holds at most one analysis frame centre, so every
         # window reads the MIN_EMBED_FRAMES frames from its first centre
@@ -400,7 +415,7 @@ class TestRunPipeline:
         # the est tracker leaves fragment 2 on the last tracker frame, (3.1 s,
         # 3.2 s), in which only two analysis frames of the 3.151 s scene are centred
         scene = simulate(SceneSpec(seed=5, duration=3.151))
-        tracks_by_m, pool = track_and_enroll(scene, (5,), "est", [2])
+        tracks_by_m, pool = track_and_enroll(scene, (5,), "est", [2], [])
         cells = [(2, "ideal", DurationPolicy(), "oracle"), (2, "ds", DurationPolicy(), "oracle")]
         for result in reassign_scene(scene, tracks_by_m, pool, cells):
             diagnostics = result.assignment.diagnostics
@@ -446,7 +461,7 @@ class TestGatedCovariancePerTrack:
     @pytest.fixture(scope="class")
     def inputs(self):
         scene = simulate(SceneSpec(seed=12, duration=10.0))
-        tracks_by_m, pool = track_and_enroll(scene, (51,), "gt", [2])
+        tracks_by_m, pool = track_and_enroll(scene, (51,), "gt", [2], [])
         return scene, tracks_by_m, pool
 
     @staticmethod
@@ -598,7 +613,7 @@ class TestFloat32ReadScene:
         cell = [(2, beamformer, DurationPolicy(750), "oracle")]
         results = []
         for scene in scenes:
-            tracks_by_m, pool = track_and_enroll(scene, (23,), "gt", [2])
+            tracks_by_m, pool = track_and_enroll(scene, (23,), "gt", [2], [])
             results.append(next(reassign_scene(scene, tracks_by_m, pool, cell)))
         got, expected = calls
         assert got.keys() == expected.keys() and len(got) > 2
