@@ -5,12 +5,17 @@ reassign_scene takes one unpadded STFT of the mixture per scene (foa_stft).
 A fragment reads the frames of that grid whose centre lies in its extraction
 window, a slice of the frame axis, and every beamformer returns the beam's
 single-channel STFT on those frames, shape (bins, frames); the embedder pools
-|Y|^2 from it directly, so no beam is resynthesised. band_covariances
-estimates the MVDR noise covariances from a 4-channel STFT: the gated one
+|Y|^2 from it directly, so no beam is resynthesised. DS weights a long
+slice a block of bins at a time, so the slice is never copied whole.
+
+An MVDR noise covariance is a sum of x @ x^H over blocks of a 4-channel STFT,
+one batched matrix product per block. band_covariances takes the gated one
 from the frames of the scene's foa_stft that gated_noise_reference selects,
-gathered a few bins at a time into one batched matrix product per block, the
-oracle one from the padded STFT of its time-domain reference
-(oracle_noise_reference), in one einsum.
+gathered a few bins at a time. reference_covariances takes the oracle one
+from the padded STFT of the fragment window's interferer-plus-noise
+reference (oracle_noise_reference), a few frames at a time: each block's
+reference samples are subtracted, windowed and transformed only when the
+block is summed, so neither the reference nor its STFT is held whole.
 
 The SN3D steering vector for a direction (az, el) is
     d = (1, sin az cos el, sin el, cos az cos el),  ||d||^2 = 2,
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import num_full_frames, stft, stft_grid
+from .dsp import num_full_frames, num_stft_frames, stft, stft_blocks, stft_grid
 from .embedding import analysis_frame_tracker_frames
 from .geometry import DoA, angular_distance
 from .scene import FoaSignal, SpeakerGroundTruth, foa_gains
@@ -37,6 +42,18 @@ MIN_NOISE_REFERENCE_S = 0.5
 # small fraction of the STFT, and with 8 bins its batched matrix product ran
 # fastest of 4, 8, 16 and 32 on a 30 s scene with one BLAS thread.
 _COV_BLOCK_BINS = 8
+# Frames per block of the oracle reference's STFT in reference_covariances:
+# a block of 16 frames holds 0.26 MB per copy, and summing 16-frame blocks
+# was no slower than 8, 32, 64 or 128 on 0.5-6 s references.
+_COV_BLOCK_FRAMES = 16
+# (bin, frame) cells per channel in a block of the frame slice that
+# beamform_ds weights: a 4-channel block copies 262 KB (blocks of a slice
+# over 1024 frames hold 4 bins, and more), and a short slice is one block,
+# since a call costs more than the copy there. A block's bin count is a
+# multiple of 4: with one BLAS thread, such blocks gave the bits of one
+# tensordot over the whole slice on every slice tried; blocks of 1 or 2
+# bins did not.
+_DS_BLOCK_CELLS = 4096
 
 
 def steering_vector(doa: DoA) -> np.ndarray:
@@ -78,38 +95,73 @@ def beamform_ds(mixture: FoaSignal | np.ndarray, doa: DoA) -> np.ndarray:
     mixture is a 4-channel STFT, such as a frame slice of foa_stft, giving the
     beam's (bins, frames) STFT, or a FoaSignal, giving its samples. The
     weights are real and the same in every band, so the two commute with the
-    STFT.
+    STFT. An STFT is weighted a block of bins at a time, _DS_BLOCK_CELLS
+    cells per channel: tensordot copies a strided operand, and a block is
+    all it then copies.
     """
     d = steering_vector(doa)
     w = d / float(d @ d)
-    channels = mixture.channels if isinstance(mixture, FoaSignal) else mixture
-    return np.tensordot(w, channels, axes=1)
+    if isinstance(mixture, FoaSignal):
+        return np.tensordot(w, mixture.channels, axes=1)
+    beam = np.empty(mixture.shape[1:], dtype=np.result_type(w, mixture))
+    step = 4 * max(1, _DS_BLOCK_CELLS // (4 * mixture.shape[2]))
+    for lo in range(0, len(beam), step):
+        beam[lo : lo + step] = np.tensordot(w, mixture[:, lo : lo + step], axes=1)
+    return beam
 
 
-def band_covariances(spec: np.ndarray, frames: np.ndarray | None = None) -> np.ndarray:
-    """Per-band spatial covariance of a 4-channel STFT, shape (bins, 4, 4).
+def band_covariances(spec: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Per-band spatial covariance of the selected frames of a 4-channel STFT,
+    shape (bins, 4, 4).
 
-    spec is (4, bins, frames): the padded stft of a time-domain reference, or
-    foa_stft of the mixture with frames, a boolean mask over its frame axis,
-    selecting the frames to average (all of them when frames is None). At
-    least MIN_COV_FRAMES must be selected. Without a mask the covariance is
-    one einsum over spec. With one, the selected frames are gathered
-    _COV_BLOCK_BINS bins at a time into a contiguous (bins, 4, frames) block,
-    so the selection is never copied whole, and each block's covariance is
-    one batched product x @ x^H. Either result is made exactly Hermitian.
+    spec is (4, bins, frames), such as foa_stft of the mixture, and frames a
+    boolean mask over its frame axis selecting at least MIN_COV_FRAMES frames
+    to average. The selected frames are gathered _COV_BLOCK_BINS bins at a
+    time into a contiguous (bins, 4, frames) block, so the selection is never
+    copied whole, and each block's covariance is one batched product x @ x^H.
+    The result is made exactly Hermitian.
     """
-    count = spec.shape[2] if frames is None else int(np.count_nonzero(frames))
+    count = _checked_frame_count(int(np.count_nonzero(frames)))
+    selected = np.flatnonzero(frames)
+    cov = np.empty((spec.shape[1], 4, 4), dtype=complex)
+    for lo in range(0, spec.shape[1], _COV_BLOCK_BINS):
+        x = np.take(spec[:, lo : lo + _COV_BLOCK_BINS].transpose(1, 0, 2), selected, axis=2)
+        cov[lo : lo + _COV_BLOCK_BINS] = x @ np.conj(x).swapaxes(1, 2)
+    return _hermitian(cov / count)
+
+
+def reference_covariances(reference: NoiseReference) -> np.ndarray:
+    """Per-band spatial covariance of the padded STFT of a time-domain noise
+    reference (stft(..., pad=True) on the analysis grid), shape (bins, 4, 4),
+    averaged over all of its frames, of which there must be MIN_COV_FRAMES.
+
+    The STFT is taken _COV_BLOCK_FRAMES frames at a time (dsp.stft_blocks),
+    each block's frames the same values the whole STFT holds, and each block
+    is added to the sum as one batched product x @ x^H, so only a block of
+    the reference and of its STFT is held. The result is made exactly
+    Hermitian.
+    """
+    n_window, n_hop = stft_grid(reference.sample_rate)
+    count = _checked_frame_count(num_stft_frames(reference.num_samples, n_window, n_hop))
+    cov = np.zeros((n_window // 2 + 1, 4, 4), dtype=complex)
+    blocks = stft_blocks(
+        reference.read, reference.num_samples, n_window, n_hop, block_frames=_COV_BLOCK_FRAMES
+    )
+    for _, _, spectra in blocks:
+        x = np.ascontiguousarray(spectra.transpose(2, 0, 1))
+        del spectra  # before the next block's spectra are made
+        cov += x @ np.conj(x).swapaxes(1, 2)
+    return _hermitian(cov / count)
+
+
+def _checked_frame_count(count: int) -> int:
     if count < MIN_COV_FRAMES:
         raise ValueError(f"noise reference too short for covariance estimation ({count} frames)")
-    if frames is None:
-        cov = np.einsum("cft,dft->fcd", spec, np.conj(spec)) / count
-    else:
-        selected = np.flatnonzero(frames)
-        cov = np.empty((spec.shape[1], 4, 4), dtype=complex)
-        for lo in range(0, spec.shape[1], _COV_BLOCK_BINS):
-            x = np.take(spec[:, lo : lo + _COV_BLOCK_BINS].transpose(1, 0, 2), selected, axis=2)
-            cov[lo : lo + _COV_BLOCK_BINS] = x @ np.conj(x).swapaxes(1, 2)
-        cov /= count
+    return count
+
+
+def _hermitian(cov: np.ndarray) -> np.ndarray:
+    """The Hermitian part of a (bins, 4, 4) stack, exactly Hermitian."""
     return 0.5 * (cov + np.conj(np.transpose(cov, (0, 2, 1))))
 
 
@@ -143,12 +195,12 @@ def beamform_mvdr(
     """Per-band MVDR steered at doa, with the band covariance noise_cov.
 
     mixture is a 4-channel STFT (4, bins, frames), such as a frame slice of
-    foa_stft; returns the beam's STFT (bins, frames). noise_cov is
-    band_covariances of the estimation material: the STFT of the oracle
-    interferer-plus-noise components of the fragment's window, or the frames
-    of the scene's foa_stft gated to the target track's inactivity (estimated
-    once per track by reassign_scene). The weights are solved per call, since
-    the steering DoA is per fragment.
+    foa_stft; returns the beam's STFT (bins, frames). noise_cov is the band
+    covariance of the estimation material: reference_covariances of the
+    oracle interferer-plus-noise reference of the fragment's window, or
+    band_covariances of the frames of the scene's foa_stft gated to the
+    target track's inactivity (estimated once per track by reassign_scene).
+    The weights are solved per call, since the steering DoA is per fragment.
     """
     weights, fallbacks = mvdr_weights(noise_cov, steering_vector(doa))
     if diagnostics is not None:
@@ -157,18 +209,40 @@ def beamform_mvdr(
     return np.einsum("fc,cft->ft", np.conj(weights), mixture)
 
 
+@dataclass(frozen=True)
+class NoiseReference:
+    """An oracle noise reference, mixture minus target over a span of samples,
+    kept as (4, num_samples) views of the two signals.
+
+    read takes the difference of a part of the span in float64, so the
+    float32 signals fileio.read_wav gives yield the same bits as their
+    float64 copies, and no copy of the whole span is made.
+    """
+
+    mixture: np.ndarray
+    target: np.ndarray
+    sample_rate: int
+
+    @property
+    def num_samples(self) -> int:
+        return self.mixture.shape[1]
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Samples lo to hi - 1 of the reference, shape (4, hi - lo), float64."""
+        return np.subtract(self.mixture[:, lo:hi], self.target[:, lo:hi], dtype=np.float64)
+
+
 def oracle_noise_reference(
     mixture: FoaSignal,
     wet_signals: list[FoaSignal],
     target_index: int,
     window: tuple[float, float] | None = None,
-) -> np.ndarray:
+) -> NoiseReference:
     """Everything except the target: mixture minus the target's wet signal.
 
     When a window is given it is symmetrically widened to
-    MIN_NOISE_REFERENCE_S so the covariance has enough frames. The difference
-    is taken in float64, so the float32 signals fileio.read_wav gives yield
-    the same bits as their float64 copies.
+    MIN_NOISE_REFERENCE_S so the covariance has enough frames, and the
+    reference covers the widened window's samples within the mixture.
     """
     a, b = 0, mixture.num_samples
     if window is not None:
@@ -179,7 +253,7 @@ def oracle_noise_reference(
         a = max(0, int(round(start * mixture.sample_rate)))
         b = min(mixture.num_samples, int(round(end * mixture.sample_rate)))
     target = wet_signals[target_index]
-    return np.subtract(mixture.channels[:, a:b], target.channels[:, a:b], dtype=np.float64)
+    return NoiseReference(mixture.channels[:, a:b], target.channels[:, a:b], mixture.sample_rate)
 
 
 def gated_noise_reference(mixture: FoaSignal, inactive_frames: list[int]) -> np.ndarray:

@@ -4,6 +4,8 @@ STFT-domain beamformers against time-domain ones."""
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -36,16 +38,15 @@ def stft(
     windows fully inside the signal (used for feature extraction).
 
     Each channel is windowed and transformed STFT_BLOCK_FRAMES frames at a
-    time, and the padding is made per block, so no full-length copy of x or
-    of its frames is held. Without out, the result is a (…, bins, frames)
-    view of a frames-major array (frame k's bins are contiguous); out, if
-    given, is an array of that shape to fill instead, in any memory order,
-    and is returned. Every value is the same as one rfft over all frames.
-    A float32 x is windowed in float64, a widening that is exact, so it gives
-    the same values as its float64 copy.
+    time (stft_blocks), so no full-length copy of x or of its frames is held.
+    Without out, the result is a (…, bins, frames) view of a frames-major
+    array (frame k's bins are contiguous); out, if given, is an array of that
+    shape to fill instead, in any memory order, and is returned. Every value
+    is the same as one rfft over all frames. A float32 x is windowed in
+    float64, a widening that is exact, so it gives the same values as its
+    float64 copy.
     """
-    edge = n_window if pad else 0
-    n_frames = num_full_frames(x.shape[-1] + 2 * edge, n_window, n_hop)
+    n_frames = num_stft_frames(x.shape[-1], n_window, n_hop, pad)
     if n_frames == 0:
         raise ValueError(f"signal too short for a {n_window}-sample window")
     lead, n_bins = x.shape[:-1], n_window // 2 + 1
@@ -53,25 +54,44 @@ def stft(
         out = np.empty(lead + (n_frames, n_bins), dtype=complex).swapaxes(-1, -2)
     elif out.shape != lead + (n_bins, n_frames):
         raise ValueError(f"out has shape {out.shape}, the STFT {lead + (n_bins, n_frames)}")
-    win = periodic_hann(n_window)
     for channel in np.ndindex(lead):
-        for f0 in range(0, n_frames, STFT_BLOCK_FRAMES):
-            f1 = min(f0 + STFT_BLOCK_FRAMES, n_frames)
-            start = f0 * n_hop - edge
-            span = _zero_extended(x[channel], start, start + (f1 - f0 - 1) * n_hop + n_window)
-            frames = sliding_window_view(span, n_window)[::n_hop] * win
-            out[channel][:, f0:f1] = np.fft.rfft(frames).T
+        samples = x[channel]
+        blocks = stft_blocks(lambda lo, hi: samples[lo:hi], len(samples), n_window, n_hop, pad)
+        for f0, f1, spectra in blocks:
+            out[channel][:, f0:f1] = spectra.T
+            del spectra  # before the next block's spectra are made
     return out
 
 
-def _zero_extended(x: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """x[start:stop] of a 1-D x, with zeros where the range leaves x."""
-    if 0 <= start and stop <= len(x):
-        return x[start:stop]
-    span = np.zeros(stop - start)
-    lo, hi = max(start, 0), min(stop, len(x))
-    span[lo - start : hi - start] = x[lo:hi]
-    return span
+def stft_blocks(
+    read: Callable[[int, int], np.ndarray],
+    n_samples: int,
+    n_window: int,
+    n_hop: int,
+    pad: bool = True,
+    block_frames: int = STFT_BLOCK_FRAMES,
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The STFT of a signal block_frames frames at a time: yields (f0, f1,
+    spectra), spectra of shape (…, f1 - f0, bins) holding frames f0 to f1 - 1.
+
+    The signal has n_samples samples along its last axis, and read(lo, hi)
+    returns samples lo to hi - 1 of it, 0 <= lo <= hi <= n_samples; pad is as
+    in stft. Only the samples one block's frames cover are read, and they are
+    zero-extended where a padded block leaves the signal.
+    """
+    edge = n_window if pad else 0
+    win = periodic_hann(n_window)
+    n_frames = num_stft_frames(n_samples, n_window, n_hop, pad)
+    for f0 in range(0, n_frames, block_frames):
+        f1 = min(f0 + block_frames, n_frames)
+        start = f0 * n_hop - edge
+        stop = start + (f1 - f0 - 1) * n_hop + n_window
+        lo, hi = max(start, 0), min(stop, n_samples)
+        span = read(lo, hi)
+        if hi - lo < stop - start:
+            inner, span = span, np.zeros(span.shape[:-1] + (stop - start,))
+            span[..., lo - start : hi - start] = inner
+        yield f0, f1, np.fft.rfft(sliding_window_view(span, n_window, axis=-1)[..., ::n_hop, :] * win)
 
 
 def istft(spec: np.ndarray, n_window: int, n_hop: int, length: int) -> np.ndarray:
@@ -93,3 +113,8 @@ def num_full_frames(n_samples: int, n_window: int, n_hop: int) -> int:
     if n_samples < n_window:
         return 0
     return 1 + (n_samples - n_window) // n_hop
+
+
+def num_stft_frames(n_samples: int, n_window: int, n_hop: int, pad: bool = True) -> int:
+    """Frame count of stft for an n_samples signal (0 if too short)."""
+    return num_full_frames(n_samples + (2 * n_window if pad else 0), n_window, n_hop)

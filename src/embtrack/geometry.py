@@ -80,9 +80,8 @@ def sample_vmf(
 ) -> np.ndarray:
     """Draw one von Mises-Fisher sample on S^2 around each row of mean_directions.
 
-    Uses the exact inversion for the cosine w of the polar angle,
-    p(w) ~ exp(kappa * w) on [-1, 1], then a uniform tangent rotation.
-    kappa = inf returns the means unchanged.
+    Draws n uniforms u, then n uniforms for the tangent angle, and maps them
+    with vmf_from_uniforms. kappa = inf returns the means unchanged.
     """
     mu = np.atleast_2d(mean_directions)
     n = mu.shape[0]
@@ -91,27 +90,41 @@ def sample_vmf(
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     u = rng.random(n)
-    w = 1.0 + np.log(u + (1.0 - u) * np.exp(-2.0 * kappa)) / kappa
-    w = np.clip(w, -1.0, 1.0)
-    phi = rng.random(n) * 2.0 * np.pi
-    # Orthonormal tangent basis per mean direction.
-    ref = np.where(np.abs(mu[:, 2:3]) < 0.9, [[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]])
-    t1 = _cross(mu, ref)
-    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    t2 = _cross(mu, t1)
-    sin_theta = np.sqrt(np.maximum(0.0, 1.0 - w**2))
-    out = (
-        w[:, None] * mu
-        + (sin_theta * np.cos(phi))[:, None] * t1
-        + (sin_theta * np.sin(phi))[:, None] * t2
-    )
-    out /= np.linalg.norm(out, axis=1, keepdims=True)
+    out = vmf_from_uniforms(mu, u, rng.random(n), kappa)
     return out if mean_directions.ndim > 1 else out[0]
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cross product of (n, 3) arrays: np.cross's products and
-    differences in its order, without its per-call overhead."""
-    a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
-    b0, b1, b2 = b[:, 0], b[:, 1], b[:, 2]
-    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=1)
+def vmf_from_uniforms(mu: np.ndarray, u: np.ndarray, v: np.ndarray, kappa: float) -> np.ndarray:
+    """The vMF sample around each row of mu (n, 3) that the uniforms u and v
+    in [0, 1) give, shape (n, 3).
+
+    Uses the exact inversion of u for the cosine w of the polar angle,
+    p(w) ~ exp(kappa * w) on [-1, 1], then rotates by the tangent angle
+    2 pi v in the basis t1 = mu x ref, t2 = mu x t1, where ref is the z axis,
+    or the x axis for a mean within 25.8 deg of a pole. Each row's values
+    depend only on its own inputs. The work is done per coordinate, one
+    array each, since numpy's per-call overhead dominates at tracker sizes.
+    """
+    w = 1.0 + np.log(u + (1.0 - u) * np.exp(-2.0 * kappa)) / kappa
+    w = np.minimum(np.maximum(w, -1.0), 1.0)
+    phi = v * 2.0 * np.pi
+    mx, my, mz = mu[:, 0], mu[:, 1], mu[:, 2]
+    rx = (np.abs(mz) >= 0.9).astype(float)
+    rz = 1.0 - rx
+    # t1 = mu x (rx, 0, rz), then normalized; t2 = mu x t1.
+    t1x, t1y, t1z = _normalized(my * rz - mz * 0.0, mz * rx - mx * rz, mx * 0.0 - my * rx)
+    t2x, t2y, t2z = my * t1z - mz * t1y, mz * t1x - mx * t1z, mx * t1y - my * t1x
+    sin_theta = np.sqrt(np.maximum(0.0, 1.0 - w * w))
+    c, s = sin_theta * np.cos(phi), sin_theta * np.sin(phi)
+    out = np.empty((len(w), 3))
+    out[:, 0], out[:, 1], out[:, 2] = _normalized(
+        w * mx + c * t1x + s * t2x, w * my + c * t1y + s * t2y, w * mz + c * t1z + s * t2z
+    )
+    return out
+
+
+def _normalized(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Coordinates divided by their Euclidean norm, summed as np.linalg.norm
+    sums a row, ((x^2 + y^2) + z^2)."""
+    norm = np.sqrt(x * x + y * y + z * z)
+    return x / norm, y / norm, z / norm

@@ -11,7 +11,10 @@ spectral work is done once per scene: reassign_scene takes one STFT of the
 4-channel mixture (foa_stft), and a fragment's extraction window reads the
 frames of that grid whose centre lies in it. The beamformers weight those
 frames per bin, and the embedder pools log-mel statistics straight from the
-beam's |Y|^2; nothing is resynthesised.
+beam's |Y|^2; nothing is resynthesised. Per fragment, only the beam's STFT
+is held whole: DS weights a long frame slice a block of bins at a time, and
+the oracle MVDR noise covariance is summed over blocks of frames of its
+reference's STFT.
 
 Every fragment is embedded. A window in which fewer than MIN_EMBED_FRAMES
 frame centres lie (a prefix or tracker frame shorter than 64 ms, or the
@@ -55,8 +58,8 @@ from .beamforming import (
     gated_noise_reference,
     nearest_speaker_index,
     oracle_noise_reference,
+    reference_covariances,
 )
-from .dsp import stft, stft_grid
 from .embedding import (
     MIN_EMBED_FRAMES,
     Embedding,
@@ -230,8 +233,12 @@ def extract_fragment_embedding(
     when fewer than MIN_EMBED_FRAMES are free). "ideal" reads only the
     target's wet signal and always pools over all frames. noise_cov is the
     "mvdr" band covariance, such as the gated one of the fragment's track;
-    when it is None the oracle covariance is estimated from the STFT of the
-    fragment window's own interferer-plus-noise reference.
+    when it is None the oracle covariance is estimated from the padded STFT
+    of the fragment window's own interferer-plus-noise reference
+    (reference_covariances, a block of frames at a time). The beam is the
+    only whole-window array this holds: DS weights a long frame slice a
+    block of bins at a time, and neither the oracle reference nor its STFT
+    is held whole.
     """
     window = extraction_window(frag, policy)
     steer = window_doa(frag, policy)
@@ -246,7 +253,7 @@ def extract_fragment_embedding(
             midpoint = 0.5 * (window[0] + window[1])
             target = nearest_speaker_index(scene.ground_truth, steer, midpoint)
             noise = oracle_noise_reference(scene.mixture, scene.wet, target, window)
-            noise_cov = band_covariances(stft(noise, *stft_grid(scene.sample_rate)))
+            noise_cov = reference_covariances(noise)
         beam = beamform_mvdr(mixture_stft[..., frames], steer, noise_cov, diagnostics)
     else:
         raise ValueError(f"unknown beamformer {beamformer!r}")

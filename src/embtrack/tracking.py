@@ -24,6 +24,7 @@ trajectory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,7 @@ from .geometry import (
     sample_vmf,
     spherical_mean,
     uniform_sphere,
+    vmf_from_uniforms,
 )
 from .scene import SpeakerGroundTruth
 
@@ -140,20 +142,44 @@ def observe_est(
     duration: float | None = None,
 ) -> list[ObservationFrame]:
     """Ground-truth detections independently dropped, vMF-perturbed, plus
-    Poisson false alarms drawn uniformly on the sphere."""
+    Poisson false alarms drawn uniformly on the sphere.
+
+    The draws are taken frame by frame: for each detection the miss draw
+    and, if it is kept, sample_vmf's two uniforms; then the frame's false
+    alarm count and directions. The kept detections are then perturbed
+    together in one vmf_from_uniforms call, which gives each the values a
+    sample_vmf call of its own would.
+    """
     rng = np.random.default_rng(seed)
-    frames = []
+    exact = math.isinf(noise_model.kappa_error)  # sample_vmf draws nothing then
+    frames, means, uniforms = [], [], []
     for frame in observe_gt(ground_truth, duration=duration):
-        detections: list[tuple[DoA, float]] = []
+        kept = []
         for doa, conf in frame.detections:
             if rng.random() < noise_model.miss_prob:
                 continue
-            perturbed = sample_vmf(rng, doa.unit_vector(), noise_model.kappa_error)
-            detections.append((doa_from_unit_vector(perturbed), conf))
-        for _ in range(rng.poisson(noise_model.false_alarm_rate)):
-            detections.append((doa_from_unit_vector(uniform_sphere(rng, 1)[0]), 1.0))
-        frames.append(ObservationFrame(frame.frame_index, detections))
-    return frames
+            kept.append(conf)
+            means.append(doa.unit_vector())
+            if not exact:
+                uniforms.append((rng.random(), rng.random()))
+        false_alarms = [
+            doa_from_unit_vector(uniform_sphere(rng, 1)[0])
+            for _ in range(rng.poisson(noise_model.false_alarm_rate))
+        ]
+        frames.append((frame.frame_index, kept, false_alarms))
+    directions = np.array(means).reshape(-1, 3)
+    if not exact:
+        u, v = np.array(uniforms).reshape(-1, 2).T
+        directions = vmf_from_uniforms(directions, u, v, noise_model.kappa_error)
+    perturbed = iter(directions)
+    return [
+        ObservationFrame(
+            index,
+            [(doa_from_unit_vector(next(perturbed)), conf) for conf in kept]
+            + [(doa, 1.0) for doa in false_alarms],
+        )
+        for index, kept, false_alarms in frames
+    ]
 
 
 class SphericalParticleFilter:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,37 @@ def vmf_mean_angle_deg(kappa: float, n: int = 200_000, seed: int = 0) -> float:
     mu = np.tile(np.array([0.0, 0.0, 1.0]), (n, 1))
     samples = sample_vmf(rng, mu, kappa)
     return float(np.mean(np.degrees(np.arccos(np.clip(samples[:, 2], -1.0, 1.0)))))
+
+
+def previous_vmf_from_uniforms(mu, u, v, kappa):
+    """The previous sample_vmf's arithmetic after its draws: np.clip, the
+    list-literal np.where, np.cross (which its row-wise cross product matched
+    bit for bit) and np.linalg.norm on (n, 3) arrays."""
+    w = 1.0 + np.log(u + (1.0 - u) * np.exp(-2.0 * kappa)) / kappa
+    w = np.clip(w, -1.0, 1.0)
+    phi = v * 2.0 * np.pi
+    ref = np.where(np.abs(mu[:, 2:3]) < 0.9, [[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]])
+    t1 = np.cross(mu, ref)
+    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
+    t2 = np.cross(mu, t1)
+    sin_theta = np.sqrt(np.maximum(0.0, 1.0 - w**2))
+    out = (
+        w[:, None] * mu
+        + (sin_theta * np.cos(phi))[:, None] * t1
+        + (sin_theta * np.sin(phi))[:, None] * t2
+    )
+    out /= np.linalg.norm(out, axis=1, keepdims=True)
+    return out
+
+
+def previous_sample_vmf(rng, mean_directions, kappa):
+    """The previous sample_vmf: u drawn, then the tangent-angle uniforms."""
+    mu = np.atleast_2d(mean_directions)
+    if math.isinf(kappa):
+        return mu.copy() if mean_directions.ndim > 1 else mu[0].copy()
+    u = rng.random(mu.shape[0])
+    out = previous_vmf_from_uniforms(mu, u, rng.random(mu.shape[0]), kappa)
+    return out if mean_directions.ndim > 1 else out[0]
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,19 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from embtrack.beamforming import (
+    _COV_BLOCK_FRAMES,
     MIN_COV_FRAMES,
     MVDR_LOADING,
     MvdrDiagnostics,
+    NoiseReference,
     band_covariances,
     beamform_ds,
     beamform_ideal,
@@ -17,9 +23,10 @@ from embtrack.beamforming import (
     mvdr_weights,
     nearest_speaker_index,
     oracle_noise_reference,
+    reference_covariances,
     steering_vector,
 )
-from embtrack.dsp import istft, num_full_frames, periodic_hann, stft
+from embtrack.dsp import istft, num_full_frames, num_stft_frames, periodic_hann, stft, stft_blocks
 from embtrack.geometry import DoA, doa_from_unit_vector, uniform_sphere
 from embtrack.scene import (
     FoaSignal,
@@ -43,6 +50,11 @@ def random_doas(n, seed=0):
 
 def power(x):
     return float(np.mean(np.asarray(x) ** 2))
+
+
+def covariance_of(noise):
+    """reference_covariances of a time-domain 4-channel noise reference."""
+    return reference_covariances(NoiseReference(noise, np.zeros_like(noise), SR))
 
 
 class TestSteeringVector:
@@ -121,6 +133,37 @@ class TestDelayAndSum:
         windowed = beamform_ds(spec[..., 15:31], DoA(0, 0))
         assert np.array_equal(windowed, full[:, 15:31])
 
+    def test_blocked_weights_equal_one_tensordot(self):
+        # Frame slices of the scene STFT, strided views with 257 bins: one
+        # block for the short slices, several blocks and a partial last one
+        # for the long ones. With one BLAS thread the blocked product has the
+        # bits of one tensordot over the whole slice; more threads split that
+        # one call, and the split changes its bits, so the comparison runs in
+        # a child process with one thread.
+        code = """
+import numpy as np
+from embtrack.beamforming import _DS_BLOCK_CELLS, beamform_ds, foa_stft, steering_vector
+from embtrack.geometry import DoA
+from embtrack.scene import FoaSignal
+
+rng = np.random.default_rng(19)
+spec = foa_stft(FoaSignal(rng.standard_normal((4, 8 * 16000)), 16000))
+assert spec.shape[1] * 143 > 4 * _DS_BLOCK_CELLS
+for doa in (DoA(-35, 20), DoA(0, 0), DoA(170, -80)):
+    d = steering_vector(doa)
+    for frames in (slice(0, 3), slice(40, 55), slice(9, 56), slice(17, 160), slice(100, 465), slice(None)):
+        mixture = spec[..., frames]
+        expected = np.tensordot(d / float(d @ d), mixture, axes=1)
+        assert np.array_equal(beamform_ds(mixture, doa), expected), (doa, frames)
+"""
+        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.parametrize("frames", [slice(0, 61), slice(7, 19), slice(40, 43)])
     def test_stft_domain_equals_stft_of_time_domain(self, frames):
         rng = np.random.default_rng(17)
@@ -193,7 +236,7 @@ class TestMvdr:
         doa = DoA(-70, 25)
         noise = rng.standard_normal((4, 20 * SR))
         # white uncorrelated noise reference -> covariance ~ scaled identity
-        out_mvdr = beamform_mvdr(spec, doa, band_covariances(stft(noise, 512, 256)))
+        out_mvdr = beamform_mvdr(spec, doa, covariance_of(noise))
         out_ds = beamform_ds(spec, doa)
         rel = np.sqrt(np.mean(np.abs(out_mvdr - out_ds) ** 2) / np.mean(np.abs(out_ds) ** 2))
         assert rel < 0.1  # sample covariance is only approximately identity
@@ -232,7 +275,7 @@ class TestMvdr:
         onset, offset, doa = gt[0].segments[0]
         window = (onset, offset)
         frames = slice(int(onset * SR) // 256, int(offset * SR) // 256 - 1)
-        noise_cov = band_covariances(stft(oracle_noise_reference(mixture, wet, 0, window), 512, 256))
+        noise_cov = reference_covariances(oracle_noise_reference(mixture, wet, 0, window))
         target_only = foa_stft(FoaSignal(wet[0].channels, SR))[..., frames]
         others = foa_stft(FoaSignal(mixture.channels - wet[0].channels, SR))[..., frames]
         ds_sir = power(np.abs(beamform_ds(target_only, doa))) / power(
@@ -249,27 +292,27 @@ class TestMvdr:
         y1 = foa_stft(FoaSignal(rng.standard_normal((4, 2048)), SR))
         y2 = foa_stft(FoaSignal(rng.standard_normal((4, 2048)), SR))
         doa = DoA(120, -30)
-        noise_cov = band_covariances(stft(noise_ref, 512, 256))
+        noise_cov = covariance_of(noise_ref)
         lhs = beamform_mvdr(1.5 * y1 + 0.5 * y2, doa, noise_cov)
         rhs = 1.5 * beamform_mvdr(y1, doa, noise_cov) + 0.5 * beamform_mvdr(y2, doa, noise_cov)
         assert np.allclose(lhs, rhs, atol=1e-9)
 
     def test_short_noise_reference_rejected(self):
         with pytest.raises(ValueError):
-            band_covariances(stft(np.zeros((4, 100)), 512, 256))
+            covariance_of(np.zeros((4, 100)))
 
     def test_diagnostics_counts_bands(self):
         rng = np.random.default_rng(11)
         spec = foa_stft(FoaSignal(rng.standard_normal((4, 4096)), SR))
         diag = MvdrDiagnostics()
-        noise_cov = band_covariances(stft(rng.standard_normal((4, SR)), 512, 256))
+        noise_cov = covariance_of(rng.standard_normal((4, SR)))
         beamform_mvdr(spec, DoA(0, 0), noise_cov, diagnostics=diag)
         assert diag.total_bands == 257
         assert diag.fallback_bands == 0
 
     def test_band_covariances_hermitian(self):
         rng = np.random.default_rng(12)
-        cov = band_covariances(stft(rng.standard_normal((4, 8000)), 512, 256))
+        cov = covariance_of(rng.standard_normal((4, 8000)))
         assert np.allclose(cov, np.conj(np.transpose(cov, (0, 2, 1))))
 
 
@@ -329,13 +372,13 @@ class TestNoiseReferences:
         spec = SceneSpec(seed=2, num_speakers=2, duration=4.0, snr=15.0)
         mixture, wet, _ = generate_scene(spec)
         ref = oracle_noise_reference(mixture, wet, 0)
-        assert np.allclose(ref, mixture.channels - wet[0].channels)
+        assert np.allclose(ref.read(0, ref.num_samples), mixture.channels - wet[0].channels)
 
     def test_oracle_window_widened_to_minimum(self):
         spec = SceneSpec(seed=2, num_speakers=2, duration=4.0, snr=15.0)
         mixture, wet, _ = generate_scene(spec)
         ref = oracle_noise_reference(mixture, wet, 0, window=(1.0, 1.1))
-        assert ref.shape[1] == int(0.5 * SR)
+        assert ref.num_samples == int(0.5 * SR)
 
     @pytest.mark.parametrize("window", [(1.0, 2.5), (1.0, 1.1), (3.9, 3.95), None])
     def test_oracle_slices_before_subtracting(self, window):
@@ -352,7 +395,8 @@ class TestNoiseReferences:
             a = max(0, int(round(start * SR)))
             b = min(mixture.num_samples, int(round(end * SR)))
             expected = residual[:, a:b]
-        assert np.array_equal(oracle_noise_reference(mixture, wet, 1, window), expected)
+        ref = oracle_noise_reference(mixture, wet, 1, window)
+        assert np.array_equal(ref.read(0, ref.num_samples), expected)
 
     # A hand-built track on a 2 s mixture at a 0.1 s tracker hop: active in
     # tracker frames 2-4 and 12. Analysis frame k (centre 256 k + 256 samples)
@@ -390,12 +434,83 @@ def reference_band_covariances(spec):
     return 0.5 * (cov + np.conj(np.transpose(cov, (0, 2, 1))))
 
 
+def assert_streamed_covariance(reference, samples):
+    """reference_covariances(reference) against the einsum over the padded
+    STFT of the materialised samples: within 1e-12 of the largest entry, and
+    exactly Hermitian."""
+    got = reference_covariances(reference)
+    expected = reference_band_covariances(stft(samples, 512, 256))
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.array_equal(got, np.conj(np.transpose(got, (0, 2, 1))))
+
+
 class TestBandCovariances:
     @pytest.mark.parametrize("samples", [1792, 5000, 3 * SR])
     def test_time_domain_reference_bits_unchanged(self, samples):
-        # the oracle path: the padded STFT of a time-domain reference
-        spec = stft(np.random.default_rng(samples).standard_normal((4, samples)), 512, 256)
-        assert np.array_equal(band_covariances(spec), reference_band_covariances(spec))
+        # the oracle path: every block reference_covariances sums holds the
+        # bits of the padded STFT of the whole time-domain reference
+        noise = np.random.default_rng(samples).standard_normal((4, samples))
+        reference = NoiseReference(noise, np.zeros_like(noise), SR)
+        spec = stft(noise, 512, 256)
+        blocks = list(stft_blocks(reference.read, samples, 512, 256, block_frames=_COV_BLOCK_FRAMES))
+        assert blocks[-1][1] == spec.shape[2] == num_stft_frames(samples, 512, 256)
+        for f0, f1, spectra in blocks:
+            assert np.array_equal(np.swapaxes(spectra, 1, 2), spec[..., f0:f1])
+        assert_streamed_covariance(reference, noise)
+
+    # Reference lengths whose padded STFT (1 + (n + 512) // 256 frames) has
+    # MIN_COV_FRAMES frames, fewer frames than a block, exactly one block, one
+    # frame more, and several blocks with a partial last one.
+    @pytest.mark.parametrize(
+        "n_frames",
+        [
+            MIN_COV_FRAMES,
+            _COV_BLOCK_FRAMES - 1,
+            _COV_BLOCK_FRAMES,
+            _COV_BLOCK_FRAMES + 1,
+            5 * _COV_BLOCK_FRAMES + 7,
+        ],
+    )
+    def test_oracle_covariance_equals_the_materialised_stft_covariance(self, n_frames):
+        mixture, wet, _ = generate_scene(SceneSpec(seed=2, num_speakers=2, duration=4.0, snr=15.0))
+        span = slice(7000, 7000 + (n_frames - 3) * 256 + 100)
+        # also float32 sample-major channels, as fileio.read_wav gives them
+        m32 = np.ascontiguousarray(mixture.channels.T, dtype=np.float32).T
+        w32 = np.ascontiguousarray(wet[1].channels.T, dtype=np.float32).T
+        for m, w in ((mixture.channels, wet[1].channels), (m32, w32)):
+            reference = NoiseReference(m[:, span], w[:, span], SR)
+            assert num_stft_frames(reference.num_samples, 512, 256) == n_frames
+            assert_streamed_covariance(reference, np.subtract(m[:, span], w[:, span], dtype=float))
+
+    # widened and clipped at the scene's start, inside it, widened and
+    # clipped at its end, ending at its end, and the whole scene
+    @pytest.mark.parametrize(
+        "window", [(0.0, 0.1), (-0.3, 0.4), (1.0, 2.7), (3.9, 3.95), (3.2, 4.0), None]
+    )
+    def test_oracle_windows_clipped_by_the_scene(self, window):
+        mixture, wet, _ = generate_scene(SceneSpec(seed=2, num_speakers=2, duration=4.0, snr=15.0))
+        reference = oracle_noise_reference(mixture, wet, 0, window)
+        assert_streamed_covariance(reference, reference.read(0, reference.num_samples))
+
+    def test_too_short_reference_rejected(self):
+        # 1791 samples: 9 frames, one fewer than MIN_COV_FRAMES
+        with pytest.raises(ValueError, match="9 frames"):
+            covariance_of(np.ones((4, 1791)))
+        covariance_of(np.ones((4, 1792)))
+
+    def test_streamed_covariance_holds_a_block(self):
+        # A 6 s reference: its padded STFT alone takes 6.2 MB, and the
+        # materialised path held that, its conjugate and the float64 reference.
+        noise = np.random.default_rng(21).standard_normal((4, 6 * SR)).astype(np.float32)
+        reference = NoiseReference(noise, np.zeros_like(noise), SR)
+        stft_bytes = 4 * 257 * num_stft_frames(6 * SR, 512, 256) * 16
+        tracemalloc.start()
+        try:
+            reference_covariances(reference)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < stft_bytes / 4
 
     @pytest.mark.parametrize("fraction", [0.05, 0.6, 1.0])
     def test_gated_equals_gathered_frames(self, fraction):

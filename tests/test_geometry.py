@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 
 from embtrack.geometry import (
     DoA,
-    _cross,
     angular_distance,
     doa_from_unit_vector,
     sample_vmf,
     spherical_mean,
     uniform_sphere,
+    vmf_from_uniforms,
     wrap_azimuth,
 )
 
-from conftest import vmf_mean_angle_deg
+from conftest import previous_sample_vmf, previous_vmf_from_uniforms, vmf_mean_angle_deg
 
 azimuths = st.floats(min_value=-180.0, max_value=179.999, allow_nan=False)
 elevations = st.floats(min_value=-89.0, max_value=89.0, allow_nan=False)
@@ -116,12 +116,49 @@ def test_vmf_deterministic_per_seed():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("n", [1, 96, 1000])
-def test_tangent_cross_products_match_np_cross_bitwise(n):
-    rng = np.random.default_rng(n)
+def assert_same_bits(a, b):
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def unit_rows(rng, n):
+    """Random unit rows with the poles, rows at and near |z| = 0.9 (where the
+    tangent reference switches axis) and signed zeros mixed in."""
     mu = rng.standard_normal((n, 3))
     mu /= np.linalg.norm(mu, axis=1, keepdims=True)
-    ref = np.where(np.abs(mu[:, 2:3]) < 0.9, [[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]])
-    t1 = np.cross(mu, ref)
-    assert np.array_equal(_cross(mu, ref), t1)
-    assert np.array_equal(_cross(mu, t1), np.cross(mu, t1))
+    special = [
+        [0.0, 0.0, 1.0],
+        [0.0, 0.0, -1.0],
+        [-0.0, 0.0, 1.0],
+        [math.sqrt(1 - 0.81), 0.0, 0.9],
+        [0.0, -math.sqrt(1 - 0.81), -0.9],
+        [math.sqrt(1 - 0.8999**2), 0.0, 0.8999],
+        [1.0, 0.0, 0.0],
+        [0.0, -1.0, -0.0],
+    ]
+    k = min(n, len(special))
+    mu[rng.permutation(n)[:k]] = special[:k]
+    return mu
+
+
+@pytest.mark.parametrize("n", [1, 96, 1000])
+def test_tangent_cross_products_match_np_cross_bitwise(n):
+    # Per-coordinate cross products, norms and clipping: the same bits as the
+    # (n, 3) formula with np.cross and np.linalg.norm.
+    rng = np.random.default_rng(n)
+    mu = unit_rows(rng, n)
+    u, v = rng.random(n), rng.random(n)
+    for kappa in (1.0, 124.0, 8000.0):
+        assert_same_bits(vmf_from_uniforms(mu, u, v, kappa), previous_vmf_from_uniforms(mu, u, v, kappa))
+
+
+def test_sample_vmf_equals_previous_implementation_bitwise():
+    rng = np.random.default_rng(2024)
+    for trial in range(500):
+        n = int(rng.choice([1, 2, 7, 96, 300]))
+        mu = unit_rows(rng, n)
+        kappa = float(rng.choice([0.5, 124.0, 500.0, 8000.0, 1e6, math.inf]))
+        seed = int(rng.integers(1 << 31))
+        for means in (mu, mu[0]):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert_same_bits(sample_vmf(a, means, kappa), previous_sample_vmf(b, means, kappa))
+            assert a.random() == b.random()  # the same number of draws

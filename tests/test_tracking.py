@@ -22,6 +22,8 @@ from embtrack.tracking import (
     track,
 )
 
+from conftest import previous_sample_vmf
+
 VOICE = VoiceParams(f0=120.0, spectral_tilt=-6.0, resonances=(), modulation_rate=3.0)
 
 
@@ -67,7 +69,56 @@ class TestObserveGt:
         assert all(len(f.detections) == 2 for f in frames)
 
 
+def previous_observe_est(ground_truth, noise_model, seed, duration):
+    """The previous observe_est: one sample_vmf call per kept detection,
+    inside the frame loop."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for frame in observe_gt(ground_truth, duration=duration):
+        detections = []
+        for doa, conf in frame.detections:
+            if rng.random() < noise_model.miss_prob:
+                continue
+            perturbed = previous_sample_vmf(rng, doa.unit_vector(), noise_model.kappa_error)
+            detections.append((doa_from_unit_vector(perturbed), conf))
+        for _ in range(rng.poisson(noise_model.false_alarm_rate)):
+            detections.append((doa_from_unit_vector(uniform_sphere(rng, 1)[0]), 1.0))
+        frames.append(ObservationFrame(frame.frame_index, detections))
+    return frames
+
+
+def observation_bits(frames):
+    return [
+        (f.frame_index, [(d.azimuth.hex(), d.elevation.hex(), conf) for d, conf in f.detections])
+        for f in frames
+    ]
+
+
 class TestObserveEst:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            NoiseModel(),
+            NoiseModel(math.inf, 0.1, 0.2),
+            NoiseModel(10.0, 0.3, 1.5),
+            NoiseModel(124.0, 1.0, 0.0),
+        ],
+    )
+    def test_equals_previous_implementation_bitwise(self, model):
+        # Overlapping speakers, one near the zenith and one where the vMF
+        # tangent reference switches axis (|z| = 0.9, elevation 64.16 deg).
+        gt = make_gt(
+            [
+                [(0.0, 4.0, DoA(30, 10)), (6.0, 9.0, DoA(-150, 85))],
+                [(2.0, 7.5, DoA(100, -math.degrees(math.asin(0.9))))],
+                [(1.0, 8.0, DoA(-179.5, -40))],
+            ]
+        )
+        for seed in range(20):
+            got = observe_est(gt, model, seed=seed, duration=10.0)
+            expected = previous_observe_est(gt, model, seed, 10.0)
+            assert observation_bits(got) == observation_bits(expected)
+
     def test_degenerate_noise_equals_gt(self):
         gt = make_gt([[(0.0, 1.5, DoA(25, -10))]])
         clean = observe_gt(gt)
