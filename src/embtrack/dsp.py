@@ -29,7 +29,13 @@ STFT_BLOCK_FRAMES = 256
 
 
 def stft(
-    x: np.ndarray, n_window: int, n_hop: int, pad: bool = True, *, out: np.ndarray | None = None
+    x: np.ndarray,
+    n_window: int,
+    n_hop: int,
+    pad: bool = True,
+    *,
+    out: np.ndarray | None = None,
+    block_frames: int = STFT_BLOCK_FRAMES,
 ) -> np.ndarray:
     """Complex STFT, shape (bins, frames). x may be (T,) or (channels, T) -> (ch, bins, frames).
 
@@ -37,8 +43,8 @@ def stft(
     inverse transform reconstructs the full length; pad=False keeps only the
     windows fully inside the signal (used for feature extraction).
 
-    Each channel is windowed and transformed STFT_BLOCK_FRAMES frames at a
-    time (stft_blocks), so no full-length copy of x or of its frames is held.
+    Each channel is windowed and transformed block_frames frames at a time
+    (stft_blocks), so no full-length copy of x or of its frames is held.
     Without out, the result is a (…, bins, frames) view of a frames-major
     array (frame k's bins are contiguous); out, if given, is an array of that
     shape to fill instead, in any memory order, and is returned. Every value
@@ -56,7 +62,9 @@ def stft(
         raise ValueError(f"out has shape {out.shape}, the STFT {lead + (n_bins, n_frames)}")
     for channel in np.ndindex(lead):
         samples = x[channel]
-        blocks = stft_blocks(lambda lo, hi: samples[lo:hi], len(samples), n_window, n_hop, pad)
+        blocks = stft_blocks(
+            lambda lo, hi: samples[lo:hi], len(samples), n_window, n_hop, pad, block_frames
+        )
         for f0, f1, spectra in blocks:
             out[channel][:, f0:f1] = spectra.T
             del spectra  # before the next block's spectra are made

@@ -24,8 +24,9 @@ scene and shared by that M's cells (reassignment.reassign_scene). run and
 eval take the dataset section from the dataset's manifest, and eval takes
 the run section from the results' run_manifest.json; a manifest whose
 section this config cannot read, or that lists a scene_id or index twice,
-is a DataError. gen records the sha256 of the mixture bytes it writes; run
-reads each mixture once and checks its bytes against that hash before
+is a DataError. gen writes each scene one signal at a time
+(fileio.write_scene) and records the sha256 of the mixture bytes it writes;
+run reads each mixture once and checks its bytes against that hash before
 parsing them. Its run_manifest.json is written before the first scene and
 binds the results directory to one master seed, run section and dataset; a
 rerun that differs in any of them is refused.
@@ -58,7 +59,7 @@ from .reassignment import (
     shared_distractors,
     track_and_enroll,
 )
-from .scene import SceneSpec, simulate
+from .scene import SceneSpec
 from .seeding import derive_seed
 
 COMPLETE_MARKER = "COMPLETE"
@@ -267,10 +268,13 @@ def _map(fn, tasks: list, workers: int) -> list:
 
 
 def _gen_one(args: tuple) -> dict:
+    """Write one scene of the dataset (fileio.write_scene: each speaker WAV as
+    soon as its signal is built, an old mixture.wav removed first, then the
+    mixture and the ground truth) and return its manifest row."""
     cfg, index, out_dir = args
     spec = cfg.dataset.scene_spec(index, cfg.master_seed)
     scene_dir = Path(out_dir) / "scenes" / _scene_id(index)
-    sha256 = fileio.write_scene(scene_dir, simulate(spec), spec)
+    sha256 = fileio.write_scene(scene_dir, spec)
     return {"scene_id": _scene_id(index), "index": index, "seed": spec.seed, "sha256": sha256}
 
 

@@ -35,37 +35,46 @@ from .beamforming import MvdrDiagnostics
 from .fragments import Fragment
 from .geometry import DoA
 from .reassignment import AssignmentResult
-from .scene import FoaSignal, Scene, SceneSpec, SpeakerGroundTruth, VoiceParams
+from .scene import FoaSignal, Scene, SceneSpec, SpeakerGroundTruth, VoiceParams, render_scene
 from .tracking import Trajectory
 
 _IEEE_FLOAT = 3
 _CHANNELS = 4
 _BLOCK_ALIGN = 4 * _CHANNELS
+# Samples per block that write_wav interleaves, hashes and writes (256 KB).
+_WAV_BLOCK = 16384
 
 
 def write_wav(path: str | Path, signal: FoaSignal) -> str:
     """Write signal as float32 WAV; returns the sha256 hex digest of the file.
 
-    The float32 samples are written and hashed from their own buffer, not a
-    bytes copy.
+    The samples are interleaved into float32 _WAV_BLOCK samples at a time,
+    and each block is hashed and written from one reused buffer, so no
+    whole-file copy is made; the bytes are those of one float32 copy of
+    signal.channels.T.
     """
-    samples = np.ascontiguousarray(signal.channels.T, dtype="<f4")
+    channels = signal.channels
+    num_samples = channels.shape[1]
+    data_bytes = num_samples * _BLOCK_ALIGN
     rate = signal.sample_rate
     fmt = struct.pack(
         "<HHIIHHH", _IEEE_FLOAT, _CHANNELS, rate, rate * _BLOCK_ALIGN, _BLOCK_ALIGN, 32, 0
     )
     chunks = (
         b"fmt " + struct.pack("<I", len(fmt)) + fmt
-        + b"fact" + struct.pack("<II", 4, len(samples))
-        + b"data" + struct.pack("<I", samples.nbytes)
+        + b"fact" + struct.pack("<II", 4, num_samples)
+        + b"data" + struct.pack("<I", data_bytes)
     )
-    riff = b"RIFF" + struct.pack("<I", 4 + len(chunks) + samples.nbytes) + b"WAVE"
-    header = riff + chunks
+    header = b"RIFF" + struct.pack("<I", 4 + len(chunks) + data_bytes) + b"WAVE" + chunks
     digest = hashlib.sha256(header)
-    digest.update(samples)
+    block = np.empty((min(num_samples, _WAV_BLOCK), _CHANNELS), dtype="<f4")
     with open(path, "wb") as f:
         f.write(header)
-        f.write(samples)
+        for start in range(0, num_samples, _WAV_BLOCK):
+            samples = block[: min(num_samples - start, _WAV_BLOCK)]
+            samples[...] = channels[:, start : start + len(samples)].T
+            digest.update(samples)
+            f.write(samples)
     return digest.hexdigest()
 
 
@@ -166,15 +175,26 @@ def read_ground_truth(path: str | Path) -> tuple[list[SpeakerGroundTruth], Scene
     return speakers, spec_from_dict(doc["spec"])
 
 
-def write_scene(scene_dir: str | Path, scene: Scene, spec: SceneSpec) -> str:
-    """Mixture and wet WAVs plus the ground-truth JSON document; returns the
-    sha256 of mixture.wav."""
+def write_scene(scene_dir: str | Path, spec: SceneSpec) -> str:
+    """Render spec's scene into scene_dir one signal at a time; returns the
+    sha256 of mixture.wav.
+
+    Each speakerNN.wav is written as soon as render_scene has built that
+    speaker's wet signal, which is then dropped; mixture.wav and
+    ground_truth.json follow. So the mixture accumulator and one wet signal
+    are all the float64 signals held at a time. An existing mixture.wav is
+    removed before the first speaker WAV is written: the manifest hashes only
+    the mixture, so a write that fails part-way must not leave an old
+    mixture beside new speaker WAVs.
+    """
     scene_dir = Path(scene_dir)
     scene_dir.mkdir(parents=True, exist_ok=True)
-    sha256 = write_wav(scene_dir / "mixture.wav", scene.mixture)
-    for j, wet in enumerate(scene.wet):
-        write_wav(scene_dir / f"speaker{j:02d}.wav", wet)
-    write_ground_truth(scene_dir / "ground_truth.json", scene.ground_truth, spec)
+    (scene_dir / "mixture.wav").unlink(missing_ok=True)
+    mixture, ground_truth = render_scene(
+        spec, lambda j, wet: write_wav(scene_dir / f"speaker{j:02d}.wav", wet)
+    )
+    sha256 = write_wav(scene_dir / "mixture.wav", mixture)
+    write_ground_truth(scene_dir / "ground_truth.json", ground_truth, spec)
     return sha256
 
 

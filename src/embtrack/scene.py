@@ -3,13 +3,17 @@
 Channel convention is ACN order (W, Y, Z, X) with SN3D normalization, so a
 plane wave s from (az, el) encodes as
     W = s,  Y = s sin(az) cos(el),  Z = s sin(el),  X = s cos(az) cos(el).
+
+render_scene is the one rendering path: it builds each speaker's wet signal
+in turn, adds it to the mixture and hands it to its caller before building
+the next. generate_scene and simulate collect the wet signals it hands over;
+fileio.write_scene writes each one to disk and drops it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,13 +99,19 @@ class SpeakerGroundTruth:
         return best
 
 
+# Samples per channel in a block of FoaSignal's finiteness check (256 KB of booleans).
+_FINITE_BLOCK = 65536
+
+
 @dataclass
 class FoaSignal:
     """4 x T sample matrix in ACN order (W, Y, Z, X), SN3D normalization.
 
     A float32 array is kept as it is: fileio.read_wav gives the read-only
     float32 samples of the file, and every consumer widens them to float64
-    exactly where it computes. Any other input is converted to float64.
+    exactly where it computes. Any other input is converted to float64. The
+    samples are checked to be finite _FINITE_BLOCK samples at a time, so the
+    check holds no full-size boolean array.
     """
 
     channels: np.ndarray
@@ -114,8 +124,9 @@ class FoaSignal:
         self.channels = np.atleast_2d(channels)
         if self.channels.shape[0] != 4:
             raise ValueError("FOA signal must have exactly 4 channels")
-        if not np.all(np.isfinite(self.channels)):
-            raise ValueError("FOA samples must be finite")
+        for start in range(0, self.num_samples, _FINITE_BLOCK):
+            if not np.isfinite(self.channels[:, start : start + _FINITE_BLOCK]).all():
+                raise ValueError("FOA samples must be finite")
 
     @property
     def num_samples(self) -> int:
@@ -261,18 +272,17 @@ def synthesize_voice(
 _DIFFUSE_SCALES = (1.0, 1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0))
 
 
-def _diffuse_noise_channels(n: int, seed: int) -> Iterator[np.ndarray]:
-    """The four channels of generate_diffuse_noise(n samples, seed) in turn,
-    each drawn into one buffer of n samples that the next one overwrites:
-    channel c is the c-th standard_normal(n) draw of the seed's generator,
-    scaled by _DIFFUSE_SCALES[c] (four successive draws are the bits of one
-    standard_normal((4, n)))."""
+def _diffuse_noise_channels(seed: int, out: np.ndarray) -> Iterator[np.ndarray]:
+    """The four channels of generate_diffuse_noise(out.size samples, seed) in
+    turn, each drawn into out, which the next one overwrites: channel c is the
+    c-th standard_normal(out.size) draw of the seed's generator, scaled by
+    _DIFFUSE_SCALES[c] (four successive draws are the bits of one
+    standard_normal((4, out.size)))."""
     rng = np.random.default_rng(seed)
-    channel = np.empty(n)
     for scale in _DIFFUSE_SCALES:
-        rng.standard_normal(out=channel)
-        channel *= scale
-        yield channel
+        rng.standard_normal(out=out)
+        out *= scale
+        yield out
 
 
 def generate_diffuse_noise(duration: float, sample_rate: int, seed: int) -> FoaSignal:
@@ -281,12 +291,12 @@ def generate_diffuse_noise(duration: float, sample_rate: int, seed: int) -> FoaS
     Sampled directly as independent Gaussian channels with the SN3D isotropic
     variances, which is the exact infinite-direction limit of superposing
     uncorrelated plane waves from a uniform direction field. The channels
-    come from _diffuse_noise_channels, the definition generate_scene mixes
+    come from _diffuse_noise_channels, the definition render_scene mixes
     in one channel at a time.
     """
     n = int(round(duration * sample_rate))
     channels = np.empty((4, n))
-    for row, channel in zip(channels, _diffuse_noise_channels(n, seed)):
+    for row, channel in zip(channels, _diffuse_noise_channels(seed, np.empty(n))):
         row[:] = channel
     return FoaSignal(channels, sample_rate)
 
@@ -338,53 +348,33 @@ def _draw_doa(
     )
 
 
-def _mix(wet: list[FoaSignal], snr: float | None, noise_seed: int | None) -> np.ndarray:
-    """Sum of the wet signals plus, unless noise_seed is None, the diffuse
-    noise generate_diffuse_noise draws from noise_seed, scaled so that the W
-    channel's speech-to-noise ratio is snr dB (no noise is added to silence).
+def _add_noise(mixture: np.ndarray, snr: float, noise_seed: int) -> None:
+    """Add to mixture, in place, the diffuse noise generate_diffuse_noise
+    draws from noise_seed, scaled so that the W channel's speech-to-noise
+    ratio is snr dB (no noise is added to silence).
 
-    The noise is drawn, scaled and added one channel at a time, and the W
-    row is summed first: until the other rows are summed, row 1 holds the
-    squares whose means set the noise gain. So besides the result only one
-    channel of noise is held.
+    One channel-length buffer holds in turn the squares of mixture's W row,
+    the W noise and its squares, then each noise channel as it is scaled and
+    added: the W noise is drawn twice rather than kept beside its squares.
     """
-    mixture = np.zeros_like(wet[0].channels)
-    for w in wet:
-        mixture[0] += w.channels[0]
-    noise_gain = None
-    if noise_seed is not None:
-        noise = _diffuse_noise_channels(mixture.shape[1], noise_seed)
-        w_noise = next(noise)
-        speech_power = float(np.mean(np.square(mixture[0], out=mixture[1])))
-        noise_power = float(np.mean(np.square(w_noise, out=mixture[1])))
-        mixture[1] = 0.0
-        if noise_power > 0 and speech_power > 0:
-            target = speech_power / (10.0 ** (snr / 10.0))
-            noise_gain = math.sqrt(target / noise_power)
-    for w in wet:
-        mixture[1:] += w.channels[1:]
-    if noise_gain is not None:
-        # w_noise's buffer is refilled with each next channel.
-        for row, channel in zip(mixture, itertools.chain([w_noise], noise)):
+    buffer = np.empty(mixture.shape[1])
+    speech_power = float(np.mean(np.square(mixture[0], out=buffer)))
+    w_noise = next(_diffuse_noise_channels(noise_seed, buffer))
+    noise_power = float(np.mean(np.square(w_noise, out=buffer)))
+    if noise_power > 0 and speech_power > 0:
+        target = speech_power / (10.0 ** (snr / 10.0))
+        noise_gain = math.sqrt(target / noise_power)
+        for row, channel in zip(mixture, _diffuse_noise_channels(noise_seed, buffer)):
             channel *= noise_gain
             row += channel
-    return mixture
 
 
-def generate_scene(
-    spec: SceneSpec,
-) -> tuple[FoaSignal, list[FoaSignal], list[SpeakerGroundTruth]]:
-    """Build mixture = sum of per-speaker wet FOA signals + diffuse noise at spec.snr.
-
-    Returns (mixture, wet signals, ground truth), all deterministic in spec.seed.
-    Each voice segment is added to its wet signal one channel at a time, and
-    _mix draws, scales and adds the noise one channel at a time, so besides
-    the returned arrays at most one channel-length array is held.
-    """
-    rng = np.random.default_rng(spec.seed)
+def _place_speakers(
+    rng: np.random.Generator, spec: SceneSpec
+) -> tuple[list[SpeakerGroundTruth], list[float]]:
+    """Draw each speaker's voice, activity and segment DoAs, and its level in
+    dB, from rng."""
     lo, hi = SEPARATION_REGIMES[spec.separation_regime]
-    n = int(round(spec.duration * spec.sample_rate))
-
     speakers: list[SpeakerGroundTruth] = []
     activities: list[list[tuple[float, float]]] = []
     for j in range(spec.num_speakers):
@@ -424,27 +414,69 @@ def generate_scene(
     offsets = [0.0]
     for _ in range(1, spec.num_speakers):
         offsets.append(offsets[-1] - float(rng.uniform(*spec.level_diff_range)))
-    gains_db = list(rng.permutation(offsets))
+    return speakers, list(rng.permutation(offsets))
 
-    wet: list[FoaSignal] = []
+
+def _speaker_channels(
+    rng: np.random.Generator, gt: SpeakerGroundTruth, gain_db: float, n: int, sample_rate: int
+) -> np.ndarray:
+    """gt's (4, n) wet signal at gain_db: each voice segment, synthesized from
+    a seed drawn from rng, is added to it one channel at a time."""
+    channels = np.zeros((4, n))
+    gain = 10.0 ** (gain_db / 20.0)
+    for onset, offset, doa in gt.segments:
+        seg_seed = int(rng.integers(0, 2**63 - 1))
+        a = int(round(onset * sample_rate))
+        b = int(round(offset * sample_rate))
+        mono = synthesize_voice(gt.voice, (b - a) / sample_rate, sample_rate, seg_seed)
+        mono = _apply_fades(mono, sample_rate)
+        for row, foa_gain in zip(channels, foa_gains(doa)):
+            row[a : a + len(mono)] += foa_gain * mono * gain
+    return channels
+
+
+def render_scene(
+    spec: SceneSpec, on_wet: Callable[[int, FoaSignal], None]
+) -> tuple[FoaSignal, list[SpeakerGroundTruth]]:
+    """Render spec's scene one speaker at a time; returns (mixture, ground truth).
+
+    Each speaker's wet signal is built, added to a float64 mixture
+    accumulator and handed to on_wet(speaker index, wet signal) before the
+    next one is built; nothing here refers to it once on_wet returns. Then
+    the diffuse noise at spec.snr is drawn, scaled and added one channel at a
+    time (_add_noise). So besides what on_wet keeps, the mixture, one wet
+    signal and one voice segment's arrays are held, then the mixture and one
+    channel-length buffer. Every row sums the speakers in the same order as
+    adding the whole wet signals one after another, so the bits do not
+    depend on this order of work. All of it is deterministic in spec.seed.
+    """
+    rng = np.random.default_rng(spec.seed)
+    speakers, gains_db = _place_speakers(rng, spec)
+    n = int(round(spec.duration * spec.sample_rate))
+    mixture = np.zeros((4, n))
     for gt, gain_db in zip(speakers, gains_db):
-        channels = np.zeros((4, n))
-        gain = 10.0 ** (gain_db / 20.0)
-        for onset, offset, doa in gt.segments:
-            seg_seed = int(rng.integers(0, 2**63 - 1))
-            a = int(round(onset * spec.sample_rate))
-            b = int(round(offset * spec.sample_rate))
-            mono = synthesize_voice(gt.voice, (b - a) / spec.sample_rate, spec.sample_rate, seg_seed)
-            mono = _apply_fades(mono, spec.sample_rate)
-            for row, foa_gain in zip(channels, foa_gains(doa)):
-                row[a : a + len(mono)] += foa_gain * mono * gain
-        wet.append(FoaSignal(channels, spec.sample_rate))
-
-    noise_seed = None
+        channels = _speaker_channels(rng, gt, gain_db, n, spec.sample_rate)
+        mixture += channels
+        on_wet(gt.speaker_id, FoaSignal(channels, spec.sample_rate))
+        del channels  # the next speaker is built without this one held
     if spec.snr is not None and math.isfinite(spec.snr):
-        noise_seed = int(rng.integers(0, 2**63 - 1))
-    mixture = _mix(wet, spec.snr, noise_seed)
-    return FoaSignal(mixture, spec.sample_rate), wet, speakers
+        _add_noise(mixture, spec.snr, int(rng.integers(0, 2**63 - 1)))
+    return FoaSignal(mixture, spec.sample_rate), speakers
+
+
+def generate_scene(
+    spec: SceneSpec,
+) -> tuple[FoaSignal, list[FoaSignal], list[SpeakerGroundTruth]]:
+    """Build mixture = sum of per-speaker wet FOA signals + diffuse noise at spec.snr.
+
+    Returns (mixture, wet signals, ground truth), all deterministic in
+    spec.seed: render_scene with the wet signals collected. Besides the
+    returned arrays, at most one voice segment's arrays or one channel-length
+    buffer is held.
+    """
+    wet: list[FoaSignal] = []
+    mixture, speakers = render_scene(spec, lambda _j, signal: wet.append(signal))
+    return mixture, wet, speakers
 
 
 @dataclass

@@ -1,11 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from embtrack import fileio, scene
 from embtrack.embedding import Embedding, embed
 from embtrack.geometry import DoA, sample_vmf
-from embtrack.scene import FoaSignal, foa_gains, sample_voice_params, synthesize_voice
+from embtrack.scene import FoaSignal, SceneSpec, foa_gains, sample_voice_params, synthesize_voice
 
 PANEL_SR = 16000
 
@@ -60,6 +62,60 @@ def previous_sample_vmf(rng, mean_directions, kappa):
     u = rng.random(mu.shape[0])
     out = previous_vmf_from_uniforms(mu, u, rng.random(mu.shape[0]), kappa)
     return out if mean_directions.ndim > 1 else out[0]
+
+
+DIFFUSE_SCALES = np.array([1.0, 1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0)])
+
+
+def whole_array_mix(wet: list[FoaSignal], snr, noise_seed) -> np.ndarray:
+    """The mixture with all four noise channels drawn, scaled and added as
+    whole (4, n) arrays: the reference for the per-channel mix."""
+    mixture = np.zeros_like(wet[0].channels)
+    for w in wet:
+        mixture += w.channels
+    if noise_seed is None:
+        return mixture
+    n = mixture.shape[1]
+    noise = DIFFUSE_SCALES[:, None] * np.random.default_rng(noise_seed).standard_normal((4, n))
+    speech_power = float(np.mean(mixture[0] ** 2))
+    noise_power = float(np.mean(noise[0] ** 2))
+    if noise_power > 0 and speech_power > 0:
+        noise *= np.sqrt(speech_power / (10.0 ** (snr / 10.0)) / noise_power)
+        mixture = mixture + noise
+    return mixture
+
+
+def previous_write_scene(scene_dir: Path, spec: SceneSpec) -> None:
+    """The scene writer before scenes were streamed: every wet signal and the
+    noisy mixture built and held at once (the whole-array mix), then each WAV
+    written from a whole float32 copy of its samples (scipy's writer). The
+    reference the streamed dataset must match byte for byte."""
+    from scipy.io import wavfile
+
+    rng = np.random.default_rng(spec.seed)
+    speakers, gains_db = scene._place_speakers(rng, spec)
+    sr = spec.sample_rate
+    n = int(round(spec.duration * sr))
+    wet = []
+    for gt, gain_db in zip(speakers, gains_db):
+        channels = np.zeros((4, n))
+        gain = 10.0 ** (gain_db / 20.0)
+        for onset, offset, doa in gt.segments:
+            seg_seed = int(rng.integers(0, 2**63 - 1))
+            a, b = int(round(onset * sr)), int(round(offset * sr))
+            mono = scene._apply_fades(synthesize_voice(gt.voice, (b - a) / sr, sr, seg_seed), sr)
+            for row, foa_gain in zip(channels, foa_gains(doa)):
+                row[a : a + len(mono)] += foa_gain * mono * gain
+        wet.append(FoaSignal(channels, sr))
+    noise_seed = None
+    if spec.snr is not None and math.isfinite(spec.snr):
+        noise_seed = int(rng.integers(0, 2**63 - 1))
+    mixture = whole_array_mix(wet, spec.snr, noise_seed)
+    scene_dir.mkdir(parents=True)
+    wavfile.write(scene_dir / "mixture.wav", sr, mixture.astype(np.float32).T)
+    for j, w in enumerate(wet):
+        wavfile.write(scene_dir / f"speaker{j:02d}.wav", sr, w.channels.astype(np.float32).T)
+    fileio.write_ground_truth(scene_dir / "ground_truth.json", speakers, spec)
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import previous_write_scene
 from embtrack import experiment, fileio
 from embtrack.cli import main
 from embtrack.experiment import (
@@ -84,7 +85,7 @@ class TestFileIo:
     def test_scene_round_trip(self, tmp_path):
         spec = SceneSpec(seed=1, duration=4.0)
         scene = simulate(spec)
-        fileio.write_scene(tmp_path / "s", scene, spec)
+        fileio.write_scene(tmp_path / "s", spec)
         loaded, spec_back = fileio.read_scene(tmp_path / "s")
         assert spec_back == spec
         assert np.allclose(loaded.mixture.channels, scene.mixture.channels, atol=1e-6)
@@ -104,7 +105,9 @@ class TestFileIo:
         assert data.dtype == np.float32
         assert data.shape[1] == 4
 
-    @pytest.mark.parametrize("num_samples", [0, 1, 3, 16000])
+    @pytest.mark.parametrize(
+        "num_samples", [0, 1, 3, 16000, fileio._WAV_BLOCK, 2 * fileio._WAV_BLOCK + 1]
+    )
     def test_wav_bytes_match_an_independent_writer(self, tmp_path, num_samples):
         from scipy.io import wavfile
 
@@ -125,10 +128,10 @@ class TestFileIo:
         assert back.channels.astype(np.float64).tobytes() == channels.tobytes()
 
     def test_wav_reader_returns_a_read_only_view_of_the_bytes_it_read(self, tmp_path):
-        # 30 s at 16 kHz: a 7.68 MB file. Besides the bytes read, only the
-        # finiteness check's boolean array (a quarter of their size) is
-        # allocated; any copy of the samples, even a float32 one, would take
-        # the peak past twice the file size.
+        # 30 s at 16 kHz: a 7.68 MB file. Besides the bytes read, only a
+        # block of the finiteness check's booleans (256 KB) is allocated; a
+        # full-size boolean array would take a quarter of the file size, and
+        # any copy of the samples, even a float32 one, twice the file size.
         channels = np.random.default_rng(5).standard_normal((4, 30 * 16000))
         path = tmp_path / "x.wav"
         fileio.write_wav(path, FoaSignal(channels, 16000))
@@ -139,7 +142,7 @@ class TestFileIo:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * size
+        assert peak < 1.1 * size
         samples = back.channels
         assert samples.dtype == np.float32 and samples.shape == (4, 30 * 16000)
         assert np.array_equal(samples, channels.astype(np.float32))
@@ -159,6 +162,23 @@ class TestFileIo:
         for channels in (np.zeros((4, 3), dtype=np.int16), np.zeros((4, 3), dtype=np.float16), [[0]] * 4):
             assert FoaSignal(channels, 16000).channels.dtype == np.float64
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_wav_writer_holds_a_block(self, tmp_path, dtype):
+        # 30 s at 16 kHz: a 7.68 MB file, written and hashed from one
+        # 256 KB block; a whole float32 copy of the samples is the file size.
+        channels = np.random.default_rng(6).standard_normal((4, 30 * 16000)).astype(dtype)
+        signal = FoaSignal(channels, 16000)
+        tracemalloc.start()
+        try:
+            digest = fileio.write_wav(tmp_path / "x.wav", signal)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        raw = (tmp_path / "x.wav").read_bytes()
+        assert peak < len(raw) / 8
+        assert digest == hashlib.sha256(raw).hexdigest()
+        assert np.array_equal(fileio.read_wav(tmp_path / "x.wav").channels, channels.astype(np.float32))
+
     @pytest.mark.parametrize("num_samples", [0, 3, 16000])
     def test_wav_writer_returns_the_sha256_of_the_file(self, tmp_path, num_samples):
         channels = np.random.default_rng(num_samples).standard_normal((4, num_samples))
@@ -168,7 +188,7 @@ class TestFileIo:
 
     def test_scene_writer_returns_the_sha256_of_the_mixture(self, tmp_path):
         spec = SceneSpec(seed=1, duration=1.0)
-        digest = fileio.write_scene(tmp_path / "s", simulate(spec), spec)
+        digest = fileio.write_scene(tmp_path / "s", spec)
         assert digest == hashlib.sha256((tmp_path / "s" / "mixture.wav").read_bytes()).hexdigest()
 
     def test_wav_reader_skips_unknown_and_odd_sized_chunks(self, tmp_path):
@@ -272,6 +292,69 @@ class TestGen:
         cmd_gen(cfg, tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["scenes"] == []
+
+    @pytest.mark.parametrize("jump_on_silence", [True, False])
+    @pytest.mark.parametrize("snr", [15.0, None])
+    @pytest.mark.parametrize("num_speakers", [1, 2, 3])
+    def test_streamed_scene_equals_the_whole_scene_writer(
+        self, tmp_path, num_speakers, snr, jump_on_silence
+    ):
+        # 5 s: each WAV spans several write blocks and finiteness-check blocks.
+        spec = SceneSpec(
+            seed=31 + num_speakers, num_speakers=num_speakers, duration=5.0, snr=snr,
+            jump_on_silence=jump_on_silence,
+        )
+        digest = fileio.write_scene(tmp_path / "streamed", spec)
+        previous_write_scene(tmp_path / "whole", spec)
+        streamed = tree_bytes(tmp_path / "streamed")
+        assert len(streamed) == num_speakers + 2
+        assert streamed == tree_bytes(tmp_path / "whole")
+        assert digest == hashlib.sha256(streamed["mixture.wav"]).hexdigest()
+
+    def test_scene_holds_the_mixture_and_one_wet_signal(self, tmp_path):
+        # 30 s: the mixture, or one wet signal, is 15.4 MB in float64. The
+        # whole-scene writer held the mixture, every wet signal and a float32
+        # copy of each file it wrote.
+        peaks = {}
+        for num_speakers in (2, 3):
+            cfg = ExperimentConfig.from_dict(
+                {"master_seed": 12, "dataset": {"duration": 30.0, "num_speakers": num_speakers}}
+            )
+            tracemalloc.start()
+            try:
+                experiment._gen_one((cfg, 0, tmp_path / f"j{num_speakers}"))
+                _, peaks[num_speakers] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        signal_bytes = 4 * 30 * 16000 * 8
+        assert peaks[2] <= 2.5 * signal_bytes
+        assert abs(peaks[3] - peaks[2]) <= 1e6
+
+    def test_failed_regen_leaves_no_mixture_beside_new_speaker_wavs(
+        self, one_scene, tmp_path, monkeypatch
+    ):
+        # A re-gen with another seed fails at the second speaker WAV: the old
+        # mixture would still match the old manifest, beside a new speaker00.
+        data = tmp_path / "data"
+        shutil.copytree(one_scene, data)
+        write_wav = fileio.write_wav
+
+        def failing(path, signal):
+            if Path(path).name == "speaker01.wav":
+                raise OSError("no space left on device")
+            return write_wav(path, signal)
+
+        monkeypatch.setattr(fileio, "write_wav", failing)
+        cfg = ExperimentConfig.from_dict({"master_seed": 4, "dataset": {"count": 1, "duration": 6.0}})
+        with pytest.raises(OSError, match="no space"):
+            cmd_gen(cfg, data)
+        monkeypatch.undo()
+        old, new = (root / "scenes" / "scene_0000" for root in (one_scene, data))
+        assert (new / "speaker00.wav").read_bytes() != (old / "speaker00.wav").read_bytes()
+        assert not (new / "mixture.wav").exists()
+        results = tmp_path / "results"
+        assert main(["run", "--dataset", str(data), "--out", str(results)]) == 3
+        assert list(results.rglob(COMPLETE_MARKER)) == []
 
     def test_rerun_same_seed_identical_hashes(self, small_dataset, tmp_path):
         cfg, out = small_dataset

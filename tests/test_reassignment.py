@@ -292,11 +292,12 @@ class TestExtractFragmentEmbedding:
         assert emb.pooling_fallback
         assert emb.pooled_frames == 15  # every frame centred in the 250 ms window
 
-    @pytest.mark.parametrize("beamformer", ["ds", "mvdr"])
+    @pytest.mark.parametrize("beamformer", ["ideal", "ds", "mvdr"])
     def test_long_window_holds_little_more_than_its_beam(self, scene, spec, beamformer):
         # A 5.5 s window (343 frames): DS copied the whole 4-channel frame
-        # slice (5.6 MB), and the oracle MVDR held the float64 reference
-        # (2.8 MB), its padded STFT (5.8 MB) and that STFT's conjugate.
+        # slice (5.6 MB), the oracle MVDR held the float64 reference
+        # (2.8 MB), its padded STFT (5.8 MB) and that STFT's conjugate, and
+        # ideal transformed 256-frame blocks (2.1 MB of frames and spectra).
         # Now the beam (1.4 MB) and its power are most of what is held.
         long = frag(0, 0, 0, 54, DoA(30, 0))
         extract_fragment_embedding(scene, spec, long, DurationPolicy(), beamformer)  # warm caches
@@ -588,7 +589,7 @@ class TestFloat32ReadScene:
         # 10 s: the scene STFT spans several dsp.STFT_BLOCK_FRAMES blocks
         spec = SceneSpec(seed=22, duration=10.0)
         scene_dir = tmp_path_factory.mktemp("float32") / "scene"
-        fileio.write_scene(scene_dir, simulate(spec), spec)
+        fileio.write_scene(scene_dir, spec)
         read, _ = fileio.read_scene(scene_dir)
 
         def widened(signal):

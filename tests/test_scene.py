@@ -1,17 +1,21 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from conftest import DIFFUSE_SCALES, whole_array_mix
 from embtrack import scene
 from embtrack.geometry import DoA, angular_distance
 from embtrack.scene import (
     SEPARATION_REGIMES,
+    FoaSignal,
     SceneSpec,
     VoiceParams,
     foa_gains,
     generate_diffuse_noise,
     generate_scene,
+    render_scene,
     sample_voice_params,
     synthesize_voice,
 )
@@ -77,27 +81,6 @@ def _out_of_place_voice(voice, duration, sample_rate, seed):
     return sig / rms if rms > 0 else sig
 
 
-DIFFUSE_SCALES = np.array([1.0, 1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0)])
-
-
-def _whole_array_mix(wet, snr, noise_seed):
-    """The mixture with all four noise channels drawn, scaled and added as
-    whole (4, n) arrays: the reference for the per-channel mix."""
-    mixture = np.zeros_like(wet[0].channels)
-    for w in wet:
-        mixture += w.channels
-    if noise_seed is None:
-        return mixture
-    n = mixture.shape[1]
-    noise = DIFFUSE_SCALES[:, None] * np.random.default_rng(noise_seed).standard_normal((4, n))
-    speech_power = float(np.mean(mixture[0] ** 2))
-    noise_power = float(np.mean(noise[0] ** 2))
-    if noise_power > 0 and speech_power > 0:
-        noise *= np.sqrt(speech_power / (10.0 ** (snr / 10.0)) / noise_power)
-        mixture = mixture + noise
-    return mixture
-
-
 def _peak_bytes(fn, *args):
     """(fn(*args), tracemalloc's peak while it ran)."""
     tracemalloc.start()
@@ -121,6 +104,27 @@ def one_segment_spec(**kwargs):
     )
     defaults.update(kwargs)
     return SceneSpec(**defaults)
+
+
+class TestFoaSignal:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_finiteness_check_holds_a_block(self, dtype):
+        # A full-size boolean array is an eighth of a float64 signal's bytes
+        # and a quarter of a float32 one's.
+        channels = np.zeros((4, 30 * 16000), dtype=dtype)
+        signal, peak = _peak_bytes(FoaSignal, channels, 16000)
+        assert signal.channels is channels
+        assert peak < channels.nbytes / 8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_non_finite_sample_in_the_last_block_raises(self, bad, dtype):
+        channels = np.zeros((4, 3 * scene._FINITE_BLOCK + 5), dtype=dtype)
+        channels[3, -1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FoaSignal(channels, 16000)
+        channels[3, -1] = 0.0
+        FoaSignal(channels, 16000)
 
 
 class TestEncodeFoa:
@@ -245,23 +249,45 @@ class TestSynthesizeVoice:
 class TestGenerateScene:
     @pytest.mark.parametrize("snr", [15.0, 0.0, -20.0, None])
     def test_per_channel_noise_mix_equals_whole_array_mix(self, snr):
-        _, wet, _ = generate_scene(SceneSpec(seed=4, duration=6.0, num_speakers=2, snr=None))
-        seed = None if snr is None else 77
-        assert np.array_equal(scene._mix(wet, snr, seed), _whole_array_mix(wet, snr, seed))
+        mixture, wet, _ = generate_scene(SceneSpec(seed=4, duration=6.0, num_speakers=2, snr=None))
+        assert np.array_equal(mixture.channels, whole_array_mix(wet, None, None))
+        if snr is not None:
+            noisy = mixture.channels.copy()
+            scene._add_noise(noisy, snr, 77)
+            assert np.array_equal(noisy, whole_array_mix(wet, snr, 77))
 
     def test_mixture_is_the_wet_sum_plus_whole_array_noise(self, monkeypatch):
         calls = []
 
-        def recorded(wet, snr, noise_seed):
-            calls.append((wet, snr, noise_seed))
-            return mix(wet, snr, noise_seed)
+        def recorded(mixture, snr, noise_seed):
+            calls.append((mixture, snr, noise_seed))
+            add_noise(mixture, snr, noise_seed)
 
-        mix = scene._mix
-        monkeypatch.setattr(scene, "_mix", recorded)
+        add_noise = scene._add_noise
+        monkeypatch.setattr(scene, "_add_noise", recorded)
         mixture, wet, _ = generate_scene(SceneSpec(seed=9, duration=8.0, num_speakers=3))
-        [(mixed_wet, snr, noise_seed)] = calls
-        assert mixed_wet is wet and snr == 15.0 and noise_seed is not None
-        assert np.array_equal(mixture.channels, _whole_array_mix(wet, snr, noise_seed))
+        [(noisy, snr, noise_seed)] = calls
+        assert noisy is mixture.channels and snr == 15.0 and noise_seed is not None
+        assert np.array_equal(mixture.channels, whole_array_mix(wet, snr, noise_seed))
+
+    def test_each_wet_signal_is_dropped_before_the_next_is_built(self, monkeypatch):
+        # A name left bound to a previous speaker's array, or to a view of
+        # it, would keep that signal alive while the next one is built.
+        order, refs, held = [], [], []
+        synthesize = scene.synthesize_voice
+
+        def recorded(*args):
+            held.append(any(ref() is not None for ref in refs))
+            return synthesize(*args)
+
+        def on_wet(j, signal):
+            order.append(j)
+            refs.append(weakref.ref(signal.channels))
+
+        monkeypatch.setattr(scene, "synthesize_voice", recorded)
+        render_scene(SceneSpec(seed=9, duration=8.0, num_speakers=3), on_wet)
+        assert order == [0, 1, 2]
+        assert len(held) >= 3 and not any(held)
 
     def test_holds_at_most_half_a_signal_beyond_its_outputs(self):
         # 30 s, 2 speakers: the whole-array noise draw, its scaled copy and the
