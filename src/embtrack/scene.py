@@ -8,6 +8,12 @@ render_scene is the one rendering path: it builds each speaker's wet signal
 in turn, adds it to the mixture and hands it to its caller before building
 the next. generate_scene and simulate collect the wet signals it hands over;
 fileio.write_scene writes each one to disk and drops it.
+
+Each voice segment is synthesized from one wavetable of its harmonic
+waveform (2^15 nodes per period, read by cubic Hermite interpolation,
+within 1e-9 of the per-harmonic sin sum at unit RMS), a block of samples at
+a time: besides the segment itself, synthesis holds the 1 MB table, one
+block's arrays and, for the RMS, one segment-length temporary.
 """
 
 from __future__ import annotations
@@ -163,15 +169,69 @@ def sample_voice_params(rng: np.random.Generator) -> VoiceParams:
     return VoiceParams(f0, tilt, resonances, rate)
 
 
-def _slow_noise(rng: np.random.Generator, n: int, sample_rate: float, rate_hz: float) -> np.ndarray:
-    """Band-limited unit-variance-ish noise via linear interpolation of control points."""
+def _slow_noise_controls(
+    rng: np.random.Generator, n: int, sample_rate: float, rate_hz: float
+) -> np.ndarray:
+    """The control points of n samples of band-limited unit-variance-ish
+    noise at about rate_hz, drawn from rng (_slow_noise_block reads it)."""
     n_ctrl = max(2, int(math.ceil(n / sample_rate * rate_hz)) + 2)
-    ctrl = rng.standard_normal(n_ctrl)
-    t = np.linspace(0.0, n_ctrl - 1.0, n)
-    return np.interp(t, np.arange(n_ctrl), ctrl)
+    return rng.standard_normal(n_ctrl)
 
 
-_SYNTH_BLOCK = 8192  # samples per block of the harmonic sum
+def _slow_noise_block(ctrl: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
+    """Samples start:stop of the n-sample slow noise on the control points
+    ctrl: np.interp(np.linspace(0, len(ctrl) - 1, n), np.arange(len(ctrl)),
+    ctrl)[start:stop], with linspace's bits (i * step, and the end point
+    itself as the last sample)."""
+    last = len(ctrl) - 1.0
+    x = np.arange(start, stop, dtype=np.float64)
+    if n > 1:
+        x *= last / (n - 1)
+        if stop == n:
+            x[-1] = last
+    return np.interp(x, np.arange(len(ctrl)), ctrl)
+
+
+# Nodes of a voice's wavetable. At most 92 harmonics are far below the
+# L / 2 the nodes resolve, so the nodes are exact; the cubic Hermite read
+# between them errs by O(L^-4). At unit RMS, 2^15 nodes stay within 1.3e-10
+# of the per-harmonic sum over 300 voices of the prior and its corner (flat
+# tilt, f0 80 Hz, loud high resonances); 2^14 reach 1.9e-9 there.
+_WAVETABLE_SIZE = 2**15
+_SYNTH_BLOCK = 8192  # samples per block of the synthesis
+
+
+def _wavetable(amps: np.ndarray, phases0: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Cubic Hermite coefficient rows (w0, d0, a, b) of the period
+    W(theta) = sum_k amps[k-1] sin(k theta + phases0[k-1]) on
+    L = _WAVETABLE_SIZE nodes: W(h (j + f)) is read as
+    w0[j] + f (d0[j] + f (a[j] + f b[j])) for f in [0, 1), the Hermite cubic
+    with W's values and slopes at nodes j and j + 1 (node L wraps to 0).
+
+    W and h W' (h = 2 pi / L, the node spacing) are exact at the nodes: one
+    inverse real FFT of their two coefficient rows gives both.
+    """
+    size = _WAVETABLE_SIZE
+    harmonics = np.arange(1, len(amps) + 1)
+    # irfft(X, L)[m] = (2 / L) Re sum_k X_k exp(i k theta_m) for harmonics
+    # below L / 2; it pads the spectrum with zeros above the last harmonic.
+    coeffs = (0.5 * size) * amps * np.exp(1j * phases0)
+    spectrum = np.zeros((2, len(amps) + 1), dtype=np.complex128)
+    spectrum[0, 1:] = -1j * coeffs  # sin(x) = Re(-i exp(i x))
+    spectrum[1, 1:] = (2.0 * np.pi / size) * harmonics * coeffs
+    values, slopes = np.fft.irfft(spectrum, n=size, axis=1)
+    # rise = W(j + 1) - W(j); both = slope(j) + slope(j + 1)
+    # a = 3 rise - slope(j) - both; b = both - 2 rise
+    rise = np.roll(values, -1)
+    rise -= values
+    both = np.roll(slopes, -1)
+    both += slopes
+    a = rise * 3.0
+    a -= slopes
+    a -= both
+    rise *= 2.0
+    both -= rise
+    return values, slopes, a, both
 
 
 def synthesize_voice(
@@ -182,45 +242,32 @@ def synthesize_voice(
     Deterministic for a given seed; two different seeds give independent
     utterances of the same voice.
 
-    The harmonic sum uses sum_k a_k sin(k phase + p_k) = Im(sum_k c_k z^k)
-    with c_k = a_k exp(i p_k) and z = exp(i phase): one complex exp per
-    sample, then Horner's rule over the harmonics. It is evaluated in blocks
-    of _SYNTH_BLOCK samples so no full-length complex array is held. Every
-    operation is elementwise and there is no recurrence over time, so any
-    block size of at least 2 samples gives the same bits. It differs from
-    the per-harmonic sin sum by rounding only (below 1e-9 for 60 s).
+    The amplitudes a_k and start phases p_k hold for the whole utterance,
+    so the harmonic sum sum_k a_k sin(k phase + p_k) is one periodic
+    function W of the instantaneous phase. W is tabulated on
+    _WAVETABLE_SIZE = 2^15 nodes per period (_wavetable) and read by cubic
+    Hermite interpolation: at x = phase L / (2 pi), the phase in nodes,
+    four coefficients of node floor(x) mod L and a cubic in
+    f = x - floor(x) in Horner form, so a sample costs the same whatever
+    the number of harmonics (up to 92).
+    It is within 1e-9 of the per-harmonic sin sum at unit RMS.
 
-    The full-length arrays (vibrato, drift, instantaneous f0, phase,
-    envelope) are computed in place and dropped once used, so at most four
-    are live at a time; each step keeps the operands and their order of the
-    plain expression in the comment above it, so the bits are those of that
-    expression.
+    Every random value is drawn first, in a fixed order (vibrato phase,
+    drift control points, harmonic start phases, envelope phase, envelope
+    control points); then the voice is computed _SYNTH_BLOCK samples at a
+    time: time, vibrato, drift and instantaneous f0, the phase (a cumsum
+    carried from block to block, so its bits are those of one cumsum over
+    the whole utterance), the table read, then the envelope. Every other
+    step is elementwise, so the block size changes no bit. Besides the
+    returned signal, the table (1 MB) and one block's arrays, only one
+    full-length temporary is held, for the RMS, which is a plain mean of
+    squares (never a BLAS reduction, whose bits could depend on the thread
+    count). Each step keeps the operands and their order of the plain
+    expression in the comment above it.
     """
     n = int(round(duration * sample_rate))
     if n == 0:
         return np.zeros(0)
-    rng = np.random.default_rng(seed)
-    # t = np.arange(n) / sample_rate
-    t = np.arange(n, dtype=np.float64)
-    t /= sample_rate
-
-    # Small vibrato plus stochastic drift on the fundamental.
-    # inst_f0 = f0 * (1 + 0.004 sin(2 pi 4.7 t + u) + 0.006 slow_noise)
-    inst_f0 = t * (2.0 * np.pi * 4.7)
-    inst_f0 += rng.uniform(0.0, 2.0 * np.pi)
-    np.sin(inst_f0, out=inst_f0)
-    inst_f0 *= 0.004
-    inst_f0 += 1.0
-    drift = _slow_noise(rng, n, sample_rate, 3.0)
-    drift *= 0.006
-    inst_f0 += drift
-    del drift
-    inst_f0 *= voice.f0
-    # phase = 2 pi cumsum(inst_f0) / sample_rate
-    phase = np.cumsum(inst_f0, out=inst_f0)
-    phase *= 2.0 * np.pi
-    phase /= sample_rate
-
     max_freq = min(7400.0, 0.45 * sample_rate)
     n_harm = max(1, int(max_freq / voice.f0))
     freqs = voice.f0 * np.arange(1, n_harm + 1)
@@ -231,38 +278,69 @@ def synthesize_voice(
         level_db = level_db + gain_db * np.exp(-0.5 * ((freqs - center) / bandwidth) ** 2)
     amps = 10.0 ** (level_db / 20.0)
 
-    phases0 = rng.uniform(0.0, 2.0 * np.pi, size=n_harm)
-    coeffs = amps * np.exp(1j * phases0)
-    sig = np.empty(n)
-    # A 1-sample tail joins the block before it: numpy multiplies 1-element
-    # arrays in place outside its vector loop, which rounds differently.
-    edges = [*range(0, max(n - 1, 1), _SYNTH_BLOCK), n]
-    for start, stop in zip(edges, edges[1:]):
-        z = np.exp(1j * phase[start:stop])
-        acc = coeffs[-1] * z
-        for c in coeffs[-2::-1]:
-            acc += c
-            acc *= z
-        sig[start:stop] = acc.imag
-    del phase, inst_f0
+    rng = np.random.default_rng(seed)
+    vibrato_phase = rng.uniform(0.0, 2.0 * np.pi)
+    drift_ctrl = _slow_noise_controls(rng, n, sample_rate, 3.0)
+    table = _wavetable(amps, rng.uniform(0.0, 2.0 * np.pi, size=n_harm))
+    env_phase = rng.uniform(0.0, 2.0 * np.pi)
+    env_ctrl = _slow_noise_controls(rng, n, sample_rate, 2.0)
 
-    # env = max((1 + 0.35 sin(2 pi rate t + u)) (1 + 0.15 slow_noise), 0.05)
-    env = t
-    env *= 2.0 * np.pi * voice.modulation_rate
-    env += rng.uniform(0.0, 2.0 * np.pi)
-    np.sin(env, out=env)
-    env *= 0.35
-    env += 1.0
-    slow = _slow_noise(rng, n, sample_rate, 2.0)
-    slow *= 0.15
-    slow += 1.0
-    env *= slow
-    del slow
-    np.maximum(env, 0.05, out=env)
-    sig *= env
+    sig = np.empty(n)
+    carry = 0.0
+    for start in range(0, n, _SYNTH_BLOCK):
+        stop = min(start + _SYNTH_BLOCK, n)
+        # t = np.arange(n) / sample_rate
+        t = np.arange(start, stop, dtype=np.float64)
+        t /= sample_rate
+
+        # Small vibrato plus stochastic drift on the fundamental.
+        # inst_f0 = f0 * (1 + 0.004 sin(2 pi 4.7 t + u) + 0.006 slow_noise)
+        x = t * (2.0 * np.pi * 4.7)
+        x += vibrato_phase
+        np.sin(x, out=x)
+        x *= 0.004
+        x += 1.0
+        drift = _slow_noise_block(drift_ctrl, n, start, stop)
+        drift *= 0.006
+        x += drift
+        x *= voice.f0
+        # The phase 2 pi cumsum(inst_f0) / sample_rate in table nodes:
+        # x = cumsum(inst_f0) (L / sample_rate)
+        x[0] += carry
+        np.cumsum(x, out=x)
+        carry = x[-1]
+        x *= _WAVETABLE_SIZE / sample_rate
+
+        # j = floor(x), f = x - j; w0 + f (d0 + f (a + f b)) at node j mod L
+        node = np.floor(x)
+        x -= node
+        index = node.astype(np.intp)
+        index &= _WAVETABLE_SIZE - 1
+        w0, d0, a, b = (row.take(index) for row in table)
+        out = sig[start:stop]
+        np.multiply(b, x, out=out)
+        out += a
+        out *= x
+        out += d0
+        out *= x
+        out += w0
+
+        # env = max((1 + 0.35 sin(2 pi rate t + u)) (1 + 0.15 slow_noise), 0.05)
+        env = t
+        env *= 2.0 * np.pi * voice.modulation_rate
+        env += env_phase
+        np.sin(env, out=env)
+        env *= 0.35
+        env += 1.0
+        slow = _slow_noise_block(env_ctrl, n, start, stop)
+        slow *= 0.15
+        slow += 1.0
+        env *= slow
+        np.maximum(env, 0.05, out=env)
+        out *= env
 
     # rms = sqrt(mean(sig**2)); sig / rms
-    rms = math.sqrt(float(np.mean(np.square(sig, out=env))))
+    rms = math.sqrt(float(np.mean(np.square(sig))))
     if rms > 0:
         sig /= rms
     return sig
@@ -421,7 +499,8 @@ def _speaker_channels(
     rng: np.random.Generator, gt: SpeakerGroundTruth, gain_db: float, n: int, sample_rate: int
 ) -> np.ndarray:
     """gt's (4, n) wet signal at gain_db: each voice segment, synthesized from
-    a seed drawn from rng, is added to it one channel at a time."""
+    a seed drawn from rng and faded in place, is added to it one channel at
+    a time, scaled in one segment-length buffer."""
     channels = np.zeros((4, n))
     gain = 10.0 ** (gain_db / 20.0)
     for onset, offset, doa in gt.segments:
@@ -429,9 +508,13 @@ def _speaker_channels(
         a = int(round(onset * sample_rate))
         b = int(round(offset * sample_rate))
         mono = synthesize_voice(gt.voice, (b - a) / sample_rate, sample_rate, seg_seed)
-        mono = _apply_fades(mono, sample_rate)
+        _apply_fades(mono, sample_rate)
+        scaled = np.empty_like(mono)
         for row, foa_gain in zip(channels, foa_gains(doa)):
-            row[a : a + len(mono)] += foa_gain * mono * gain
+            # row[a : a + len(mono)] += foa_gain * mono * gain
+            np.multiply(foa_gain, mono, out=scaled)
+            scaled *= gain
+            row[a : a + len(mono)] += scaled
     return channels
 
 
@@ -506,12 +589,11 @@ def simulate(spec: SceneSpec) -> Scene:
     return Scene(mixture, wet, ground_truth)
 
 
-def _apply_fades(mono: np.ndarray, sample_rate: int, fade_s: float = 0.02) -> np.ndarray:
-    """Short raised-cosine fades avoid onset/offset clicks in the mixture."""
+def _apply_fades(mono: np.ndarray, sample_rate: int, fade_s: float = 0.02) -> None:
+    """Short raised-cosine fades, applied to mono in place, avoid
+    onset/offset clicks in the mixture."""
     n_fade = min(int(fade_s * sample_rate), len(mono) // 2)
     if n_fade > 0:
         ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(n_fade) / n_fade)
-        mono = mono.copy()
         mono[:n_fade] *= ramp
         mono[-n_fade:] *= ramp[::-1]
-    return mono

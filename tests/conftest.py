@@ -64,6 +64,17 @@ def previous_sample_vmf(rng, mean_directions, kappa):
     return out if mean_directions.ndim > 1 else out[0]
 
 
+def slow_noise(rng: np.random.Generator, n: int, sample_rate: float, rate_hz: float) -> np.ndarray:
+    """Band-limited unit-variance-ish noise via linear interpolation of
+    control points, as one whole-array np.interp. scene._slow_noise_block
+    must match it bit for bit, and the reference voices in test_scene draw
+    their drift and envelope noise from it."""
+    n_ctrl = max(2, int(math.ceil(n / sample_rate * rate_hz)) + 2)
+    ctrl = rng.standard_normal(n_ctrl)
+    t = np.linspace(0.0, n_ctrl - 1.0, n)
+    return np.interp(t, np.arange(n_ctrl), ctrl)
+
+
 DIFFUSE_SCALES = np.array([1.0, 1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0)])
 
 
@@ -103,7 +114,8 @@ def previous_write_scene(scene_dir: Path, spec: SceneSpec) -> None:
         for onset, offset, doa in gt.segments:
             seg_seed = int(rng.integers(0, 2**63 - 1))
             a, b = int(round(onset * sr)), int(round(offset * sr))
-            mono = scene._apply_fades(synthesize_voice(gt.voice, (b - a) / sr, sr, seg_seed), sr)
+            mono = synthesize_voice(gt.voice, (b - a) / sr, sr, seg_seed)
+            scene._apply_fades(mono, sr)
             for row, foa_gain in zip(channels, foa_gains(doa)):
                 row[a : a + len(mono)] += foa_gain * mono * gain
         wet.append(FoaSignal(channels, sr))

@@ -1,10 +1,11 @@
+import copy
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from conftest import DIFFUSE_SCALES, whole_array_mix
+from conftest import DIFFUSE_SCALES, slow_noise, whole_array_mix
 from embtrack import scene
 from embtrack.geometry import DoA, angular_distance
 from embtrack.scene import (
@@ -23,12 +24,12 @@ from embtrack.scene import (
 
 def _per_harmonic_voice(voice, duration, sample_rate, seed):
     """synthesize_voice with one np.sin per harmonic: the reference the
-    complex-polynomial evaluation is checked against. Same RNG draw order."""
+    wavetable read is checked against. Same RNG draw order."""
     n = int(round(duration * sample_rate))
     rng = np.random.default_rng(seed)
     t = np.arange(n) / sample_rate
     vib = 0.004 * np.sin(2.0 * np.pi * 4.7 * t + rng.uniform(0.0, 2.0 * np.pi))
-    drift = 0.006 * scene._slow_noise(rng, n, sample_rate, 3.0)
+    drift = 0.006 * slow_noise(rng, n, sample_rate, 3.0)
     phase = 2.0 * np.pi * np.cumsum(voice.f0 * (1.0 + vib + drift)) / sample_rate
     n_harm = max(1, int(min(7400.0, 0.45 * sample_rate) / voice.f0))
     freqs = voice.f0 * np.arange(1, n_harm + 1)
@@ -41,41 +42,48 @@ def _per_harmonic_voice(voice, duration, sample_rate, seed):
     for k in range(n_harm):
         sig += amps[k] * np.sin((k + 1) * phase + phases0[k])
     env = 1.0 + 0.35 * np.sin(2.0 * np.pi * voice.modulation_rate * t + rng.uniform(0.0, 2.0 * np.pi))
-    env *= 1.0 + 0.15 * scene._slow_noise(rng, n, sample_rate, 2.0)
+    env *= 1.0 + 0.15 * slow_noise(rng, n, sample_rate, 2.0)
     sig *= np.maximum(env, 0.05)
     return sig / np.sqrt(np.mean(sig**2))
 
 
 def _out_of_place_voice(voice, duration, sample_rate, seed):
-    """synthesize_voice with a new array for every full-length expression:
-    the reference the in-place version must match bit for bit."""
+    """synthesize_voice as whole-array expressions, a new array for each:
+    the wavetable built from the whole spectrum and read by cubic Hermite
+    interpolation over the whole utterance at once. The reference the
+    block-wise, in-place version must match bit for bit."""
     n = int(round(duration * sample_rate))
     if n == 0:
         return np.zeros(0)
     rng = np.random.default_rng(seed)
     t = np.arange(n) / sample_rate
     vib = 0.004 * np.sin(2.0 * np.pi * 4.7 * t + rng.uniform(0.0, 2.0 * np.pi))
-    drift = 0.006 * scene._slow_noise(rng, n, sample_rate, 3.0)
+    drift = 0.006 * slow_noise(rng, n, sample_rate, 3.0)
     inst_f0 = voice.f0 * (1.0 + vib + drift)
-    phase = 2.0 * np.pi * np.cumsum(inst_f0) / sample_rate
     n_harm = max(1, int(min(7400.0, 0.45 * sample_rate) / voice.f0))
-    freqs = voice.f0 * np.arange(1, n_harm + 1)
+    harmonics = np.arange(1, n_harm + 1)
+    freqs = voice.f0 * harmonics
     level_db = voice.spectral_tilt * np.log2(freqs / voice.f0)
     for center, bandwidth, gain_db in voice.resonances:
         level_db = level_db + gain_db * np.exp(-0.5 * ((freqs - center) / bandwidth) ** 2)
     amps = 10.0 ** (level_db / 20.0)
-    coeffs = amps * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n_harm))
-    sig = np.empty(n)
-    edges = [*range(0, max(n - 1, 1), 8192), n]
-    for start, stop in zip(edges, edges[1:]):
-        z = np.exp(1j * phase[start:stop])
-        acc = coeffs[-1] * z
-        for c in coeffs[-2::-1]:
-            acc += c
-            acc *= z
-        sig[start:stop] = acc.imag
+    size = scene._WAVETABLE_SIZE
+    coeffs = (0.5 * size) * amps * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n_harm))
+    spectrum = np.zeros((2, size // 2 + 1), dtype=np.complex128)
+    spectrum[0, harmonics] = -1j * coeffs
+    spectrum[1, harmonics] = (2.0 * np.pi / size) * harmonics * coeffs
+    values, slopes = np.fft.irfft(spectrum, n=size, axis=1)
+    rise = np.roll(values, -1) - values
+    both = slopes + np.roll(slopes, -1)
+    a = 3.0 * rise - slopes - both
+    b = both - 2.0 * rise
+    x = np.cumsum(inst_f0) * (size / sample_rate)
+    node = np.floor(x)
+    f = x - node
+    j = node.astype(np.intp) % size
+    sig = values[j] + f * (slopes[j] + f * (a[j] + f * b[j]))
     env = 1.0 + 0.35 * np.sin(2.0 * np.pi * voice.modulation_rate * t + rng.uniform(0.0, 2.0 * np.pi))
-    env *= 1.0 + 0.15 * scene._slow_noise(rng, n, sample_rate, 2.0)
+    env *= 1.0 + 0.15 * slow_noise(rng, n, sample_rate, 2.0)
     sig *= np.maximum(env, 0.05)
     rms = np.sqrt(np.mean(sig**2))
     return sig / rms if rms > 0 else sig
@@ -198,13 +206,25 @@ class TestSynthesizeVoice:
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("f0", [80.0, 300.0])  # 90 and 24 harmonics at 16 kHz
-    @pytest.mark.parametrize("duration", [20.0, 60.0])
+    @pytest.mark.parametrize("duration", [3.0, 20.0, 60.0])
     def test_matches_per_harmonic_sin_sum(self, f0, duration):
         voice = VoiceParams(f0, -6.0, ((700.0, 120.0, 8.0), (1800.0, 200.0, 5.0)), 3.5)
         s = synthesize_voice(voice, duration, 16000, seed=4)
         assert np.max(np.abs(s - _per_harmonic_voice(voice, duration, 16000, seed=4))) <= 1e-9
         assert np.sqrt(np.mean(s**2)) == pytest.approx(1.0, abs=1e-12)
         assert np.array_equal(s, synthesize_voice(voice, duration, 16000, seed=4))
+
+    def test_prior_voices_match_per_harmonic_sin_sum(self):
+        # 12 voices drawn from the prior, and its corner with the most
+        # curvature in the waveform: the lowest f0, the flattest tilt and
+        # every resonance at full gain, high up. 2^14 table nodes give 1.9e-9
+        # on that corner.
+        rng = np.random.default_rng(31)
+        voices = [sample_voice_params(rng) for _ in range(12)]
+        voices.append(VoiceParams(80.0, -1.0, ((900.0, 300.0, 18.0), (2400.0, 400.0, 18.0), (5000.0, 600.0, 18.0)), 3.0))
+        for k, voice in enumerate(voices):
+            s = synthesize_voice(voice, 3.0, 16000, seed=k)
+            assert np.max(np.abs(s - _per_harmonic_voice(voice, 3.0, 16000, seed=k))) <= 1e-9
 
     @pytest.mark.parametrize("num_samples", [1, 2, 3 * 8192, 2 * 8192 + 1, 40001])
     def test_block_size_changes_no_bit(self, num_samples, monkeypatch):
@@ -226,11 +246,26 @@ class TestSynthesizeVoice:
                 _out_of_place_voice(voice, duration, 16000, seed=k),
             )
 
-    def test_holds_at_most_five_full_length_arrays(self):
-        # The out-of-place synthesis peaked at about nine 20 s arrays.
+    def test_holds_at_most_three_full_length_arrays(self):
+        # The out-of-place synthesis peaked at about nine 20 s arrays, the
+        # in-place full-length one at four; the block-wise one holds the
+        # signal, the RMS temporary, the table and one block's arrays.
         voice = sample_voice_params(np.random.default_rng(0))
         sig, peak = _peak_bytes(synthesize_voice, voice, 20.0, 16000, 1)
-        assert peak <= 5 * sig.nbytes
+        assert peak <= 3 * sig.nbytes
+
+    # At n = 5337, (n - 1) * step rounds below the last control point, where
+    # linspace puts its end point, and the interpolated value differs.
+    @pytest.mark.parametrize("n", [1, 2, 5337, scene._SYNTH_BLOCK - 1, scene._SYNTH_BLOCK + 1, 40001])
+    def test_block_slow_noise_equals_whole_array_interp(self, n):
+        rng, reference_rng = np.random.default_rng(8), np.random.default_rng(8)
+        ctrl = scene._slow_noise_controls(rng, n, 16000, 3.0)
+        blocks = [
+            scene._slow_noise_block(ctrl, n, start, min(start + scene._SYNTH_BLOCK, n))
+            for start in range(0, n, scene._SYNTH_BLOCK)
+        ]
+        assert np.array_equal(np.concatenate(blocks), slow_noise(reference_rng, n, 16000, 3.0))
+        assert rng.random() == reference_rng.random()
 
     def test_f0_bounds_enforced(self):
         with pytest.raises(ValueError):
@@ -269,6 +304,27 @@ class TestGenerateScene:
         [(noisy, snr, noise_seed)] = calls
         assert noisy is mixture.channels and snr == 15.0 and noise_seed is not None
         assert np.array_equal(mixture.channels, whole_array_mix(wet, snr, noise_seed))
+
+    def test_speaker_channels_equal_the_whole_segment_expression(self):
+        # Fades in place and one reused buffer per segment, with the bits of
+        # a faded copy of each segment scaled into a new array per channel.
+        spec = SceneSpec(seed=5, duration=20.0)
+        rng = np.random.default_rng(spec.seed)
+        speakers, gains_db = scene._place_speakers(rng, spec)
+        reference_rng = copy.deepcopy(rng)
+        sr, n = spec.sample_rate, int(round(spec.duration * spec.sample_rate))
+        for gt, gain_db in zip(speakers, gains_db):
+            assert len(gt.segments) >= 3
+            expected = np.zeros((4, n))
+            gain = 10.0 ** (gain_db / 20.0)
+            for onset, offset, doa in gt.segments:
+                seg_seed = int(reference_rng.integers(0, 2**63 - 1))
+                a, b = int(round(onset * sr)), int(round(offset * sr))
+                mono = synthesize_voice(gt.voice, (b - a) / sr, sr, seg_seed)
+                scene._apply_fades(mono, sr)
+                for row, foa_gain in zip(expected, foa_gains(doa)):
+                    row[a : a + len(mono)] += foa_gain * mono * gain
+            assert np.array_equal(scene._speaker_channels(rng, gt, gain_db, n, sr), expected)
 
     def test_each_wet_signal_is_dropped_before_the_next_is_built(self, monkeypatch):
         # A name left bound to a previous speaker's array, or to a view of
