@@ -1,12 +1,15 @@
 """Fragment beamformers on the FOA mixture, in the STFT domain: Ideal (oracle
 wet signal), broadband Delay-and-Sum, and per-band MVDR with diagonal loading.
 
-reassign_scene takes one unpadded STFT of the mixture per scene (foa_stft).
-A fragment reads the frames of that grid whose centre lies in its extraction
-window, a slice of the frame axis, and every beamformer returns the beam's
-single-channel STFT on those frames, shape (bins, frames); the embedder pools
-|Y|^2 from it directly, so no beam is resynthesised. DS weights a long
-slice a block of bins at a time, so the slice is never copied whole.
+The mixture is analysed on one unpadded STFT grid (foa_stft). A fragment
+reads the frames of that grid whose centre lies in its extraction window, a
+slice of the frame axis: reassign_scene transforms only the frames a
+fragment's windows read (foa_stft(mixture, frames)), or, in a scene with a
+gated MVDR cell, slices the whole mixture's STFT, which gives the same
+values. Every beamformer returns the beam's single-channel STFT on those
+frames, shape (bins, frames); the embedder pools |Y|^2 from it directly, so
+no beam is resynthesised. DS weights a long slice a block of bins at a
+time, so the slice is never copied whole.
 
 An MVDR noise covariance is a sum of x @ x^H over blocks of a 4-channel STFT,
 one batched matrix product per block. band_covariances takes the gated one
@@ -75,20 +78,29 @@ class MvdrDiagnostics:
     gated_fallback_tracks: set[int] | None = None
 
 
-def foa_stft(signal: FoaSignal) -> np.ndarray:
+def foa_stft(signal: FoaSignal, frames: slice | None = None) -> np.ndarray:
     """Unpadded STFT of a 4-channel signal, shape (4, bins, frames).
 
     Frame k covers samples [k * hop, k * hop + window), the grid embed()
-    analyses a signal on. stft fills one preallocated C-ordered array one
-    channel at a time (a channel of the sample-major mixture a WAV read gives
-    is strided), each in blocks of dsp.STFT_BLOCK_FRAMES frames, so at most
-    one block's frames and spectra are held besides the result.
+    analyses a signal on. frames, a slice start:stop of that grid's frame
+    axis, transforms only samples [start * hop, (stop - 1) * hop + window),
+    and the result holds frames start to stop - 1, the same values as that
+    slice of the whole STFT; None transforms the whole signal. An empty
+    slice, or one that runs past the grid, is a ValueError. stft fills one
+    preallocated C-ordered array one channel at a time (a channel of the
+    sample-major mixture a WAV read gives is strided), each in blocks of
+    dsp.STFT_BLOCK_FRAMES frames, so at most one block's frames and spectra
+    are held besides the result.
     """
     n_window, n_hop = stft_grid(signal.sample_rate)
     n_frames = num_full_frames(signal.num_samples, n_window, n_hop)
-    spec = np.empty((4, n_window // 2 + 1, n_frames), dtype=complex)
+    start, stop = (0, n_frames) if frames is None else (frames.start, frames.stop)
+    if not 0 <= start < stop <= n_frames:
+        raise ValueError(f"frames {start}:{stop} are not a slice of the {n_frames}-frame grid")
+    span = signal.channels[:, start * n_hop : (stop - 1) * n_hop + n_window]
+    spec = np.empty((4, n_window // 2 + 1, stop - start), dtype=complex)
     for c in range(4):
-        stft(signal.channels[c], n_window, n_hop, pad=False, out=spec[c])
+        stft(span[c], n_window, n_hop, pad=False, out=spec[c])
     return spec
 
 

@@ -20,7 +20,10 @@ library's seeded front-end, reassignment.track_and_enroll, with key (master,
 index): every later stage seed is derive_seed(master, index, stage[, m]).
 Every sweep cell therefore sees the same scenes, tracks and pools, and paired
 comparisons are meaningful. Each M's trajectories are segmented once per
-scene and shared by that M's cells (reassignment.reassign_scene). run and
+scene and shared by that M's cells, and each fragment's frames of the
+mixture are transformed once for all of them (reassignment.reassign_scene):
+every cell of a scene is embedded before the first is written, so a scene
+that fails leaves none of its cells marked complete. run and
 eval take the dataset section from the dataset's manifest, and eval takes
 the run section from the results' run_manifest.json; a manifest whose
 section this config cannot read, or that lists a scene_id or index twice,

@@ -204,11 +204,20 @@ def read_scene(
     """The scene write_scene wrote; with wet False its speakerNN.wav files are
     not read and scene.wet is empty. sha256, when given, is the hash the
     mixture.wav bytes must have (read_wav checks it before parsing them). A
-    speaker WAV whose sample rate or length differs from the mixture's is a
-    ValueError."""
+    mixture whose sample rate is not spec.sample_rate, or whose length is not
+    the int(round(spec.duration * spec.sample_rate)) samples render_scene
+    writes, is a ValueError, and so is a speaker WAV whose sample rate or
+    length differs from the mixture's."""
     scene_dir = Path(scene_dir)
     ground_truth, spec = read_ground_truth(scene_dir / "ground_truth.json")
-    mixture = read_wav(scene_dir / "mixture.wav", sha256=sha256)
+    path = scene_dir / "mixture.wav"
+    mixture = read_wav(path, sha256=sha256)
+    expected = (spec.sample_rate, int(round(spec.duration * spec.sample_rate)))
+    if (mixture.sample_rate, mixture.num_samples) != expected:
+        raise ValueError(
+            f"{path}: {mixture.num_samples} samples at {mixture.sample_rate} Hz, the scene "
+            f"spec has {expected[1]} at {expected[0]} Hz"
+        )
     speakers = range(len(ground_truth)) if wet else ()
     signals = []
     for j in speakers:

@@ -6,15 +6,18 @@ already assigned to a temporally overlapping fragment.
 
 Both time grids are fixed: tracker frames of tracking.DEFAULT_HOP_S and the
 32 ms / 16 ms analysis grid of dsp.stft_grid; an analysis frame belongs to
-the tracker frame its centre lies in (analysis_frame_tracker_frames). The
-spectral work is done once per scene: reassign_scene takes one STFT of the
-4-channel mixture (foa_stft), and a fragment's extraction window reads the
-frames of that grid whose centre lies in it. The beamformers weight those
-frames per bin, and the embedder pools log-mel statistics straight from the
-beam's |Y|^2; nothing is resynthesised. Per fragment, only the beam's STFT
-is held whole: DS weights a long frame slice a block of bins at a time, and
-the oracle MVDR noise covariance is summed over blocks of frames of its
-reference's STFT.
+the tracker frame its centre lies in (analysis_frame_tracker_frames). A
+fragment's extraction window reads the frames of that grid whose centre lies
+in it. reassign_scene transforms the 4-channel mixture (foa_stft) once per
+fragment: the frames that fragment's windows read, for all of its cells.
+Only a scene with a gated MVDR cell, whose covariance reads every frame
+where the track is inactive, takes the whole mixture's STFT, once, and its
+fragments read their frames of that. The beamformers weight those frames per
+bin, and the embedder pools log-mel statistics straight from the beam's
+|Y|^2; nothing is resynthesised. Per fragment, only its frames and the
+beam's STFT are held whole: DS weights a long frame slice a block of bins at
+a time, and the oracle MVDR noise covariance is summed over blocks of frames
+of its reference's STFT.
 
 Every fragment is embedded. A window in which fewer than MIN_EMBED_FRAMES
 frame centres lie (a prefix or tracker frame shorter than 64 ms, or the
@@ -35,10 +38,11 @@ is (master seed, scene index) in the batch runner, (seed,) in run_pipeline
 and (master seed, suite tag, scene index) in the acceptance suite. Its
 distractors come from the one distractor rule, shared_distractors: one set
 per master seed, shared by every scene. reassign_scene is the post-tracking
-step: it segments each M's trajectories once and then, per cell (m,
-beamformer, policy, noise covariance source), beamforms, embeds and
-reassigns every fragment. A gated MVDR noise covariance depends only on the
-fragment's track, so it is estimated once per track and M.
+step: it segments each M's trajectories once, then beamforms and embeds each
+fragment for every cell (m, beamformer, policy, noise covariance source) of
+its M, and then reassigns the fragments cell by cell. A gated MVDR noise
+covariance depends only on the fragment's track, so it is estimated once per
+track and M.
 """
 
 from __future__ import annotations
@@ -219,14 +223,18 @@ def extract_fragment_embedding(
     policy: DurationPolicy,
     beamformer: str,
     *,
+    first_frame: int = 0,
     noise_cov: np.ndarray | None = None,
     diagnostics: MvdrDiagnostics | None = None,
 ) -> Embedding:
     """Beamform the fragment window and embed it.
 
-    mixture_stft is foa_stft(scene.mixture), which "ds" and "mvdr" read ("ideal"
+    mixture_stft holds frames first_frame onwards of foa_stft(scene.mixture)'s
+    grid: the whole STFT with first_frame 0, or foa_stft(scene.mixture,
+    frames) with first_frame frames.start. "ds" and "mvdr" read it ("ideal"
     does not; it may then be None). The window reads the frames of that grid
-    whose centre lies in it, and at least MIN_EMBED_FRAMES (_window_frames).
+    whose centre lies in it, and at least MIN_EMBED_FRAMES (_window_frames),
+    which mixture_stft must hold.
     For "ds" and "mvdr" the embedding is pooled over the frames whose centre's
     tracker frame is not in frag.overlapped_frames, since there the mixture
     also carries another track's speaker (embed_power pools over all frames
@@ -243,18 +251,19 @@ def extract_fragment_embedding(
     window = extraction_window(frag, policy)
     steer = window_doa(frag, policy)
     frames, free = _window_frames(frag, window, scene.mixture.num_samples, scene.sample_rate)
+    local = slice(frames.start - first_frame, frames.stop - first_frame)
     if beamformer == "ideal":
         beam = beamform_ideal(scene.wet, scene.ground_truth, steer, window, frames)
         free = None
     elif beamformer == "ds":
-        beam = beamform_ds(mixture_stft[..., frames], steer)
+        beam = beamform_ds(mixture_stft[..., local], steer)
     elif beamformer == "mvdr":
         if noise_cov is None:
             midpoint = 0.5 * (window[0] + window[1])
             target = nearest_speaker_index(scene.ground_truth, steer, midpoint)
             noise = oracle_noise_reference(scene.mixture, scene.wet, target, window)
             noise_cov = reference_covariances(noise)
-        beam = beamform_mvdr(mixture_stft[..., frames], steer, noise_cov, diagnostics)
+        beam = beamform_mvdr(mixture_stft[..., local], steer, noise_cov, diagnostics)
     else:
         raise ValueError(f"unknown beamformer {beamformer!r}")
     return embed_power(np.abs(beam) ** 2, scene.sample_rate, free)
@@ -353,41 +362,68 @@ def reassign_scene(
     """The post-tracking step: segment -> window -> beamform -> embed -> reassign.
 
     A cell is (m, beamformer, duration policy, noise covariance source). The
-    trajectories of each M named by a cell are segmented once, and the
-    mixture's STFT is taken once (not at all when every cell is "ideal").
-    Before the first cell, each M with a gated MVDR cell estimates from that
-    STFT the gated noise covariance of every track with a fragment, and the
-    set of those tracks whose gated mask fell back to every frame; each gated
+    trajectories of each M named by a cell are segmented once, and each
+    fragment is then embedded for every cell of its M. The cells that read
+    the mixture (DS, MVDR) share one transform of it per fragment: foa_stft
+    of the union of their windows' frames (_window_frames; every window
+    starts at the fragment's onset), so no frame outside a window is
+    transformed. A gated MVDR covariance reads every frame where its track
+    is inactive, so a scene with a gated MVDR cell takes
+    foa_stft(scene.mixture) once instead, and its fragments read their
+    frames of that. Each M with a gated MVDR cell first estimates from it
+    the gated noise covariance of every track with a fragment, and the set
+    of those tracks whose gated mask fell back to every frame; each gated
     MVDR cell of that M uses those covariances and names that set in its
-    diagnostics. Other cells estimate none. Each cell embeds every
-    fragment and reassigns against the first m pool entries. Yields one
-    result per cell, in order, each computed when it is asked for, so the
-    batch runner writes and marks a cell complete before the next one starts.
+    diagnostics. Other cells estimate none.
+
+    Every cell's embeddings are computed before the first result is yielded,
+    so an embedding that fails leaves no cell of the scene done. Results
+    come one per cell, in order, and a cell reassigns against the first m
+    pool entries only when its result is asked for, so the batch runner
+    writes and marks a cell complete before the next one is reassigned.
     """
-    mixture_stft = None
-    if any(cell[1] != "ideal" for cell in cells):
-        mixture_stft = foa_stft(scene.mixture)
+    gated_ms = {m for m, bf, _, source in cells if bf == "mvdr" and source == "gated"}
+    whole_stft = foa_stft(scene.mixture) if gated_ms else None
     fragments_by_m = {m: segment(tracks_by_m[m]) for m in {cell[0] for cell in cells}}
     gated_by_m = {
-        m: _gated_covariances(scene, mixture_stft, tracks_by_m[m], fragments_by_m[m])
-        for m in {m for m, bf, _, source in cells if bf == "mvdr" and source == "gated"}
+        m: _gated_covariances(scene, whole_stft, tracks_by_m[m], fragments_by_m[m])
+        for m in gated_ms
     }
-
-    for m, beamformer, policy, noise_cov_source in cells:
-        fragments = fragments_by_m[m]
+    # Per cell: the gated covariances it uses (none but in a gated MVDR cell)
+    # and its diagnostics.
+    covariances, diagnostics = [], []
+    for m, beamformer, _, noise_cov_source in cells:
         gated = beamformer == "mvdr" and noise_cov_source == "gated"
-        covariances, fallback_tracks = gated_by_m[m] if gated else ({}, None)
-        diagnostics = MvdrDiagnostics(gated_fallback_tracks=fallback_tracks)
-        embeddings = {
-            frag.fragment_id: extract_fragment_embedding(
-                scene, mixture_stft, frag, policy, beamformer,
-                noise_cov=covariances.get(frag.source_track_id), diagnostics=diagnostics,
-            )
-            for frag in fragments
-        }
+        cell_covariances, fallback_tracks = gated_by_m[m] if gated else ({}, None)
+        covariances.append(cell_covariances)
+        diagnostics.append(MvdrDiagnostics(gated_fallback_tracks=fallback_tracks))
+    embeddings: list[dict[int, Embedding]] = [{} for _ in cells]
+
+    num_samples, sample_rate = scene.mixture.num_samples, scene.sample_rate
+    for m, fragments in fragments_by_m.items():
+        of_m = [i for i, cell in enumerate(cells) if cell[0] == m]
+        mixture_policies = [cells[i][2] for i in of_m if cells[i][1] != "ideal"]
+        for frag in fragments:
+            spec, first_frame = whole_stft, 0
+            if mixture_policies and whole_stft is None:
+                windows = [
+                    _window_frames(frag, extraction_window(frag, policy), num_samples, sample_rate)[0]
+                    for policy in mixture_policies
+                ]
+                first_frame = min(w.start for w in windows)
+                spec = foa_stft(scene.mixture, slice(first_frame, max(w.stop for w in windows)))
+            for i in of_m:
+                _, beamformer, policy, _ = cells[i]
+                embeddings[i][frag.fragment_id] = extract_fragment_embedding(
+                    scene, spec, frag, policy, beamformer, first_frame=first_frame,
+                    noise_cov=covariances[i].get(frag.source_track_id), diagnostics=diagnostics[i],
+                )
+
+    for (m, _, policy, _), cell_embeddings, cell_diagnostics in zip(cells, embeddings, diagnostics):
+        fragments = fragments_by_m[m]
         m_pool = EnrollmentPool(pool.entries[:m])
-        assignment = reassign(fragments, embeddings, m_pool, policy)
-        yield PipelineResult(tracks_by_m[m], fragments, m_pool, assignment, diagnostics)
+        assignment = reassign(fragments, cell_embeddings, m_pool, policy)
+        yield PipelineResult(tracks_by_m[m], fragments, m_pool, assignment, cell_diagnostics)
 
 
 def run_pipeline(

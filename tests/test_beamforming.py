@@ -87,6 +87,32 @@ class TestFoaStft:
         frames = sliding_window_view(signal.channels, 512, axis=-1)[..., ::256, :]
         assert np.array_equal(spec, np.fft.rfft(frames * periodic_hann(512), axis=-1).swapaxes(1, 2))
 
+    @pytest.fixture(scope="class")
+    def mixtures(self):
+        # A 10 s scene (624 frames, three dsp.STFT_BLOCK_FRAMES blocks), as
+        # generated and as read_wav gives it: sample-major float32.
+        mixture, _, _ = generate_scene(SceneSpec(seed=31, duration=10.0))
+        samples = np.ascontiguousarray(mixture.channels.T.astype(np.float32))
+        return mixture, FoaSignal(samples.T, SR)
+
+    # the first 3 frames; 320 frames across the whole STFT's first block
+    # edge, whose own blocks end elsewhere; the grid's last frames; the grid
+    @pytest.mark.parametrize(
+        "frames", [slice(0, 3), slice(100, 420), slice(600, 624), slice(0, 624)]
+    )
+    def test_slice_equals_that_slice_of_the_whole_stft(self, mixtures, frames):
+        for mixture in mixtures:
+            whole = foa_stft(mixture)
+            assert whole.shape[2] == 624
+            got = foa_stft(mixture, frames)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, whole[..., frames])
+
+    @pytest.mark.parametrize("frames", [slice(5, 5), slice(9, 3), slice(620, 625), slice(-1, 3)])
+    def test_empty_slice_or_one_past_the_grid_is_refused(self, mixtures, frames):
+        with pytest.raises(ValueError, match="624-frame grid"):
+            foa_stft(mixtures[0], frames)
+
 
 class TestDelayAndSum:
     def test_plane_wave_passthrough_exact(self):

@@ -521,27 +521,43 @@ class TestRun:
         assert f"{path}: " in capsys.readouterr().err
         assert list(results.rglob(COMPLETE_MARKER)) == []
 
-    @pytest.mark.parametrize("kind", ["pcm16", "two_channels", "truncated", "not_riff"])
+    @pytest.mark.parametrize(
+        "kind",
+        ["pcm16", "two_channels", "truncated", "not_riff", "0_hz", "8_khz", "one_sample_short"],
+    )
     def test_unreadable_mixture_wav_exit_code(self, one_scene, tmp_path, capsys, kind):
         from scipy.io import wavfile
 
         data = tmp_path / "data"
         shutil.copytree(one_scene, data)
         path = data / "scenes" / "scene_0000" / "mixture.wav"
+        mixture = fileio.read_wav(path)
+        assert (mixture.sample_rate, mixture.num_samples) == (16000, 96000)
         if kind == "pcm16":
             wavfile.write(path, 16000, np.zeros((800, 4), dtype=np.int16))
         elif kind == "two_channels":
             wavfile.write(path, 16000, np.zeros((800, 2), dtype=np.float32))
         elif kind == "truncated":
             path.write_bytes(path.read_bytes()[:-7])
-        else:
+        elif kind == "not_riff":
             path.write_bytes(b"RIFX" + path.read_bytes()[4:])
-        # The manifest is made to match, so the WAV reader is what refuses the file.
+        else:
+            # A well-formed WAV that is not the scene spec's: a DS-only run
+            # reads no speaker WAV to compare it with.
+            rate, n = {"0_hz": (0, 96000), "8_khz": (8000, 96000)}.get(kind, (16000, 95999))
+            fileio.write_wav(path, FoaSignal(mixture.channels[:, :n], rate))
+        # The manifest is made to match, so the scene reader is what refuses the file.
         manifest = json.loads((data / "manifest.json").read_text())
         manifest["scenes"][0]["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
         (data / "manifest.json").write_text(json.dumps(manifest))
-        assert main(["run", "--dataset", str(data), "--out", str(tmp_path / "results")]) == 3
-        assert f"cannot read {path.parent}: {path}: " in capsys.readouterr().err
+        results = tmp_path / "results"
+        argv = ["run", "--dataset", str(data), "--out", str(results), "--beamformers", "ds"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"cannot read {path.parent}: {path}: " in err
+        if kind in ("0_hz", "8_khz", "one_sample_short"):
+            assert f"{n} samples at {rate} Hz, the scene spec has 96000 at 16000 Hz" in err
+        assert list(results.rglob(COMPLETE_MARKER)) == []
 
     def test_mixture_not_matching_manifest_sha256_exit_code(self, small_dataset, tmp_path):
         _cfg, data = small_dataset

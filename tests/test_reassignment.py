@@ -579,6 +579,102 @@ class TestGatedCovariancePerTrack:
         assert "mvdr_gated_fallback_tracks" not in doc
 
 
+class TestOneTransformPerFragment:
+    """Without a gated MVDR cell, reassign_scene transforms the frames of each
+    fragment's windows once for all of its cells, and never the whole scene;
+    each embedding equals the one read from the whole scene's STFT."""
+
+    CELLS = [(2, bf, DurationPolicy(ms), "oracle") for bf in BEAMFORMERS for ms in (None, 750, 250)]
+
+    @pytest.fixture(scope="class")
+    def short(self):
+        # the est tracker leaves a fragment on the last tracker frame, (3.1 s,
+        # 3.2 s), in which only two analysis frames of this scene are centred
+        scene = simulate(SceneSpec(seed=5, duration=3.151))
+        tracks_by_m, pool = track_and_enroll(scene, (5,), "est", [2], [])
+        return scene, tracks_by_m, pool
+
+    @pytest.fixture(scope="class")
+    def long(self):
+        scene = simulate(SceneSpec(seed=12, duration=20.0))
+        tracks_by_m, pool = track_and_enroll(scene, (51,), "gt", [2], [])
+        return scene, tracks_by_m, pool
+
+    @staticmethod
+    def record(monkeypatch, name):
+        calls = []
+        original = getattr(reassignment, name)
+
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(reassignment, name, recorded)
+        return calls
+
+    @pytest.mark.parametrize(
+        "inputs, cells",
+        [
+            ("short", CELLS + [(2, bf, DurationPolicy(10), "oracle") for bf in BEAMFORMERS]),
+            ("long", CELLS),
+        ],
+    )
+    def test_equals_the_whole_stft_reference(self, inputs, cells, request, monkeypatch):
+        scene, tracks_by_m, pool = request.getfixturevalue(inputs)
+        transforms = self.record(monkeypatch, "foa_stft")
+        reassign_calls = self.record(monkeypatch, "reassign")  # (fragments, embeddings, ...)
+        results = list(reassign_scene(scene, tracks_by_m, pool, cells))
+        fragments = results[0].fragments
+        # one transform per fragment, none of the whole scene
+        assert len(transforms) == len(fragments)
+        assert all(len(args) == 2 for args in transforms)
+
+        whole = foa_stft(scene.mixture)
+        for (_m, beamformer, policy, _src), result, (_, got, *_) in zip(
+            cells, results, reassign_calls, strict=True
+        ):
+            diagnostics = MvdrDiagnostics()
+            for f in fragments:
+                expected = extract_fragment_embedding(
+                    scene, whole, f, policy, beamformer, diagnostics=diagnostics
+                )
+                assert np.array_equal(got[f.fragment_id].vector, expected.vector)
+                assert got[f.fragment_id].pooled_frames == expected.pooled_frames
+                assert got[f.fragment_id].pooling_fallback == expected.pooling_fallback
+            assert result.mvdr_diagnostics == diagnostics
+        if inputs == "short":
+            windows = [tuple(round(t, 6) for t in d.window) for d in results[0].assignment.diagnostics]
+            assert (3.1, 3.2) in windows
+            assert {d.pooled_frames for d in results[-1].assignment.diagnostics} == {MIN_EMBED_FRAMES}
+
+    def test_ds_beside_a_gated_cell_reads_the_same_frames(self, long, monkeypatch):
+        # With a gated MVDR cell the fragments read the whole scene's STFT.
+        scene, tracks_by_m, pool = long
+        transforms = self.record(monkeypatch, "foa_stft")
+        alone = next(reassign_scene(scene, tracks_by_m, pool, [self.CELLS[3]]))
+        assert all(len(args) == 2 for args in transforms)
+        transforms.clear()
+        gated = (2, "mvdr", DurationPolicy(), "gated")
+        beside = next(reassign_scene(scene, tracks_by_m, pool, [self.CELLS[3], gated]))
+        assert [len(args) for args in transforms] == [1]
+        assert alone.assignment == beside.assignment
+
+    def test_holds_less_than_half_the_scene_stft(self, long):
+        # The scene's STFT is 20.5 MB. The frames of one fragment's windows
+        # (5.7 s, 5.9 MB, at most here) are held, and its beams.
+        scene, tracks_by_m, pool = long
+        list(reassign_scene(scene, tracks_by_m, pool, self.CELLS))  # warm caches
+        stft_bytes = foa_stft(scene.mixture).nbytes
+        tracemalloc.start()
+        try:
+            results = list(reassign_scene(scene, tracks_by_m, pool, self.CELLS))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(results) == len(self.CELLS)
+        assert peak < stft_bytes / 2
+
+
 class TestFloat32ReadScene:
     """A scene read from disk holds the float32 samples of its WAV files;
     every result computed from it equals the one computed from the same
