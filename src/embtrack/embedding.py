@@ -78,18 +78,24 @@ def mel_filterbank(sample_rate: int, n_fft: int, n_bands: int = _N_MEL_BANDS) ->
     return fb
 
 
-def analysis_frame_centers(num_samples: int, sample_rate: int) -> np.ndarray:
+def analysis_frame_centers(
+    num_samples: int, sample_rate: int, frames: slice = slice(None)
+) -> np.ndarray:
     """Centre of each analysis frame embed() computes for a signal of
-    num_samples, in samples from the signal start (empty if too short)."""
+    num_samples, in samples from the signal start (empty if too short): frame
+    k's is n_hop k + n_window / 2. frames selects a slice of them, computed
+    alone."""
     n_window, n_hop = stft_grid(sample_rate)
-    n_frames = num_full_frames(num_samples, n_window, n_hop)
-    return n_hop * np.arange(n_frames) + 0.5 * n_window
+    start, stop, _ = frames.indices(num_full_frames(num_samples, n_window, n_hop))
+    return n_hop * np.arange(start, stop) + 0.5 * n_window
 
 
-def analysis_frame_tracker_frames(num_samples: int, sample_rate: int) -> np.ndarray:
-    """For each analysis frame of analysis_frame_centers, the tracker frame
-    (of DEFAULT_HOP_S) in which its centre lies."""
-    centers = analysis_frame_centers(num_samples, sample_rate)
+def analysis_frame_tracker_frames(
+    num_samples: int, sample_rate: int, frames: slice = slice(None)
+) -> np.ndarray:
+    """For each analysis frame of analysis_frame_centers (of the slice
+    frames), the tracker frame (of DEFAULT_HOP_S) in which its centre lies."""
+    centers = analysis_frame_centers(num_samples, sample_rate, frames)
     return np.floor(centers / (DEFAULT_HOP_S * sample_rate)).astype(int)
 
 
@@ -106,8 +112,9 @@ def embed(
             f"need at least {MIN_EMBED_FRAMES} analysis frames "
             f"({n_window + (MIN_EMBED_FRAMES - 1) * n_hop} samples), got {len(signal)}"
         )
-    spec = stft(signal, n_window, n_hop, pad=False)
-    return embed_power(np.abs(spec) ** 2, sample_rate, frame_mask)
+    power = np.abs(stft(signal, n_window, n_hop, pad=False))
+    power **= 2
+    return embed_power(power, sample_rate, frame_mask)
 
 
 def embed_power(
@@ -191,31 +198,38 @@ def build_distractors(
         voice = sample_voice_params(rng)
         utt = synthesize_voice(voice, ENROLLMENT_UTTERANCE_S, sample_rate, int(rng.integers(2**63 - 1)))
         entries.append((f"distractor{k:02d}", embed(utt, sample_rate)))
+        del utt  # not held while the next utterance is synthesized
     return entries
 
 
 def build_enrollment(
-    voices: list[VoiceParams],
-    m: int,
-    seed: int,
-    distractors: list[tuple[str, Embedding]],
-    sample_rate: int = 16000,
-) -> EnrollmentPool:
-    """Enroll the scene voices plus the first m - len(voices) distractors.
+    voices: list[VoiceParams], seed: int, sample_rate: int = 16000
+) -> list[tuple[str, Embedding]]:
+    """The scene speakers' enrollment entries, speakerNN in scene order.
 
     Each scene voice is enrolled with the embedding of a fresh 20 s utterance
-    never used in any mixture, its seed drawn from seed. Scene speakers come
-    first (speakerNN), then the distractors the caller passes in, already
-    embedded (the predefined-pool setting; [] for a speakers-only pool).
+    never used in any mixture, its seed drawn from seed. gen writes them as
+    the scene's pool file; run_pipeline and the acceptance suite build them
+    here too (reassignment.enroll_speakers).
     """
-    if m < len(voices):
-        raise ValueError(f"pool size {m} smaller than number of scene voices {len(voices)}")
-    needed = m - len(voices)
-    if len(distractors) < needed:
-        raise ValueError(f"need {needed} distractors, got {len(distractors)}")
     rng = np.random.default_rng(seed)
     entries: list[tuple[str, Embedding]] = []
     for j, voice in enumerate(voices):
         utt = synthesize_voice(voice, ENROLLMENT_UTTERANCE_S, sample_rate, int(rng.integers(2**63 - 1)))
         entries.append((f"speaker{j:02d}", embed(utt, sample_rate)))
-    return EnrollmentPool(entries + distractors[:needed])
+        del utt  # not held while the next utterance is synthesized
+    return entries
+
+
+def enrollment_pool(
+    speakers: list[tuple[str, Embedding]], m: int, distractors: list[tuple[str, Embedding]]
+) -> EnrollmentPool:
+    """The scene speakers' entries, then the first m - len(speakers) of the
+    distractors the caller passes in, already embedded (the predefined-pool
+    setting; [] for a speakers-only pool)."""
+    if m < len(speakers):
+        raise ValueError(f"pool size {m} smaller than number of scene speakers {len(speakers)}")
+    needed = m - len(speakers)
+    if len(distractors) < needed:
+        raise ValueError(f"need {needed} distractors, got {len(distractors)}")
+    return EnrollmentPool(speakers + distractors[:needed])

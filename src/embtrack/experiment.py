@@ -13,11 +13,18 @@ value; either kind of bad value, or a sweep value listed twice, is a
 ConfigError.
 
 All randomness derives from one master seed. A scene's seed is
-derive_seed(master, index, "scene"). run draws the pool's distractors once,
-with the library's one rule (reassignment.shared_distractors, seeded with
-derive_seed(master, "distractors")), and runs each scene through the
-library's seeded front-end, reassignment.track_and_enroll, with key (master,
-index): every later stage seed is derive_seed(master, index, stage[, m]).
+derive_seed(master, index, "scene"). gen writes each scene
+(fileio.write_scene: the speaker WAVs, mixture.wav and ground_truth.json)
+and then its enrollment pool file, ENROLLMENT_FILE: the scene speakers'
+entries of reassignment.enroll_speakers with key (master, index), seeded
+with derive_seed(master, index, "enrollment"). The pool is data fixed by the
+dataset, so no run synthesizes a scene speaker's enrollment audio. run draws
+the pool's distractors once, with the library's one rule
+(reassignment.shared_distractors, seeded with derive_seed(master,
+"distractors")), and runs each scene through the library's seeded
+front-end, reassignment.track_and_enroll, with key (master, index) and the
+speakers' entries read back: every other stage seed is derive_seed(master,
+index, stage[, m]).
 Every sweep cell therefore sees the same scenes, tracks and pools, and paired
 comparisons are meaningful. Each M's trajectories are segmented once per
 scene and shared by that M's cells, and each fragment's frames of the
@@ -27,12 +34,15 @@ that fails leaves none of its cells marked complete. run and
 eval take the dataset section from the dataset's manifest, and eval takes
 the run section from the results' run_manifest.json; a manifest whose
 section this config cannot read, or that lists a scene_id or index twice,
-is a DataError. gen writes each scene one signal at a time
-(fileio.write_scene) and records the sha256 of the mixture bytes it writes;
-run reads each mixture once and checks its bytes against that hash before
-parsing them. Its run_manifest.json is written before the first scene and
-binds the results directory to one master seed, run section and dataset; a
-rerun that differs in any of them is refused.
+is a DataError. gen records in each scene's manifest row the sha256 of the
+mixture bytes and of the pool file it writes (the speaker WAVs are not
+hashed); run reads each mixture and pool once and checks their bytes against
+those hashes before parsing them, and a manifest without pool hashes, from
+an older gen, is a DataError. run and eval refuse a ground_truth.json whose
+spec is not the manifest's scene's or that does not list its speakers. run's
+run_manifest.json is written before the first scene and binds the results
+directory to one master seed, run section and dataset (mixture and pool
+hashes); a rerun that differs in any of them is refused.
 Completed scene/cell outputs are marked on disk and skipped on resume. eval
 scores each distinct trajectory file of a scene once (cmd_eval), and refuses
 a cell without its marker, or results whose run_manifest.json binds them to
@@ -57,15 +67,17 @@ from .reassignment import (
     BEAMFORMERS,
     NOISE_COV_SOURCES,
     TRACKER_VARIANTS,
+    enroll_speakers,
     reads_wet,
     reassign_scene,
     shared_distractors,
     track_and_enroll,
 )
-from .scene import SceneSpec
+from .scene import SceneSpec, SpeakerGroundTruth
 from .seeding import derive_seed
 
 COMPLETE_MARKER = "COMPLETE"
+ENROLLMENT_FILE = "enrollment.jsonl"  # a scene's pool of its speakers' entries
 
 
 class ConfigError(ValueError):
@@ -273,12 +285,24 @@ def _map(fn, tasks: list, workers: int) -> list:
 def _gen_one(args: tuple) -> dict:
     """Write one scene of the dataset (fileio.write_scene: each speaker WAV as
     soon as its signal is built, an old mixture.wav removed first, then the
-    mixture and the ground truth) and return its manifest row."""
+    mixture and the ground truth), then its enrollment pool file, and return
+    its manifest row. The pool is built from the voices of the ground truth
+    as written, once the scene's signals are dropped."""
     cfg, index, out_dir = args
     spec = cfg.dataset.scene_spec(index, cfg.master_seed)
     scene_dir = Path(out_dir) / "scenes" / _scene_id(index)
     sha256 = fileio.write_scene(scene_dir, spec)
-    return {"scene_id": _scene_id(index), "index": index, "seed": spec.seed, "sha256": sha256}
+    ground_truth, _spec = fileio.read_ground_truth(scene_dir / "ground_truth.json")
+    speakers = enroll_speakers(
+        [gt.voice for gt in ground_truth], (cfg.master_seed, index), spec.sample_rate
+    )
+    return {
+        "scene_id": _scene_id(index),
+        "index": index,
+        "seed": spec.seed,
+        "sha256": sha256,
+        "enrollment_sha256": fileio.write_enrollment(scene_dir / ENROLLMENT_FILE, speakers),
+    }
 
 
 def cmd_gen(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
@@ -307,21 +331,37 @@ def _is_scene_row(row) -> bool:
         and isinstance(row.get("scene_id"), str)
         and _has_type(row.get("index"), int)
         and isinstance(row.get("sha256"), str)
+        and isinstance(row.get("enrollment_sha256"), str)
     )
 
 
-def _open_dataset(cfg: ExperimentConfig, dataset_dir: str | Path) -> tuple[ExperimentConfig, list[dict]]:
+def _open_dataset(
+    cfg: ExperimentConfig, dataset_dir: str | Path
+) -> tuple[ExperimentConfig, list[dict], int]:
     """cfg with the dataset section the dataset was generated with, validated,
-    and the dataset's scene rows. Each row must be a mapping with a str
-    scene_id, an int index and a str sha256, and no two rows may share a
-    scene_id or an index; anything else is a DataError."""
+    the dataset's scene rows and the master seed gen wrote it with (an int,
+    or a DataError). Each row must be a mapping with a str
+    scene_id, an int index, a str sha256 and a str enrollment_sha256, and no
+    two rows may share a scene_id or an index; anything else is a DataError.
+    A row without enrollment_sha256 comes from a gen that wrote no pool
+    files: the message says to regenerate the dataset."""
     manifest = load_manifest(dataset_dir)
     try:
         cfg = dataclasses.replace(cfg, dataset=DatasetConfig(**manifest["dataset"]))
-        scenes = manifest["scenes"]
+        scenes, dataset_seed = manifest["scenes"], manifest["master_seed"]
     except (KeyError, TypeError) as e:
         raise DataError(f"malformed dataset manifest in {dataset_dir}: {e!r}") from None
+    if not _has_type(dataset_seed, int):
+        raise DataError(f"the dataset manifest in {dataset_dir} has no int master_seed")
     if not isinstance(scenes, list) or not all(_is_scene_row(row) for row in scenes):
+        if isinstance(scenes, list) and any(
+            isinstance(row, dict) and _is_scene_row({"enrollment_sha256": "", **row})
+            for row in scenes
+        ):
+            raise DataError(
+                f"the dataset in {dataset_dir} has no enrollment pool files (an older gen "
+                "wrote it); regenerate it with embtrack gen"
+            )
         raise DataError(f"malformed scene rows in the dataset manifest in {dataset_dir}")
     for key in ("scene_id", "index"):
         values = [row[key] for row in scenes]
@@ -330,15 +370,34 @@ def _open_dataset(cfg: ExperimentConfig, dataset_dir: str | Path) -> tuple[Exper
     cfg.validate()
     if not scenes:
         raise DataError("dataset manifest lists no scenes")
-    return cfg, scenes
+    return cfg, scenes, dataset_seed
 
 
 def cell_name(tracker: str, m: int, beamformer: str, duration: str) -> str:
     return f"{tracker}_m{m}_{beamformer}_{duration}"
 
 
+def _check_ground_truth(
+    expected: SceneSpec, spec: SceneSpec, ground_truth: list[SpeakerGroundTruth], path: Path
+) -> None:
+    """DataError unless the ground truth read from path is that of the scene
+    the manifest lists: its spec is expected (DatasetConfig.scene_spec of the
+    scene's index and the dataset's master seed) and it lists that many
+    speakers."""
+    if spec != expected or len(ground_truth) != expected.num_speakers:
+        raise DataError(
+            f"{path} is not the ground truth of this dataset's scene: its spec or its "
+            f"{len(ground_truth)} speakers differ from the manifest's scene"
+        )
+
+
 def _run_one(args: tuple) -> str:
-    cfg, index, sha256, dataset_dir, out_dir, distractors = args
+    """Run every cell of one scene not yet marked complete (a scene with
+    every cell and tracks file on disk is skipped). Before anything of the
+    scene is written, the mixture and the pool file are checked against
+    their manifest hashes and the ground truth against the scene's spec; any
+    of them missing or not matching is a DataError."""
+    cfg, index, expected_spec, sha256, enrollment_sha256, dataset_dir, out_dir, distractors = args
     scene_id = _scene_id(index)
     scene_dir = Path(dataset_dir) / "scenes" / scene_id
     result_dir = Path(out_dir) / scene_id
@@ -359,9 +418,14 @@ def _run_one(args: tuple) -> str:
         return scene_id
 
     wet = any(reads_wet(bf, run.noise_cov) for _, bf, _ in cells)
-    scene, _spec = _read(lambda path: fileio.read_scene(path, wet, sha256=sha256), scene_dir)
+    scene, spec = _read(lambda path: fileio.read_scene(path, wet, sha256=sha256), scene_dir)
+    _check_ground_truth(expected_spec, spec, scene.ground_truth, scene_dir / "ground_truth.json")
+    pool_path = scene_dir / ENROLLMENT_FILE
+    speakers = _read(lambda path: fileio.read_enrollment(path, sha256=enrollment_sha256), pool_path)
+    if len(speakers) != len(scene.voices):
+        raise DataError(f"{pool_path} enrolls {len(speakers)} speakers, the scene has {len(scene.voices)}")
     tracks_by_m, pool = track_and_enroll(
-        scene, (cfg.master_seed, index), run.tracker, run.enrollment_sizes, distractors
+        scene, (cfg.master_seed, index), run.tracker, run.enrollment_sizes, speakers, distractors
     )
     for m, trajectories in tracks_by_m.items():
         fileio.write_trajectories(result_dir / f"tracks_{run.tracker}_m{m}.jsonl", trajectories)
@@ -384,6 +448,7 @@ def _run_manifest(cfg: ExperimentConfig, scenes: list[dict]) -> dict:
         "cells": [cell_name(cfg.run.tracker, m, bf, dur) for m, bf, dur in cfg.run.cells()],
         "scenes": [row["scene_id"] for row in scenes],
         "sha256": {row["scene_id"]: row["sha256"] for row in scenes},
+        "enrollment_sha256": {row["scene_id"]: row["enrollment_sha256"] for row in scenes},
     }
 
 
@@ -394,13 +459,15 @@ def _binding(run_manifest: dict) -> dict:
         "master seed": config["master_seed"],
         "run section": config["run"],
         "scene hashes": run_manifest["sha256"],
+        # None in a run_manifest.json written before gen wrote pool files
+        "pool hashes": run_manifest.get("enrollment_sha256"),
     }
     return json.loads(json.dumps(binding))
 
 
 def _check_binding(results_dir: Path, run_manifest: dict) -> None:
     """ConfigError unless results_dir's run_manifest.json binds it to the
-    master seed, run section and scene hashes of run_manifest; DataError when
+    master seed, run section, scene and pool hashes of run_manifest; DataError when
     that file is missing or unreadable."""
     stored = _read(lambda p: _binding(json.loads(p.read_text())), results_dir / "run_manifest.json")
     changed = [key for key, value in _binding(run_manifest).items() if stored[key] != value]
@@ -415,7 +482,7 @@ def cmd_run(cfg: ExperimentConfig, dataset_dir: str | Path, out_dir: str | Path)
     one master seed, run section and dataset: a rerun that differs in any of
     them is a ConfigError and writes nothing.
     """
-    cfg, scenes = _open_dataset(cfg, dataset_dir)
+    cfg, scenes, dataset_seed = _open_dataset(cfg, dataset_dir)
     out_dir = Path(out_dir)
     run_manifest = _run_manifest(cfg, scenes)
     path = out_dir / "run_manifest.json"
@@ -425,7 +492,10 @@ def cmd_run(cfg: ExperimentConfig, dataset_dir: str | Path, out_dir: str | Path)
     fileio.dump_json(run_manifest, path)
     distractors = shared_distractors(cfg.master_seed, cfg.run.enrollment_sizes, cfg.dataset.num_speakers)
     tasks = [
-        (cfg, row["index"], row["sha256"], str(dataset_dir), str(out_dir), distractors)
+        (
+            cfg, row["index"], cfg.dataset.scene_spec(row["index"], dataset_seed), row["sha256"],
+            row["enrollment_sha256"], str(dataset_dir), str(out_dir), distractors,
+        )
         for row in scenes
     ]
     _map(_run_one, tasks, cfg.workers)
@@ -451,7 +521,8 @@ def cmd_eval(
     distinct list of per-scene scores is aggregated once: aggregate_report
     seeds its own generator, so the report is the same as scoring every file.
     A cell without its COMPLETE marker, an unreadable or malformed trajectory
-    file, or a missing or unreadable run_manifest.json, is a DataError;
+    file, a ground truth that is not the manifest's scene's, or a missing or
+    unreadable run_manifest.json, is a DataError;
     results of another master seed or dataset are a ConfigError. Either way
     no report is written.
     """
@@ -463,7 +534,7 @@ def cmd_eval(
         lambda p: _from_dict(RunConfig, json.loads(p.read_text())["config"]["run"]),
         results_dir / "run_manifest.json",
     )
-    cfg, scenes = _open_dataset(dataclasses.replace(cfg, run=run), dataset_dir)
+    cfg, scenes, dataset_seed = _open_dataset(dataclasses.replace(cfg, run=run), dataset_dir)
     _check_binding(results_dir, _run_manifest(cfg, scenes))
 
     names = {(m, bf, dur): cell_name(run.tracker, m, bf, dur) for m, bf, dur in run.cells()}
@@ -476,9 +547,9 @@ def cmd_eval(
     text_ids: dict[int | str, list[int]] = {key: [] for key in files}
     for row in scenes:
         scene_id = row["scene_id"]
-        gt, spec = _read(
-            fileio.read_ground_truth, dataset_dir / "scenes" / scene_id / "ground_truth.json"
-        )
+        gt_path = dataset_dir / "scenes" / scene_id / "ground_truth.json"
+        gt, spec = _read(fileio.read_ground_truth, gt_path)
+        _check_ground_truth(cfg.dataset.scene_spec(row["index"], dataset_seed), spec, gt, gt_path)
         result_dir = results_dir / scene_id
         for name in names.values():
             if not (result_dir / name / COMPLETE_MARKER).exists():

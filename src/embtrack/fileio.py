@@ -1,5 +1,5 @@
-"""On-disk formats: float32 WAV audio, ground-truth JSON, trajectory and
-fragment JSON lines, and assignment reports.
+"""On-disk formats: float32 WAV audio, ground-truth JSON, enrollment pool,
+trajectory and fragment JSON lines, and assignment reports.
 
 A WAV file holds one FoaSignal, little-endian throughout:
 
@@ -10,7 +10,8 @@ A WAV file holds one FoaSignal, little-endian throughout:
     "fact" <u32 4> <u32 samples per channel>
     "data" <u32 16 * samples> <f4 W Y Z X, one sample of each channel in turn>
 
-write_wav returns the sha256 of the bytes it wrote. read_wav walks the
+write_wav returns the sha256 of the bytes it wrote, unless told not to hash
+them (write_scene hashes only the mixture). read_wav walks the
 chunks in any order, skips the ones it does not know (an odd-sized chunk is
 followed by a pad byte) and accepts only 4-channel 32-bit float audio;
 anything else is a ValueError. Given a sha256, it hashes the bytes it read
@@ -18,6 +19,10 @@ and checks them before it parses them, so a file whose hash is checked is
 read once. The signal it returns is a read-only float32 (4, T) view of
 those bytes, so it takes no memory beyond the file's; its consumers widen
 the samples to float64, which is exact, where they compute with them.
+
+An enrollment pool file holds one JSON line {"identity": str, "vector":
+[float, ...]} per entry, in pool order (write_enrollment); the vectors read
+back bit for bit (read_enrollment).
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .beamforming import MvdrDiagnostics
+from .embedding import Embedding, EnrollmentPool
 from .fragments import Fragment
 from .geometry import DoA
 from .reassignment import AssignmentResult
@@ -45,8 +51,9 @@ _BLOCK_ALIGN = 4 * _CHANNELS
 _WAV_BLOCK = 16384
 
 
-def write_wav(path: str | Path, signal: FoaSignal) -> str:
-    """Write signal as float32 WAV; returns the sha256 hex digest of the file.
+def write_wav(path: str | Path, signal: FoaSignal, *, sha256: bool = True) -> str | None:
+    """Write signal as float32 WAV; returns the sha256 hex digest of the
+    file, or None with sha256 False, when nothing is hashed.
 
     The samples are interleaved into float32 _WAV_BLOCK samples at a time,
     and each block is hashed and written from one reused buffer, so no
@@ -66,16 +73,18 @@ def write_wav(path: str | Path, signal: FoaSignal) -> str:
         + b"data" + struct.pack("<I", data_bytes)
     )
     header = b"RIFF" + struct.pack("<I", 4 + len(chunks) + data_bytes) + b"WAVE" + chunks
-    digest = hashlib.sha256(header)
+    digest = hashlib.sha256(header) if sha256 else None
     block = np.empty((min(num_samples, _WAV_BLOCK), _CHANNELS), dtype="<f4")
     with open(path, "wb") as f:
         f.write(header)
         for start in range(0, num_samples, _WAV_BLOCK):
             samples = block[: min(num_samples - start, _WAV_BLOCK)]
-            samples[...] = channels[:, start : start + len(samples)].T
-            digest.update(samples)
+            for c in range(_CHANNELS):  # a column at a time: faster than one transposed copy
+                samples[:, c] = channels[c, start : start + len(samples)]
+            if digest is not None:
+                digest.update(samples)
             f.write(samples)
-    return digest.hexdigest()
+    return digest.hexdigest() if digest is not None else None
 
 
 def read_wav(path: str | Path, *, sha256: str | None = None) -> FoaSignal:
@@ -182,16 +191,16 @@ def write_scene(scene_dir: str | Path, spec: SceneSpec) -> str:
     Each speakerNN.wav is written as soon as render_scene has built that
     speaker's wet signal, which is then dropped; mixture.wav and
     ground_truth.json follow. So the mixture accumulator and one wet signal
-    are all the float64 signals held at a time. An existing mixture.wav is
-    removed before the first speaker WAV is written: the manifest hashes only
-    the mixture, so a write that fails part-way must not leave an old
-    mixture beside new speaker WAVs.
+    are all the float64 signals held at a time. Only the mixture is hashed:
+    the manifest binds it, not the speaker WAVs. An existing mixture.wav is
+    removed before the first speaker WAV is written, so a write that fails
+    part-way does not leave an old mixture beside new speaker WAVs.
     """
     scene_dir = Path(scene_dir)
     scene_dir.mkdir(parents=True, exist_ok=True)
     (scene_dir / "mixture.wav").unlink(missing_ok=True)
     mixture, ground_truth = render_scene(
-        spec, lambda j, wet: write_wav(scene_dir / f"speaker{j:02d}.wav", wet)
+        spec, lambda j, wet: write_wav(scene_dir / f"speaker{j:02d}.wav", wet, sha256=False)
     )
     sha256 = write_wav(scene_dir / "mixture.wav", mixture)
     write_ground_truth(scene_dir / "ground_truth.json", ground_truth, spec)
@@ -232,6 +241,44 @@ def read_scene(
     return Scene(mixture, signals, ground_truth), spec
 
 
+def write_enrollment(path: str | Path, entries: list[tuple[str, Embedding]]) -> str:
+    """Write pool entries, one JSON line {"identity", "vector"} each, in pool
+    order; returns the sha256 of the file. JSON writes each float by its
+    shortest repr, so read_enrollment gives back the very same vectors."""
+    lines = [
+        json.dumps({"identity": identity, "vector": emb.vector.tolist()}, sort_keys=True)
+        for identity, emb in entries
+    ]
+    text = "\n".join(lines) + ("\n" if lines else "")
+    write_text_atomic(path, text)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def read_enrollment(path: str | Path, *, sha256: str | None = None) -> list[tuple[str, Embedding]]:
+    """The entries write_enrollment wrote. sha256, when given, is the hash
+    the file's bytes must have. An entry whose identity is not a string,
+    whose vector is not a list of numbers of the same length as the others
+    or not of unit norm, or an identity listed twice, is a ValueError."""
+    raw = Path(path).read_bytes()
+    if sha256 is not None and hashlib.sha256(raw).hexdigest() != sha256:
+        raise ValueError(f"{path} does not match sha256 {sha256}")
+    entries = []
+    for line in raw.decode().splitlines():
+        if not line.strip():
+            continue
+        record = json.loads(line)
+        identity, vector = record["identity"], record["vector"]
+        numbers = isinstance(vector, list) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in vector
+        )
+        if not isinstance(identity, str) or not numbers:
+            raise ValueError(f"{path}: malformed enrollment entry {line[:80]!r}")
+        entries.append((identity, Embedding(np.array(vector, dtype=np.float64))))
+    if len({emb.vector.shape for _, emb in entries}) > 1:
+        raise ValueError(f"{path}: enrollment vectors differ in length")
+    return EnrollmentPool(entries).entries
+
+
 def trajectories_to_jsonl(trajectories: list[Trajectory]) -> str:
     """One record per trajectory: {track_id, frames: [[index, az, el, active]]}.
 
@@ -255,15 +302,19 @@ def trajectories_to_jsonl(trajectories: list[Trajectory]) -> str:
 
 
 def trajectories_from_jsonl(text: str) -> list[Trajectory]:
+    """The trajectories of trajectories_to_jsonl's format. A frame index
+    that is not an int (a float, or a bool), or that is negative, is a
+    ValueError."""
     trajectories = []
     for line in text.splitlines():
         if not line.strip():
             continue
         record = json.loads(line)
-        frames = [
-            (int(index), DoA(az, el), bool(active))
-            for index, az, el, active in record["frames"]
-        ]
+        frames = []
+        for index, az, el, active in record["frames"]:
+            if type(index) is not int or index < 0:
+                raise ValueError(f"frame index {index!r} is not a non-negative int")
+            frames.append((index, DoA(az, el), bool(active)))
         trajectories.append(Trajectory(track_id=record["track_id"], frames=frames))
     return trajectories
 

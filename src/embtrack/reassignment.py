@@ -33,11 +33,14 @@ ideal beamformer reads the target's own wet signal and pools over all frames.
 
 Every per-scene path (the library's run_pipeline, the batch runner and the
 acceptance suite) runs the same two steps. track_and_enroll is the seeded
-front-end: it owns every stage seed, derive_seed(*key, stage[, m]). The key
-is (master seed, scene index) in the batch runner, (seed,) in run_pipeline
-and (master seed, suite tag, scene index) in the acceptance suite. Its
-distractors come from the one distractor rule, shared_distractors: one set
-per master seed, shared by every scene. reassign_scene is the post-tracking
+front-end: every stage seed is derive_seed(*key, stage[, m]). The key is
+(master seed, scene index) in the batch runner, (seed,) in run_pipeline and
+(master seed, suite tag, scene index) in the acceptance suite. It takes the
+scene speakers' pool entries from enroll_speakers, seeded with
+derive_seed(*key, "enrollment"): the batch runner reads those that gen wrote
+with it, and the other paths call it. Its distractors come from the one
+distractor rule, shared_distractors: one set per master seed, shared by
+every scene. reassign_scene is the post-tracking
 step: it segments each M's trajectories once, then beamforms and embeds each
 fragment for every cell (m, beamformer, policy, noise covariance source) of
 its M, and then reassigns the fragments cell by cell. A gated MVDR noise
@@ -64,18 +67,19 @@ from .beamforming import (
     oracle_noise_reference,
     reference_covariances,
 )
+from .dsp import num_full_frames, stft_grid
 from .embedding import (
     MIN_EMBED_FRAMES,
     Embedding,
     EnrollmentPool,
-    analysis_frame_centers,
     analysis_frame_tracker_frames,
     build_distractors,
     build_enrollment,
     embed_power,
+    enrollment_pool,
 )
 from .fragments import DurationPolicy, Fragment, extraction_window, segment, window_doa
-from .scene import Scene
+from .scene import Scene, VoiceParams
 from .seeding import derive_seed
 from .tracking import (
     Trajectory,
@@ -278,16 +282,23 @@ def _window_frames(
 
     When fewer than MIN_EMBED_FRAMES centres lie in the window, the slice is
     the MIN_EMBED_FRAMES frames that start at its first centre, or the grid's
-    last ones if those would run past its end.
+    last ones if those would run past its end. The bounds are found in
+    integers and only the slice's centres are computed.
     """
-    centers = analysis_frame_centers(num_samples, sample_rate)
-    bounds = [round(window[0] * sample_rate), round(window[1] * sample_rate)]
-    start, stop = (int(i) for i in np.searchsorted(centers, bounds))
+    n_window, n_hop = stft_grid(sample_rate)
+    n_frames = num_full_frames(num_samples, n_window, n_hop)
+    # The first frame whose centre, n_hop k + n_window / 2, is at or after the
+    # sample the window bound rounds to: k = ceil((2 b - n_window) / (2 n_hop)).
+    start, stop = (
+        min(n_frames, max(0, -((n_window - 2 * int(round(t * sample_rate))) // (2 * n_hop))))
+        for t in window
+    )
     if stop - start < MIN_EMBED_FRAMES:
-        start = max(0, min(start, len(centers) - MIN_EMBED_FRAMES))
+        start = max(0, min(start, n_frames - MIN_EMBED_FRAMES))
         stop = start + MIN_EMBED_FRAMES
-    tracker_frames = analysis_frame_tracker_frames(num_samples, sample_rate)[start:stop]
-    return slice(start, stop), ~np.isin(tracker_frames, frag.overlapped_frames)
+    frames = slice(start, stop)
+    tracker_frames = analysis_frame_tracker_frames(num_samples, sample_rate, frames)
+    return frames, ~np.isin(tracker_frames, frag.overlapped_frames)
 
 
 def _gated_covariances(
@@ -320,21 +331,34 @@ def shared_distractors(
     return build_distractors(need, derive_seed(master_seed, "distractors")) if need > 0 else []
 
 
+def enroll_speakers(
+    voices: Sequence[VoiceParams], key: tuple[int | str, ...], sample_rate: int = 16000
+) -> list[tuple[str, Embedding]]:
+    """The scene speakers' pool entries for a scene key: build_enrollment
+    seeded with derive_seed(*key, "enrollment"). gen calls it once per scene
+    and writes the entries to the scene's pool file, which run reads back;
+    run_pipeline and the acceptance suite call it in place of that file."""
+    return build_enrollment(list(voices), derive_seed(*key, "enrollment"), sample_rate)
+
+
 def track_and_enroll(
     scene: Scene,
     key: tuple[int | str, ...],
     tracker_variant: str,
     enrollment_sizes: Sequence[int],
+    speakers: list[tuple[str, Embedding]],
     distractors: list[tuple[str, Embedding]],
 ) -> tuple[dict[int, list[Trajectory]], EnrollmentPool]:
-    """The seeded front-end: observe once, track once per M, enroll once.
+    """The seeded front-end: observe once, track once per M, make the pool.
 
     The "est" front-end corrupts the ground truth with the default NoiseModel.
 
-    Stage seeds are derive_seed(*key, "observe"), derive_seed(*key,
-    "tracker", m) and derive_seed(*key, "enrollment"). The pool is the scene
-    speakers, then the first of distractors (shared_distractors' of the
-    master seed), max(enrollment_sizes) entries; a smaller M takes a prefix.
+    Stage seeds are derive_seed(*key, "observe") and derive_seed(*key,
+    "tracker", m). speakers are the scene speakers' entries,
+    enroll_speakers(scene.voices, key) (seeded with derive_seed(*key,
+    "enrollment")), as gen writes them. The pool is speakers, then the first
+    of distractors (shared_distractors' of the master seed),
+    max(enrollment_sizes) entries; a smaller M takes a prefix.
     """
     if tracker_variant == "gt":
         observations = observe_gt(scene.ground_truth, duration=scene.duration)
@@ -348,9 +372,7 @@ def track_and_enroll(
     tracks_by_m = {
         m: track(observations, maker(m, derive_seed(*key, "tracker", m))) for m in enrollment_sizes
     }
-    seed = derive_seed(*key, "enrollment")
-    pool = build_enrollment(scene.voices, max(enrollment_sizes), seed, distractors, scene.sample_rate)
-    return tracks_by_m, pool
+    return tracks_by_m, enrollment_pool(speakers, max(enrollment_sizes), distractors)
 
 
 def reassign_scene(
@@ -443,6 +465,7 @@ def run_pipeline(
     of track_and_enroll's key (seed,) and of shared_distractors.
     """
     distractors = shared_distractors(seed, [m], len(scene.voices))
-    tracks_by_m, pool = track_and_enroll(scene, (seed,), tracker_variant, [m], distractors)
+    speakers = enroll_speakers(scene.voices, (seed,), scene.sample_rate)
+    tracks_by_m, pool = track_and_enroll(scene, (seed,), tracker_variant, [m], speakers, distractors)
     cell = (m, beamformer, policy, noise_cov_source)
     return next(reassign_scene(scene, tracks_by_m, pool, [cell]))

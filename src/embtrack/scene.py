@@ -182,14 +182,69 @@ def _slow_noise_block(ctrl: np.ndarray, n: int, start: int, stop: int) -> np.nda
     """Samples start:stop of the n-sample slow noise on the control points
     ctrl: np.interp(np.linspace(0, len(ctrl) - 1, n), np.arange(len(ctrl)),
     ctrl)[start:stop], with linspace's bits (i * step, and the end point
-    itself as the last sample)."""
+    itself as the last sample).
+
+    np.interp's own formula is applied one control segment at a time, so no
+    sample is searched for: x in [j, j + 1) gives
+    (ctrl[j + 1] - ctrl[j]) (x - j) + ctrl[j], and the end point ctrl[-1].
+    """
     last = len(ctrl) - 1.0
     x = np.arange(start, stop, dtype=np.float64)
     if n > 1:
         x *= last / (n - 1)
         if stop == n:
             x[-1] = last
-    return np.interp(x, np.arange(len(ctrl)), ctrl)
+    first, end = int(x[0]), int(x[-1])
+    # Where each control segment after the first starts.
+    cuts = np.searchsorted(x, np.arange(first + 1, end + 1)).tolist()
+    for j, lo, hi in zip(range(first, end + 1), [0, *cuts], [*cuts, len(x)]):
+        segment = x[lo:hi]
+        if j == last:
+            segment[...] = ctrl[j]
+        else:
+            segment -= j
+            segment *= ctrl[j + 1] - ctrl[j]
+            segment += ctrl[j]
+    return x
+
+
+# Samples from one anchor of a sine oscillator to the next (_oscillator).
+_OSC_PERIOD = 2048
+
+
+def _oscillator(rate_hz: float, phase: float, n: int, sample_rate: int) -> tuple[np.ndarray, ...]:
+    """Tables for sin(2 pi rate_hz t + phase) at t = i / sample_rate, i < n,
+    by angle addition: sample i = q P + r (P = _OSC_PERIOD, r < P) is
+    sin(a_q) cos(w r) + cos(a_q) sin(w r), w = 2 pi rate_hz / sample_rate,
+    read by _oscillator_block. The anchor angle a_q is the plain expression's
+    own at sample q P. Returns (sin a, cos a, sin w r, cos w r).
+    """
+    omega = 2.0 * np.pi * rate_hz
+    anchors = np.arange(0, n, _OSC_PERIOD, dtype=np.float64)
+    anchors /= sample_rate
+    anchors *= omega
+    anchors += phase
+    offsets = np.arange(min(n, _OSC_PERIOD), dtype=np.float64)
+    offsets /= sample_rate
+    offsets *= omega
+    return np.sin(anchors), np.cos(anchors), np.sin(offsets), np.cos(offsets)
+
+
+def _oscillator_block(oscillator: tuple[np.ndarray, ...], start: int, stop: int) -> np.ndarray:
+    """Samples start:stop of an _oscillator's sine, one anchor's span at a
+    time. Each sample is computed from its own anchor, which sits at a fixed
+    sample, so the bits do not depend on start and stop."""
+    sin_a, cos_a, sin_r, cos_r = oscillator
+    out = np.empty(stop - start)
+    for q in range(start // _OSC_PERIOD, (stop - 1) // _OSC_PERIOD + 1):
+        lo = max(start, q * _OSC_PERIOD)
+        hi = min(stop, (q + 1) * _OSC_PERIOD)
+        r = slice(lo - q * _OSC_PERIOD, hi - q * _OSC_PERIOD)
+        # sin(a_q + w r) = sin(a_q) cos(w r) + cos(a_q) sin(w r)
+        span = out[lo - start : hi - start]
+        np.multiply(sin_a[q], cos_r[r], out=span)
+        span += cos_a[q] * sin_r[r]
+    return out
 
 
 # Nodes of a voice's wavetable. At most 92 harmonics are far below the
@@ -201,12 +256,14 @@ _WAVETABLE_SIZE = 2**15
 _SYNTH_BLOCK = 8192  # samples per block of the synthesis
 
 
-def _wavetable(amps: np.ndarray, phases0: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Cubic Hermite coefficient rows (w0, d0, a, b) of the period
+def _wavetable(amps: np.ndarray, phases0: np.ndarray) -> np.ndarray:
+    """Cubic Hermite coefficients of the period
     W(theta) = sum_k amps[k-1] sin(k theta + phases0[k-1]) on
-    L = _WAVETABLE_SIZE nodes: W(h (j + f)) is read as
-    w0[j] + f (d0[j] + f (a[j] + f b[j])) for f in [0, 1), the Hermite cubic
-    with W's values and slopes at nodes j and j + 1 (node L wraps to 0).
+    L = _WAVETABLE_SIZE nodes, as an (L, 4) array whose row j is
+    (w0, d0, a, b): W(h (j + f)) is read as w0 + f (d0 + f (a + f b)) for f
+    in [0, 1), the Hermite cubic with W's values and slopes at nodes j and
+    j + 1 (node L wraps to 0). A row holds what one sample reads, so one
+    gather reads it.
 
     W and h W' (h = 2 pi / L, the node spacing) are exact at the nodes: one
     inverse real FFT of their two coefficient rows gives both.
@@ -220,18 +277,24 @@ def _wavetable(amps: np.ndarray, phases0: np.ndarray) -> tuple[np.ndarray, ...]:
     spectrum[0, 1:] = -1j * coeffs  # sin(x) = Re(-i exp(i x))
     spectrum[1, 1:] = (2.0 * np.pi / size) * harmonics * coeffs
     values, slopes = np.fft.irfft(spectrum, n=size, axis=1)
-    # rise = W(j + 1) - W(j); both = slope(j) + slope(j + 1)
+    table = np.empty((size, 4))
+    table[:, 0] = values
+    table[:, 1] = slopes
+    # rise = W(j + 1) - W(j); both = slope(j + 1) + slope(j), node L being 0
     # a = 3 rise - slope(j) - both; b = both - 2 rise
-    rise = np.roll(values, -1)
-    rise -= values
-    both = np.roll(slopes, -1)
-    both += slopes
-    a = rise * 3.0
+    rise = np.empty(size)
+    np.subtract(values[1:], values[:-1], out=rise[:-1])
+    np.subtract(values[:1], values[-1:], out=rise[-1:])
+    both = table[:, 3]
+    np.add(slopes[1:], slopes[:-1], out=both[:-1])
+    np.add(slopes[:1], slopes[-1:], out=both[-1:])
+    a = table[:, 2]
+    np.multiply(rise, 3.0, out=a)
     a -= slopes
     a -= both
     rise *= 2.0
     both -= rise
-    return values, slopes, a, both
+    return table
 
 
 def synthesize_voice(
@@ -246,20 +309,29 @@ def synthesize_voice(
     so the harmonic sum sum_k a_k sin(k phase + p_k) is one periodic
     function W of the instantaneous phase. W is tabulated on
     _WAVETABLE_SIZE = 2^15 nodes per period (_wavetable) and read by cubic
-    Hermite interpolation: at x = phase L / (2 pi), the phase in nodes,
-    four coefficients of node floor(x) mod L and a cubic in
+    Hermite interpolation: at x = phase L / (2 pi), the phase in nodes, one
+    gather of the four coefficients of node floor(x) mod L and a cubic in
     f = x - floor(x) in Horner form, so a sample costs the same whatever
     the number of harmonics (up to 92).
-    It is within 1e-9 of the per-harmonic sin sum at unit RMS.
+
+    The vibrato and envelope sines are oscillators (_oscillator): each
+    sample adds its offset from an anchor every _OSC_PERIOD samples by
+    angle addition, from tables made once per call, in place of an np.sin
+    per sample. Both slow noises apply np.interp's formula one control
+    segment at a time (_slow_noise_block), with np.interp's bits. Against
+    np.sin, the sines move by at most about 1e-12 over 60 s; the phase
+    cumsum carries the vibrato's change, and the voice stays within 1e-9 of
+    the per-harmonic np.sin sum at unit RMS.
 
     Every random value is drawn first, in a fixed order (vibrato phase,
     drift control points, harmonic start phases, envelope phase, envelope
     control points); then the voice is computed _SYNTH_BLOCK samples at a
-    time: time, vibrato, drift and instantaneous f0, the phase (a cumsum
-    carried from block to block, so its bits are those of one cumsum over
-    the whole utterance), the table read, then the envelope. Every other
-    step is elementwise, so the block size changes no bit. Besides the
-    returned signal, the table (1 MB) and one block's arrays, only one
+    time: vibrato, drift and instantaneous f0, the phase (a cumsum carried
+    from block to block, so its bits are those of one cumsum over the whole
+    utterance), the table read, then the envelope. Every other step is
+    elementwise, and each oscillator sample is computed from its own fixed
+    anchor, so the block size changes no bit. Besides the returned signal,
+    the table (1 MB), the oscillator tables and one block's arrays, only one
     full-length temporary is held, for the RMS, which is a plain mean of
     squares (never a BLAS reduction, whose bits could depend on the thread
     count). Each step keeps the operands and their order of the plain
@@ -279,25 +351,19 @@ def synthesize_voice(
     amps = 10.0 ** (level_db / 20.0)
 
     rng = np.random.default_rng(seed)
-    vibrato_phase = rng.uniform(0.0, 2.0 * np.pi)
+    vibrato = _oscillator(4.7, rng.uniform(0.0, 2.0 * np.pi), n, sample_rate)
     drift_ctrl = _slow_noise_controls(rng, n, sample_rate, 3.0)
     table = _wavetable(amps, rng.uniform(0.0, 2.0 * np.pi, size=n_harm))
-    env_phase = rng.uniform(0.0, 2.0 * np.pi)
+    envelope = _oscillator(voice.modulation_rate, rng.uniform(0.0, 2.0 * np.pi), n, sample_rate)
     env_ctrl = _slow_noise_controls(rng, n, sample_rate, 2.0)
 
     sig = np.empty(n)
     carry = 0.0
     for start in range(0, n, _SYNTH_BLOCK):
         stop = min(start + _SYNTH_BLOCK, n)
-        # t = np.arange(n) / sample_rate
-        t = np.arange(start, stop, dtype=np.float64)
-        t /= sample_rate
-
         # Small vibrato plus stochastic drift on the fundamental.
         # inst_f0 = f0 * (1 + 0.004 sin(2 pi 4.7 t + u) + 0.006 slow_noise)
-        x = t * (2.0 * np.pi * 4.7)
-        x += vibrato_phase
-        np.sin(x, out=x)
+        x = _oscillator_block(vibrato, start, stop)
         x *= 0.004
         x += 1.0
         drift = _slow_noise_block(drift_ctrl, n, start, stop)
@@ -316,7 +382,7 @@ def synthesize_voice(
         x -= node
         index = node.astype(np.intp)
         index &= _WAVETABLE_SIZE - 1
-        w0, d0, a, b = (row.take(index) for row in table)
+        w0, d0, a, b = table.take(index, axis=0).T
         out = sig[start:stop]
         np.multiply(b, x, out=out)
         out += a
@@ -326,10 +392,7 @@ def synthesize_voice(
         out += w0
 
         # env = max((1 + 0.35 sin(2 pi rate t + u)) (1 + 0.15 slow_noise), 0.05)
-        env = t
-        env *= 2.0 * np.pi * voice.modulation_rate
-        env += env_phase
-        np.sin(env, out=env)
+        env = _oscillator_block(envelope, start, stop)
         env *= 0.35
         env += 1.0
         slow = _slow_noise_block(env_ctrl, n, start, stop)

@@ -19,7 +19,7 @@ from embtrack.embedding import embed
 from embtrack.fragments import DurationPolicy
 from embtrack.geometry import DoA, angular_distance, doa_from_unit_vector, uniform_sphere
 from embtrack.metrics import assa, evaluate_scene, le, match_frames, swap_frag_rates
-from embtrack.reassignment import reassign_scene, shared_distractors, track_and_enroll
+from embtrack.reassignment import enroll_speakers, reassign_scene, shared_distractors, track_and_enroll
 from embtrack.scene import SceneSpec, simulate, synthesize_voice
 from embtrack.seeding import derive_seed
 from embtrack.tracking import (
@@ -50,8 +50,10 @@ def suite_scene(tag, i, **spec):
 
 def front_end(scene, tag, i, m, distractors):
     """The library's seeded front-end, track_and_enroll with key (MASTER,
-    tag, scene index) and the shared distractors of MASTER."""
-    return track_and_enroll(scene, (MASTER, tag, i), "gt", [m], distractors)
+    tag, scene index), the speakers' entries gen would write for that key
+    and the shared distractors of MASTER."""
+    key = (MASTER, tag, i)
+    return track_and_enroll(scene, key, "gt", [m], enroll_speakers(scene.voices, key), distractors)
 
 
 def run_cells(scene, tracks_by_m, pool, m, cells, after):

@@ -44,8 +44,11 @@ def traced_run(tmp_path, seed, duration, run_args):
 
 
 def test_traced_run_reaches_every_beamformer_and_embedding(tmp_path):
+    # The speakers' pool entries come from gen's pool file; with M = 3 over
+    # two speakers, run embeds one shared distractor.
     _results, calls = traced_run(
-        tmp_path, "5", "6", ["--beamformers", "ideal,ds,mvdr", "--durations", "whole"]
+        tmp_path, "5", "6",
+        ["--beamformers", "ideal,ds,mvdr", "--durations", "whole", "--enrollment-sizes", "3"],
     )
     # A name missing from LAYERS, or a layer called around its module
     # attribute, records no span and fails the count check.

@@ -13,8 +13,10 @@ import pytest
 import yaml
 
 from conftest import previous_write_scene
-from embtrack import experiment, fileio
+from embtrack import embedding, experiment, fileio
+from embtrack import scene as scene_module
 from embtrack.cli import main
+from embtrack.embedding import build_distractors
 from embtrack.experiment import (
     COMPLETE_MARKER,
     ConfigError,
@@ -29,8 +31,8 @@ from embtrack.experiment import (
 from embtrack.fragments import DurationPolicy
 from embtrack.geometry import DoA
 from embtrack.metrics import aggregate_report, evaluate_scene
-from embtrack.reassignment import reassign_scene, shared_distractors, track_and_enroll
-from embtrack.scene import FoaSignal, SceneSpec, simulate
+from embtrack.reassignment import enroll_speakers, reassign_scene, shared_distractors, track_and_enroll
+from embtrack.scene import FoaSignal, SceneSpec, sample_voice_params, simulate
 from embtrack.seeding import derive_seed
 from embtrack.tracking import Trajectory
 
@@ -243,6 +245,44 @@ class TestFileIo:
         assert traj.frames == [(0, DoA(10.0, -5.0), True)]
 
 
+    def test_enrollment_round_trip_is_exact(self, tmp_path):
+        voices = [sample_voice_params(np.random.default_rng(k)) for k in range(2)]
+        entries = enroll_speakers(voices, (6, 0)) + build_distractors(1, seed=9)
+        path = tmp_path / "enrollment.jsonl"
+        digest = fileio.write_enrollment(path, entries)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        back = fileio.read_enrollment(path, sha256=digest)
+        assert [i for i, _ in back] == ["speaker00", "speaker01", "distractor00"]
+        for (_, got), (_, written) in zip(back, entries, strict=True):
+            assert np.array_equal(got.vector, written.vector)
+        with pytest.raises(ValueError, match="does not match sha256"):
+            fileio.read_enrollment(path, sha256=hashlib.sha256(b"other").hexdigest())
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"identity": 3, "vector": [1.0, 0.0]}',
+            '{"identity": "a", "vector": [true, 0.0]}',
+            '{"identity": "a", "vector": [2.0, 0.0]}',
+            '{"identity": "a", "vector": [1.0, 0.0]}\n{"identity": "a", "vector": [0.0, 1.0]}',
+            '{"identity": "a", "vector": [1.0, 0.0]}\n{"identity": "b", "vector": [0.0, 0.0, 1.0]}',
+            '{"vector": [1.0, 0.0]}',
+        ],
+        ids=["int-identity", "bool-component", "not-unit", "twice", "lengths", "no-identity"],
+    )
+    def test_enrollment_reader_refuses_malformed_entries(self, tmp_path, line):
+        path = tmp_path / "enrollment.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises((ValueError, KeyError)):
+            fileio.read_enrollment(path)
+
+    @pytest.mark.parametrize("index", ["1.5", "true", "-1", "1.0", '"1"'])
+    def test_trajectory_frame_index_must_be_a_non_negative_int(self, index):
+        text = '{"track_id": 3, "frames": [[%s, 10.0, -5.0, true]]}\n' % index
+        with pytest.raises(ValueError, match="frame index"):
+            fileio.trajectories_from_jsonl(text)
+
+
 class TestConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
@@ -339,10 +379,10 @@ class TestGen:
         shutil.copytree(one_scene, data)
         write_wav = fileio.write_wav
 
-        def failing(path, signal):
+        def failing(path, signal, **kwargs):
             if Path(path).name == "speaker01.wav":
                 raise OSError("no space left on device")
-            return write_wav(path, signal)
+            return write_wav(path, signal, **kwargs)
 
         monkeypatch.setattr(fileio, "write_wav", failing)
         cfg = ExperimentConfig.from_dict({"master_seed": 4, "dataset": {"count": 1, "duration": 6.0}})
@@ -355,6 +395,18 @@ class TestGen:
         results = tmp_path / "results"
         assert main(["run", "--dataset", str(data), "--out", str(results)]) == 3
         assert list(results.rglob(COMPLETE_MARKER)) == []
+
+    def test_pool_file_holds_the_library_speakers_entries(self, small_dataset):
+        cfg, out = small_dataset
+        manifest = json.loads((out / "manifest.json").read_text())
+        for row in manifest["scenes"]:
+            scene_dir = out / "scenes" / row["scene_id"]
+            path = scene_dir / experiment.ENROLLMENT_FILE
+            assert row["enrollment_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+            gt, _spec = fileio.read_ground_truth(scene_dir / "ground_truth.json")
+            expected = enroll_speakers([s.voice for s in gt], (cfg.master_seed, row["index"]))
+            for (got_id, got), (want_id, want) in zip(fileio.read_enrollment(path), expected, strict=True):
+                assert got_id == want_id and np.array_equal(got.vector, want.vector)
 
     def test_rerun_same_seed_identical_hashes(self, small_dataset, tmp_path):
         cfg, out = small_dataset
@@ -385,7 +437,8 @@ class TestRun:
         cmd_run(cfg, one_scene, results)
         scene, _spec = fileio.read_scene(one_scene / "scenes" / "scene_0000", wet=False)
         distractors = shared_distractors(3, [4], 2)
-        tracks_by_m, pool = track_and_enroll(scene, (3, 0), "gt", [4], distractors)
+        speakers = enroll_speakers(scene.voices, (3, 0))
+        tracks_by_m, pool = track_and_enroll(scene, (3, 0), "gt", [4], speakers, distractors)
         assert pool.identities == ["speaker00", "speaker01", "distractor00", "distractor01"]
         for (_, got), (_, drawn) in zip(pool.entries[2:], distractors, strict=True):
             assert np.array_equal(got.vector, drawn.vector)
@@ -567,6 +620,97 @@ class TestRun:
         shutil.copyfile(scenes / "scene_0001" / "mixture.wav", scenes / "scene_0000" / "mixture.wav")
         argv = ["run", "--dataset", str(copy), "--out", str(tmp_path / "results")]
         assert main(argv + ["--beamformers", "ideal", "--durations", "whole"]) == 3
+
+    @pytest.mark.parametrize("kind", ["missing", "tampered", "other-scene"])
+    def test_pool_not_matching_manifest_sha256_exit_code(self, small_dataset, tmp_path, capsys, kind):
+        _cfg, data = small_dataset
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        pool = copy / "scenes" / "scene_0001" / experiment.ENROLLMENT_FILE
+        if kind == "missing":
+            pool.unlink()
+        elif kind == "tampered":
+            pool.write_text(pool.read_text().replace("speaker01", "speaker02"))
+        else:
+            shutil.copyfile(copy / "scenes" / "scene_0000" / experiment.ENROLLMENT_FILE, pool)
+        results = tmp_path / "results"
+        argv = ["run", "--dataset", str(copy), "--out", str(results), "--beamformers", "ds"]
+        assert main(argv) == 3
+        assert experiment.ENROLLMENT_FILE in capsys.readouterr().err
+        # scene_0000 ran first; nothing of scene_0001 was written
+        assert {p.parent.parent.name for p in results.rglob(COMPLETE_MARKER)} == {"scene_0000"}
+        assert list((results / "scene_0001").rglob("*")) == []
+
+    def test_manifest_without_pool_hashes_exit_code(self, one_scene, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(one_scene, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        del manifest["scenes"][0]["enrollment_sha256"]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        results = tmp_path / "results"
+        assert main(["run", "--dataset", str(data), "--out", str(results)]) == 3
+        assert "regenerate it with embtrack gen" in capsys.readouterr().err
+        assert not results.exists()
+
+    def test_rerun_against_another_pool_is_refused(self, one_scene, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(one_scene, data)
+        results = tmp_path / "results"
+        argv = ["run", "--dataset", str(data), "--out", str(results), "--beamformers", "ds"]
+        assert main(argv) == 0
+        before = tree_bytes(results)
+        # The same mixture, with the speakers' pool entries of another key.
+        scene_dir = data / "scenes" / "scene_0000"
+        gt, _spec = fileio.read_ground_truth(scene_dir / "ground_truth.json")
+        digest = fileio.write_enrollment(
+            scene_dir / experiment.ENROLLMENT_FILE, enroll_speakers([s.voice for s in gt], (4, 0))
+        )
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["scenes"][0]["enrollment_sha256"] = digest
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        assert main(argv) == 2
+        assert "another pool hashes" in capsys.readouterr().err
+        assert tree_bytes(results) == before
+
+    def test_run_synthesizes_only_distractor_audio(self, one_scene, tmp_path, monkeypatch):
+        # The scene speakers' entries come from the pool file gen wrote; with
+        # M = 3 over two speakers, run synthesizes the one shared distractor.
+        durations = []
+        synthesize = scene_module.synthesize_voice
+
+        def spy(voice, duration, sample_rate, seed):
+            durations.append(duration)
+            return synthesize(voice, duration, sample_rate, seed)
+
+        monkeypatch.setattr(scene_module, "synthesize_voice", spy)
+        monkeypatch.setattr(embedding, "synthesize_voice", spy)
+        base = ["run", "--dataset", str(one_scene), "--beamformers", "ideal,ds", "--seed", "3"]
+        assert main(base + ["--out", str(tmp_path / "m2")]) == 0
+        assert durations == []
+        assert main(base + ["--out", str(tmp_path / "m3"), "--enrollment-sizes", "3"]) == 0
+        assert durations == [embedding.ENROLLMENT_UTTERANCE_S]
+
+    @pytest.mark.parametrize("kind", ["other-scene", "no-speakers"])
+    def test_ground_truth_of_another_scene_exit_code(self, small_results, tmp_path, capsys, kind):
+        _cfg, dataset, results = small_results
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        path = data / "scenes" / "scene_0000" / "ground_truth.json"
+        if kind == "other-scene":
+            shutil.copyfile(data / "scenes" / "scene_0001" / "ground_truth.json", path)
+        else:
+            doc = json.loads(path.read_text())
+            doc["speakers"] = []
+            path.write_text(json.dumps(doc))
+        run = ["run", "--seed", "7", "--dataset", str(data), "--beamformers", "ds"]
+        assert main(run + ["--out", str(tmp_path / "results")]) == 3
+        assert "is not the ground truth of this dataset's scene" in capsys.readouterr().err
+        assert list((tmp_path / "results").rglob(COMPLETE_MARKER)) == []
+        report = tmp_path / "report.json"
+        ev = ["eval", "--seed", "7", "--dataset", str(data), "--results", str(results)]
+        assert main(ev + ["--out", str(report)]) == 3
+        assert "is not the ground truth of this dataset's scene" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_resuming_a_complete_run_reads_no_scene_file(self, one_scene, tmp_path):
         data = tmp_path / "data"
@@ -783,6 +927,17 @@ class TestEval:
         with pytest.raises(DataError):
             cmd_eval(cfg, copy, data, tmp_path / "report.json")
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("index", ["1.5", "-1"])
+    def test_bad_frame_index_in_imported_tracks_exit_code(self, small_results, small_config, tmp_path, index):
+        _cfg, data, results = small_results
+        copy = tmp_path / "results"
+        shutil.copytree(results, copy)
+        path = copy / "scene_0001" / "gt_m2_ds_whole" / "tracks_after.jsonl"
+        path.write_text('{"frames": [[%s, 10.0, -5.0, true]], "track_id": "speaker00"}\n' % index)
+        argv = ["eval", "--config", str(small_config), "--dataset", str(data), "--results", str(copy)]
+        assert main(argv + ["--out", str(tmp_path / "r.json")]) == 3
+        assert not (tmp_path / "r.json").exists()
 
     def test_missing_results_is_data_error(self, small_dataset, tmp_path):
         cfg, data = small_dataset

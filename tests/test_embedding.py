@@ -12,6 +12,7 @@ from embtrack.embedding import (
     build_enrollment,
     embed,
     embed_power,
+    enrollment_pool,
     mel_filterbank,
 )
 from embtrack.dsp import stft
@@ -206,14 +207,14 @@ class TestEnrollment:
     def test_pool_of_scene_speakers_only(self):
         rng = np.random.default_rng(4)
         voices = [sample_voice_params(rng) for _ in range(2)]
-        pool = build_enrollment(voices, 2, seed=11, distractors=[])
+        pool = enrollment_pool(build_enrollment(voices, seed=11), 2, [])
         assert pool.identities == ["speaker00", "speaker01"]
 
     def test_distractors_fill_pool(self):
         rng = np.random.default_rng(4)
         voices = [sample_voice_params(rng) for _ in range(2)]
         distractors = build_distractors(4, seed=21)
-        pool = build_enrollment(voices, 6, seed=11, distractors=distractors)
+        pool = enrollment_pool(build_enrollment(voices, seed=11), 6, distractors)
         assert pool.size == 6
         assert pool.identities[:2] == ["speaker00", "speaker01"]
         assert all(i.startswith("distractor") for i in pool.identities[2:])
@@ -223,8 +224,8 @@ class TestEnrollment:
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         voices = [sample_voice_params(rng) for _ in range(2)]
-        a = build_enrollment(voices, 4, seed=11, distractors=build_distractors(2, seed=21))
-        b = build_enrollment(voices, 4, seed=11, distractors=build_distractors(2, seed=21))
+        a = enrollment_pool(build_enrollment(voices, seed=11), 4, build_distractors(2, seed=21))
+        b = enrollment_pool(build_enrollment(voices, seed=11), 4, build_distractors(2, seed=21))
         for (ia, ea), (ib, eb) in zip(a.entries, b.entries):
             assert ia == ib
             assert np.array_equal(ea.vector, eb.vector)
@@ -233,18 +234,18 @@ class TestEnrollment:
         rng = np.random.default_rng(4)
         voices = [sample_voice_params(rng) for _ in range(3)]
         with pytest.raises(ValueError):
-            build_enrollment(voices, 2, seed=0, distractors=[])
+            enrollment_pool(build_enrollment(voices, seed=0), 2, [])
 
     def test_too_few_distractors_rejected(self):
         rng = np.random.default_rng(4)
         voices = [sample_voice_params(rng) for _ in range(2)]
         with pytest.raises(ValueError, match="need 2 distractors, got 1"):
-            build_enrollment(voices, 4, seed=0, distractors=[("distractor00", unit([1, 0]))])
+            enrollment_pool(build_enrollment(voices, seed=0), 4, [("distractor00", unit([1, 0]))])
 
     def test_enrollment_matches_own_speaker(self):
         rng = np.random.default_rng(5)
         voices = [sample_voice_params(rng) for _ in range(2)]
-        pool = build_enrollment(voices, 2, seed=3, distractors=[])
+        pool = enrollment_pool(build_enrollment(voices, seed=3), 2, [])
         probe = embed(synthesize_voice(voices[0], 5.0, SR, seed=99), SR)
         scores = [cosine(probe, emb) for _, emb in pool.entries]
         assert scores[0] > scores[1]
@@ -253,8 +254,9 @@ class TestEnrollment:
         rng = np.random.default_rng(4)
         voices = [sample_voice_params(rng) for _ in range(2)]
         distractors = build_distractors(4, seed=21)
-        small = build_enrollment(voices, 4, seed=11, distractors=distractors)
-        large = build_enrollment(voices, 6, seed=11, distractors=distractors)
+        speakers = build_enrollment(voices, seed=11)
+        small = enrollment_pool(speakers, 4, distractors)
+        large = enrollment_pool(speakers, 6, distractors)
         assert [i for i, _ in large.entries[:4]] == [i for i, _ in small.entries]
 
     def test_duplicate_identities_rejected(self):

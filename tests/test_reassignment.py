@@ -31,6 +31,7 @@ from embtrack.geometry import DoA
 from embtrack.metrics import evaluate_scene
 from embtrack.reassignment import (
     BEAMFORMERS,
+    enroll_speakers,
     extract_fragment_embedding,
     reassign,
     reassign_scene,
@@ -364,6 +365,31 @@ class TestWindowFrames:
         tracker_frames = np.floor(centers[frames] / (hop * self.SR)).astype(int)
         assert free.tolist() == [t not in overlapped for t in tracker_frames]
 
+    def test_slice_equals_the_whole_grid_search(self):
+        # The integer bounds and the slice's own tracker frames against the
+        # whole grid's centres, searched and sliced, on the 3.151 s scene: its
+        # last tracker frame holds two centres, so the clamp to the grid's
+        # last MIN_EMBED_FRAMES frames is taken.
+        num_samples = int(round(3.151 * self.SR))
+        centers = analysis_frame_centers(num_samples, self.SR)
+        whole_tracker_frames = np.floor(centers / (0.1 * self.SR)).astype(int)
+        f = frag(0, 0, 0, 0, overlapped=[3, 17, 30, 31])
+        windows = [(a / 1000, b / 1000) for a in range(0, 3151, 37) for b in (a + 10, a + 100, a + 250, 3151)]
+        windows += [(3.1, 3.151), (3.0, 3.1), (0.0, 0.0), (3.151, 3.151)]
+        clamped = 0
+        for window in windows:
+            bounds = [round(window[0] * self.SR), round(window[1] * self.SR)]
+            start, stop = (int(i) for i in np.searchsorted(centers, bounds))
+            if stop - start < MIN_EMBED_FRAMES:
+                start = max(0, min(start, len(centers) - MIN_EMBED_FRAMES))
+                stop = start + MIN_EMBED_FRAMES
+                clamped += start + MIN_EMBED_FRAMES == len(centers)
+            expected_free = ~np.isin(whole_tracker_frames[start:stop], f.overlapped_frames)
+            frames, free = reassignment._window_frames(f, window, num_samples, self.SR)
+            assert frames == slice(start, stop)
+            assert free.dtype == expected_free.dtype and np.array_equal(free, expected_free)
+        assert clamped > 0
+
     def test_last_tracker_frame_reads_the_grids_last_frames(self):
         # 1.35 s: 83 analysis frames, the last centred at 21248 samples; the
         # last tracker frame, [1.3 s, 1.4 s), holds the centres of frames 81, 82
@@ -415,7 +441,7 @@ class TestRunPipeline:
         scene = simulate(SceneSpec(seed=9, duration=6.0))
         result = run_pipeline(scene, "gt", "ds", DurationPolicy(), m=4, seed=46)
         distractors = shared_distractors(46, [4], 2)
-        _, pool = track_and_enroll(scene, (46,), "gt", [4], distractors)
+        _, pool = track_and_enroll(scene, (46,), "gt", [4], enroll_speakers(scene.voices, (46,)), distractors)
         assert result.pool.identities == pool.identities == [
             "speaker00", "speaker01", "distractor00", "distractor01"
         ]
@@ -437,7 +463,7 @@ class TestRunPipeline:
         # the est tracker leaves fragment 2 on the last tracker frame, (3.1 s,
         # 3.2 s), in which only two analysis frames of the 3.151 s scene are centred
         scene = simulate(SceneSpec(seed=5, duration=3.151))
-        tracks_by_m, pool = track_and_enroll(scene, (5,), "est", [2], [])
+        tracks_by_m, pool = track_and_enroll(scene, (5,), "est", [2], enroll_speakers(scene.voices, (5,)), [])
         cells = [(2, "ideal", DurationPolicy(), "oracle"), (2, "ds", DurationPolicy(), "oracle")]
         for result in reassign_scene(scene, tracks_by_m, pool, cells):
             diagnostics = result.assignment.diagnostics
@@ -483,7 +509,7 @@ class TestGatedCovariancePerTrack:
     @pytest.fixture(scope="class")
     def inputs(self):
         scene = simulate(SceneSpec(seed=12, duration=10.0))
-        tracks_by_m, pool = track_and_enroll(scene, (51,), "gt", [2], [])
+        tracks_by_m, pool = track_and_enroll(scene, (51,), "gt", [2], enroll_speakers(scene.voices, (51,)), [])
         return scene, tracks_by_m, pool
 
     @staticmethod
@@ -591,13 +617,13 @@ class TestOneTransformPerFragment:
         # the est tracker leaves a fragment on the last tracker frame, (3.1 s,
         # 3.2 s), in which only two analysis frames of this scene are centred
         scene = simulate(SceneSpec(seed=5, duration=3.151))
-        tracks_by_m, pool = track_and_enroll(scene, (5,), "est", [2], [])
+        tracks_by_m, pool = track_and_enroll(scene, (5,), "est", [2], enroll_speakers(scene.voices, (5,)), [])
         return scene, tracks_by_m, pool
 
     @pytest.fixture(scope="class")
     def long(self):
         scene = simulate(SceneSpec(seed=12, duration=20.0))
-        tracks_by_m, pool = track_and_enroll(scene, (51,), "gt", [2], [])
+        tracks_by_m, pool = track_and_enroll(scene, (51,), "gt", [2], enroll_speakers(scene.voices, (51,)), [])
         return scene, tracks_by_m, pool
 
     @staticmethod
@@ -733,7 +759,7 @@ class TestFloat32ReadScene:
         cell = [(2, beamformer, DurationPolicy(750), "oracle")]
         results = []
         for scene in scenes:
-            tracks_by_m, pool = track_and_enroll(scene, (23,), "gt", [2], [])
+            tracks_by_m, pool = track_and_enroll(scene, (23,), "gt", [2], enroll_speakers(scene.voices, (23,)), [])
             results.append(next(reassign_scene(scene, tracks_by_m, pool, cell)))
         got, expected = calls
         assert got.keys() == expected.keys() and len(got) > 2

@@ -47,17 +47,30 @@ def _per_harmonic_voice(voice, duration, sample_rate, seed):
     return sig / np.sqrt(np.mean(sig**2))
 
 
+def _whole_oscillator(rate_hz, phase, n, sample_rate):
+    """sin(2 pi rate_hz t + phase) at t = i / sample_rate for all n samples
+    at once, by the angle addition synthesize_voice uses: sample i = q P + r
+    is sin(a_q) cos(w r) + cos(a_q) sin(w r), a_q the plain angle of sample
+    q P and w r that of sample r."""
+    period = scene._OSC_PERIOD
+    omega = 2.0 * np.pi * rate_hz
+    anchors = np.arange(0, n, period) / sample_rate * omega + phase
+    offsets = np.arange(min(n, period)) / sample_rate * omega
+    q, r = np.divmod(np.arange(n), period)
+    return np.sin(anchors)[q] * np.cos(offsets)[r] + np.cos(anchors)[q] * np.sin(offsets)[r]
+
+
 def _out_of_place_voice(voice, duration, sample_rate, seed):
     """synthesize_voice as whole-array expressions, a new array for each:
-    the wavetable built from the whole spectrum and read by cubic Hermite
-    interpolation over the whole utterance at once. The reference the
+    both sines by angle addition from their anchors over the whole utterance
+    at once (_whole_oscillator), and the wavetable built from the whole
+    spectrum and read by cubic Hermite interpolation. The reference the
     block-wise, in-place version must match bit for bit."""
     n = int(round(duration * sample_rate))
     if n == 0:
         return np.zeros(0)
     rng = np.random.default_rng(seed)
-    t = np.arange(n) / sample_rate
-    vib = 0.004 * np.sin(2.0 * np.pi * 4.7 * t + rng.uniform(0.0, 2.0 * np.pi))
+    vib = 0.004 * _whole_oscillator(4.7, rng.uniform(0.0, 2.0 * np.pi), n, sample_rate)
     drift = 0.006 * slow_noise(rng, n, sample_rate, 3.0)
     inst_f0 = voice.f0 * (1.0 + vib + drift)
     n_harm = max(1, int(min(7400.0, 0.45 * sample_rate) / voice.f0))
@@ -82,7 +95,7 @@ def _out_of_place_voice(voice, duration, sample_rate, seed):
     f = x - node
     j = node.astype(np.intp) % size
     sig = values[j] + f * (slopes[j] + f * (a[j] + f * b[j]))
-    env = 1.0 + 0.35 * np.sin(2.0 * np.pi * voice.modulation_rate * t + rng.uniform(0.0, 2.0 * np.pi))
+    env = 1.0 + 0.35 * _whole_oscillator(voice.modulation_rate, rng.uniform(0.0, 2.0 * np.pi), n, sample_rate)
     env *= 1.0 + 0.15 * slow_noise(rng, n, sample_rate, 2.0)
     sig *= np.maximum(env, 0.05)
     rms = np.sqrt(np.mean(sig**2))
@@ -266,6 +279,40 @@ class TestSynthesizeVoice:
         ]
         assert np.array_equal(np.concatenate(blocks), slow_noise(reference_rng, n, 16000, 3.0))
         assert rng.random() == reference_rng.random()
+
+    # The prior's envelope rates span [1.5, 8] Hz; the vibrato is at 4.7 Hz.
+    @pytest.mark.parametrize("rate_hz", [1.5, 4.7, 8.0])
+    @pytest.mark.parametrize("phase", [0.0, 6.28])
+    def test_oscillator_matches_np_sin(self, rate_hz, phase):
+        n = 60 * 16000
+        oscillator = scene._oscillator(rate_hz, phase, n, 16000)
+        blocks = [
+            scene._oscillator_block(oscillator, start, min(start + scene._SYNTH_BLOCK, n))
+            for start in range(0, n, scene._SYNTH_BLOCK)
+        ]
+        reference = np.sin(np.arange(n) / 16000 * (2.0 * np.pi * rate_hz) + phase)
+        assert np.max(np.abs(np.concatenate(blocks) - reference)) <= 1e-12
+
+    def test_interleaved_table_read_equals_four_row_reads(self):
+        # The (L, 4) table's columns are the four Hermite coefficient rows,
+        # built as separate arrays, and one gather of its rows reads what
+        # four gathers of those rows read.
+        rng = np.random.default_rng(3)
+        amps, phases0 = rng.uniform(0.1, 1.0, size=40), rng.uniform(0.0, 2.0 * np.pi, size=40)
+        table = scene._wavetable(amps, phases0)
+        size = scene._WAVETABLE_SIZE
+        harmonics = np.arange(1, 41)
+        coeffs = (0.5 * size) * amps * np.exp(1j * phases0)
+        spectrum = np.zeros((2, 41), dtype=np.complex128)
+        spectrum[0, 1:] = -1j * coeffs
+        spectrum[1, 1:] = (2.0 * np.pi / size) * harmonics * coeffs
+        values, slopes = np.fft.irfft(spectrum, n=size, axis=1)
+        rise = np.roll(values, -1) - values
+        both = np.roll(slopes, -1) + slopes
+        rows = (values, slopes, rise * 3.0 - slopes - both, both - 2.0 * rise)
+        index = rng.integers(0, size, size=5000)
+        assert table.shape == (size, 4)
+        assert np.array_equal(table.take(index, axis=0), np.stack([row.take(index) for row in rows], axis=1))
 
     def test_f0_bounds_enforced(self):
         with pytest.raises(ValueError):
