@@ -30,7 +30,6 @@ from .scene import (
     SpeakerGroundTruth,
     VoiceParams,
     generate_diffuse_noise,
-    generate_scene,
     simulate,
     synthesize_voice,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "evaluate_scene",
     "extraction_window",
     "generate_diffuse_noise",
-    "generate_scene",
     "le",
     "match_frames",
     "observe_est",

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import num_full_frames, num_stft_frames, stft, stft_blocks, stft_grid
+from .dsp import N_HOP, N_WINDOW, SAMPLE_RATE, num_full_frames, num_stft_frames, stft, stft_blocks
 from .embedding import analysis_frame_tracker_frames
 from .geometry import DoA, angular_distance
 from .scene import FoaSignal, SpeakerGroundTruth, foa_gains
@@ -92,15 +92,14 @@ def foa_stft(signal: FoaSignal, frames: slice | None = None) -> np.ndarray:
     dsp.STFT_BLOCK_FRAMES frames, so at most one block's frames and spectra
     are held besides the result.
     """
-    n_window, n_hop = stft_grid(signal.sample_rate)
-    n_frames = num_full_frames(signal.num_samples, n_window, n_hop)
+    n_frames = num_full_frames(signal.num_samples)
     start, stop = (0, n_frames) if frames is None else (frames.start, frames.stop)
     if not 0 <= start < stop <= n_frames:
         raise ValueError(f"frames {start}:{stop} are not a slice of the {n_frames}-frame grid")
-    span = signal.channels[:, start * n_hop : (stop - 1) * n_hop + n_window]
-    spec = np.empty((4, n_window // 2 + 1, stop - start), dtype=complex)
+    span = signal.channels[:, start * N_HOP : (stop - 1) * N_HOP + N_WINDOW]
+    spec = np.empty((4, N_WINDOW // 2 + 1, stop - start), dtype=complex)
     for c in range(4):
-        stft(span[c], n_window, n_hop, pad=False, out=spec[c])
+        stft(span[c], pad=False, out=spec[c])
     return spec
 
 
@@ -156,12 +155,9 @@ def reference_covariances(reference: NoiseReference) -> np.ndarray:
     the reference and of its STFT is held. The result is made exactly
     Hermitian.
     """
-    n_window, n_hop = stft_grid(reference.sample_rate)
-    count = _checked_frame_count(num_stft_frames(reference.num_samples, n_window, n_hop))
-    cov = np.zeros((n_window // 2 + 1, 4, 4), dtype=complex)
-    blocks = stft_blocks(
-        reference.read, reference.num_samples, n_window, n_hop, block_frames=_COV_BLOCK_FRAMES
-    )
+    count = _checked_frame_count(num_stft_frames(reference.num_samples))
+    cov = np.zeros((N_WINDOW // 2 + 1, 4, 4), dtype=complex)
+    blocks = stft_blocks(reference.read, reference.num_samples, block_frames=_COV_BLOCK_FRAMES)
     for _, _, spectra in blocks:
         x = np.ascontiguousarray(spectra.transpose(2, 0, 1))
         del spectra  # before the next block's spectra are made
@@ -236,7 +232,6 @@ class NoiseReference:
 
     mixture: np.ndarray
     target: np.ndarray
-    sample_rate: int
 
     @property
     def num_samples(self) -> int:
@@ -265,10 +260,10 @@ def oracle_noise_reference(
         if end - start < MIN_NOISE_REFERENCE_S:
             pad = 0.5 * (MIN_NOISE_REFERENCE_S - (end - start))
             start, end = start - pad, end + pad
-        a = max(0, int(round(start * mixture.sample_rate)))
-        b = min(mixture.num_samples, int(round(end * mixture.sample_rate)))
+        a = max(0, int(round(start * SAMPLE_RATE)))
+        b = min(mixture.num_samples, int(round(end * SAMPLE_RATE)))
     target = wet_signals[target_index]
-    return NoiseReference(mixture.channels[:, a:b], target.channels[:, a:b], mixture.sample_rate)
+    return NoiseReference(mixture.channels[:, a:b], target.channels[:, a:b])
 
 
 def gated_noise_reference(mixture: FoaSignal, inactive_frames: list[int]) -> np.ndarray:
@@ -280,9 +275,8 @@ def gated_noise_reference(mixture: FoaSignal, inactive_frames: list[int]) -> np.
     analysis hop each, every frame is selected: the covariance is the full
     mixture's.
     """
-    sr = mixture.sample_rate
-    mask = np.isin(analysis_frame_tracker_frames(mixture.num_samples, sr), inactive_frames)
-    if np.count_nonzero(mask) * stft_grid(sr)[1] < MIN_NOISE_REFERENCE_S * sr:
+    mask = np.isin(analysis_frame_tracker_frames(mixture.num_samples), inactive_frames)
+    if np.count_nonzero(mask) * N_HOP < MIN_NOISE_REFERENCE_S * SAMPLE_RATE:
         mask[:] = True
     return mask
 
@@ -322,6 +316,5 @@ def beamform_ideal(
     """
     midpoint = 0.5 * (window[0] + window[1])
     wet = wet_signals[nearest_speaker_index(ground_truth, doa, midpoint)]
-    n_window, n_hop = stft_grid(wet.sample_rate)
-    span = wet.channels[0, frames.start * n_hop : (frames.stop - 1) * n_hop + n_window]
-    return stft(span, n_window, n_hop, pad=False, block_frames=_IDEAL_BLOCK_FRAMES)
+    span = wet.channels[0, frames.start * N_HOP : (frames.stop - 1) * N_HOP + N_WINDOW]
+    return stft(span, pad=False, block_frames=_IDEAL_BLOCK_FRAMES)

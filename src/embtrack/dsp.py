@@ -1,6 +1,10 @@
 """STFT analysis used by the beamformers, their covariance estimates and the
 embedder, and its overlap-add inverse (istft), the reference that checks the
-STFT-domain beamformers against time-domain ones."""
+STFT-domain beamformers against time-domain ones.
+
+Every signal is at one sample rate, SAMPLE_RATE, and analysed on one grid of
+N_WINDOW-sample windows every N_HOP samples; neither is a parameter.
+"""
 
 from __future__ import annotations
 
@@ -9,14 +13,16 @@ from collections.abc import Callable, Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+# The sample rate of every signal, in Hz: scenes are rendered, WAV files
+# written and read, and signals analysed at it.
+SAMPLE_RATE = 16000
+
 # The analysis grid: periodic-Hann windows at 50% overlap (perfect reconstruction).
 STFT_WINDOW_S = 0.032
 STFT_HOP_S = 0.016
-
-
-def stft_grid(sample_rate: float) -> tuple[int, int]:
-    """(window, hop) of the analysis grid, in samples at sample_rate."""
-    return int(round(STFT_WINDOW_S * sample_rate)), int(round(STFT_HOP_S * sample_rate))
+# The grid in samples at SAMPLE_RATE: 512 and 256.
+N_WINDOW = int(round(STFT_WINDOW_S * SAMPLE_RATE))
+N_HOP = int(round(STFT_HOP_S * SAMPLE_RATE))
 
 
 def periodic_hann(n: int) -> np.ndarray:
@@ -30,10 +36,8 @@ STFT_BLOCK_FRAMES = 256
 
 def stft(
     x: np.ndarray,
-    n_window: int,
-    n_hop: int,
-    pad: bool = True,
     *,
+    pad: bool = True,
     out: np.ndarray | None = None,
     block_frames: int = STFT_BLOCK_FRAMES,
 ) -> np.ndarray:
@@ -52,10 +56,10 @@ def stft(
     float64, a widening that is exact, so it gives the same values as its
     float64 copy.
     """
-    n_frames = num_stft_frames(x.shape[-1], n_window, n_hop, pad)
+    n_frames = num_stft_frames(x.shape[-1], pad=pad)
     if n_frames == 0:
-        raise ValueError(f"signal too short for a {n_window}-sample window")
-    lead, n_bins = x.shape[:-1], n_window // 2 + 1
+        raise ValueError(f"signal too short for a {N_WINDOW}-sample window")
+    lead, n_bins = x.shape[:-1], N_WINDOW // 2 + 1
     if out is None:
         out = np.empty(lead + (n_frames, n_bins), dtype=complex).swapaxes(-1, -2)
     elif out.shape != lead + (n_bins, n_frames):
@@ -63,7 +67,7 @@ def stft(
     for channel in np.ndindex(lead):
         samples = x[channel]
         blocks = stft_blocks(
-            lambda lo, hi: samples[lo:hi], len(samples), n_window, n_hop, pad, block_frames
+            lambda lo, hi: samples[lo:hi], len(samples), pad=pad, block_frames=block_frames
         )
         for f0, f1, spectra in blocks:
             out[channel][:, f0:f1] = spectra.T
@@ -74,8 +78,7 @@ def stft(
 def stft_blocks(
     read: Callable[[int, int], np.ndarray],
     n_samples: int,
-    n_window: int,
-    n_hop: int,
+    *,
     pad: bool = True,
     block_frames: int = STFT_BLOCK_FRAMES,
 ) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -87,42 +90,42 @@ def stft_blocks(
     in stft. Only the samples one block's frames cover are read, and they are
     zero-extended where a padded block leaves the signal.
     """
-    edge = n_window if pad else 0
-    win = periodic_hann(n_window)
-    n_frames = num_stft_frames(n_samples, n_window, n_hop, pad)
+    edge = N_WINDOW if pad else 0
+    win = periodic_hann(N_WINDOW)
+    n_frames = num_stft_frames(n_samples, pad=pad)
     for f0 in range(0, n_frames, block_frames):
         f1 = min(f0 + block_frames, n_frames)
-        start = f0 * n_hop - edge
-        stop = start + (f1 - f0 - 1) * n_hop + n_window
+        start = f0 * N_HOP - edge
+        stop = start + (f1 - f0 - 1) * N_HOP + N_WINDOW
         lo, hi = max(start, 0), min(stop, n_samples)
         span = read(lo, hi)
         if hi - lo < stop - start:
             inner, span = span, np.zeros(span.shape[:-1] + (stop - start,))
             span[..., lo - start : hi - start] = inner
-        yield f0, f1, np.fft.rfft(sliding_window_view(span, n_window, axis=-1)[..., ::n_hop, :] * win)
+        yield f0, f1, np.fft.rfft(sliding_window_view(span, N_WINDOW, axis=-1)[..., ::N_HOP, :] * win)
 
 
-def istft(spec: np.ndarray, n_window: int, n_hop: int, length: int) -> np.ndarray:
+def istft(spec: np.ndarray, length: int) -> np.ndarray:
     """Inverse of stft via overlap-add; returns `length` samples."""
-    win = periodic_hann(n_window)
-    frames = np.fft.irfft(spec.T, n=n_window, axis=1) * win
+    win = periodic_hann(N_WINDOW)
+    frames = np.fft.irfft(spec.T, n=N_WINDOW, axis=1) * win
     n_frames = frames.shape[0]
-    out = np.zeros(n_window + n_hop * (n_frames - 1))
+    out = np.zeros(N_WINDOW + N_HOP * (n_frames - 1))
     norm = np.zeros_like(out)
     for t in range(n_frames):
-        out[t * n_hop : t * n_hop + n_window] += frames[t]
-        norm[t * n_hop : t * n_hop + n_window] += win**2
+        out[t * N_HOP : t * N_HOP + N_WINDOW] += frames[t]
+        norm[t * N_HOP : t * N_HOP + N_WINDOW] += win**2
     out = out / np.maximum(norm, 1e-12)
-    return out[n_window : n_window + length]
+    return out[N_WINDOW : N_WINDOW + length]
 
 
-def num_full_frames(n_samples: int, n_window: int, n_hop: int) -> int:
+def num_full_frames(n_samples: int) -> int:
     """Frame count of the unpadded stft for an n_samples signal (0 if too short)."""
-    if n_samples < n_window:
+    if n_samples < N_WINDOW:
         return 0
-    return 1 + (n_samples - n_window) // n_hop
+    return 1 + (n_samples - N_WINDOW) // N_HOP
 
 
-def num_stft_frames(n_samples: int, n_window: int, n_hop: int, pad: bool = True) -> int:
+def num_stft_frames(n_samples: int, *, pad: bool = True) -> int:
     """Frame count of stft for an n_samples signal (0 if too short)."""
-    return num_full_frames(n_samples + (2 * n_window if pad else 0), n_window, n_hop)
+    return num_full_frames(n_samples + (2 * N_WINDOW if pad else 0))

@@ -4,12 +4,11 @@ enrollment pools that fragments are scored against by cosine similarity.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import num_full_frames, stft, stft_grid
+from .dsp import N_HOP, N_WINDOW, SAMPLE_RATE, num_full_frames, stft
 from .scene import VoiceParams, sample_voice_params, synthesize_voice
 from .tracking import DEFAULT_HOP_S
 
@@ -58,18 +57,17 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
 
 
-@functools.lru_cache(maxsize=8)
-def mel_filterbank(sample_rate: int, n_fft: int, n_bands: int = _N_MEL_BANDS) -> np.ndarray:
-    """Triangular mel filters over [100, 7600] Hz, shape (n_bands, n_fft//2 + 1).
-
-    Built once per (sample_rate, n_fft, n_bands); the cached array is read-only.
-    """
-    if _MEL_HI_HZ > sample_rate / 2:
-        raise ValueError(f"sample rate {sample_rate} too low for {_MEL_HI_HZ} Hz bands")
-    edges_hz = _mel_to_hz(np.linspace(_hz_to_mel(_MEL_LO_HZ), _hz_to_mel(_MEL_HI_HZ), n_bands + 2))
-    freqs = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate)
-    fb = np.zeros((n_bands, len(freqs)))
-    for b in range(n_bands):
+def _mel_filterbank() -> np.ndarray:
+    """Triangular mel filters over [100, 7600] Hz on the bins of the analysis
+    grid, shape (_N_MEL_BANDS, N_WINDOW // 2 + 1), read-only."""
+    mels = np.linspace(_hz_to_mel(_MEL_LO_HZ), _hz_to_mel(_MEL_HI_HZ), _N_MEL_BANDS + 2)
+    edges_hz = _mel_to_hz(mels)
+    # The bins' frequencies, the values of np.fft.rfftfreq(N_WINDOW, 1 / SAMPLE_RATE);
+    # computed without it, since numpy loads numpy.fft on first use and
+    # importing the package (eval included) then need not.
+    freqs = np.arange(N_WINDOW // 2 + 1) * (SAMPLE_RATE / N_WINDOW)
+    fb = np.zeros((_N_MEL_BANDS, len(freqs)))
+    for b in range(_N_MEL_BANDS):
         lo, mid, hi = edges_hz[b], edges_hz[b + 1], edges_hz[b + 2]
         up = (freqs - lo) / (mid - lo)
         down = (hi - freqs) / (hi - mid)
@@ -78,48 +76,41 @@ def mel_filterbank(sample_rate: int, n_fft: int, n_bands: int = _N_MEL_BANDS) ->
     return fb
 
 
-def analysis_frame_centers(
-    num_samples: int, sample_rate: int, frames: slice = slice(None)
-) -> np.ndarray:
+MEL_FILTERBANK = _mel_filterbank()
+
+
+def analysis_frame_centers(num_samples: int, *, frames: slice = slice(None)) -> np.ndarray:
     """Centre of each analysis frame embed() computes for a signal of
     num_samples, in samples from the signal start (empty if too short): frame
-    k's is n_hop k + n_window / 2. frames selects a slice of them, computed
+    k's is N_HOP k + N_WINDOW / 2. frames selects a slice of them, computed
     alone."""
-    n_window, n_hop = stft_grid(sample_rate)
-    start, stop, _ = frames.indices(num_full_frames(num_samples, n_window, n_hop))
-    return n_hop * np.arange(start, stop) + 0.5 * n_window
+    start, stop, _ = frames.indices(num_full_frames(num_samples))
+    return N_HOP * np.arange(start, stop) + 0.5 * N_WINDOW
 
 
-def analysis_frame_tracker_frames(
-    num_samples: int, sample_rate: int, frames: slice = slice(None)
-) -> np.ndarray:
+def analysis_frame_tracker_frames(num_samples: int, *, frames: slice = slice(None)) -> np.ndarray:
     """For each analysis frame of analysis_frame_centers (of the slice
     frames), the tracker frame (of DEFAULT_HOP_S) in which its centre lies."""
-    centers = analysis_frame_centers(num_samples, sample_rate, frames)
-    return np.floor(centers / (DEFAULT_HOP_S * sample_rate)).astype(int)
+    centers = analysis_frame_centers(num_samples, frames=frames)
+    return np.floor(centers / (DEFAULT_HOP_S * SAMPLE_RATE)).astype(int)
 
 
-def embed(
-    signal: np.ndarray, sample_rate: int, frame_mask: np.ndarray | None = None
-) -> Embedding:
+def embed(signal: np.ndarray, *, frame_mask: np.ndarray | None = None) -> Embedding:
     """Log-mel band statistics embedding of a mono signal: its unpadded STFT
     (32 ms windows, 16 ms hop, only windows fully inside the signal) pooled by
     embed_power, with frame_mask one boolean per analysis frame."""
     signal = np.asarray(signal, dtype=np.float64)
-    n_window, n_hop = stft_grid(sample_rate)
-    if num_full_frames(len(signal), n_window, n_hop) < MIN_EMBED_FRAMES:
+    if num_full_frames(len(signal)) < MIN_EMBED_FRAMES:
         raise ShortInputError(
             f"need at least {MIN_EMBED_FRAMES} analysis frames "
-            f"({n_window + (MIN_EMBED_FRAMES - 1) * n_hop} samples), got {len(signal)}"
+            f"({N_WINDOW + (MIN_EMBED_FRAMES - 1) * N_HOP} samples), got {len(signal)}"
         )
-    power = np.abs(stft(signal, n_window, n_hop, pad=False))
+    power = np.abs(stft(signal, pad=False))
     power **= 2
-    return embed_power(power, sample_rate, frame_mask)
+    return embed_power(power, frame_mask=frame_mask)
 
 
-def embed_power(
-    power: np.ndarray, sample_rate: int, frame_mask: np.ndarray | None = None
-) -> Embedding:
+def embed_power(power: np.ndarray, *, frame_mask: np.ndarray | None = None) -> Embedding:
     """Log-mel band statistics embedding of a power spectrogram |Y|^2.
 
     power has shape (bins, frames), on the 32 ms / 16 ms STFT grid. Per mel
@@ -136,8 +127,7 @@ def embed_power(
     n_frames = power.shape[1]
     if n_frames < MIN_EMBED_FRAMES:
         raise ShortInputError(f"need at least {MIN_EMBED_FRAMES} analysis frames, got {n_frames}")
-    fb = mel_filterbank(sample_rate, stft_grid(sample_rate)[0])
-    energies = fb @ power
+    energies = MEL_FILTERBANK @ power
     fallback = False
     if frame_mask is not None:
         frame_mask = np.asarray(frame_mask, dtype=bool)
@@ -188,23 +178,19 @@ class EnrollmentPool:
         return np.stack([emb.vector for _, emb in self.entries])
 
 
-def build_distractors(
-    count: int, seed: int, sample_rate: int = 16000
-) -> list[tuple[str, Embedding]]:
+def build_distractors(count: int, seed: int) -> list[tuple[str, Embedding]]:
     """Distractor entries drawn from the voice prior, reusable across scenes."""
     rng = np.random.default_rng(seed)
     entries = []
     for k in range(count):
         voice = sample_voice_params(rng)
-        utt = synthesize_voice(voice, ENROLLMENT_UTTERANCE_S, sample_rate, int(rng.integers(2**63 - 1)))
-        entries.append((f"distractor{k:02d}", embed(utt, sample_rate)))
+        utt = synthesize_voice(voice, ENROLLMENT_UTTERANCE_S, int(rng.integers(2**63 - 1)))
+        entries.append((f"distractor{k:02d}", embed(utt)))
         del utt  # not held while the next utterance is synthesized
     return entries
 
 
-def build_enrollment(
-    voices: list[VoiceParams], seed: int, sample_rate: int = 16000
-) -> list[tuple[str, Embedding]]:
+def build_enrollment(voices: list[VoiceParams], seed: int) -> list[tuple[str, Embedding]]:
     """The scene speakers' enrollment entries, speakerNN in scene order.
 
     Each scene voice is enrolled with the embedding of a fresh 20 s utterance
@@ -215,8 +201,8 @@ def build_enrollment(
     rng = np.random.default_rng(seed)
     entries: list[tuple[str, Embedding]] = []
     for j, voice in enumerate(voices):
-        utt = synthesize_voice(voice, ENROLLMENT_UTTERANCE_S, sample_rate, int(rng.integers(2**63 - 1)))
-        entries.append((f"speaker{j:02d}", embed(utt, sample_rate)))
+        utt = synthesize_voice(voice, ENROLLMENT_UTTERANCE_S, int(rng.integers(2**63 - 1)))
+        entries.append((f"speaker{j:02d}", embed(utt)))
         del utt  # not held while the next utterance is synthesized
     return entries
 

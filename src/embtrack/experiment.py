@@ -4,10 +4,11 @@ The config holds only what a caller sets: the master seed, the number of
 scene worker processes, the swept scene parameters (DatasetConfig; the rest
 of the scene model is SceneSpec's defaults), the sweep (RunConfig: tracker,
 beamformers, durations, pool sizes M, MVDR noise covariance source) and the
-eval settings. Neither time grid is a setting, here or in the library:
-tracker frames are tracking.DEFAULT_HOP_S long and the analysis grid is
-dsp.stft_grid's. The "est" front-end's corruption is the default
-tracking.NoiseModel, as in the library's run_pipeline.
+eval settings. Neither the sample rate nor either time grid is a setting,
+here or in the library: every signal is at dsp.SAMPLE_RATE, tracker frames
+are tracking.DEFAULT_HOP_S long and the analysis grid is dsp.N_WINDOW-sample
+windows every dsp.N_HOP samples. The "est" front-end's corruption is the
+default tracking.NoiseModel, as in the library's run_pipeline.
 ExperimentConfig.validate checks each field's declared type before its
 value; either kind of bad value, or a sweep value listed twice, is a
 ConfigError.
@@ -60,6 +61,7 @@ from pathlib import Path
 
 from . import fileio, metrics
 from .beamforming import MIN_COV_FRAMES
+from .dsp import SAMPLE_RATE
 from .embedding import MIN_EMBED_FRAMES, analysis_frame_centers
 from .fragments import DurationPolicy
 from .metrics import SceneMetrics, aggregate_report, evaluate_scene
@@ -68,6 +70,7 @@ from .reassignment import (
     NOISE_COV_SOURCES,
     TRACKER_VARIANTS,
     enroll_speakers,
+    is_gated_mvdr,
     reads_wet,
     reassign_scene,
     shared_distractors,
@@ -127,8 +130,8 @@ class DatasetConfig:
 
 def _analysis_frames(spec: SceneSpec) -> int:
     """Frames of the analysis grid in a scene of spec."""
-    num_samples = int(round(spec.duration * spec.sample_rate))
-    return len(analysis_frame_centers(num_samples, spec.sample_rate))
+    num_samples = int(round(spec.duration * SAMPLE_RATE))
+    return len(analysis_frame_centers(num_samples))
 
 
 @dataclass(frozen=True)
@@ -224,7 +227,7 @@ class ExperimentConfig:
         self.eval.validate()
         # A gated mask that falls back selects every frame of the scene, and a
         # covariance needs at least MIN_COV_FRAMES of them.
-        if "mvdr" in self.run.beamformers and self.run.noise_cov == "gated":
+        if any(is_gated_mvdr(bf, self.run.noise_cov) for bf in self.run.beamformers):
             frames = _analysis_frames(self.dataset.scene_spec(0, self.master_seed))
             if frames < MIN_COV_FRAMES:
                 raise ConfigError(
@@ -293,9 +296,7 @@ def _gen_one(args: tuple) -> dict:
     scene_dir = Path(out_dir) / "scenes" / _scene_id(index)
     sha256 = fileio.write_scene(scene_dir, spec)
     ground_truth, _spec = fileio.read_ground_truth(scene_dir / "ground_truth.json")
-    speakers = enroll_speakers(
-        [gt.voice for gt in ground_truth], (cfg.master_seed, index), spec.sample_rate
-    )
+    speakers = enroll_speakers([gt.voice for gt in ground_truth], (cfg.master_seed, index))
     return {
         "scene_id": _scene_id(index),
         "index": index,

@@ -4,25 +4,30 @@ trajectory and fragment JSON lines, and assignment reports.
 A WAV file holds one FoaSignal, little-endian throughout:
 
     "RIFF" <u32 file size - 8> "WAVE"
-    "fmt " <u32 18> <u16 3 (IEEE float)> <u16 4 channels> <u32 sample rate>
-           <u32 16 * sample rate (bytes/s)> <u16 16 (block align)>
+    "fmt " <u32 18> <u16 3 (IEEE float)> <u16 4 channels> <u32 16000>
+           <u32 256000 (bytes/s)> <u16 16 (block align)>
            <u16 32 (bits)> <u16 0 (cbSize)>
     "fact" <u32 4> <u32 samples per channel>
     "data" <u32 16 * samples> <f4 W Y Z X, one sample of each channel in turn>
 
+The rate in the header is dsp.SAMPLE_RATE, the one rate of every signal.
 write_wav returns the sha256 of the bytes it wrote, unless told not to hash
 them (write_scene hashes only the mixture). read_wav walks the
 chunks in any order, skips the ones it does not know (an odd-sized chunk is
-followed by a pad byte) and accepts only 4-channel 32-bit float audio;
-anything else is a ValueError. Given a sha256, it hashes the bytes it read
-and checks them before it parses them, so a file whose hash is checked is
-read once. The signal it returns is a read-only float32 (4, T) view of
-those bytes, so it takes no memory beyond the file's; its consumers widen
-the samples to float64, which is exact, where they compute with them.
+followed by a pad byte) and accepts only 4-channel 32-bit float audio at
+SAMPLE_RATE; anything else is a ValueError that names the file. Given a
+sha256, it hashes the bytes it read and checks them before it parses them,
+so a file whose hash is checked is read once. The signal it returns is a
+read-only float32 (4, T) view of those bytes, so it takes no memory beyond
+the file's; its consumers widen the samples to float64, which is exact,
+where they compute with them.
 
 An enrollment pool file holds one JSON line {"identity": str, "vector":
 [float, ...]} per entry, in pool order (write_enrollment); the vectors read
 back bit for bit (read_enrollment).
+
+A ground_truth.json keeps the scene spec's sample_rate key, written as
+SAMPLE_RATE; a spec that names another rate is a ValueError.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .beamforming import MvdrDiagnostics
+from .dsp import SAMPLE_RATE
 from .embedding import Embedding, EnrollmentPool
 from .fragments import Fragment
 from .geometry import DoA
@@ -63,9 +69,9 @@ def write_wav(path: str | Path, signal: FoaSignal, *, sha256: bool = True) -> st
     channels = signal.channels
     num_samples = channels.shape[1]
     data_bytes = num_samples * _BLOCK_ALIGN
-    rate = signal.sample_rate
     fmt = struct.pack(
-        "<HHIIHHH", _IEEE_FLOAT, _CHANNELS, rate, rate * _BLOCK_ALIGN, _BLOCK_ALIGN, 32, 0
+        "<HHIIHHH",
+        _IEEE_FLOAT, _CHANNELS, SAMPLE_RATE, SAMPLE_RATE * _BLOCK_ALIGN, _BLOCK_ALIGN, 32, 0,
     )
     chunks = (
         b"fmt " + struct.pack("<I", len(fmt)) + fmt
@@ -112,10 +118,12 @@ def read_wav(path: str | Path, *, sha256: str | None = None) -> FoaSignal:
             f"{path}: expected 4-channel 32-bit float audio, got format {tag}, "
             f"{channels} channels, {bits} bits"
         )
+    if sample_rate != SAMPLE_RATE:
+        raise ValueError(f"{path}: audio at {sample_rate} Hz, not at {SAMPLE_RATE} Hz")
     if len(data) % _BLOCK_ALIGN:
         raise ValueError(f"{path}: data chunk is not a whole number of samples")
     samples = np.frombuffer(data, dtype="<f4").reshape(-1, _CHANNELS)
-    return FoaSignal(samples.T, sample_rate)
+    return FoaSignal(samples.T)
 
 
 def _tuples(value):
@@ -128,10 +136,16 @@ def _from_json(klass, d: dict):
 
 
 def spec_to_dict(spec: SceneSpec) -> dict:
-    return dataclasses.asdict(spec)
+    return {**dataclasses.asdict(spec), "sample_rate": SAMPLE_RATE}
 
 
 def spec_from_dict(d: dict) -> SceneSpec:
+    """The SceneSpec of spec_to_dict's dict; a sample_rate other than
+    SAMPLE_RATE is a ValueError."""
+    d = dict(d)
+    rate = d.pop("sample_rate", SAMPLE_RATE)
+    if rate != SAMPLE_RATE:
+        raise ValueError(f"scene spec at {rate} Hz, not at {SAMPLE_RATE} Hz")
     return _from_json(SceneSpec, d)
 
 
@@ -213,29 +227,24 @@ def read_scene(
     """The scene write_scene wrote; with wet False its speakerNN.wav files are
     not read and scene.wet is empty. sha256, when given, is the hash the
     mixture.wav bytes must have (read_wav checks it before parsing them). A
-    mixture whose sample rate is not spec.sample_rate, or whose length is not
-    the int(round(spec.duration * spec.sample_rate)) samples render_scene
-    writes, is a ValueError, and so is a speaker WAV whose sample rate or
-    length differs from the mixture's."""
+    WAV not at SAMPLE_RATE (read_wav), a mixture whose length is not the
+    int(round(spec.duration * SAMPLE_RATE)) samples render_scene writes, or
+    a speaker WAV whose length differs from the mixture's, is a ValueError."""
     scene_dir = Path(scene_dir)
     ground_truth, spec = read_ground_truth(scene_dir / "ground_truth.json")
     path = scene_dir / "mixture.wav"
     mixture = read_wav(path, sha256=sha256)
-    expected = (spec.sample_rate, int(round(spec.duration * spec.sample_rate)))
-    if (mixture.sample_rate, mixture.num_samples) != expected:
-        raise ValueError(
-            f"{path}: {mixture.num_samples} samples at {mixture.sample_rate} Hz, the scene "
-            f"spec has {expected[1]} at {expected[0]} Hz"
-        )
+    expected = int(round(spec.duration * SAMPLE_RATE))
+    if mixture.num_samples != expected:
+        raise ValueError(f"{path}: {mixture.num_samples} samples, the scene spec has {expected}")
     speakers = range(len(ground_truth)) if wet else ()
     signals = []
     for j in speakers:
         path = scene_dir / f"speaker{j:02d}.wav"
         signal = read_wav(path)
-        if (signal.sample_rate, signal.num_samples) != (mixture.sample_rate, mixture.num_samples):
+        if signal.num_samples != mixture.num_samples:
             raise ValueError(
-                f"{path}: {signal.num_samples} samples at {signal.sample_rate} Hz, the mixture "
-                f"has {mixture.num_samples} at {mixture.sample_rate} Hz"
+                f"{path}: {signal.num_samples} samples, the mixture has {mixture.num_samples}"
             )
         signals.append(signal)
     return Scene(mixture, signals, ground_truth), spec

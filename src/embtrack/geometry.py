@@ -16,6 +16,8 @@ class DoA:
     elevation: float
 
     def __post_init__(self):
+        if not math.isfinite(self.azimuth):
+            raise ValueError(f"azimuth {self.azimuth} is not finite")
         if not (-180.0 <= self.azimuth < 180.0):
             object.__setattr__(self, "azimuth", wrap_azimuth(self.azimuth))
         if not (-90.0 <= self.elevation <= 90.0):

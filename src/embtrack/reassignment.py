@@ -5,10 +5,11 @@ enrolled identity with the highest cosine similarity among the identities not
 already assigned to a temporally overlapping fragment.
 
 Both time grids are fixed: tracker frames of tracking.DEFAULT_HOP_S and the
-32 ms / 16 ms analysis grid of dsp.stft_grid; an analysis frame belongs to
-the tracker frame its centre lies in (analysis_frame_tracker_frames). A
-fragment's extraction window reads the frames of that grid whose centre lies
-in it. reassign_scene transforms the 4-channel mixture (foa_stft) once per
+32 ms / 16 ms analysis grid, dsp.N_WINDOW-sample windows every dsp.N_HOP
+samples at dsp.SAMPLE_RATE; an analysis frame belongs to the tracker frame
+its centre lies in (analysis_frame_tracker_frames). A fragment's
+extraction window reads the frames of that grid whose centre lies in it.
+reassign_scene transforms the 4-channel mixture (foa_stft) once per
 fragment: the frames that fragment's windows read, for all of its cells.
 Only a scene with a gated MVDR cell, whose covariance reads every frame
 where the track is inactive, takes the whole mixture's STFT, once, and its
@@ -67,7 +68,7 @@ from .beamforming import (
     oracle_noise_reference,
     reference_covariances,
 )
-from .dsp import num_full_frames, stft_grid
+from .dsp import N_HOP, N_WINDOW, SAMPLE_RATE, num_full_frames
 from .embedding import (
     MIN_EMBED_FRAMES,
     Embedding,
@@ -213,6 +214,13 @@ class PipelineResult:
         return self.assignment.new_trajectories
 
 
+def is_gated_mvdr(beamformer: str, noise_cov_source: str) -> bool:
+    """Whether a cell is gated MVDR, whose noise covariance is estimated once
+    per track from the frames of the whole mixture's STFT where its track is
+    inactive."""
+    return beamformer == "mvdr" and noise_cov_source == "gated"
+
+
 def reads_wet(beamformer: str, noise_cov_source: str) -> bool:
     """Whether a cell reads scene.wet: the ideal beamformer's target signal and
     the oracle MVDR noise reference come from the wet signals; DS and gated
@@ -254,7 +262,7 @@ def extract_fragment_embedding(
     """
     window = extraction_window(frag, policy)
     steer = window_doa(frag, policy)
-    frames, free = _window_frames(frag, window, scene.mixture.num_samples, scene.sample_rate)
+    frames, free = _window_frames(frag, window, scene.mixture.num_samples)
     local = slice(frames.start - first_frame, frames.stop - first_frame)
     if beamformer == "ideal":
         beam = beamform_ideal(scene.wet, scene.ground_truth, steer, window, frames)
@@ -270,11 +278,11 @@ def extract_fragment_embedding(
         beam = beamform_mvdr(mixture_stft[..., local], steer, noise_cov, diagnostics)
     else:
         raise ValueError(f"unknown beamformer {beamformer!r}")
-    return embed_power(np.abs(beam) ** 2, scene.sample_rate, free)
+    return embed_power(np.abs(beam) ** 2, frame_mask=free)
 
 
 def _window_frames(
-    frag: Fragment, window: tuple[float, float], num_samples: int, sample_rate: int
+    frag: Fragment, window: tuple[float, float], num_samples: int
 ) -> tuple[slice, np.ndarray]:
     """The analysis frames of the scene grid whose centre lies in the window,
     as a slice of the frame axis, and for each of them whether its centre
@@ -285,19 +293,18 @@ def _window_frames(
     last ones if those would run past its end. The bounds are found in
     integers and only the slice's centres are computed.
     """
-    n_window, n_hop = stft_grid(sample_rate)
-    n_frames = num_full_frames(num_samples, n_window, n_hop)
-    # The first frame whose centre, n_hop k + n_window / 2, is at or after the
-    # sample the window bound rounds to: k = ceil((2 b - n_window) / (2 n_hop)).
+    n_frames = num_full_frames(num_samples)
+    # The first frame whose centre, N_HOP k + N_WINDOW / 2, is at or after the
+    # sample the window bound rounds to: k = ceil((2 b - N_WINDOW) / (2 N_HOP)).
     start, stop = (
-        min(n_frames, max(0, -((n_window - 2 * int(round(t * sample_rate))) // (2 * n_hop))))
+        min(n_frames, max(0, -((N_WINDOW - 2 * int(round(t * SAMPLE_RATE))) // (2 * N_HOP))))
         for t in window
     )
     if stop - start < MIN_EMBED_FRAMES:
         start = max(0, min(start, n_frames - MIN_EMBED_FRAMES))
         stop = start + MIN_EMBED_FRAMES
     frames = slice(start, stop)
-    tracker_frames = analysis_frame_tracker_frames(num_samples, sample_rate, frames)
+    tracker_frames = analysis_frame_tracker_frames(num_samples, frames=frames)
     return frames, ~np.isin(tracker_frames, frag.overlapped_frames)
 
 
@@ -332,13 +339,13 @@ def shared_distractors(
 
 
 def enroll_speakers(
-    voices: Sequence[VoiceParams], key: tuple[int | str, ...], sample_rate: int = 16000
+    voices: Sequence[VoiceParams], key: tuple[int | str, ...]
 ) -> list[tuple[str, Embedding]]:
     """The scene speakers' pool entries for a scene key: build_enrollment
     seeded with derive_seed(*key, "enrollment"). gen calls it once per scene
     and writes the entries to the scene's pool file, which run reads back;
     run_pipeline and the acceptance suite call it in place of that file."""
-    return build_enrollment(list(voices), derive_seed(*key, "enrollment"), sample_rate)
+    return build_enrollment(list(voices), derive_seed(*key, "enrollment"))
 
 
 def track_and_enroll(
@@ -404,7 +411,7 @@ def reassign_scene(
     pool entries only when its result is asked for, so the batch runner
     writes and marks a cell complete before the next one is reassigned.
     """
-    gated_ms = {m for m, bf, _, source in cells if bf == "mvdr" and source == "gated"}
+    gated_ms = {m for m, bf, _, source in cells if is_gated_mvdr(bf, source)}
     whole_stft = foa_stft(scene.mixture) if gated_ms else None
     fragments_by_m = {m: segment(tracks_by_m[m]) for m in {cell[0] for cell in cells}}
     gated_by_m = {
@@ -415,13 +422,13 @@ def reassign_scene(
     # and its diagnostics.
     covariances, diagnostics = [], []
     for m, beamformer, _, noise_cov_source in cells:
-        gated = beamformer == "mvdr" and noise_cov_source == "gated"
+        gated = is_gated_mvdr(beamformer, noise_cov_source)
         cell_covariances, fallback_tracks = gated_by_m[m] if gated else ({}, None)
         covariances.append(cell_covariances)
         diagnostics.append(MvdrDiagnostics(gated_fallback_tracks=fallback_tracks))
     embeddings: list[dict[int, Embedding]] = [{} for _ in cells]
 
-    num_samples, sample_rate = scene.mixture.num_samples, scene.sample_rate
+    num_samples = scene.mixture.num_samples
     for m, fragments in fragments_by_m.items():
         of_m = [i for i, cell in enumerate(cells) if cell[0] == m]
         mixture_policies = [cells[i][2] for i in of_m if cells[i][1] != "ideal"]
@@ -429,7 +436,7 @@ def reassign_scene(
             spec, first_frame = whole_stft, 0
             if mixture_policies and whole_stft is None:
                 windows = [
-                    _window_frames(frag, extraction_window(frag, policy), num_samples, sample_rate)[0]
+                    _window_frames(frag, extraction_window(frag, policy), num_samples)[0]
                     for policy in mixture_policies
                 ]
                 first_frame = min(w.start for w in windows)
@@ -465,7 +472,7 @@ def run_pipeline(
     of track_and_enroll's key (seed,) and of shared_distractors.
     """
     distractors = shared_distractors(seed, [m], len(scene.voices))
-    speakers = enroll_speakers(scene.voices, (seed,), scene.sample_rate)
+    speakers = enroll_speakers(scene.voices, (seed,))
     tracks_by_m, pool = track_and_enroll(scene, (seed,), tracker_variant, [m], speakers, distractors)
     cell = (m, beamformer, policy, noise_cov_source)
     return next(reassign_scene(scene, tracks_by_m, pool, [cell]))

@@ -4,9 +4,12 @@ Channel convention is ACN order (W, Y, Z, X) with SN3D normalization, so a
 plane wave s from (az, el) encodes as
     W = s,  Y = s sin(az) cos(el),  Z = s sin(el),  X = s cos(az) cos(el).
 
+Every signal is at dsp.SAMPLE_RATE; the sample rate is a constant, not a
+field of a scene, its spec or a signal.
+
 render_scene is the one rendering path: it builds each speaker's wet signal
 in turn, adds it to the mixture and hands it to its caller before building
-the next. generate_scene and simulate collect the wet signals it hands over;
+the next. simulate collects the wet signals it hands over into a Scene;
 fileio.write_scene writes each one to disk and drops it.
 
 Each voice segment is synthesized from one wavetable of its harmonic
@@ -20,10 +23,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
+from .dsp import SAMPLE_RATE
 from .geometry import DoA, angular_distance, doa_from_unit_vector, uniform_sphere
 
 SEPARATION_REGIMES = {
@@ -56,9 +60,9 @@ class VoiceParams:
 @dataclass(frozen=True)
 class SceneSpec:
     seed: int
+    _: KW_ONLY  # every other field by name
     num_speakers: int = 2
     duration: float = 20.0
-    sample_rate: int = 16000
     snr: float | None = 15.0
     level_diff_range: tuple[float, float] = (2.0, 4.0)
     separation_regime: str = "distant"
@@ -121,7 +125,6 @@ class FoaSignal:
     """
 
     channels: np.ndarray
-    sample_rate: int
 
     def __post_init__(self):
         channels = np.asarray(self.channels)
@@ -140,7 +143,7 @@ class FoaSignal:
 
     @property
     def duration(self) -> float:
-        return self.num_samples / self.sample_rate
+        return self.num_samples / SAMPLE_RATE
 
 
 def foa_gains(doa: DoA) -> np.ndarray:
@@ -169,12 +172,10 @@ def sample_voice_params(rng: np.random.Generator) -> VoiceParams:
     return VoiceParams(f0, tilt, resonances, rate)
 
 
-def _slow_noise_controls(
-    rng: np.random.Generator, n: int, sample_rate: float, rate_hz: float
-) -> np.ndarray:
+def _slow_noise_controls(rng: np.random.Generator, n: int, rate_hz: float) -> np.ndarray:
     """The control points of n samples of band-limited unit-variance-ish
     noise at about rate_hz, drawn from rng (_slow_noise_block reads it)."""
-    n_ctrl = max(2, int(math.ceil(n / sample_rate * rate_hz)) + 2)
+    n_ctrl = max(2, int(math.ceil(n / SAMPLE_RATE * rate_hz)) + 2)
     return rng.standard_normal(n_ctrl)
 
 
@@ -212,20 +213,20 @@ def _slow_noise_block(ctrl: np.ndarray, n: int, start: int, stop: int) -> np.nda
 _OSC_PERIOD = 2048
 
 
-def _oscillator(rate_hz: float, phase: float, n: int, sample_rate: int) -> tuple[np.ndarray, ...]:
-    """Tables for sin(2 pi rate_hz t + phase) at t = i / sample_rate, i < n,
+def _oscillator(rate_hz: float, phase: float, n: int) -> tuple[np.ndarray, ...]:
+    """Tables for sin(2 pi rate_hz t + phase) at t = i / SAMPLE_RATE, i < n,
     by angle addition: sample i = q P + r (P = _OSC_PERIOD, r < P) is
-    sin(a_q) cos(w r) + cos(a_q) sin(w r), w = 2 pi rate_hz / sample_rate,
+    sin(a_q) cos(w r) + cos(a_q) sin(w r), w = 2 pi rate_hz / SAMPLE_RATE,
     read by _oscillator_block. The anchor angle a_q is the plain expression's
     own at sample q P. Returns (sin a, cos a, sin w r, cos w r).
     """
     omega = 2.0 * np.pi * rate_hz
     anchors = np.arange(0, n, _OSC_PERIOD, dtype=np.float64)
-    anchors /= sample_rate
+    anchors /= SAMPLE_RATE
     anchors *= omega
     anchors += phase
     offsets = np.arange(min(n, _OSC_PERIOD), dtype=np.float64)
-    offsets /= sample_rate
+    offsets /= SAMPLE_RATE
     offsets *= omega
     return np.sin(anchors), np.cos(anchors), np.sin(offsets), np.cos(offsets)
 
@@ -297,9 +298,7 @@ def _wavetable(amps: np.ndarray, phases0: np.ndarray) -> np.ndarray:
     return table
 
 
-def synthesize_voice(
-    voice: VoiceParams, duration: float, sample_rate: int, seed: int
-) -> np.ndarray:
+def synthesize_voice(voice: VoiceParams, duration: float, seed: int) -> np.ndarray:
     """Unit-RMS harmonic complex shaped by tilt and resonances, with slow AM.
 
     Deterministic for a given seed; two different seeds give independent
@@ -337,25 +336,25 @@ def synthesize_voice(
     count). Each step keeps the operands and their order of the plain
     expression in the comment above it.
     """
-    n = int(round(duration * sample_rate))
+    n = int(round(duration * SAMPLE_RATE))
     if n == 0:
         return np.zeros(0)
-    max_freq = min(7400.0, 0.45 * sample_rate)
+    max_freq = min(7400.0, 0.45 * SAMPLE_RATE)
     n_harm = max(1, int(max_freq / voice.f0))
     freqs = voice.f0 * np.arange(1, n_harm + 1)
     level_db = voice.spectral_tilt * np.log2(freqs / voice.f0)
     for center, bandwidth, gain_db in voice.resonances:
-        if center >= 0.5 * sample_rate:
+        if center >= 0.5 * SAMPLE_RATE:
             raise ValueError("resonance center above Nyquist")
         level_db = level_db + gain_db * np.exp(-0.5 * ((freqs - center) / bandwidth) ** 2)
     amps = 10.0 ** (level_db / 20.0)
 
     rng = np.random.default_rng(seed)
-    vibrato = _oscillator(4.7, rng.uniform(0.0, 2.0 * np.pi), n, sample_rate)
-    drift_ctrl = _slow_noise_controls(rng, n, sample_rate, 3.0)
+    vibrato = _oscillator(4.7, rng.uniform(0.0, 2.0 * np.pi), n)
+    drift_ctrl = _slow_noise_controls(rng, n, 3.0)
     table = _wavetable(amps, rng.uniform(0.0, 2.0 * np.pi, size=n_harm))
-    envelope = _oscillator(voice.modulation_rate, rng.uniform(0.0, 2.0 * np.pi), n, sample_rate)
-    env_ctrl = _slow_noise_controls(rng, n, sample_rate, 2.0)
+    envelope = _oscillator(voice.modulation_rate, rng.uniform(0.0, 2.0 * np.pi), n)
+    env_ctrl = _slow_noise_controls(rng, n, 2.0)
 
     sig = np.empty(n)
     carry = 0.0
@@ -370,12 +369,12 @@ def synthesize_voice(
         drift *= 0.006
         x += drift
         x *= voice.f0
-        # The phase 2 pi cumsum(inst_f0) / sample_rate in table nodes:
-        # x = cumsum(inst_f0) (L / sample_rate)
+        # The phase 2 pi cumsum(inst_f0) / SAMPLE_RATE in table nodes:
+        # x = cumsum(inst_f0) (L / SAMPLE_RATE)
         x[0] += carry
         np.cumsum(x, out=x)
         carry = x[-1]
-        x *= _WAVETABLE_SIZE / sample_rate
+        x *= _WAVETABLE_SIZE / SAMPLE_RATE
 
         # j = floor(x), f = x - j; w0 + f (d0 + f (a + f b)) at node j mod L
         node = np.floor(x)
@@ -426,7 +425,7 @@ def _diffuse_noise_channels(seed: int, out: np.ndarray) -> Iterator[np.ndarray]:
         yield out
 
 
-def generate_diffuse_noise(duration: float, sample_rate: int, seed: int) -> FoaSignal:
+def generate_diffuse_noise(duration: float, seed: int) -> FoaSignal:
     """Isotropic diffuse noise with inter-channel covariance diag(1, 1/3, 1/3, 1/3).
 
     Sampled directly as independent Gaussian channels with the SN3D isotropic
@@ -435,11 +434,11 @@ def generate_diffuse_noise(duration: float, sample_rate: int, seed: int) -> FoaS
     come from _diffuse_noise_channels, the definition render_scene mixes
     in one channel at a time.
     """
-    n = int(round(duration * sample_rate))
+    n = int(round(duration * SAMPLE_RATE))
     channels = np.empty((4, n))
     for row, channel in zip(channels, _diffuse_noise_channels(seed, np.empty(n))):
         row[:] = channel
-    return FoaSignal(channels, sample_rate)
+    return FoaSignal(channels)
 
 
 def _sample_activity(
@@ -559,7 +558,7 @@ def _place_speakers(
 
 
 def _speaker_channels(
-    rng: np.random.Generator, gt: SpeakerGroundTruth, gain_db: float, n: int, sample_rate: int
+    rng: np.random.Generator, gt: SpeakerGroundTruth, gain_db: float, n: int
 ) -> np.ndarray:
     """gt's (4, n) wet signal at gain_db: each voice segment, synthesized from
     a seed drawn from rng and faded in place, is added to it one channel at
@@ -568,10 +567,10 @@ def _speaker_channels(
     gain = 10.0 ** (gain_db / 20.0)
     for onset, offset, doa in gt.segments:
         seg_seed = int(rng.integers(0, 2**63 - 1))
-        a = int(round(onset * sample_rate))
-        b = int(round(offset * sample_rate))
-        mono = synthesize_voice(gt.voice, (b - a) / sample_rate, sample_rate, seg_seed)
-        _apply_fades(mono, sample_rate)
+        a = int(round(onset * SAMPLE_RATE))
+        b = int(round(offset * SAMPLE_RATE))
+        mono = synthesize_voice(gt.voice, (b - a) / SAMPLE_RATE, seg_seed)
+        _apply_fades(mono)
         scaled = np.empty_like(mono)
         for row, foa_gain in zip(channels, foa_gains(doa)):
             # row[a : a + len(mono)] += foa_gain * mono * gain
@@ -598,31 +597,16 @@ def render_scene(
     """
     rng = np.random.default_rng(spec.seed)
     speakers, gains_db = _place_speakers(rng, spec)
-    n = int(round(spec.duration * spec.sample_rate))
+    n = int(round(spec.duration * SAMPLE_RATE))
     mixture = np.zeros((4, n))
     for gt, gain_db in zip(speakers, gains_db):
-        channels = _speaker_channels(rng, gt, gain_db, n, spec.sample_rate)
+        channels = _speaker_channels(rng, gt, gain_db, n)
         mixture += channels
-        on_wet(gt.speaker_id, FoaSignal(channels, spec.sample_rate))
+        on_wet(gt.speaker_id, FoaSignal(channels))
         del channels  # the next speaker is built without this one held
     if spec.snr is not None and math.isfinite(spec.snr):
         _add_noise(mixture, spec.snr, int(rng.integers(0, 2**63 - 1)))
-    return FoaSignal(mixture, spec.sample_rate), speakers
-
-
-def generate_scene(
-    spec: SceneSpec,
-) -> tuple[FoaSignal, list[FoaSignal], list[SpeakerGroundTruth]]:
-    """Build mixture = sum of per-speaker wet FOA signals + diffuse noise at spec.snr.
-
-    Returns (mixture, wet signals, ground truth), all deterministic in
-    spec.seed: render_scene with the wet signals collected. Besides the
-    returned arrays, at most one voice segment's arrays or one channel-length
-    buffer is held.
-    """
-    wet: list[FoaSignal] = []
-    mixture, speakers = render_scene(spec, lambda _j, signal: wet.append(signal))
-    return mixture, wet, speakers
+    return FoaSignal(mixture), speakers
 
 
 @dataclass
@@ -638,24 +622,27 @@ class Scene:
         return self.mixture.duration
 
     @property
-    def sample_rate(self) -> int:
-        return self.mixture.sample_rate
-
-    @property
     def voices(self) -> list[VoiceParams]:
         return [gt.voice for gt in self.ground_truth]
 
 
 def simulate(spec: SceneSpec) -> Scene:
-    """generate_scene wrapped into a Scene container."""
-    mixture, wet, ground_truth = generate_scene(spec)
+    """Build mixture = sum of per-speaker wet FOA signals + diffuse noise at spec.snr.
+
+    The mixture, wet signals and ground truth are all deterministic in
+    spec.seed: render_scene with the wet signals collected. Besides the
+    returned arrays, at most one voice segment's arrays or one channel-length
+    buffer is held.
+    """
+    wet: list[FoaSignal] = []
+    mixture, ground_truth = render_scene(spec, lambda _j, signal: wet.append(signal))
     return Scene(mixture, wet, ground_truth)
 
 
-def _apply_fades(mono: np.ndarray, sample_rate: int, fade_s: float = 0.02) -> None:
+def _apply_fades(mono: np.ndarray, *, fade_s: float = 0.02) -> None:
     """Short raised-cosine fades, applied to mono in place, avoid
     onset/offset clicks in the mixture."""
-    n_fade = min(int(fade_s * sample_rate), len(mono) // 2)
+    n_fade = min(int(fade_s * SAMPLE_RATE), len(mono) // 2)
     if n_fade > 0:
         ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(n_fade) / n_fade)
         mono[:n_fade] *= ramp

@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from embtrack import fileio, scene
+from embtrack.dsp import SAMPLE_RATE
 from embtrack.embedding import Embedding, embed
 from embtrack.geometry import DoA, sample_vmf
 from embtrack.scene import FoaSignal, SceneSpec, foa_gains, sample_voice_params, synthesize_voice
-
-PANEL_SR = 16000
-
 
 def cosine(a: Embedding, b: Embedding) -> float:
     """Cosine similarity of two unit-norm embeddings, in [-1, 1]."""
@@ -19,10 +17,10 @@ def cosine(a: Embedding, b: Embedding) -> float:
     return float(np.clip(np.dot(a.vector, b.vector), -1.0, 1.0))
 
 
-def encode_foa(mono: np.ndarray, doa: DoA, sample_rate: int) -> FoaSignal:
+def encode_foa(mono: np.ndarray, doa: DoA) -> FoaSignal:
     """Direct-path FOA encoding of a mono source at a fixed direction."""
     mono = np.asarray(mono, dtype=np.float64)
-    return FoaSignal(foa_gains(doa)[:, None] * mono[None, :], sample_rate)
+    return FoaSignal(foa_gains(doa)[:, None] * mono[None, :])
 
 
 def vmf_mean_angle_deg(kappa: float, n: int = 200_000, seed: int = 0) -> float:
@@ -105,7 +103,7 @@ def previous_write_scene(scene_dir: Path, spec: SceneSpec) -> None:
 
     rng = np.random.default_rng(spec.seed)
     speakers, gains_db = scene._place_speakers(rng, spec)
-    sr = spec.sample_rate
+    sr = SAMPLE_RATE
     n = int(round(spec.duration * sr))
     wet = []
     for gt, gain_db in zip(speakers, gains_db):
@@ -114,11 +112,11 @@ def previous_write_scene(scene_dir: Path, spec: SceneSpec) -> None:
         for onset, offset, doa in gt.segments:
             seg_seed = int(rng.integers(0, 2**63 - 1))
             a, b = int(round(onset * sr)), int(round(offset * sr))
-            mono = synthesize_voice(gt.voice, (b - a) / sr, sr, seg_seed)
-            scene._apply_fades(mono, sr)
+            mono = synthesize_voice(gt.voice, (b - a) / sr, seg_seed)
+            scene._apply_fades(mono)
             for row, foa_gain in zip(channels, foa_gains(doa)):
                 row[a : a + len(mono)] += foa_gain * mono * gain
-        wet.append(FoaSignal(channels, sr))
+        wet.append(FoaSignal(channels))
     noise_seed = None
     if spec.snr is not None and math.isfinite(spec.snr):
         noise_seed = int(rng.integers(0, 2**63 - 1))
@@ -137,7 +135,7 @@ def voice_panel():
     voices = [sample_voice_params(rng) for _ in range(20)]
     embeddings = [
         [
-            embed(synthesize_voice(v, 3.0, PANEL_SR, seed=1000 * i + u), PANEL_SR)
+            embed(synthesize_voice(v, 3.0, seed=1000 * i + u))
             for u in range(5)
         ]
         for i, v in enumerate(voices)

@@ -314,20 +314,20 @@ class TestCriterion7BeamformerAlgebra:
         for doa in doas[:20]:
             from embtrack.beamforming import beamform_ds
 
-            out = beamform_ds(encode_foa(s, doa, 16000), doa)
+            out = beamform_ds(encode_foa(s, doa), doa)
             passthrough_ok = passthrough_ok and np.allclose(out, s, atol=1e-12)
 
         from embtrack.beamforming import beamform_ds
         from embtrack.dsp import istft, stft
         from embtrack.scene import FoaSignal
 
-        mixture = FoaSignal(rng.standard_normal((4, 8000)), 16000)
+        mixture = FoaSignal(rng.standard_normal((4, 8000)))
         identity_ok = True
         for doa in doas[:20]:
             d = steering_vector(doa)
             weights, _ = mvdr_weights(np.tile(np.eye(4, dtype=complex), (257, 1, 1)), d)
-            spec = stft(mixture.channels, 512, 256)
-            out = istft(np.einsum("fc,cft->ft", np.conj(weights), spec), 512, 256, 8000)
+            spec = stft(mixture.channels)
+            out = istft(np.einsum("fc,cft->ft", np.conj(weights), spec), 8000)
             ds = beamform_ds(mixture, doa)
             identity_ok = identity_ok and np.max(np.abs(out - ds)) < 1e-9 * np.max(np.abs(ds))
 
@@ -349,9 +349,9 @@ class TestCriterion8EmbedderSeparation:
         from embtrack.scene import sample_voice_params
 
         voice = sample_voice_params(rng)
-        s = synthesize_voice(voice, 2.0, 16000, seed=1)
+        s = synthesize_voice(voice, 2.0, seed=1)
         gain_err = max(
-            float(np.max(np.abs(embed(a * s, 16000).vector - embed(s, 16000).vector)))
+            float(np.max(np.abs(embed(a * s).vector - embed(s).vector)))
             for a in (0.1, 2.0, 25.0)
         )
         ok = margin >= 0.2 and gain_err < 1e-6

@@ -26,14 +26,22 @@ from embtrack.beamforming import (
     reference_covariances,
     steering_vector,
 )
-from embtrack.dsp import istft, num_full_frames, num_stft_frames, periodic_hann, stft, stft_blocks
+from embtrack.dsp import (
+    N_WINDOW,
+    istft,
+    num_full_frames,
+    num_stft_frames,
+    periodic_hann,
+    stft,
+    stft_blocks,
+)
 from embtrack.geometry import DoA, doa_from_unit_vector, uniform_sphere
 from embtrack.scene import (
     FoaSignal,
     SceneSpec,
     SpeakerGroundTruth,
     VoiceParams,
-    generate_scene,
+    simulate,
 )
 from embtrack.tracking import Trajectory
 
@@ -54,7 +62,7 @@ def power(x):
 
 def covariance_of(noise):
     """reference_covariances of a time-domain 4-channel noise reference."""
-    return reference_covariances(NoiseReference(noise, np.zeros_like(noise), SR))
+    return reference_covariances(NoiseReference(noise, np.zeros_like(noise)))
 
 
 class TestSteeringVector:
@@ -70,18 +78,18 @@ class TestSteeringVector:
 class TestFoaStft:
     def test_channels_are_unpadded_stfts(self):
         rng = np.random.default_rng(16)
-        signal = FoaSignal(rng.standard_normal((4, 5000)), SR)
+        signal = FoaSignal(rng.standard_normal((4, 5000)))
         spec = foa_stft(signal)
-        assert spec.shape == (4, 257, num_full_frames(5000, 512, 256))
+        assert spec.shape == (4, 257, num_full_frames(5000))
         for c in range(4):
-            assert np.array_equal(spec[c], stft(signal.channels[c], 512, 256, pad=False))
+            assert np.array_equal(spec[c], stft(signal.channels[c], pad=False))
 
     def test_blocked_channels_of_a_sample_major_mixture_match_one_rfft(self):
         # A 30 s mixture as read_wav gives it (sample-major, so each channel
         # is strided), several STFT blocks long: the result is C-ordered and
         # equals one windowed rfft over all frames.
         samples = np.random.default_rng(19).standard_normal((30 * SR + 100, 4)).astype(np.float32)
-        signal = FoaSignal(samples.T.astype(np.float64), SR)
+        signal = FoaSignal(samples.T.astype(np.float64))
         spec = foa_stft(signal)
         assert spec.flags.c_contiguous
         frames = sliding_window_view(signal.channels, 512, axis=-1)[..., ::256, :]
@@ -91,9 +99,9 @@ class TestFoaStft:
     def mixtures(self):
         # A 10 s scene (624 frames, three dsp.STFT_BLOCK_FRAMES blocks), as
         # generated and as read_wav gives it: sample-major float32.
-        mixture, _, _ = generate_scene(SceneSpec(seed=31, duration=10.0))
+        mixture = simulate(SceneSpec(seed=31, duration=10.0)).mixture
         samples = np.ascontiguousarray(mixture.channels.T.astype(np.float32))
-        return mixture, FoaSignal(samples.T, SR)
+        return mixture, FoaSignal(samples.T)
 
     # the first 3 frames; 320 frames across the whole STFT's first block
     # edge, whose own blocks end elsewhere; the grid's last frames; the grid
@@ -119,10 +127,10 @@ class TestDelayAndSum:
         rng = np.random.default_rng(0)
         s = rng.standard_normal(4000)
         for doa in random_doas(5, seed=2):
-            mixture = encode_foa(s, doa, SR)
+            mixture = encode_foa(s, doa)
             assert np.allclose(beamform_ds(mixture, doa), s, atol=1e-12)
             out = beamform_ds(foa_stft(mixture), doa)
-            assert np.allclose(out, stft(s, 512, 256, pad=False), atol=1e-9)
+            assert np.allclose(out, stft(s, pad=False), atol=1e-9)
 
     def test_front_weights(self):
         d = steering_vector(DoA(0, 0))
@@ -134,8 +142,8 @@ class TestDelayAndSum:
         target = rng.standard_normal(SR)
         interferer = rng.standard_normal(SR)
         doa_t, doa_i = DoA(0, 0), DoA(90, 0)
-        wet_t = foa_stft(encode_foa(target, doa_t, SR))
-        wet_i = foa_stft(encode_foa(interferer, doa_i, SR))
+        wet_t = foa_stft(encode_foa(target, doa_t))
+        wet_i = foa_stft(encode_foa(interferer, doa_i))
         sir_in = power(np.abs(wet_t[0])) / power(np.abs(wet_i[0]))
         out_t = beamform_ds(wet_t, doa_t)
         out_i = beamform_ds(wet_i, doa_t)
@@ -145,8 +153,8 @@ class TestDelayAndSum:
 
     def test_linearity(self):
         rng = np.random.default_rng(4)
-        y1 = foa_stft(FoaSignal(rng.standard_normal((4, 1000)), SR))
-        y2 = foa_stft(FoaSignal(rng.standard_normal((4, 1000)), SR))
+        y1 = foa_stft(FoaSignal(rng.standard_normal((4, 1000))))
+        y2 = foa_stft(FoaSignal(rng.standard_normal((4, 1000))))
         doa = DoA(40, 10)
         lhs = beamform_ds(2.0 * y1 - 3.0 * y2, doa)
         rhs = 2.0 * beamform_ds(y1, doa) - 3.0 * beamform_ds(y2, doa)
@@ -154,7 +162,7 @@ class TestDelayAndSum:
 
     def test_window_slicing(self):
         rng = np.random.default_rng(5)
-        spec = foa_stft(FoaSignal(rng.standard_normal((4, SR)), SR))
+        spec = foa_stft(FoaSignal(rng.standard_normal((4, SR))))
         full = beamform_ds(spec, DoA(0, 0))
         windowed = beamform_ds(spec[..., 15:31], DoA(0, 0))
         assert np.array_equal(windowed, full[:, 15:31])
@@ -173,7 +181,7 @@ from embtrack.geometry import DoA
 from embtrack.scene import FoaSignal
 
 rng = np.random.default_rng(19)
-spec = foa_stft(FoaSignal(rng.standard_normal((4, 8 * 16000)), 16000))
+spec = foa_stft(FoaSignal(rng.standard_normal((4, 8 * 16000))))
 assert spec.shape[1] * 143 > 4 * _DS_BLOCK_CELLS
 for doa in (DoA(-35, 20), DoA(0, 0), DoA(170, -80)):
     d = steering_vector(doa)
@@ -193,11 +201,11 @@ for doa in (DoA(-35, 20), DoA(0, 0), DoA(170, -80)):
     @pytest.mark.parametrize("frames", [slice(0, 61), slice(7, 19), slice(40, 43)])
     def test_stft_domain_equals_stft_of_time_domain(self, frames):
         rng = np.random.default_rng(17)
-        mixture = FoaSignal(rng.standard_normal((4, SR)), SR)
+        mixture = FoaSignal(rng.standard_normal((4, SR)))
         for doa in random_doas(5, seed=18):
             d = steering_vector(doa)
             time_domain = (d / float(d @ d)) @ mixture.channels
-            expected = stft(time_domain, 512, 256, pad=False)[:, frames]
+            expected = stft(time_domain, pad=False)[:, frames]
             got = beamform_ds(foa_stft(mixture)[..., frames], doa)
             assert np.max(np.abs(got - expected)) < 1e-12
 
@@ -258,7 +266,7 @@ class TestMvdr:
 
     def test_identity_covariance_matches_ds_output(self):
         rng = np.random.default_rng(6)
-        spec = foa_stft(FoaSignal(rng.standard_normal((4, SR)), SR))
+        spec = foa_stft(FoaSignal(rng.standard_normal((4, SR))))
         doa = DoA(-70, 25)
         noise = rng.standard_normal((4, 20 * SR))
         # white uncorrelated noise reference -> covariance ~ scaled identity
@@ -270,14 +278,14 @@ class TestMvdr:
     def test_exact_identity_matches_ds_to_1e9(self):
         # bypass estimation: weights from an exact identity covariance per band
         rng = np.random.default_rng(7)
-        mixture = FoaSignal(rng.standard_normal((4, 4096)), SR)
+        mixture = FoaSignal(rng.standard_normal((4, 4096)))
         doa = DoA(10, 5)
         d = steering_vector(doa)
         cov = np.tile(np.eye(4, dtype=complex), (257, 1, 1))
         weights, _ = mvdr_weights(cov, d)
-        spec = stft(mixture.channels, 512, 256)
+        spec = stft(mixture.channels)
         out_spec = np.einsum("fc,cft->ft", np.conj(weights), spec)
-        out = istft(out_spec, 512, 256, 4096)
+        out = istft(out_spec, 4096)
         ds = beamform_ds(mixture, doa)
         assert np.max(np.abs(out - ds)) < 1e-9 * np.max(np.abs(ds))
         stft_domain = beamform_mvdr(foa_stft(mixture), doa, cov)
@@ -296,14 +304,15 @@ class TestMvdr:
 
     def test_interferer_suppression_beats_ds(self):
         spec = SceneSpec(seed=21, num_speakers=2, duration=8.0, snr=20.0)
-        mixture, wet, gt = generate_scene(spec)
+        simulated = simulate(spec)
+        mixture, wet, gt = simulated.mixture, simulated.wet, simulated.ground_truth
         # steer at speaker 0's first segment, on the frames centred in it
         onset, offset, doa = gt[0].segments[0]
         window = (onset, offset)
         frames = slice(int(onset * SR) // 256, int(offset * SR) // 256 - 1)
         noise_cov = reference_covariances(oracle_noise_reference(mixture, wet, 0, window))
-        target_only = foa_stft(FoaSignal(wet[0].channels, SR))[..., frames]
-        others = foa_stft(FoaSignal(mixture.channels - wet[0].channels, SR))[..., frames]
+        target_only = foa_stft(FoaSignal(wet[0].channels))[..., frames]
+        others = foa_stft(FoaSignal(mixture.channels - wet[0].channels))[..., frames]
         ds_sir = power(np.abs(beamform_ds(target_only, doa))) / power(
             np.abs(beamform_ds(others, doa))
         )
@@ -315,8 +324,8 @@ class TestMvdr:
     def test_linearity_with_frozen_covariance(self):
         rng = np.random.default_rng(10)
         noise_ref = rng.standard_normal((4, SR))
-        y1 = foa_stft(FoaSignal(rng.standard_normal((4, 2048)), SR))
-        y2 = foa_stft(FoaSignal(rng.standard_normal((4, 2048)), SR))
+        y1 = foa_stft(FoaSignal(rng.standard_normal((4, 2048))))
+        y2 = foa_stft(FoaSignal(rng.standard_normal((4, 2048))))
         doa = DoA(120, -30)
         noise_cov = covariance_of(noise_ref)
         lhs = beamform_mvdr(1.5 * y1 + 0.5 * y2, doa, noise_cov)
@@ -329,7 +338,7 @@ class TestMvdr:
 
     def test_diagnostics_counts_bands(self):
         rng = np.random.default_rng(11)
-        spec = foa_stft(FoaSignal(rng.standard_normal((4, 4096)), SR))
+        spec = foa_stft(FoaSignal(rng.standard_normal((4, 4096))))
         diag = MvdrDiagnostics()
         noise_cov = covariance_of(rng.standard_normal((4, SR)))
         beamform_mvdr(spec, DoA(0, 0), noise_cov, diagnostics=diag)
@@ -350,7 +359,7 @@ class TestIdealBeamformer:
         rng = np.random.default_rng(13)
         s0 = rng.standard_normal(2 * SR)
         s1 = rng.standard_normal(2 * SR)
-        wet = [encode_foa(s0, DoA(0, 0), SR), encode_foa(s1, DoA(90, 0), SR)]
+        wet = [encode_foa(s0, DoA(0, 0)), encode_foa(s1, DoA(90, 0))]
         gt = []
         for j, doa in enumerate([DoA(0, 0), DoA(90, 0)]):
             g = SpeakerGroundTruth(speaker_id=j, voice=VOICE)
@@ -361,17 +370,17 @@ class TestIdealBeamformer:
     def test_exact_steering_returns_target_wet(self):
         wet, gt, s0, s1 = self.make_scene()
         out = beamform_ideal(wet, gt, DoA(0, 0), (0.0, 2.0), self.ALL)
-        assert np.array_equal(out, stft(s0, 512, 256, pad=False))
+        assert np.array_equal(out, stft(s0, pad=False))
 
     def test_slightly_off_steering_still_selects_target(self):
         wet, gt, s0, s1 = self.make_scene()
         out = beamform_ideal(wet, gt, DoA(5, 0), (0.0, 2.0), self.ALL)
-        assert np.array_equal(out, stft(s0, 512, 256, pad=False))
+        assert np.array_equal(out, stft(s0, pad=False))
 
     def test_equidistant_tie_goes_to_lower_id(self):
         wet, gt, s0, s1 = self.make_scene()
         out = beamform_ideal(wet, gt, DoA(45, 0), (0.0, 2.0), self.ALL)
-        assert np.array_equal(out, stft(s0, 512, 256, pad=False))
+        assert np.array_equal(out, stft(s0, pad=False))
 
     def test_inactive_midpoint_uses_nearest_segment(self):
         wet, gt, s0, s1 = self.make_scene()
@@ -396,20 +405,23 @@ class TestIdealBeamformer:
 class TestNoiseReferences:
     def test_oracle_is_mixture_minus_target(self):
         spec = SceneSpec(seed=2, num_speakers=2, duration=4.0, snr=15.0)
-        mixture, wet, _ = generate_scene(spec)
+        simulated = simulate(spec)
+        mixture, wet = simulated.mixture, simulated.wet
         ref = oracle_noise_reference(mixture, wet, 0)
         assert np.allclose(ref.read(0, ref.num_samples), mixture.channels - wet[0].channels)
 
     def test_oracle_window_widened_to_minimum(self):
         spec = SceneSpec(seed=2, num_speakers=2, duration=4.0, snr=15.0)
-        mixture, wet, _ = generate_scene(spec)
+        simulated = simulate(spec)
+        mixture, wet = simulated.mixture, simulated.wet
         ref = oracle_noise_reference(mixture, wet, 0, window=(1.0, 1.1))
         assert ref.num_samples == int(0.5 * SR)
 
     @pytest.mark.parametrize("window", [(1.0, 2.5), (1.0, 1.1), (3.9, 3.95), None])
     def test_oracle_slices_before_subtracting(self, window):
         spec = SceneSpec(seed=2, num_speakers=2, duration=4.0, snr=15.0)
-        mixture, wet, _ = generate_scene(spec)
+        simulated = simulate(spec)
+        mixture, wet = simulated.mixture, simulated.wet
         # the formula that subtracts over the whole scene, then slices
         residual = mixture.channels - wet[1].channels
         expected = residual
@@ -430,14 +442,14 @@ class TestNoiseReferences:
     # analysis frames 12-30 and frame 12 holds 74-80.
     def gated_mask(self, active):
         rng = np.random.default_rng(14)
-        mixture = FoaSignal(rng.standard_normal((4, 2 * SR)), SR)
+        mixture = FoaSignal(rng.standard_normal((4, 2 * SR)))
         track = Trajectory(0, [(t, DoA(30, 0), t in active) for t in range(20)])
         inactive = [t for t, _, a in track.frames if not a]
         return gated_noise_reference(mixture, inactive)
 
     def test_gated_uses_inactive_frames(self):
         mask = self.gated_mask({2, 3, 4, 12})
-        assert mask.shape == (num_full_frames(2 * SR, 512, 256),) == (124,)
+        assert mask.shape == (num_full_frames(2 * SR),) == (124,)
         expected = np.ones(124, dtype=bool)
         expected[12:31] = False
         expected[74:81] = False
@@ -465,7 +477,7 @@ def assert_streamed_covariance(reference, samples):
     STFT of the materialised samples: within 1e-12 of the largest entry, and
     exactly Hermitian."""
     got = reference_covariances(reference)
-    expected = reference_band_covariances(stft(samples, 512, 256))
+    expected = reference_band_covariances(stft(samples))
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
     assert np.array_equal(got, np.conj(np.transpose(got, (0, 2, 1))))
 
@@ -476,10 +488,10 @@ class TestBandCovariances:
         # the oracle path: every block reference_covariances sums holds the
         # bits of the padded STFT of the whole time-domain reference
         noise = np.random.default_rng(samples).standard_normal((4, samples))
-        reference = NoiseReference(noise, np.zeros_like(noise), SR)
-        spec = stft(noise, 512, 256)
-        blocks = list(stft_blocks(reference.read, samples, 512, 256, block_frames=_COV_BLOCK_FRAMES))
-        assert blocks[-1][1] == spec.shape[2] == num_stft_frames(samples, 512, 256)
+        reference = NoiseReference(noise, np.zeros_like(noise))
+        spec = stft(noise)
+        blocks = list(stft_blocks(reference.read, samples, block_frames=_COV_BLOCK_FRAMES))
+        assert blocks[-1][1] == spec.shape[2] == num_stft_frames(samples)
         for f0, f1, spectra in blocks:
             assert np.array_equal(np.swapaxes(spectra, 1, 2), spec[..., f0:f1])
         assert_streamed_covariance(reference, noise)
@@ -498,14 +510,15 @@ class TestBandCovariances:
         ],
     )
     def test_oracle_covariance_equals_the_materialised_stft_covariance(self, n_frames):
-        mixture, wet, _ = generate_scene(SceneSpec(seed=2, num_speakers=2, duration=4.0, snr=15.0))
+        simulated = simulate(SceneSpec(seed=2, num_speakers=2, duration=4.0, snr=15.0))
+        mixture, wet = simulated.mixture, simulated.wet
         span = slice(7000, 7000 + (n_frames - 3) * 256 + 100)
         # also float32 sample-major channels, as fileio.read_wav gives them
         m32 = np.ascontiguousarray(mixture.channels.T, dtype=np.float32).T
         w32 = np.ascontiguousarray(wet[1].channels.T, dtype=np.float32).T
         for m, w in ((mixture.channels, wet[1].channels), (m32, w32)):
-            reference = NoiseReference(m[:, span], w[:, span], SR)
-            assert num_stft_frames(reference.num_samples, 512, 256) == n_frames
+            reference = NoiseReference(m[:, span], w[:, span])
+            assert num_stft_frames(reference.num_samples) == n_frames
             assert_streamed_covariance(reference, np.subtract(m[:, span], w[:, span], dtype=float))
 
     # widened and clipped at the scene's start, inside it, widened and
@@ -514,7 +527,8 @@ class TestBandCovariances:
         "window", [(0.0, 0.1), (-0.3, 0.4), (1.0, 2.7), (3.9, 3.95), (3.2, 4.0), None]
     )
     def test_oracle_windows_clipped_by_the_scene(self, window):
-        mixture, wet, _ = generate_scene(SceneSpec(seed=2, num_speakers=2, duration=4.0, snr=15.0))
+        simulated = simulate(SceneSpec(seed=2, num_speakers=2, duration=4.0, snr=15.0))
+        mixture, wet = simulated.mixture, simulated.wet
         reference = oracle_noise_reference(mixture, wet, 0, window)
         assert_streamed_covariance(reference, reference.read(0, reference.num_samples))
 
@@ -528,8 +542,8 @@ class TestBandCovariances:
         # A 6 s reference: its padded STFT alone takes 6.2 MB, and the
         # materialised path held that, its conjugate and the float64 reference.
         noise = np.random.default_rng(21).standard_normal((4, 6 * SR)).astype(np.float32)
-        reference = NoiseReference(noise, np.zeros_like(noise), SR)
-        stft_bytes = 4 * 257 * num_stft_frames(6 * SR, 512, 256) * 16
+        reference = NoiseReference(noise, np.zeros_like(noise))
+        stft_bytes = 4 * 257 * num_stft_frames(6 * SR) * 16
         tracemalloc.start()
         try:
             reference_covariances(reference)
@@ -541,7 +555,7 @@ class TestBandCovariances:
     @pytest.mark.parametrize("fraction", [0.05, 0.6, 1.0])
     def test_gated_equals_gathered_frames(self, fraction):
         rng = np.random.default_rng(16)
-        spec = foa_stft(FoaSignal(rng.standard_normal((4, 5 * SR)), SR))
+        spec = foa_stft(FoaSignal(rng.standard_normal((4, 5 * SR))))
         mask = rng.random(spec.shape[2]) < fraction
         got = band_covariances(spec, mask)
         expected = reference_band_covariances(spec[..., mask])
@@ -557,8 +571,12 @@ class TestBandCovariances:
         ],
     )
     def test_gated_blocks_equal_the_reference(self, n_fft, selected):
-        x = np.random.default_rng(n_fft).standard_normal((4, 3 * SR))
-        spec = stft(x, n_fft, n_fft // 2, pad=False)
+        rng = np.random.default_rng(n_fft)
+        if n_fft == N_WINDOW:
+            spec = stft(rng.standard_normal((4, 3 * SR)), pad=False)
+        else:  # a synthetic spectrum of n_fft // 2 + 1 bins on the 3 s grid's frames
+            shape = (4, n_fft // 2 + 1, num_full_frames(3 * SR))
+            spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         mask = np.zeros(spec.shape[2], dtype=bool)
         mask[selected] = True
         got = band_covariances(spec, mask)
@@ -567,7 +585,7 @@ class TestBandCovariances:
         assert np.array_equal(got, np.conj(np.transpose(got, (0, 2, 1))))
 
     def test_too_few_gated_frames_rejected(self):
-        spec = foa_stft(FoaSignal(np.random.default_rng(17).standard_normal((4, SR)), SR))
+        spec = foa_stft(FoaSignal(np.random.default_rng(17).standard_normal((4, SR))))
         mask = np.zeros(spec.shape[2], dtype=bool)
         mask[:9] = True
         with pytest.raises(ValueError):
@@ -578,7 +596,7 @@ class TestBandCovariances:
         # and padded STFT of the gated samples allocated more than the scene
         # STFT itself.
         rng = np.random.default_rng(18)
-        mixture = FoaSignal(rng.standard_normal((4, 30 * SR)), SR)
+        mixture = FoaSignal(rng.standard_normal((4, 30 * SR)))
         spec = foa_stft(mixture)
         inactive = [t for t in range(300) if not 100 <= t < 200]
         tracemalloc.start()

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -79,6 +80,13 @@ def one_scene(tmp_path_factory):
     return data
 
 
+def set_wav_rate(path: Path, rate: int) -> None:
+    """Rewrite the sample rate (and byte rate) in a write_wav file's header."""
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<II", raw, 24, rate, 16 * rate)
+    path.write_bytes(bytes(raw))
+
+
 def tree_bytes(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -114,7 +122,7 @@ class TestFileIo:
         from scipy.io import wavfile
 
         channels = np.random.default_rng(num_samples).standard_normal((4, num_samples))
-        fileio.write_wav(tmp_path / "ours.wav", FoaSignal(channels, 16000))
+        fileio.write_wav(tmp_path / "ours.wav", FoaSignal(channels))
         wavfile.write(tmp_path / "reference.wav", 16000, channels.astype(np.float32).T)
         assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "reference.wav").read_bytes()
 
@@ -123,11 +131,20 @@ class TestFileIo:
         channels = rng.standard_normal((4, 5001))
         channels[:, :4] = [0.0, -0.0, 1e-40, 3.4e38]  # zero signs, a subnormal, near the max
         channels = channels.astype(np.float32).astype(np.float64)
-        fileio.write_wav(tmp_path / "x.wav", FoaSignal(channels, 22050))
+        fileio.write_wav(tmp_path / "x.wav", FoaSignal(channels))
         back = fileio.read_wav(tmp_path / "x.wav")
-        assert back.sample_rate == 22050
+        assert struct.unpack_from("<I", (tmp_path / "x.wav").read_bytes(), 24) == (16000,)
         assert back.channels.dtype == np.float32
         assert back.channels.astype(np.float64).tobytes() == channels.tobytes()
+
+    @pytest.mark.parametrize("rate", [0, 8000, 22050])
+    def test_wav_reader_refuses_another_sample_rate(self, tmp_path, rate):
+        from scipy.io import wavfile
+
+        path = tmp_path / "x.wav"
+        wavfile.write(path, rate, np.zeros((800, 4), dtype=np.float32))
+        with pytest.raises(ValueError, match=f"{path}: audio at {rate} Hz, not at 16000 Hz"):
+            fileio.read_wav(path)
 
     def test_wav_reader_returns_a_read_only_view_of_the_bytes_it_read(self, tmp_path):
         # 30 s at 16 kHz: a 7.68 MB file. Besides the bytes read, only a
@@ -136,7 +153,7 @@ class TestFileIo:
         # any copy of the samples, even a float32 one, twice the file size.
         channels = np.random.default_rng(5).standard_normal((4, 30 * 16000))
         path = tmp_path / "x.wav"
-        fileio.write_wav(path, FoaSignal(channels, 16000))
+        fileio.write_wav(path, FoaSignal(channels))
         size = path.stat().st_size
         tracemalloc.start()
         try:
@@ -160,16 +177,16 @@ class TestFileIo:
 
     def test_signal_keeps_float32_and_widens_other_input(self):
         single = np.zeros((4, 3), dtype=np.float32)
-        assert FoaSignal(single, 16000).channels is single
+        assert FoaSignal(single).channels is single
         for channels in (np.zeros((4, 3), dtype=np.int16), np.zeros((4, 3), dtype=np.float16), [[0]] * 4):
-            assert FoaSignal(channels, 16000).channels.dtype == np.float64
+            assert FoaSignal(channels).channels.dtype == np.float64
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_wav_writer_holds_a_block(self, tmp_path, dtype):
         # 30 s at 16 kHz: a 7.68 MB file, written and hashed from one
         # 256 KB block; a whole float32 copy of the samples is the file size.
         channels = np.random.default_rng(6).standard_normal((4, 30 * 16000)).astype(dtype)
-        signal = FoaSignal(channels, 16000)
+        signal = FoaSignal(channels)
         tracemalloc.start()
         try:
             digest = fileio.write_wav(tmp_path / "x.wav", signal)
@@ -185,7 +202,7 @@ class TestFileIo:
     def test_wav_writer_returns_the_sha256_of_the_file(self, tmp_path, num_samples):
         channels = np.random.default_rng(num_samples).standard_normal((4, num_samples))
         path = tmp_path / "x.wav"
-        digest = fileio.write_wav(path, FoaSignal(channels, 16000))
+        digest = fileio.write_wav(path, FoaSignal(channels))
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_scene_writer_returns_the_sha256_of_the_mixture(self, tmp_path):
@@ -195,7 +212,7 @@ class TestFileIo:
 
     def test_wav_reader_skips_unknown_and_odd_sized_chunks(self, tmp_path):
         channels = np.arange(12.0).reshape(4, 3)
-        fileio.write_wav(tmp_path / "x.wav", FoaSignal(channels, 16000))
+        fileio.write_wav(tmp_path / "x.wav", FoaSignal(channels))
         raw = (tmp_path / "x.wav").read_bytes()
         extra = b"LIST" + (3).to_bytes(4, "little") + b"abc" + b"\0"
         raw = raw[:12] + extra + raw[12:]
@@ -206,7 +223,7 @@ class TestFileIo:
     def test_wav_reader_checks_the_sha256_of_the_bytes_it_parses(self, tmp_path):
         channels = np.arange(12.0).reshape(4, 3)
         path = tmp_path / "x.wav"
-        fileio.write_wav(path, FoaSignal(channels, 16000))
+        fileio.write_wav(path, FoaSignal(channels))
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert np.array_equal(fileio.read_wav(path, sha256=digest).channels, channels)
         with pytest.raises(ValueError, match="does not match sha256"):
@@ -564,10 +581,9 @@ class TestRun:
         path = data / "scenes" / "scene_0000" / "speaker00.wav"
         wet = fileio.read_wav(path)
         if kind == "short":
-            signal = FoaSignal(wet.channels[:, : wet.num_samples // 3], wet.sample_rate)
+            fileio.write_wav(path, FoaSignal(wet.channels[:, : wet.num_samples // 3]))
         else:
-            signal = FoaSignal(wet.channels, 22050)
-        fileio.write_wav(path, signal)
+            set_wav_rate(path, 22050)
         results = tmp_path / "results"
         argv = ["run", "--dataset", str(data), "--out", str(results), "--beamformers", "ideal,mvdr"]
         assert main(argv) == 3
@@ -585,7 +601,7 @@ class TestRun:
         shutil.copytree(one_scene, data)
         path = data / "scenes" / "scene_0000" / "mixture.wav"
         mixture = fileio.read_wav(path)
-        assert (mixture.sample_rate, mixture.num_samples) == (16000, 96000)
+        assert mixture.num_samples == 96000
         if kind == "pcm16":
             wavfile.write(path, 16000, np.zeros((800, 4), dtype=np.int16))
         elif kind == "two_channels":
@@ -598,7 +614,8 @@ class TestRun:
             # A well-formed WAV that is not the scene spec's: a DS-only run
             # reads no speaker WAV to compare it with.
             rate, n = {"0_hz": (0, 96000), "8_khz": (8000, 96000)}.get(kind, (16000, 95999))
-            fileio.write_wav(path, FoaSignal(mixture.channels[:, :n], rate))
+            fileio.write_wav(path, FoaSignal(mixture.channels[:, :n]))
+            set_wav_rate(path, rate)
         # The manifest is made to match, so the scene reader is what refuses the file.
         manifest = json.loads((data / "manifest.json").read_text())
         manifest["scenes"][0]["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -608,8 +625,10 @@ class TestRun:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert f"cannot read {path.parent}: {path}: " in err
-        if kind in ("0_hz", "8_khz", "one_sample_short"):
-            assert f"{n} samples at {rate} Hz, the scene spec has 96000 at 16000 Hz" in err
+        if kind in ("0_hz", "8_khz"):
+            assert f"audio at {rate} Hz, not at 16000 Hz" in err
+        if kind == "one_sample_short":
+            assert f"{n} samples, the scene spec has 96000" in err
         assert list(results.rglob(COMPLETE_MARKER)) == []
 
     def test_mixture_not_matching_manifest_sha256_exit_code(self, small_dataset, tmp_path):
@@ -678,9 +697,9 @@ class TestRun:
         durations = []
         synthesize = scene_module.synthesize_voice
 
-        def spy(voice, duration, sample_rate, seed):
+        def spy(voice, duration, seed):
             durations.append(duration)
-            return synthesize(voice, duration, sample_rate, seed)
+            return synthesize(voice, duration, seed)
 
         monkeypatch.setattr(scene_module, "synthesize_voice", spy)
         monkeypatch.setattr(embedding, "synthesize_voice", spy)
@@ -710,6 +729,27 @@ class TestRun:
         ev = ["eval", "--seed", "7", "--dataset", str(data), "--results", str(results)]
         assert main(ev + ["--out", str(report)]) == 3
         assert "is not the ground truth of this dataset's scene" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_ground_truth_at_another_sample_rate_exit_code(self, small_results, tmp_path, capsys):
+        # Every signal is at 16 kHz: a spec naming another rate is refused as
+        # the ground truth is read, by run and by eval.
+        _cfg, dataset, results = small_results
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        path = data / "scenes" / "scene_0000" / "ground_truth.json"
+        doc = json.loads(path.read_text())
+        assert doc["spec"]["sample_rate"] == 16000
+        doc["spec"]["sample_rate"] = 22050
+        path.write_text(json.dumps(doc))
+        run = ["run", "--seed", "7", "--dataset", str(data), "--beamformers", "ds"]
+        assert main(run + ["--out", str(tmp_path / "results")]) == 3
+        assert "scene spec at 22050 Hz, not at 16000 Hz" in capsys.readouterr().err
+        assert list((tmp_path / "results").rglob(COMPLETE_MARKER)) == []
+        report = tmp_path / "report.json"
+        ev = ["eval", "--seed", "7", "--dataset", str(data), "--results", str(results)]
+        assert main(ev + ["--out", str(report)]) == 3
+        assert f"cannot read {path}: scene spec at 22050 Hz" in capsys.readouterr().err
         assert not report.exists()
 
     def test_resuming_a_complete_run_reads_no_scene_file(self, one_scene, tmp_path):
@@ -937,6 +977,22 @@ class TestEval:
         path.write_text('{"frames": [[%s, 10.0, -5.0, true]], "track_id": "speaker00"}\n' % index)
         argv = ["eval", "--config", str(small_config), "--dataset", str(data), "--results", str(copy)]
         assert main(argv + ["--out", str(tmp_path / "r.json")]) == 3
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("azimuth", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_azimuth_in_imported_tracks_exit_code(
+        self, small_results, small_config, tmp_path, capsys, azimuth
+    ):
+        # A NaN azimuth would lie at 0 degrees from every direction and score
+        # as a perfect match.
+        _cfg, data, results = small_results
+        copy = tmp_path / "results"
+        shutil.copytree(results, copy)
+        path = copy / "scene_0001" / "gt_m2_ds_whole" / "tracks_after.jsonl"
+        path.write_text('{"frames": [[0, %s, -5.0, true]], "track_id": "speaker00"}\n' % azimuth)
+        argv = ["eval", "--config", str(small_config), "--dataset", str(data), "--results", str(copy)]
+        assert main(argv + ["--out", str(tmp_path / "r.json")]) == 3
+        assert "is not finite" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     def test_missing_results_is_data_error(self, small_dataset, tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from embtrack.embedding import (
+    MEL_FILTERBANK,
     MIN_EMBED_FRAMES,
     Embedding,
     EnrollmentPool,
@@ -13,7 +14,6 @@ from embtrack.embedding import (
     embed,
     embed_power,
     enrollment_pool,
-    mel_filterbank,
 )
 from embtrack.dsp import stft
 from embtrack.scene import sample_voice_params, synthesize_voice
@@ -31,29 +31,29 @@ def unit(v):
 class TestEmbed:
     def test_deterministic(self):
         voice = sample_voice_params(np.random.default_rng(1))
-        s = synthesize_voice(voice, 1.0, SR, seed=4)
-        assert cosine(embed(s, SR), embed(s, SR)) == pytest.approx(1.0)
+        s = synthesize_voice(voice, 1.0, seed=4)
+        assert cosine(embed(s), embed(s)) == pytest.approx(1.0)
 
     def test_dimension_and_norm(self):
         voice = sample_voice_params(np.random.default_rng(1))
-        e = embed(synthesize_voice(voice, 1.0, SR, seed=4), SR)
+        e = embed(synthesize_voice(voice, 1.0, seed=4))
         assert e.vector.shape == (48,)
         assert np.linalg.norm(e.vector) == pytest.approx(1.0, abs=1e-9)
 
     def test_gain_invariance(self):
         voice = sample_voice_params(np.random.default_rng(2))
-        s = synthesize_voice(voice, 2.0, SR, seed=5)
+        s = synthesize_voice(voice, 2.0, seed=5)
         for alpha in (0.05, 0.5, 3.7, 40.0):
-            diff = np.max(np.abs(embed(alpha * s, SR).vector - embed(s, SR).vector))
+            diff = np.max(np.abs(embed(alpha * s).vector - embed(s).vector))
             assert diff < 1e-6
 
     def test_short_input_raises(self):
         with pytest.raises(ShortInputError):
-            embed(np.zeros(900), SR)  # < 3 frames of 32 ms / 16 ms
+            embed(np.zeros(900))  # < 3 frames of 32 ms / 16 ms
 
     def test_minimum_length_accepted(self):
         rng = np.random.default_rng(0)
-        embed(rng.standard_normal(512 + 2 * 256), SR)
+        embed(rng.standard_normal(512 + 2 * 256))
 
     def test_same_speaker_beats_cross_speaker(self, panel_similarities):
         same, cross = panel_similarities
@@ -66,7 +66,7 @@ class TestEmbed:
     def test_white_noise_scores_below_same_speaker_mean(self, voice_panel, panel_similarities):
         voices, embeddings = voice_panel
         same, _ = panel_similarities
-        noise_emb = embed(np.random.default_rng(7).standard_normal(SR), SR)
+        noise_emb = embed(np.random.default_rng(7).standard_normal(SR))
         scores = [cosine(noise_emb, row[0]) for row in embeddings]
         assert max(scores) < same.mean()
 
@@ -75,13 +75,13 @@ class TestEmbed:
         # than 250 ms excerpts of the same utterance.
         def excerpt_variance(utterance, starts, length_s):
             n = int(length_s * SR)
-            vecs = [embed(utterance[s : s + n], SR).vector for s in starts]
+            vecs = [embed(utterance[s : s + n]).vector for s in starts]
             return float(np.trace(np.cov(np.stack(vecs).T)))
 
         long_var, short_var = [], []
         for vseed in range(6):
             voice = sample_voice_params(np.random.default_rng(vseed))
-            utterance = synthesize_voice(voice, 24.0, SR, seed=8)
+            utterance = synthesize_voice(voice, 24.0, seed=8)
             starts = np.linspace(0, len(utterance) - 2 * SR, 10).astype(int)
             long_var.append(excerpt_variance(utterance, starts, 2.0))
             short_var.append(excerpt_variance(utterance, starts, 0.25))
@@ -92,36 +92,36 @@ class TestFrameMask:
     @staticmethod
     def utterance(seed=3, duration=2.0):
         voice = sample_voice_params(np.random.default_rng(seed))
-        return synthesize_voice(voice, duration, SR, seed=seed)
+        return synthesize_voice(voice, duration, seed=seed)
 
     def test_all_true_mask_is_bit_identical(self):
         s = self.utterance()
-        n = len(analysis_frame_centers(len(s), SR))
-        masked = embed(s, SR, np.ones(n, dtype=bool))
-        plain = embed(s, SR)
+        n = len(analysis_frame_centers(len(s)))
+        masked = embed(s, frame_mask=np.ones(n, dtype=bool))
+        plain = embed(s)
         assert np.array_equal(masked.vector, plain.vector)
         assert masked.pooled_frames == plain.pooled_frames == n
         assert not masked.pooling_fallback
 
     def test_too_few_free_frames_pools_all(self):
         s = self.utterance()
-        n = len(analysis_frame_centers(len(s), SR))
+        n = len(analysis_frame_centers(len(s)))
         mask = np.zeros(n, dtype=bool)
         mask[: MIN_EMBED_FRAMES - 1] = True
-        masked = embed(s, SR, mask)
-        assert np.array_equal(masked.vector, embed(s, SR).vector)
+        masked = embed(s, frame_mask=mask)
+        assert np.array_equal(masked.vector, embed(s).vector)
         assert masked.pooled_frames == n
         assert masked.pooling_fallback
 
     def test_masked_embedding_is_gain_invariant(self):
         s = self.utterance()
-        n = len(analysis_frame_centers(len(s), SR))
+        n = len(analysis_frame_centers(len(s)))
         mask = np.arange(n) % 3 != 0
-        reference = embed(s, SR, mask)
+        reference = embed(s, frame_mask=mask)
         assert reference.pooled_frames == int(mask.sum())
-        assert np.max(np.abs(reference.vector - embed(s, SR).vector)) > 1e-3
+        assert np.max(np.abs(reference.vector - embed(s).vector)) > 1e-3
         for alpha in (0.05, 0.5, 3.7, 40.0):
-            diff = np.max(np.abs(embed(alpha * s, SR, mask).vector - reference.vector))
+            diff = np.max(np.abs(embed(alpha * s, frame_mask=mask).vector - reference.vector))
             assert diff < 1e-6
 
     def test_mask_excludes_interfering_speaker(self):
@@ -129,50 +129,50 @@ class TestFrameMask:
         target = self.utterance(seed=3, duration=2.0)
         other = 3.0 * self.utterance(seed=4, duration=1.0)
         mixed = np.concatenate([target[:SR], other])
-        centers = analysis_frame_centers(len(mixed), SR)
+        centers = analysis_frame_centers(len(mixed))
         mask = centers + 256 <= SR  # frames lying wholly in the target's second
-        clean = embed(target, SR)
-        assert cosine(embed(mixed, SR, mask), clean) > cosine(embed(mixed, SR), clean)
+        clean = embed(target)
+        assert cosine(embed(mixed, frame_mask=mask), clean) > cosine(embed(mixed), clean)
 
     def test_mask_length_must_match_frames(self):
         s = self.utterance()
-        n = len(analysis_frame_centers(len(s), SR))
+        n = len(analysis_frame_centers(len(s)))
         with pytest.raises(ValueError):
-            embed(s, SR, np.ones(n + 1, dtype=bool))
+            embed(s, frame_mask=np.ones(n + 1, dtype=bool))
 
 
 class TestEmbedPower:
     @pytest.mark.parametrize("seed, duration", [(3, 2.0), (5, 0.3), (7, 20.0)])
     def test_embed_is_embed_power_of_the_stft(self, seed, duration):
         s = TestFrameMask.utterance(seed, duration)
-        power = np.abs(stft(s, 512, 256, pad=False)) ** 2
+        power = np.abs(stft(s, pad=False)) ** 2
         n = power.shape[1]
-        assert np.array_equal(embed(s, SR).vector, embed_power(power, SR).vector)
+        assert np.array_equal(embed(s).vector, embed_power(power).vector)
         mask = np.arange(n) % 4 != 1
-        masked, from_power = embed(s, SR, mask), embed_power(power, SR, mask)
+        masked, from_power = embed(s, frame_mask=mask), embed_power(power, frame_mask=mask)
         assert np.array_equal(masked.vector, from_power.vector)
         assert masked.pooled_frames == from_power.pooled_frames == int(mask.sum())
 
     def test_too_few_frames_raises(self):
         with pytest.raises(ShortInputError):
-            embed_power(np.ones((257, MIN_EMBED_FRAMES - 1)), SR)
+            embed_power(np.ones((257, MIN_EMBED_FRAMES - 1)))
 
     def test_bin_count_must_match_window(self):
         with pytest.raises(ValueError):
-            embed_power(np.ones((256, 10)), SR)
+            embed_power(np.ones((256, 10)))
 
 
 def test_analysis_frame_centers_match_embed_frames():
-    centers = analysis_frame_centers(512 + 4 * 256, SR)
+    centers = analysis_frame_centers(512 + 4 * 256)
     assert centers.tolist() == [256.0, 512.0, 768.0, 1024.0, 1280.0]
-    assert analysis_frame_centers(500, SR).size == 0
+    assert analysis_frame_centers(500).size == 0
 
 
 def test_analysis_frames_map_to_the_tracker_frame_of_their_centre():
     # 2 s at 16 kHz: frame k is centred at 256 k + 256 samples, and a 0.1 s
     # tracker frame is 1600 samples, so frames 12-30 lie in tracker frames 2-4
     k = np.arange(124)
-    tracker_frames = analysis_frame_tracker_frames(2 * SR, SR)
+    tracker_frames = analysis_frame_tracker_frames(2 * SR)
     assert tracker_frames.tolist() == ((256 * k + 256) // 1600).tolist()
     assert np.flatnonzero(np.isin(tracker_frames, [2, 3, 4])).tolist() == list(range(12, 31))
 
@@ -246,7 +246,7 @@ class TestEnrollment:
         rng = np.random.default_rng(5)
         voices = [sample_voice_params(rng) for _ in range(2)]
         pool = enrollment_pool(build_enrollment(voices, seed=3), 2, [])
-        probe = embed(synthesize_voice(voices[0], 5.0, SR, seed=99), SR)
+        probe = embed(synthesize_voice(voices[0], 5.0, seed=99))
         scores = [cosine(probe, emb) for _, emb in pool.entries]
         assert scores[0] > scores[1]
 
@@ -266,21 +266,33 @@ class TestEnrollment:
 
 
 def test_mel_filterbank_covers_band():
-    fb = mel_filterbank(SR, 512)
+    fb = MEL_FILTERBANK
     assert fb.shape == (24, 257)
     freqs = np.fft.rfftfreq(512, d=1.0 / SR)
     inside = (freqs > 150) & (freqs < 7500)
     assert np.all(fb[:, inside].sum(axis=0) > 0)
 
 
-def test_mel_filterbank_is_cached_read_only():
-    fb = mel_filterbank(SR, 512)
-    assert mel_filterbank(SR, 512) is fb
-    assert not fb.flags.writeable
+def test_mel_filterbank_is_read_only():
+    assert not MEL_FILTERBANK.flags.writeable
     with pytest.raises(ValueError):
-        fb[0, 0] = 1.0
+        MEL_FILTERBANK[0, 0] = 1.0
 
 
-def test_mel_filterbank_rejects_low_sample_rate():
-    with pytest.raises(ValueError):
-        mel_filterbank(8000, 512)
+def test_stale_sample_rate_arguments_raise():
+    # Calls of the old signatures, which took a sample rate, must not bind it
+    # to the parameter that follows.
+    s = np.ones(4096)
+    voices = [sample_voice_params(np.random.default_rng(0))]
+    calls = [
+        lambda: embed(s, SR),
+        lambda: embed(s, SR, None),
+        lambda: embed_power(np.ones((257, 10)), SR),
+        lambda: analysis_frame_centers(len(s), SR),
+        lambda: analysis_frame_tracker_frames(len(s), SR, slice(None)),
+        lambda: build_distractors(1, 0, SR),
+        lambda: build_enrollment(voices, 0, SR),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()

@@ -73,6 +73,14 @@ def test_elevation_out_of_range_rejected():
         DoA(0.0, 91.0)
 
 
+@pytest.mark.parametrize("azimuth", [math.nan, math.inf, -math.inf])
+def test_non_finite_azimuth_rejected(azimuth):
+    # A NaN azimuth would lie at 0 degrees from every direction
+    # (angle_between clamps the NaN cosine to 1).
+    with pytest.raises(ValueError, match="not finite"):
+        DoA(azimuth, 0.0)
+
+
 def test_spherical_mean_of_cluster_points_inward():
     rng = np.random.default_rng(0)
     mu = np.array([0.0, 0.0, 1.0])

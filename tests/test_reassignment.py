@@ -64,6 +64,21 @@ def test_positional_tracker_period_is_refused(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: enroll_speakers([], (0,), 16000),
+        lambda: reassignment._window_frames(frag(0, 0, 0, 5), (0.0, 0.5), 16000, 16000),
+        lambda: beamforming.NoiseReference(np.zeros((4, 10)), np.zeros((4, 10)), 16000),
+    ],
+)
+def test_positional_sample_rate_is_refused(call):
+    # The sample rate is a constant; a call that still passes one
+    # positionally must fail, not bind it to the parameter that follows.
+    with pytest.raises(TypeError):
+        call()
+
+
 def frag(fid, track, onset, offset, doa=DoA(0, 0), overlapped=()):
     return Fragment(
         fragment_id=fid,
@@ -258,7 +273,7 @@ class TestExtractFragmentEmbedding:
         emb = extract_fragment_embedding(scene, spec, self.OVERLAPPED, DurationPolicy(), "ideal")
         target = nearest_speaker_index(scene.ground_truth, DoA(30, 0), 1.5)
         mono = scene.wet[target].channels[0, : self.WINDOW_SAMPLES]
-        assert np.array_equal(emb.vector, embed(mono, self.SR).vector)
+        assert np.array_equal(emb.vector, embed(mono).vector)
         assert emb.pooled_frames == self.WINDOW_FRAMES
         assert not emb.pooling_fallback
 
@@ -273,19 +288,19 @@ class TestExtractFragmentEmbedding:
         # 187 analysis frames; the 62 centred in [1.0 s, 2.0 s) are left out
         assert emb.pooled_frames == 125
         assert not emb.pooling_fallback
-        assert np.max(np.abs(emb.vector - embed(mono, self.SR).vector)) > 1e-6
+        assert np.max(np.abs(emb.vector - embed(mono).vector)) > 1e-6
         free = np.ones(self.WINDOW_FRAMES, dtype=bool)
         free[62:124] = False
-        assert np.allclose(emb.vector, embed(mono, self.SR, free).vector, rtol=0, atol=1e-9)
+        assert np.allclose(emb.vector, embed(mono, frame_mask=free).vector, rtol=0, atol=1e-9)
 
     def test_ds_without_overlap_pools_every_frame(self, scene, spec):
         lone = frag(0, 0, 0, 29, DoA(30, 0))
         emb = extract_fragment_embedding(scene, spec, lone, DurationPolicy(), "ds")
         beam = beamform_ds(spec[..., : self.WINDOW_FRAMES], DoA(30, 0))
-        assert np.array_equal(emb.vector, embed_power(np.abs(beam) ** 2, self.SR).vector)
+        assert np.array_equal(emb.vector, embed_power(np.abs(beam) ** 2).vector)
         # the STFT-domain beam is the STFT of the time-domain one
         mono = beamform_ds(scene.mixture, DoA(30, 0))[: self.WINDOW_SAMPLES]
-        assert np.allclose(emb.vector, embed(mono, self.SR).vector, rtol=0, atol=1e-9)
+        assert np.allclose(emb.vector, embed(mono).vector, rtol=0, atol=1e-9)
 
     def test_fully_overlapped_window_falls_back_to_all_frames(self, scene, spec):
         shared = frag(0, 0, 0, 29, DoA(30, 0), overlapped=range(30))
@@ -316,7 +331,7 @@ class TestExtractFragmentEmbedding:
         # a 30 ms prefix, [0, 30 ms): only the first frame is centred in it,
         # so the window reads the first MIN_EMBED_FRAMES frames
         short = frag(0, 0, 0, 0, DoA(30, 0))
-        frames, _ = reassignment._window_frames(short, (0.0, 0.03), scene.mixture.num_samples, self.SR)
+        frames, _ = reassignment._window_frames(short, (0.0, 0.03), scene.mixture.num_samples)
         assert frames == slice(0, MIN_EMBED_FRAMES)
         for beamformer in BEAMFORMERS:
             emb = extract_fragment_embedding(scene, spec, short, DurationPolicy(30), beamformer)
@@ -324,7 +339,7 @@ class TestExtractFragmentEmbedding:
         ideal = extract_fragment_embedding(scene, spec, short, DurationPolicy(30), "ideal")
         target = nearest_speaker_index(scene.ground_truth, DoA(30, 0), 0.015)
         mono = scene.wet[target].channels[0, : 512 + (MIN_EMBED_FRAMES - 1) * 256]
-        assert np.array_equal(ideal.vector, embed(mono, self.SR).vector)
+        assert np.array_equal(ideal.vector, embed(mono).vector)
 
 
 class TestWindowFrames:
@@ -342,8 +357,8 @@ class TestWindowFrames:
         duration = num_samples / self.SR
         window = (start * duration, min(duration, start * duration + length))
         f = frag(0, 0, 0, 0, overlapped=sorted(overlapped))
-        frames, free = reassignment._window_frames(f, window, num_samples, self.SR)
-        centers = analysis_frame_centers(num_samples, self.SR)
+        frames, free = reassignment._window_frames(f, window, num_samples)
+        centers = analysis_frame_centers(num_samples)
         a, b = round(window[0] * self.SR), round(window[1] * self.SR)
         assert 0 <= frames.start and frames.stop <= len(centers)
         assert frames.stop - frames.start >= MIN_EMBED_FRAMES
@@ -371,7 +386,7 @@ class TestWindowFrames:
         # last tracker frame holds two centres, so the clamp to the grid's
         # last MIN_EMBED_FRAMES frames is taken.
         num_samples = int(round(3.151 * self.SR))
-        centers = analysis_frame_centers(num_samples, self.SR)
+        centers = analysis_frame_centers(num_samples)
         whole_tracker_frames = np.floor(centers / (0.1 * self.SR)).astype(int)
         f = frag(0, 0, 0, 0, overlapped=[3, 17, 30, 31])
         windows = [(a / 1000, b / 1000) for a in range(0, 3151, 37) for b in (a + 10, a + 100, a + 250, 3151)]
@@ -385,7 +400,7 @@ class TestWindowFrames:
                 stop = start + MIN_EMBED_FRAMES
                 clamped += start + MIN_EMBED_FRAMES == len(centers)
             expected_free = ~np.isin(whole_tracker_frames[start:stop], f.overlapped_frames)
-            frames, free = reassignment._window_frames(f, window, num_samples, self.SR)
+            frames, free = reassignment._window_frames(f, window, num_samples)
             assert frames == slice(start, stop)
             assert free.dtype == expected_free.dtype and np.array_equal(free, expected_free)
         assert clamped > 0
@@ -394,12 +409,12 @@ class TestWindowFrames:
         # 1.35 s: 83 analysis frames, the last centred at 21248 samples; the
         # last tracker frame, [1.3 s, 1.4 s), holds the centres of frames 81, 82
         num_samples = 21600
-        centers = analysis_frame_centers(num_samples, self.SR)
+        centers = analysis_frame_centers(num_samples)
         window = (1.3, 1.4)
         assert len(centers) == 83
         assert np.flatnonzero((centers >= 20800) & (centers < 22400)).tolist() == [81, 82]
         last = frag(0, 0, 13, 13, overlapped=[12])
-        frames, free = reassignment._window_frames(last, window, num_samples, self.SR)
+        frames, free = reassignment._window_frames(last, window, num_samples)
         assert frames == slice(80, 83)
         assert free.tolist() == [False, True, True]  # frame 80 is centred in tracker frame 12
 
@@ -715,7 +730,7 @@ class TestFloat32ReadScene:
         read, _ = fileio.read_scene(scene_dir)
 
         def widened(signal):
-            return FoaSignal(signal.channels.astype(np.float64), signal.sample_rate)
+            return FoaSignal(signal.channels.astype(np.float64))
 
         wide = Scene(widened(read.mixture), [widened(w) for w in read.wet], read.ground_truth)
         assert read.mixture.channels.dtype == np.float32

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import DIFFUSE_SCALES, slow_noise, whole_array_mix
 from embtrack import scene
+from embtrack.dsp import SAMPLE_RATE
 from embtrack.geometry import DoA, angular_distance
 from embtrack.scene import (
     SEPARATION_REGIMES,
@@ -15,9 +16,9 @@ from embtrack.scene import (
     VoiceParams,
     foa_gains,
     generate_diffuse_noise,
-    generate_scene,
     render_scene,
     sample_voice_params,
+    simulate,
     synthesize_voice,
 )
 
@@ -133,7 +134,7 @@ class TestFoaSignal:
         # A full-size boolean array is an eighth of a float64 signal's bytes
         # and a quarter of a float32 one's.
         channels = np.zeros((4, 30 * 16000), dtype=dtype)
-        signal, peak = _peak_bytes(FoaSignal, channels, 16000)
+        signal, peak = _peak_bytes(FoaSignal, channels)
         assert signal.channels is channels
         assert peak < channels.nbytes / 8
 
@@ -143,9 +144,9 @@ class TestFoaSignal:
         channels = np.zeros((4, 3 * scene._FINITE_BLOCK + 5), dtype=dtype)
         channels[3, -1] = bad
         with pytest.raises(ValueError, match="finite"):
-            FoaSignal(channels, 16000)
+            FoaSignal(channels)
         channels[3, -1] = 0.0
-        FoaSignal(channels, 16000)
+        FoaSignal(channels)
 
 
 class TestEncodeFoa:
@@ -170,28 +171,28 @@ class TestEncodeFoa:
 
 class TestDiffuseNoise:
     def test_channel_power_ratios(self):
-        noise = generate_diffuse_noise(60.0, 16000, seed=7)
+        noise = generate_diffuse_noise(60.0, seed=7)
         powers = np.mean(noise.channels**2, axis=1)
         for ch in (1, 2, 3):
             assert powers[ch] / powers[0] == pytest.approx(1.0 / 3.0, rel=0.05)
 
     def test_nearly_uncorrelated_channels(self):
-        noise = generate_diffuse_noise(30.0, 16000, seed=3)
+        noise = generate_diffuse_noise(30.0, seed=3)
         cov = noise.channels @ noise.channels.T / noise.num_samples
         off = cov - np.diag(np.diag(cov))
         assert np.max(np.abs(off)) < 0.01
 
     def test_zero_mean(self):
-        noise = generate_diffuse_noise(10.0, 16000, seed=1)
+        noise = generate_diffuse_noise(10.0, seed=1)
         assert np.allclose(np.mean(noise.channels, axis=1), 0.0, atol=0.01)
 
     def test_zero_duration_is_empty(self):
-        noise = generate_diffuse_noise(0.0, 16000, seed=0)
+        noise = generate_diffuse_noise(0.0, seed=0)
         assert noise.num_samples == 0
 
     def test_deterministic(self):
-        a = generate_diffuse_noise(1.0, 16000, seed=5)
-        b = generate_diffuse_noise(1.0, 16000, seed=5)
+        a = generate_diffuse_noise(1.0, seed=5)
+        b = generate_diffuse_noise(1.0, seed=5)
         assert np.array_equal(a.channels, b.channels)
 
 
@@ -199,33 +200,33 @@ class TestDiffuseNoise:
     def test_equals_one_whole_array_draw(self, duration):
         n = int(round(duration * 16000))
         reference = DIFFUSE_SCALES[:, None] * np.random.default_rng(5).standard_normal((4, n))
-        assert np.array_equal(generate_diffuse_noise(duration, 16000, seed=5).channels, reference)
+        assert np.array_equal(generate_diffuse_noise(duration, seed=5).channels, reference)
 
 
 class TestSynthesizeVoice:
     def test_unit_rms(self):
         voice = sample_voice_params(np.random.default_rng(0))
-        s = synthesize_voice(voice, 2.0, 16000, seed=1)
+        s = synthesize_voice(voice, 2.0, seed=1)
         assert np.sqrt(np.mean(s**2)) == pytest.approx(1.0)
 
     def test_zero_duration_empty(self):
         voice = sample_voice_params(np.random.default_rng(0))
-        assert len(synthesize_voice(voice, 0.0, 16000, seed=1)) == 0
+        assert len(synthesize_voice(voice, 0.0, seed=1)) == 0
 
     def test_deterministic(self):
         voice = sample_voice_params(np.random.default_rng(0))
-        a = synthesize_voice(voice, 1.0, 16000, seed=9)
-        b = synthesize_voice(voice, 1.0, 16000, seed=9)
+        a = synthesize_voice(voice, 1.0, seed=9)
+        b = synthesize_voice(voice, 1.0, seed=9)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("f0", [80.0, 300.0])  # 90 and 24 harmonics at 16 kHz
     @pytest.mark.parametrize("duration", [3.0, 20.0, 60.0])
     def test_matches_per_harmonic_sin_sum(self, f0, duration):
         voice = VoiceParams(f0, -6.0, ((700.0, 120.0, 8.0), (1800.0, 200.0, 5.0)), 3.5)
-        s = synthesize_voice(voice, duration, 16000, seed=4)
+        s = synthesize_voice(voice, duration, seed=4)
         assert np.max(np.abs(s - _per_harmonic_voice(voice, duration, 16000, seed=4))) <= 1e-9
         assert np.sqrt(np.mean(s**2)) == pytest.approx(1.0, abs=1e-12)
-        assert np.array_equal(s, synthesize_voice(voice, duration, 16000, seed=4))
+        assert np.array_equal(s, synthesize_voice(voice, duration, seed=4))
 
     def test_prior_voices_match_per_harmonic_sin_sum(self):
         # 12 voices drawn from the prior, and its corner with the most
@@ -236,18 +237,18 @@ class TestSynthesizeVoice:
         voices = [sample_voice_params(rng) for _ in range(12)]
         voices.append(VoiceParams(80.0, -1.0, ((900.0, 300.0, 18.0), (2400.0, 400.0, 18.0), (5000.0, 600.0, 18.0)), 3.0))
         for k, voice in enumerate(voices):
-            s = synthesize_voice(voice, 3.0, 16000, seed=k)
+            s = synthesize_voice(voice, 3.0, seed=k)
             assert np.max(np.abs(s - _per_harmonic_voice(voice, 3.0, 16000, seed=k))) <= 1e-9
 
     @pytest.mark.parametrize("num_samples", [1, 2, 3 * 8192, 2 * 8192 + 1, 40001])
     def test_block_size_changes_no_bit(self, num_samples, monkeypatch):
         voice = VoiceParams(95.0, -5.0, ((900.0, 150.0, 6.0),), 4.0)
         duration = num_samples / 16000
-        reference = synthesize_voice(voice, duration, 16000, seed=11)
+        reference = synthesize_voice(voice, duration, seed=11)
         assert len(reference) == num_samples
         for block in (2, 3, 1000, 8191, 10**6):
             monkeypatch.setattr(scene, "_SYNTH_BLOCK", block)
-            assert np.array_equal(synthesize_voice(voice, duration, 16000, seed=11), reference)
+            assert np.array_equal(synthesize_voice(voice, duration, seed=11), reference)
 
     @pytest.mark.parametrize("duration", [20.0, 3.3, 0.5])
     def test_in_place_synthesis_changes_no_bit(self, duration):
@@ -255,7 +256,7 @@ class TestSynthesizeVoice:
         for k in range(12):
             voice = sample_voice_params(rng)
             assert np.array_equal(
-                synthesize_voice(voice, duration, 16000, seed=k),
+                synthesize_voice(voice, duration, seed=k),
                 _out_of_place_voice(voice, duration, 16000, seed=k),
             )
 
@@ -264,7 +265,7 @@ class TestSynthesizeVoice:
         # in-place full-length one at four; the block-wise one holds the
         # signal, the RMS temporary, the table and one block's arrays.
         voice = sample_voice_params(np.random.default_rng(0))
-        sig, peak = _peak_bytes(synthesize_voice, voice, 20.0, 16000, 1)
+        sig, peak = _peak_bytes(synthesize_voice, voice, 20.0, 1)
         assert peak <= 3 * sig.nbytes
 
     # At n = 5337, (n - 1) * step rounds below the last control point, where
@@ -272,7 +273,7 @@ class TestSynthesizeVoice:
     @pytest.mark.parametrize("n", [1, 2, 5337, scene._SYNTH_BLOCK - 1, scene._SYNTH_BLOCK + 1, 40001])
     def test_block_slow_noise_equals_whole_array_interp(self, n):
         rng, reference_rng = np.random.default_rng(8), np.random.default_rng(8)
-        ctrl = scene._slow_noise_controls(rng, n, 16000, 3.0)
+        ctrl = scene._slow_noise_controls(rng, n, 3.0)
         blocks = [
             scene._slow_noise_block(ctrl, n, start, min(start + scene._SYNTH_BLOCK, n))
             for start in range(0, n, scene._SYNTH_BLOCK)
@@ -285,7 +286,7 @@ class TestSynthesizeVoice:
     @pytest.mark.parametrize("phase", [0.0, 6.28])
     def test_oscillator_matches_np_sin(self, rate_hz, phase):
         n = 60 * 16000
-        oscillator = scene._oscillator(rate_hz, phase, n, 16000)
+        oscillator = scene._oscillator(rate_hz, phase, n)
         blocks = [
             scene._oscillator_block(oscillator, start, min(start + scene._SYNTH_BLOCK, n))
             for start in range(0, n, scene._SYNTH_BLOCK)
@@ -331,7 +332,8 @@ class TestSynthesizeVoice:
 class TestGenerateScene:
     @pytest.mark.parametrize("snr", [15.0, 0.0, -20.0, None])
     def test_per_channel_noise_mix_equals_whole_array_mix(self, snr):
-        mixture, wet, _ = generate_scene(SceneSpec(seed=4, duration=6.0, num_speakers=2, snr=None))
+        simulated = simulate(SceneSpec(seed=4, duration=6.0, num_speakers=2, snr=None))
+        mixture, wet = simulated.mixture, simulated.wet
         assert np.array_equal(mixture.channels, whole_array_mix(wet, None, None))
         if snr is not None:
             noisy = mixture.channels.copy()
@@ -347,7 +349,8 @@ class TestGenerateScene:
 
         add_noise = scene._add_noise
         monkeypatch.setattr(scene, "_add_noise", recorded)
-        mixture, wet, _ = generate_scene(SceneSpec(seed=9, duration=8.0, num_speakers=3))
+        simulated = simulate(SceneSpec(seed=9, duration=8.0, num_speakers=3))
+        mixture, wet = simulated.mixture, simulated.wet
         [(noisy, snr, noise_seed)] = calls
         assert noisy is mixture.channels and snr == 15.0 and noise_seed is not None
         assert np.array_equal(mixture.channels, whole_array_mix(wet, snr, noise_seed))
@@ -359,7 +362,7 @@ class TestGenerateScene:
         rng = np.random.default_rng(spec.seed)
         speakers, gains_db = scene._place_speakers(rng, spec)
         reference_rng = copy.deepcopy(rng)
-        sr, n = spec.sample_rate, int(round(spec.duration * spec.sample_rate))
+        sr, n = SAMPLE_RATE, int(round(spec.duration * SAMPLE_RATE))
         for gt, gain_db in zip(speakers, gains_db):
             assert len(gt.segments) >= 3
             expected = np.zeros((4, n))
@@ -367,11 +370,11 @@ class TestGenerateScene:
             for onset, offset, doa in gt.segments:
                 seg_seed = int(reference_rng.integers(0, 2**63 - 1))
                 a, b = int(round(onset * sr)), int(round(offset * sr))
-                mono = synthesize_voice(gt.voice, (b - a) / sr, sr, seg_seed)
-                scene._apply_fades(mono, sr)
+                mono = synthesize_voice(gt.voice, (b - a) / sr, seg_seed)
+                scene._apply_fades(mono)
                 for row, foa_gain in zip(expected, foa_gains(doa)):
                     row[a : a + len(mono)] += foa_gain * mono * gain
-            assert np.array_equal(scene._speaker_channels(rng, gt, gain_db, n, sr), expected)
+            assert np.array_equal(scene._speaker_channels(rng, gt, gain_db, n), expected)
 
     def test_each_wet_signal_is_dropped_before_the_next_is_built(self, monkeypatch):
         # A name left bound to a previous speaker's array, or to a view of
@@ -395,27 +398,29 @@ class TestGenerateScene:
     def test_holds_at_most_half_a_signal_beyond_its_outputs(self):
         # 30 s, 2 speakers: the whole-array noise draw, its scaled copy and the
         # noisy sum held two full 4-channel signals beyond the outputs.
-        (mixture, wet, _), peak = _peak_bytes(generate_scene, SceneSpec(seed=1, duration=30.0))
-        outputs = mixture.channels.nbytes + sum(w.channels.nbytes for w in wet)
-        assert peak - outputs <= mixture.channels.nbytes / 2
+        simulated, peak = _peak_bytes(simulate, SceneSpec(seed=1, duration=30.0))
+        mixture = simulated.mixture.channels
+        outputs = mixture.nbytes + sum(w.channels.nbytes for w in simulated.wet)
+        assert peak - outputs <= mixture.nbytes / 2
 
     def test_deterministic_bit_identical(self):
         spec = SceneSpec(seed=42, duration=6.0)
-        mix_a, wet_a, gt_a = generate_scene(spec)
-        mix_b, wet_b, gt_b = generate_scene(spec)
-        assert np.array_equal(mix_a.channels, mix_b.channels)
-        for a, b in zip(wet_a, wet_b):
+        first, second = simulate(spec), simulate(spec)
+        assert np.array_equal(first.mixture.channels, second.mixture.channels)
+        for a, b in zip(first.wet, second.wet):
             assert np.array_equal(a.channels, b.channels)
-        assert [g.segments for g in gt_a] == [g.segments for g in gt_b]
+        assert [g.segments for g in first.ground_truth] == [g.segments for g in second.ground_truth]
 
     def test_single_source_no_noise_mixture_equals_wet(self):
-        mix, wet, gt = generate_scene(one_segment_spec())
+        simulated = simulate(one_segment_spec())
+        mix, wet, gt = simulated.mixture, simulated.wet, simulated.ground_truth
         assert len(gt[0].segments) == 1
         assert np.array_equal(mix.channels, wet[0].channels)
 
     def test_snr_calibration_within_tenth_db(self):
         spec = SceneSpec(seed=3, duration=8.0, snr=15.0)
-        mix, wet, gt = generate_scene(spec)
+        simulated = simulate(spec)
+        mix, wet, gt = simulated.mixture, simulated.wet, simulated.ground_truth
         speech = np.sum([w.channels[0] for w in wet], axis=0)
         noise = mix.channels[0] - speech
         snr_db = 10 * np.log10(np.mean(speech**2) / np.mean(noise**2))
@@ -423,7 +428,7 @@ class TestGenerateScene:
 
     def test_distant_regime_pairwise_separation(self):
         spec = SceneSpec(seed=11, num_speakers=2, duration=12.0, separation_regime="distant")
-        _, _, gt = generate_scene(spec)
+        gt = simulate(spec).ground_truth
         lo, hi = SEPARATION_REGIMES["distant"]
         for a_on, a_off, a_doa in gt[0].segments:
             for b_on, b_off, b_doa in gt[1].segments:
@@ -432,7 +437,7 @@ class TestGenerateScene:
 
     def test_close_regime_pairwise_separation(self):
         spec = SceneSpec(seed=11, num_speakers=2, duration=12.0, separation_regime="close")
-        _, _, gt = generate_scene(spec)
+        gt = simulate(spec).ground_truth
         for a_on, a_off, a_doa in gt[0].segments:
             for b_on, b_off, b_doa in gt[1].segments:
                 if a_on < b_off and b_on < a_off:
@@ -440,7 +445,7 @@ class TestGenerateScene:
 
     def test_jump_property(self):
         spec = SceneSpec(seed=5, duration=30.0)
-        _, _, gt = generate_scene(spec)
+        gt = simulate(spec).ground_truth
         for speaker in gt:
             if len(speaker.segments) < 2:
                 continue
@@ -455,14 +460,15 @@ class TestGenerateScene:
 
     def test_static_scene_has_constant_doa(self):
         spec = SceneSpec(seed=5, duration=20.0, jump_on_silence=False)
-        _, _, gt = generate_scene(spec)
+        gt = simulate(spec).ground_truth
         for speaker in gt:
             doas = [seg[2] for seg in speaker.segments]
             assert all(angular_distance(doas[0], d) == pytest.approx(0.0, abs=1e-4) for d in doas)
 
     def test_level_difference_drawn_from_range(self):
         spec = SceneSpec(seed=9, duration=10.0, snr=None, level_diff_range=(2.0, 4.0))
-        _, wet, gt = generate_scene(spec)
+        simulated = simulate(spec)
+        wet, gt = simulated.wet, simulated.ground_truth
         # compare wet powers normalized by per-speaker active time
         levels = []
         for w, g in zip(wet, gt):
@@ -473,7 +479,8 @@ class TestGenerateScene:
 
     def test_energy_additivity(self):
         spec = SceneSpec(seed=2, duration=6.0, snr=10.0)
-        mix, wet, _ = generate_scene(spec)
+        simulated = simulate(spec)
+        mix, wet = simulated.mixture, simulated.wet
         total = np.sum(mix.channels[0] ** 2)
         parts = sum(np.sum(w.channels[0] ** 2) for w in wet)
         noise = np.sum((mix.channels[0] - np.sum([w.channels[0] for w in wet], axis=0)) ** 2)
@@ -490,6 +497,32 @@ class TestGenerateScene:
         with pytest.raises(ValueError):
             SceneSpec(seed=0, separation_regime="medium")
 
+    def test_positional_fields_after_the_seed_are_refused(self):
+        # A stale positional sample rate must not bind to snr.
+        with pytest.raises(TypeError):
+            SceneSpec(0, 2, 20.0, 16000)
+        with pytest.raises(TypeError):
+            SceneSpec(0, 2)
+
     def test_too_many_speakers_for_regime(self):
         with pytest.raises(ValueError):
             SceneSpec(seed=0, num_speakers=9, separation_regime="distant")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: FoaSignal(np.zeros((4, 10)), 16000),
+        lambda: synthesize_voice(sample_voice_params(np.random.default_rng(0)), 1.0, 16000, 5),
+        lambda: generate_diffuse_noise(1.0, 16000, 5),
+        lambda: scene._apply_fades(np.ones(100), 16000),
+        lambda: scene._oscillator(4.7, 0.0, 100, 16000),
+        lambda: scene._slow_noise_controls(np.random.default_rng(0), 100, 16000, 3.0),
+        lambda: scene._speaker_channels(np.random.default_rng(0), None, 0.0, 100, 16000),
+    ],
+)
+def test_positional_sample_rate_is_refused(call):
+    # The sample rate is a constant; a call that still passes one
+    # positionally must fail, not bind it to the parameter that follows.
+    with pytest.raises(TypeError):
+        call()
