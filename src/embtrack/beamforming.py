@@ -11,14 +11,16 @@ frames, shape (bins, frames); the embedder pools |Y|^2 from it directly, so
 no beam is resynthesised. DS weights a long slice a block of bins at a
 time, so the slice is never copied whole.
 
-An MVDR noise covariance is a sum of x @ x^H over blocks of a 4-channel STFT,
-one batched matrix product per block. band_covariances takes the gated one
-from the frames of the scene's foa_stft that gated_noise_reference selects,
-gathered a few bins at a time. reference_covariances takes the oracle one
-from the padded STFT of the fragment window's interferer-plus-noise
-reference (oracle_noise_reference), a few frames at a time: each block's
-reference samples are subtracted, windowed and transformed only when the
-block is summed, so neither the reference nor its STFT is held whole.
+Both MVDR noise covariances are read from that same grid, each a sum of
+x @ x^H over blocks of its frames (one batched matrix product per block),
+and need MIN_COV_FRAMES frames: a scene shorter than 0.176 s is refused for
+every MVDR cell (ExperimentConfig.validate). band_covariances takes the
+gated one from the frames of the scene's foa_stft that gated_noise_reference
+selects, gathered a few bins at a time. reference_covariances takes the
+oracle one, mixture minus target, on the frames oracle_noise_reference
+gives, those centred in the fragment window widened to
+MIN_NOISE_REFERENCE_S: the mixture's frames come from its foa_stft, and the
+target's wet signal is transformed on them a few frames at a time.
 
 The SN3D steering vector for a direction (az, el) is
     d = (1, sin az cos el, sin el, cos az cos el),  ||d||^2 = 2,
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import N_HOP, N_WINDOW, SAMPLE_RATE, num_full_frames, num_stft_frames, stft, stft_blocks
+from .dsp import N_HOP, N_WINDOW, SAMPLE_RATE, frames_centred_in, num_full_frames, stft, stft_blocks
 from .embedding import analysis_frame_tracker_frames
 from .geometry import DoA, angular_distance
 from .scene import FoaSignal, SpeakerGroundTruth, foa_gains
@@ -45,9 +47,8 @@ MIN_NOISE_REFERENCE_S = 0.5
 # small fraction of the STFT, and with 8 bins its batched matrix product ran
 # fastest of 4, 8, 16 and 32 on a 30 s scene with one BLAS thread.
 _COV_BLOCK_BINS = 8
-# Frames per block of the oracle reference's STFT in reference_covariances:
-# a block of 16 frames holds 0.26 MB per copy, and summing 16-frame blocks
-# was no slower than 8, 32, 64 or 128 on 0.5-6 s references.
+# Frames per block of the target's STFT in reference_covariances: a block of
+# 16 frames holds 0.26 MB per copy.
 _COV_BLOCK_FRAMES = 16
 # (bin, frame) cells per channel in a block of the frame slice that
 # beamform_ds weights: a 4-channel block copies 262 KB (blocks of a slice
@@ -144,22 +145,25 @@ def band_covariances(spec: np.ndarray, frames: np.ndarray) -> np.ndarray:
     return _hermitian(cov / count)
 
 
-def reference_covariances(reference: NoiseReference) -> np.ndarray:
-    """Per-band spatial covariance of the padded STFT of a time-domain noise
-    reference (stft(..., pad=True) on the analysis grid), shape (bins, 4, 4),
-    averaged over all of its frames, of which there must be MIN_COV_FRAMES.
+def reference_covariances(mixture_stft: np.ndarray, target: FoaSignal, frames: slice) -> np.ndarray:
+    """Per-band spatial covariance of the oracle interferer-plus-noise
+    reference, foa_stft(mixture) - foa_stft(target) on the frames of that grid
+    that frames selects (oracle_noise_reference's), shape (bins, 4, 4),
+    averaged over those frames, of which there must be MIN_COV_FRAMES.
 
-    The STFT is taken _COV_BLOCK_FRAMES frames at a time (dsp.stft_blocks),
-    each block's frames the same values the whole STFT holds, and each block
-    is added to the sum as one batched product x @ x^H, so only a block of
-    the reference and of its STFT is held. The result is made exactly
-    Hermitian.
+    mixture_stft holds those frames of foa_stft(mixture). The target's frames
+    are transformed _COV_BLOCK_FRAMES at a time (dsp.stft_blocks, unpadded,
+    of the samples they cover), and each block's difference is added to the
+    sum as one batched product x @ x^H, so only a block of the target's STFT
+    is held. The result is made exactly Hermitian.
     """
-    count = _checked_frame_count(num_stft_frames(reference.num_samples))
+    count = _checked_frame_count(frames.stop - frames.start)
+    span = target.channels[:, frames.start * N_HOP : (frames.stop - 1) * N_HOP + N_WINDOW]
     cov = np.zeros((N_WINDOW // 2 + 1, 4, 4), dtype=complex)
-    blocks = stft_blocks(reference.read, reference.num_samples, block_frames=_COV_BLOCK_FRAMES)
-    for _, _, spectra in blocks:
-        x = np.ascontiguousarray(spectra.transpose(2, 0, 1))
+    for f0, f1, spectra in stft_blocks(span, pad=False, block_frames=_COV_BLOCK_FRAMES):
+        x = np.subtract(
+            mixture_stft[:, :, f0:f1].transpose(1, 0, 2), spectra.transpose(2, 0, 1), order="C"
+        )
         del spectra  # before the next block's spectra are made
         cov += x @ np.conj(x).swapaxes(1, 2)
     return _hermitian(cov / count)
@@ -207,8 +211,8 @@ def beamform_mvdr(
 
     mixture is a 4-channel STFT (4, bins, frames), such as a frame slice of
     foa_stft; returns the beam's STFT (bins, frames). noise_cov is the band
-    covariance of the estimation material: reference_covariances of the
-    oracle interferer-plus-noise reference of the fragment's window, or
+    covariance of the estimation material: reference_covariances on the
+    oracle_noise_reference frames of the fragment's window, or
     band_covariances of the frames of the scene's foa_stft gated to the
     target track's inactivity (estimated once per track by reassign_scene).
     The weights are solved per call, since the steering DoA is per fragment.
@@ -220,50 +224,19 @@ def beamform_mvdr(
     return np.einsum("fc,cft->ft", np.conj(weights), mixture)
 
 
-@dataclass(frozen=True)
-class NoiseReference:
-    """An oracle noise reference, mixture minus target over a span of samples,
-    kept as (4, num_samples) views of the two signals.
-
-    read takes the difference of a part of the span in float64, so the
-    float32 signals fileio.read_wav gives yield the same bits as their
-    float64 copies, and no copy of the whole span is made.
+def oracle_noise_reference(num_samples: int, window: tuple[float, float] | None = None) -> slice:
+    """The frames of foa_stft's grid, for a scene of num_samples, that the
+    oracle noise covariance of a fragment window reads (reference_covariances):
+    those whose centre lies in the window widened symmetrically to
+    MIN_NOISE_REFERENCE_S and clipped to the scene, as a slice of the frame
+    axis; every frame when window is None. They hold every frame whose centre
+    lies in the window itself.
     """
-
-    mixture: np.ndarray
-    target: np.ndarray
-
-    @property
-    def num_samples(self) -> int:
-        return self.mixture.shape[1]
-
-    def read(self, lo: int, hi: int) -> np.ndarray:
-        """Samples lo to hi - 1 of the reference, shape (4, hi - lo), float64."""
-        return np.subtract(self.mixture[:, lo:hi], self.target[:, lo:hi], dtype=np.float64)
-
-
-def oracle_noise_reference(
-    mixture: FoaSignal,
-    wet_signals: list[FoaSignal],
-    target_index: int,
-    window: tuple[float, float] | None = None,
-) -> NoiseReference:
-    """Everything except the target: mixture minus the target's wet signal.
-
-    When a window is given it is symmetrically widened to
-    MIN_NOISE_REFERENCE_S so the covariance has enough frames, and the
-    reference covers the widened window's samples within the mixture.
-    """
-    a, b = 0, mixture.num_samples
-    if window is not None:
-        start, end = window
-        if end - start < MIN_NOISE_REFERENCE_S:
-            pad = 0.5 * (MIN_NOISE_REFERENCE_S - (end - start))
-            start, end = start - pad, end + pad
-        a = max(0, int(round(start * SAMPLE_RATE)))
-        b = min(mixture.num_samples, int(round(end * SAMPLE_RATE)))
-    target = wet_signals[target_index]
-    return NoiseReference(mixture.channels[:, a:b], target.channels[:, a:b])
+    start, end = window or (0.0, num_samples / SAMPLE_RATE)
+    if end - start < MIN_NOISE_REFERENCE_S:
+        pad = 0.5 * (MIN_NOISE_REFERENCE_S - (end - start))
+        start, end = start - pad, end + pad
+    return slice(*frames_centred_in((start, end), num_samples))
 
 
 def gated_noise_reference(mixture: FoaSignal, inactive_frames: list[int]) -> np.ndarray:

@@ -1,6 +1,8 @@
 """STFT analysis used by the beamformers, their covariance estimates and the
 embedder, and its overlap-add inverse (istft), the reference that checks the
-STFT-domain beamformers against time-domain ones.
+STFT-domain beamformers against time-domain ones. Every beam, covariance and
+embedding reads one grid, the unpadded one (pad=False); the padded stft is
+only istft's round trip.
 
 Every signal is at one sample rate, SAMPLE_RATE, and analysed on one grid of
 N_WINDOW-sample windows every N_HOP samples; neither is a parameter.
@@ -8,7 +10,7 @@ N_WINDOW-sample windows every N_HOP samples; neither is a parameter.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -45,7 +47,7 @@ def stft(
 
     With pad=True the signal is zero-padded by one window on each side so the
     inverse transform reconstructs the full length; pad=False keeps only the
-    windows fully inside the signal (used for feature extraction).
+    windows fully inside the signal, the analysis grid.
 
     Each channel is windowed and transformed block_frames frames at a time
     (stft_blocks), so no full-length copy of x or of its frames is held.
@@ -65,31 +67,24 @@ def stft(
     elif out.shape != lead + (n_bins, n_frames):
         raise ValueError(f"out has shape {out.shape}, the STFT {lead + (n_bins, n_frames)}")
     for channel in np.ndindex(lead):
-        samples = x[channel]
-        blocks = stft_blocks(
-            lambda lo, hi: samples[lo:hi], len(samples), pad=pad, block_frames=block_frames
-        )
-        for f0, f1, spectra in blocks:
+        for f0, f1, spectra in stft_blocks(x[channel], pad=pad, block_frames=block_frames):
             out[channel][:, f0:f1] = spectra.T
             del spectra  # before the next block's spectra are made
     return out
 
 
 def stft_blocks(
-    read: Callable[[int, int], np.ndarray],
-    n_samples: int,
-    *,
-    pad: bool = True,
-    block_frames: int = STFT_BLOCK_FRAMES,
+    x: np.ndarray, *, pad: bool = True, block_frames: int = STFT_BLOCK_FRAMES
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The STFT of a signal block_frames frames at a time: yields (f0, f1,
-    spectra), spectra of shape (…, f1 - f0, bins) holding frames f0 to f1 - 1.
+    """The STFT of x block_frames frames at a time: yields (f0, f1, spectra),
+    spectra of shape (…, f1 - f0, bins) holding frames f0 to f1 - 1.
 
-    The signal has n_samples samples along its last axis, and read(lo, hi)
-    returns samples lo to hi - 1 of it, 0 <= lo <= hi <= n_samples; pad is as
-    in stft. Only the samples one block's frames cover are read, and they are
+    x is (T,) or (channels, T), and pad is as in stft: pad=False gives the
+    analysis grid's frames, as reference_covariances reads the oracle
+    target's. Only the samples one block's frames cover are windowed,
     zero-extended where a padded block leaves the signal.
     """
+    n_samples = x.shape[-1]
     edge = N_WINDOW if pad else 0
     win = periodic_hann(N_WINDOW)
     n_frames = num_stft_frames(n_samples, pad=pad)
@@ -98,7 +93,7 @@ def stft_blocks(
         start = f0 * N_HOP - edge
         stop = start + (f1 - f0 - 1) * N_HOP + N_WINDOW
         lo, hi = max(start, 0), min(stop, n_samples)
-        span = read(lo, hi)
+        span = x[..., lo:hi]
         if hi - lo < stop - start:
             inner, span = span, np.zeros(span.shape[:-1] + (stop - start,))
             span[..., lo - start : hi - start] = inner
@@ -124,6 +119,18 @@ def num_full_frames(n_samples: int) -> int:
     if n_samples < N_WINDOW:
         return 0
     return 1 + (n_samples - N_WINDOW) // N_HOP
+
+
+def frames_centred_in(window: tuple[float, float], n_samples: int) -> tuple[int, int]:
+    """(start, stop): frames start to stop - 1 of the unpadded grid of an
+    n_samples signal are those whose centre, N_HOP k + N_WINDOW / 2, lies in
+    window, [t0, t1) in seconds with each bound rounded to a sample."""
+    n_frames = num_full_frames(n_samples)
+    # The first frame whose centre is at or after sample b: k = ceil((2 b - N_WINDOW) / (2 N_HOP)).
+    return tuple(
+        min(n_frames, max(0, -((N_WINDOW - 2 * int(round(t * SAMPLE_RATE))) // (2 * N_HOP))))
+        for t in window
+    )
 
 
 def num_stft_frames(n_samples: int, *, pad: bool = True) -> int:

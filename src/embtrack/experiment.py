@@ -70,7 +70,6 @@ from .reassignment import (
     NOISE_COV_SOURCES,
     TRACKER_VARIANTS,
     enroll_speakers,
-    is_gated_mvdr,
     reads_wet,
     reassign_scene,
     shared_distractors,
@@ -225,14 +224,14 @@ class ExperimentConfig:
         self.dataset.validate()
         self.run.validate(self.dataset.num_speakers)
         self.eval.validate()
-        # A gated mask that falls back selects every frame of the scene, and a
-        # covariance needs at least MIN_COV_FRAMES of them.
-        if any(is_gated_mvdr(bf, self.run.noise_cov) for bf in self.run.beamformers):
+        # An MVDR noise covariance, oracle or gated, may read every frame of
+        # the scene, and needs at least MIN_COV_FRAMES of them.
+        if "mvdr" in self.run.beamformers:
             frames = _analysis_frames(self.dataset.scene_spec(0, self.master_seed))
             if frames < MIN_COV_FRAMES:
                 raise ConfigError(
                     f"dataset.duration {self.dataset.duration} s holds {frames} analysis frames, "
-                    f"fewer than the {MIN_COV_FRAMES} a gated MVDR noise covariance needs"
+                    f"fewer than the {MIN_COV_FRAMES} an MVDR noise covariance needs"
                 )
 
     @classmethod

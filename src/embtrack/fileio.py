@@ -186,7 +186,13 @@ def write_ground_truth(path: str | Path, ground_truth: list[SpeakerGroundTruth],
 
 
 def read_ground_truth(path: str | Path) -> tuple[list[SpeakerGroundTruth], SceneSpec]:
+    """The ground truth and spec write_ground_truth wrote. Speaker j's wet
+    signal is speakerNN.wav with NN = j, so speaker ids other than 0 to J - 1
+    in file order are a ValueError."""
     doc = json.loads(Path(path).read_text())
+    ids = [s["speaker_id"] for s in doc["speakers"]]
+    if not all(type(i) is int for i in ids) or ids != list(range(len(ids))):
+        raise ValueError(f"{path}: speaker ids {ids} are not 0 to {len(ids) - 1} in order")
     speakers = []
     for s in doc["speakers"]:
         gt = SpeakerGroundTruth(speaker_id=s["speaker_id"], voice=_from_json(VoiceParams, s["voice"]))
@@ -311,20 +317,26 @@ def trajectories_to_jsonl(trajectories: list[Trajectory]) -> str:
 
 
 def trajectories_from_jsonl(text: str) -> list[Trajectory]:
-    """The trajectories of trajectories_to_jsonl's format. A frame index
-    that is not an int (a float, or a bool), or that is negative, is a
-    ValueError."""
+    """The trajectories of trajectories_to_jsonl's format. A track_id that is
+    neither an int (not a bool) nor a str, a frame index that is not an int
+    (a float, or a bool) or that is negative, or an active flag that is not
+    a JSON bool, is a ValueError."""
     trajectories = []
     for line in text.splitlines():
         if not line.strip():
             continue
         record = json.loads(line)
+        track_id = record["track_id"]
+        if type(track_id) not in (int, str):
+            raise ValueError(f"track_id {track_id!r} is neither an int nor a str")
         frames = []
         for index, az, el, active in record["frames"]:
             if type(index) is not int or index < 0:
                 raise ValueError(f"frame index {index!r} is not a non-negative int")
-            frames.append((index, DoA(az, el), bool(active)))
-        trajectories.append(Trajectory(track_id=record["track_id"], frames=frames))
+            if type(active) is not bool:
+                raise ValueError(f"active flag {active!r} is not a bool")
+            frames.append((index, DoA(az, el), active))
+        trajectories.append(Trajectory(track_id=track_id, frames=frames))
     return trajectories
 
 

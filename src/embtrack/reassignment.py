@@ -10,15 +10,15 @@ samples at dsp.SAMPLE_RATE; an analysis frame belongs to the tracker frame
 its centre lies in (analysis_frame_tracker_frames). A fragment's
 extraction window reads the frames of that grid whose centre lies in it.
 reassign_scene transforms the 4-channel mixture (foa_stft) once per
-fragment: the frames that fragment's windows read, for all of its cells.
-Only a scene with a gated MVDR cell, whose covariance reads every frame
-where the track is inactive, takes the whole mixture's STFT, once, and its
-fragments read their frames of that. The beamformers weight those frames per
-bin, and the embedder pools log-mel statistics straight from the beam's
-|Y|^2; nothing is resynthesised. Per fragment, only its frames and the
-beam's STFT are held whole: DS weights a long frame slice a block of bins at
-a time, and the oracle MVDR noise covariance is summed over blocks of frames
-of its reference's STFT.
+fragment: the frames its cells read, those of its windows and of an oracle
+MVDR window's noise reference. Only a scene with a gated MVDR cell, whose
+covariance reads every frame where the track is inactive, takes the whole
+mixture's STFT, once, and its fragments read their frames of that. The
+beamformers and both MVDR covariances read those frames, and the embedder
+pools log-mel statistics straight from the beam's |Y|^2; nothing is
+resynthesised. Per fragment, only its frames and the beam's STFT are held
+whole: DS weights a long frame slice a block of bins at a time, and the
+oracle covariance transforms the target a block of frames at a time.
 
 Every fragment is embedded. A window in which fewer than MIN_EMBED_FRAMES
 frame centres lie (a prefix or tracker frame shorter than 64 ms, or the
@@ -68,7 +68,7 @@ from .beamforming import (
     oracle_noise_reference,
     reference_covariances,
 )
-from .dsp import N_HOP, N_WINDOW, SAMPLE_RATE, num_full_frames
+from .dsp import frames_centred_in, num_full_frames
 from .embedding import (
     MIN_EMBED_FRAMES,
     Embedding,
@@ -245,20 +245,20 @@ def extract_fragment_embedding(
     grid: the whole STFT with first_frame 0, or foa_stft(scene.mixture,
     frames) with first_frame frames.start. "ds" and "mvdr" read it ("ideal"
     does not; it may then be None). The window reads the frames of that grid
-    whose centre lies in it, and at least MIN_EMBED_FRAMES (_window_frames),
-    which mixture_stft must hold.
+    whose centre lies in it, and at least MIN_EMBED_FRAMES (_window_frames);
+    an oracle "mvdr" covariance reads the oracle_noise_reference frames of
+    the window. mixture_stft must hold the frames that are read.
     For "ds" and "mvdr" the embedding is pooled over the frames whose centre's
     tracker frame is not in frag.overlapped_frames, since there the mixture
     also carries another track's speaker (embed_power pools over all frames
     when fewer than MIN_EMBED_FRAMES are free). "ideal" reads only the
     target's wet signal and always pools over all frames. noise_cov is the
     "mvdr" band covariance, such as the gated one of the fragment's track;
-    when it is None the oracle covariance is estimated from the padded STFT
-    of the fragment window's own interferer-plus-noise reference
-    (reference_covariances, a block of frames at a time). The beam is the
-    only whole-window array this holds: DS weights a long frame slice a
-    block of bins at a time, and neither the oracle reference nor its STFT
-    is held whole.
+    when it is None the oracle covariance is estimated on the same grid,
+    from mixture_stft minus the target's wet STFT on those frames
+    (reference_covariances, which transforms the target a block of frames
+    at a time). The beam is the only whole-window array this holds: DS
+    weights a long frame slice a block of bins at a time.
     """
     window = extraction_window(frag, policy)
     steer = window_doa(frag, policy)
@@ -272,9 +272,10 @@ def extract_fragment_embedding(
     elif beamformer == "mvdr":
         if noise_cov is None:
             midpoint = 0.5 * (window[0] + window[1])
-            target = nearest_speaker_index(scene.ground_truth, steer, midpoint)
-            noise = oracle_noise_reference(scene.mixture, scene.wet, target, window)
-            noise_cov = reference_covariances(noise)
+            target = scene.wet[nearest_speaker_index(scene.ground_truth, steer, midpoint)]
+            noise = oracle_noise_reference(scene.mixture.num_samples, window)
+            noise_stft = mixture_stft[..., noise.start - first_frame : noise.stop - first_frame]
+            noise_cov = reference_covariances(noise_stft, target, noise)
         beam = beamform_mvdr(mixture_stft[..., local], steer, noise_cov, diagnostics)
     else:
         raise ValueError(f"unknown beamformer {beamformer!r}")
@@ -293,15 +294,9 @@ def _window_frames(
     last ones if those would run past its end. The bounds are found in
     integers and only the slice's centres are computed.
     """
-    n_frames = num_full_frames(num_samples)
-    # The first frame whose centre, N_HOP k + N_WINDOW / 2, is at or after the
-    # sample the window bound rounds to: k = ceil((2 b - N_WINDOW) / (2 N_HOP)).
-    start, stop = (
-        min(n_frames, max(0, -((N_WINDOW - 2 * int(round(t * SAMPLE_RATE))) // (2 * N_HOP))))
-        for t in window
-    )
+    start, stop = frames_centred_in(window, num_samples)
     if stop - start < MIN_EMBED_FRAMES:
-        start = max(0, min(start, n_frames - MIN_EMBED_FRAMES))
+        start = max(0, min(start, num_full_frames(num_samples) - MIN_EMBED_FRAMES))
         stop = start + MIN_EMBED_FRAMES
     frames = slice(start, stop)
     tracker_frames = analysis_frame_tracker_frames(num_samples, frames=frames)
@@ -394,10 +389,10 @@ def reassign_scene(
     trajectories of each M named by a cell are segmented once, and each
     fragment is then embedded for every cell of its M. The cells that read
     the mixture (DS, MVDR) share one transform of it per fragment: foa_stft
-    of the union of their windows' frames (_window_frames; every window
-    starts at the fragment's onset), so no frame outside a window is
-    transformed. A gated MVDR covariance reads every frame where its track
-    is inactive, so a scene with a gated MVDR cell takes
+    of the union of the frames they read (a DS window's own, an oracle MVDR
+    window's oracle_noise_reference frames, which hold its own), so no other
+    frame is transformed. A gated MVDR covariance reads every frame where
+    its track is inactive, so a scene with a gated MVDR cell takes
     foa_stft(scene.mixture) once instead, and its fragments read their
     frames of that. Each M with a gated MVDR cell first estimates from it
     the gated noise covariance of every track with a fragment, and the set
@@ -431,16 +426,19 @@ def reassign_scene(
     num_samples = scene.mixture.num_samples
     for m, fragments in fragments_by_m.items():
         of_m = [i for i, cell in enumerate(cells) if cell[0] == m]
-        mixture_policies = [cells[i][2] for i in of_m if cells[i][1] != "ideal"]
+        mixture_cells = [cells[i][1:3] for i in of_m if cells[i][1] != "ideal"]
         for frag in fragments:
             spec, first_frame = whole_stft, 0
-            if mixture_policies and whole_stft is None:
-                windows = [
-                    _window_frames(frag, extraction_window(frag, policy), num_samples)[0]
-                    for policy in mixture_policies
+            if mixture_cells and whole_stft is None:
+                # Without a gated cell every MVDR cell is oracle.
+                windows = [(bf, extraction_window(frag, policy)) for bf, policy in mixture_cells]
+                reads = [
+                    oracle_noise_reference(num_samples, w) if bf == "mvdr"
+                    else _window_frames(frag, w, num_samples)[0]
+                    for bf, w in windows
                 ]
-                first_frame = min(w.start for w in windows)
-                spec = foa_stft(scene.mixture, slice(first_frame, max(w.stop for w in windows)))
+                first_frame = min(r.start for r in reads)
+                spec = foa_stft(scene.mixture, slice(first_frame, max(r.stop for r in reads)))
             for i in of_m:
                 _, beamformer, policy, _ = cells[i]
                 embeddings[i][frag.fragment_id] = extract_fragment_embedding(

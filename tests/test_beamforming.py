@@ -13,7 +13,6 @@ from embtrack.beamforming import (
     MIN_COV_FRAMES,
     MVDR_LOADING,
     MvdrDiagnostics,
-    NoiseReference,
     band_covariances,
     beamform_ds,
     beamform_ideal,
@@ -30,7 +29,6 @@ from embtrack.dsp import (
     N_WINDOW,
     istft,
     num_full_frames,
-    num_stft_frames,
     periodic_hann,
     stft,
     stft_blocks,
@@ -61,8 +59,10 @@ def power(x):
 
 
 def covariance_of(noise):
-    """reference_covariances of a time-domain 4-channel noise reference."""
-    return reference_covariances(NoiseReference(noise, np.zeros_like(noise)))
+    """reference_covariances of a 4-channel noise reference: a mixture whose
+    target is silent, over every frame of its analysis grid."""
+    frames = slice(0, num_full_frames(noise.shape[1]))
+    return reference_covariances(foa_stft(FoaSignal(noise)), FoaSignal(np.zeros_like(noise)), frames)
 
 
 class TestSteeringVector:
@@ -310,7 +310,8 @@ class TestMvdr:
         onset, offset, doa = gt[0].segments[0]
         window = (onset, offset)
         frames = slice(int(onset * SR) // 256, int(offset * SR) // 256 - 1)
-        noise_cov = reference_covariances(oracle_noise_reference(mixture, wet, 0, window))
+        noise = oracle_noise_reference(mixture.num_samples, window)
+        noise_cov = reference_covariances(foa_stft(mixture, noise), wet[0], noise)
         target_only = foa_stft(FoaSignal(wet[0].channels))[..., frames]
         others = foa_stft(FoaSignal(mixture.channels - wet[0].channels))[..., frames]
         ds_sir = power(np.abs(beamform_ds(target_only, doa))) / power(
@@ -334,7 +335,7 @@ class TestMvdr:
 
     def test_short_noise_reference_rejected(self):
         with pytest.raises(ValueError):
-            covariance_of(np.zeros((4, 100)))
+            covariance_of(np.zeros((4, 2815)))  # 9 analysis frames
 
     def test_diagnostics_counts_bands(self):
         rng = np.random.default_rng(11)
@@ -403,38 +404,34 @@ class TestIdealBeamformer:
 
 
 class TestNoiseReferences:
-    def test_oracle_is_mixture_minus_target(self):
-        spec = SceneSpec(seed=2, num_speakers=2, duration=4.0, snr=15.0)
-        simulated = simulate(spec)
-        mixture, wet = simulated.mixture, simulated.wet
-        ref = oracle_noise_reference(mixture, wet, 0)
-        assert np.allclose(ref.read(0, ref.num_samples), mixture.channels - wet[0].channels)
+    @pytest.fixture(scope="class")
+    def simulated(self):
+        return simulate(SceneSpec(seed=2, num_speakers=2, duration=4.0, snr=15.0))
 
-    def test_oracle_window_widened_to_minimum(self):
-        spec = SceneSpec(seed=2, num_speakers=2, duration=4.0, snr=15.0)
-        simulated = simulate(spec)
+    def test_oracle_is_mixture_minus_target(self, simulated):
         mixture, wet = simulated.mixture, simulated.wet
-        ref = oracle_noise_reference(mixture, wet, 0, window=(1.0, 1.1))
-        assert ref.num_samples == int(0.5 * SR)
+        frames = oracle_noise_reference(mixture.num_samples)
+        assert frames == slice(0, num_full_frames(mixture.num_samples))
+        got = reference_covariances(foa_stft(mixture), wet[0], frames)
+        residual = FoaSignal(mixture.channels - wet[0].channels)
+        expected = reference_band_covariances(foa_stft(residual))
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_oracle_window_widened_to_minimum(self, simulated):
+        # (1.0 s, 1.1 s) widens to (0.8 s, 1.3 s): the frames centred in
+        # samples [12800, 20800), 256 k + 256 for k = 49 to 80.
+        frames = oracle_noise_reference(simulated.mixture.num_samples, window=(1.0, 1.1))
+        assert frames == slice(49, 81)
 
     @pytest.mark.parametrize("window", [(1.0, 2.5), (1.0, 1.1), (3.9, 3.95), None])
-    def test_oracle_slices_before_subtracting(self, window):
-        spec = SceneSpec(seed=2, num_speakers=2, duration=4.0, snr=15.0)
-        simulated = simulate(spec)
+    def test_oracle_slices_before_subtracting(self, simulated, window):
+        # The mixture's reference frames transformed alone, as a fragment's
+        # transform holds them, give the bits of that slice of the scene STFT.
         mixture, wet = simulated.mixture, simulated.wet
-        # the formula that subtracts over the whole scene, then slices
-        residual = mixture.channels - wet[1].channels
-        expected = residual
-        if window is not None:
-            start, end = window
-            if end - start < 0.5:
-                pad = 0.5 * (0.5 - (end - start))
-                start, end = start - pad, end + pad
-            a = max(0, int(round(start * SR)))
-            b = min(mixture.num_samples, int(round(end * SR)))
-            expected = residual[:, a:b]
-        ref = oracle_noise_reference(mixture, wet, 1, window)
-        assert np.array_equal(ref.read(0, ref.num_samples), expected)
+        frames = oracle_noise_reference(mixture.num_samples, window)
+        got = reference_covariances(foa_stft(mixture, frames), wet[1], frames)
+        expected = reference_covariances(foa_stft(mixture)[..., frames], wet[1], frames)
+        assert np.array_equal(got, expected)
 
     # A hand-built track on a 2 s mixture at a 0.1 s tracker hop: active in
     # tracker frames 2-4 and 12. Analysis frame k (centre 256 k + 256 samples)
@@ -472,12 +469,12 @@ def reference_band_covariances(spec):
     return 0.5 * (cov + np.conj(np.transpose(cov, (0, 2, 1))))
 
 
-def assert_streamed_covariance(reference, samples):
-    """reference_covariances(reference) against the einsum over the padded
-    STFT of the materialised samples: within 1e-12 of the largest entry, and
-    exactly Hermitian."""
-    got = reference_covariances(reference)
-    expected = reference_band_covariances(stft(samples))
+def assert_oracle_covariance(mixture, target, frames):
+    """reference_covariances on those frames against the einsum over the
+    difference of the two signals' whole STFTs on them: within 1e-12 of the
+    largest entry, and exactly Hermitian."""
+    got = reference_covariances(foa_stft(mixture, frames), target, frames)
+    expected = reference_band_covariances(foa_stft(mixture)[..., frames] - foa_stft(target)[..., frames])
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
     assert np.array_equal(got, np.conj(np.transpose(got, (0, 2, 1))))
 
@@ -485,18 +482,15 @@ def assert_streamed_covariance(reference, samples):
 class TestBandCovariances:
     @pytest.mark.parametrize("samples", [1792, 5000, 3 * SR])
     def test_time_domain_reference_bits_unchanged(self, samples):
-        # the oracle path: every block reference_covariances sums holds the
-        # bits of the padded STFT of the whole time-domain reference
-        noise = np.random.default_rng(samples).standard_normal((4, samples))
-        reference = NoiseReference(noise, np.zeros_like(noise))
-        spec = stft(noise)
-        blocks = list(stft_blocks(reference.read, samples, block_frames=_COV_BLOCK_FRAMES))
-        assert blocks[-1][1] == spec.shape[2] == num_stft_frames(samples)
+        # the oracle path: every block of the target's STFT that
+        # reference_covariances sums holds the bits of its unpadded STFT
+        target = np.random.default_rng(samples).standard_normal((4, samples))
+        spec = stft(target, pad=False)
+        blocks = list(stft_blocks(target, pad=False, block_frames=_COV_BLOCK_FRAMES))
+        assert blocks[-1][1] == spec.shape[2] == num_full_frames(samples)
         for f0, f1, spectra in blocks:
             assert np.array_equal(np.swapaxes(spectra, 1, 2), spec[..., f0:f1])
-        assert_streamed_covariance(reference, noise)
 
-    # Reference lengths whose padded STFT (1 + (n + 512) // 256 frames) has
     # MIN_COV_FRAMES frames, fewer frames than a block, exactly one block, one
     # frame more, and several blocks with a partial last one.
     @pytest.mark.parametrize(
@@ -512,41 +506,41 @@ class TestBandCovariances:
     def test_oracle_covariance_equals_the_materialised_stft_covariance(self, n_frames):
         simulated = simulate(SceneSpec(seed=2, num_speakers=2, duration=4.0, snr=15.0))
         mixture, wet = simulated.mixture, simulated.wet
-        span = slice(7000, 7000 + (n_frames - 3) * 256 + 100)
+        frames = slice(27, 27 + n_frames)
         # also float32 sample-major channels, as fileio.read_wav gives them
         m32 = np.ascontiguousarray(mixture.channels.T, dtype=np.float32).T
         w32 = np.ascontiguousarray(wet[1].channels.T, dtype=np.float32).T
-        for m, w in ((mixture.channels, wet[1].channels), (m32, w32)):
-            reference = NoiseReference(m[:, span], w[:, span])
-            assert num_stft_frames(reference.num_samples) == n_frames
-            assert_streamed_covariance(reference, np.subtract(m[:, span], w[:, span], dtype=float))
+        for m, w in ((mixture, wet[1]), (FoaSignal(m32), FoaSignal(w32))):
+            assert_oracle_covariance(m, w, frames)
 
     # widened and clipped at the scene's start, inside it, widened and
-    # clipped at its end, ending at its end, and the whole scene
+    # clipped at its end, ending at its end, a 250 ms window, and the whole scene
     @pytest.mark.parametrize(
-        "window", [(0.0, 0.1), (-0.3, 0.4), (1.0, 2.7), (3.9, 3.95), (3.2, 4.0), None]
+        "window", [(0.0, 0.1), (-0.3, 0.4), (1.0, 2.7), (3.9, 3.95), (3.2, 4.0), (1.0, 1.25), None]
     )
     def test_oracle_windows_clipped_by_the_scene(self, window):
         simulated = simulate(SceneSpec(seed=2, num_speakers=2, duration=4.0, snr=15.0))
         mixture, wet = simulated.mixture, simulated.wet
-        reference = oracle_noise_reference(mixture, wet, 0, window)
-        assert_streamed_covariance(reference, reference.read(0, reference.num_samples))
+        frames = oracle_noise_reference(mixture.num_samples, window)
+        assert 0 <= frames.start < frames.stop <= num_full_frames(mixture.num_samples)
+        assert_oracle_covariance(mixture, wet[0], frames)
 
     def test_too_short_reference_rejected(self):
-        # 1791 samples: 9 frames, one fewer than MIN_COV_FRAMES
+        # 2815 samples: 9 frames, one fewer than MIN_COV_FRAMES
         with pytest.raises(ValueError, match="9 frames"):
-            covariance_of(np.ones((4, 1791)))
-        covariance_of(np.ones((4, 1792)))
+            covariance_of(np.ones((4, 2815)))
+        covariance_of(np.ones((4, 2816)))
 
     def test_streamed_covariance_holds_a_block(self):
-        # A 6 s reference: its padded STFT alone takes 6.2 MB, and the
-        # materialised path held that, its conjugate and the float64 reference.
-        noise = np.random.default_rng(21).standard_normal((4, 6 * SR)).astype(np.float32)
-        reference = NoiseReference(noise, np.zeros_like(noise))
-        stft_bytes = 4 * 257 * num_stft_frames(6 * SR) * 16
+        # A 6 s reference: the target's STFT alone would take 6.1 MB.
+        rng = np.random.default_rng(21)
+        mixture, target = (FoaSignal(rng.standard_normal((4, 6 * SR)).astype(np.float32)) for _ in range(2))
+        frames = slice(0, num_full_frames(6 * SR))
+        mixture_stft = foa_stft(mixture)
+        stft_bytes = 4 * 257 * frames.stop * 16
         tracemalloc.start()
         try:
-            reference_covariances(reference)
+            reference_covariances(mixture_stft, target, frames)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

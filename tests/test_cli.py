@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -298,6 +299,31 @@ class TestFileIo:
         text = '{"track_id": 3, "frames": [[%s, 10.0, -5.0, true]]}\n' % index
         with pytest.raises(ValueError, match="frame index"):
             fileio.trajectories_from_jsonl(text)
+
+    @pytest.mark.parametrize("track_id", ['["speaker00"]', "true", "1.5", "null", '{"id": 0}'])
+    def test_trajectory_track_id_must_be_an_int_or_a_str(self, track_id):
+        text = '{"track_id": %s, "frames": [[0, 10.0, -5.0, true]]}\n' % track_id
+        with pytest.raises(ValueError, match="track_id"):
+            fileio.trajectories_from_jsonl(text)
+
+    @pytest.mark.parametrize("active", ['"false"', '"true"', "0.5", "1", "0", "null"])
+    def test_trajectory_active_flag_must_be_a_bool(self, active):
+        text = '{"track_id": 3, "frames": [[0, 10.0, -5.0, %s]]}\n' % active
+        with pytest.raises(ValueError, match="active flag"):
+            fileio.trajectories_from_jsonl(text)
+
+    @pytest.mark.parametrize("ids", [[1, 0], [5, 6], [0, 2], [False, True], ["0", "1"]])
+    def test_ground_truth_speaker_ids_must_be_their_file_order(self, tmp_path, ids):
+        # speaker j's wet signal is speakerNN.wav with NN = j
+        scene = simulate(SceneSpec(seed=4, duration=1.0))
+        path = tmp_path / "gt.json"
+        fileio.write_ground_truth(path, scene.ground_truth, SceneSpec(seed=4, duration=1.0))
+        assert [s.speaker_id for s in fileio.read_ground_truth(path)[0]] == [0, 1]
+        doc = json.loads(path.read_text())
+        doc["speakers"] = [dict(speaker, speaker_id=i) for speaker, i in zip(doc["speakers"], ids)]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="speaker ids"):
+            fileio.read_ground_truth(path)
 
 
 class TestConfig:
@@ -731,6 +757,28 @@ class TestRun:
         assert "is not the ground truth of this dataset's scene" in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize("ids", [[5, 6], [1, 0]], ids=["out-of-range", "swapped"])
+    def test_ground_truth_speaker_ids_out_of_file_order_exit_code(self, small_results, tmp_path, capsys, ids):
+        # Ids beyond the speaker WAVs raised an IndexError; swapped ids made the
+        # ideal and oracle MVDR cells read the other speaker's WAV.
+        _cfg, dataset, results = small_results
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        path = data / "scenes" / "scene_0000" / "ground_truth.json"
+        doc = json.loads(path.read_text())
+        for speaker, i in zip(doc["speakers"], ids, strict=True):
+            speaker["speaker_id"] = i
+        path.write_text(json.dumps(doc))
+        run = ["run", "--seed", "7", "--dataset", str(data), "--beamformers", "ideal,mvdr"]
+        assert main(run + ["--out", str(tmp_path / "results")]) == 3
+        assert f"speaker ids {ids} are not 0 to 1 in order" in capsys.readouterr().err
+        assert list((tmp_path / "results").rglob(COMPLETE_MARKER)) == []
+        report = tmp_path / "report.json"
+        ev = ["eval", "--seed", "7", "--dataset", str(data), "--results", str(results)]
+        assert main(ev + ["--out", str(report)]) == 3
+        assert "speaker ids" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_ground_truth_at_another_sample_rate_exit_code(self, small_results, tmp_path, capsys):
         # Every signal is at 16 kHz: a spec naming another rate is refused as
         # the ground truth is read, by run and by eval.
@@ -993,6 +1041,35 @@ class TestEval:
         argv = ["eval", "--config", str(small_config), "--dataset", str(data), "--results", str(copy)]
         assert main(argv + ["--out", str(tmp_path / "r.json")]) == 3
         assert "is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_list_track_id_in_imported_tracks_exit_code(self, small_results, small_config, tmp_path, capsys):
+        # An unhashable track_id made eval exit 1 with a TypeError from metrics.
+        _cfg, data, results = small_results
+        copy = tmp_path / "results"
+        shutil.copytree(results, copy)
+        path = copy / "scene_0001" / "gt_m2_ds_whole" / "tracks_after.jsonl"
+        path.write_text('{"frames": [[0, 10.0, -5.0, true]], "track_id": ["speaker00"]}\n')
+        argv = ["eval", "--config", str(small_config), "--dataset", str(data), "--results", str(copy)]
+        assert main(argv + ["--out", str(tmp_path / "r.json")]) == 3
+        assert "track_id ['speaker00'] is neither an int nor a str" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("active", ['"false"', "0.5", "1"])
+    def test_non_bool_active_flag_in_imported_tracks_exit_code(
+        self, small_results, small_config, tmp_path, capsys, active
+    ):
+        # Every active flag of a cell's tracks replaced: "false" was scored as active.
+        _cfg, data, results = small_results
+        copy = tmp_path / "results"
+        shutil.copytree(results, copy)
+        path = copy / "scene_0001" / "gt_m2_ds_whole" / "tracks_after.jsonl"
+        text, count = re.subn(r", (true|false)\]", f", {active}]", path.read_text())
+        assert count > 0 and "true]" not in text
+        path.write_text(text)
+        argv = ["eval", "--config", str(small_config), "--dataset", str(data), "--results", str(copy)]
+        assert main(argv + ["--out", str(tmp_path / "r.json")]) == 3
+        assert f"active flag {json.loads(active)!r} is not a bool" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     def test_missing_results_is_data_error(self, small_dataset, tmp_path):
@@ -1278,9 +1355,10 @@ class TestCliProcess:
         if code == 0:  # every track fell back to the scene's 10 frames
             doc = json.loads((results / "scene_0000/gt_m2_mvdr_whole/assignment.json").read_text())
             assert doc["mvdr_gated_fallback_tracks"] == len(doc["assignments"]) > 0
-        # DS and oracle MVDR run on the same scene
+        # DS and oracle MVDR: the oracle covariance reads the same grid
         oracle = ["run", "--dataset", str(data), "--out", str(tmp_path / "oracle")]
-        assert main(oracle + ["--beamformers", "ds,mvdr"]) == 0
+        assert main(oracle + ["--beamformers", "ds,mvdr"]) == code
+        assert (tmp_path / "oracle" / "run_manifest.json").exists() == (code == 0)
 
     @pytest.mark.parametrize("sizes", ["a,b", "2.5"])
     def test_non_integer_enrollment_sizes_exit_code(self, one_scene, tmp_path, capsys, sizes):

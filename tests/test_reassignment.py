@@ -69,7 +69,7 @@ def test_positional_tracker_period_is_refused(call):
     [
         lambda: enroll_speakers([], (0,), 16000),
         lambda: reassignment._window_frames(frag(0, 0, 0, 5), (0.0, 0.5), 16000, 16000),
-        lambda: beamforming.NoiseReference(np.zeros((4, 10)), np.zeros((4, 10)), 16000),
+        lambda: beamforming.oracle_noise_reference(16000, (0.0, 0.5), 16000),
     ],
 )
 def test_positional_sample_rate_is_refused(call):
@@ -404,6 +404,20 @@ class TestWindowFrames:
             assert frames == slice(start, stop)
             assert free.dtype == expected_free.dtype and np.array_equal(free, expected_free)
         assert clamped > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num_samples=st.integers(min_value=512 + (MIN_EMBED_FRAMES - 1) * 256, max_value=30 * SR),
+        start=st.floats(min_value=0.0, max_value=0.999),
+        length=st.floats(min_value=0.0, max_value=30.0),
+    )
+    def test_oracle_reference_frames_hold_the_window_frames(self, num_samples, start, length):
+        duration = num_samples / self.SR
+        window = (start * duration, min(duration, start * duration + length))
+        frames, _ = reassignment._window_frames(frag(0, 0, 0, 0), window, num_samples)
+        reference = oracle_noise_reference(num_samples, window)
+        assert 0 <= reference.start <= frames.start < frames.stop <= reference.stop
+        assert reference.stop <= dsp.num_full_frames(num_samples)
 
     def test_last_tracker_frame_reads_the_grids_last_frames(self):
         # 1.35 s: 83 analysis frames, the last centred at 21248 samples; the
@@ -746,12 +760,11 @@ class TestFloat32ReadScene:
     @pytest.mark.parametrize("window", [(2.0, 3.5), (0.0, 0.1), (9.8, 10.0), None])
     def test_oracle_noise_reference(self, scenes, window):
         read, wide = scenes
+        frames = oracle_noise_reference(read.mixture.num_samples, window)
         for target in range(len(read.wet)):
-            got = oracle_noise_reference(read.mixture, read.wet, target, window)
-            expected = oracle_noise_reference(wide.mixture, wide.wet, target, window)
-            assert got.read(0, got.num_samples).dtype == np.float64
-            assert np.array_equal(got.read(0, got.num_samples), expected.read(0, expected.num_samples))
-            assert np.array_equal(reference_covariances(got), reference_covariances(expected))
+            got = reference_covariances(foa_stft(read.mixture, frames), read.wet[target], frames)
+            expected = reference_covariances(foa_stft(wide.mixture, frames), wide.wet[target], frames)
+            assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("frames", [slice(0, 3), slice(200, 420), slice(600, 622)])
     def test_beamform_ideal(self, scenes, frames):
