@@ -9,9 +9,9 @@ here or in the library: every signal is at dsp.SAMPLE_RATE, tracker frames
 are tracking.DEFAULT_HOP_S long and the analysis grid is dsp.N_WINDOW-sample
 windows every dsp.N_HOP samples. The "est" front-end's corruption is the
 default tracking.NoiseModel, as in the library's run_pipeline.
-ExperimentConfig.validate checks each field's declared type before its
-value; either kind of bad value, or a sweep value listed twice, is a
-ConfigError.
+ExperimentConfig.from_dict decodes a config against the dataclasses'
+declared types (fileio.decode) and validate checks their values; either
+kind of bad value, or a sweep value listed twice, is a ConfigError.
 
 All randomness derives from one master seed. A scene's seed is
 derive_seed(master, index, "scene"). gen writes each scene
@@ -33,9 +33,10 @@ mixture are transformed once for all of them (reassignment.reassign_scene):
 every cell of a scene is embedded before the first is written, so a scene
 that fails leaves none of its cells marked complete. run and
 eval take the dataset section from the dataset's manifest, and eval takes
-the run section from the results' run_manifest.json; a manifest whose
-section this config cannot read, or that lists a scene_id or index twice,
-is a DataError. gen records in each scene's manifest row the sha256 of the
+the run section from the results' run_manifest.json. Both files are
+decoded against their declarations, DatasetManifest and RunManifest; a
+manifest that does not decode, or that lists a scene_id or index twice, is
+a DataError. gen records in each scene's manifest row the sha256 of the
 mixture bytes and of the pool file it writes (the speaker WAVs are not
 hashed); run reads each mixture and pool once and checks their bytes against
 those hashes before parsing them, and a manifest without pool hashes, from
@@ -55,14 +56,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TypedDict
 
 from . import fileio, metrics
 from .beamforming import MIN_COV_FRAMES
-from .dsp import SAMPLE_RATE
-from .embedding import MIN_EMBED_FRAMES, analysis_frame_centers
+from .dsp import SAMPLE_RATE, num_full_frames
+from .embedding import MIN_EMBED_FRAMES
 from .fragments import DurationPolicy
 from .metrics import SceneMetrics, aggregate_report, evaluate_scene
 from .reassignment import (
@@ -129,8 +130,7 @@ class DatasetConfig:
 
 def _analysis_frames(spec: SceneSpec) -> int:
     """Frames of the analysis grid in a scene of spec."""
-    num_samples = int(round(spec.duration * SAMPLE_RATE))
-    return len(analysis_frame_centers(num_samples))
+    return num_full_frames(int(round(spec.duration * SAMPLE_RATE)))
 
 
 @dataclass(frozen=True)
@@ -184,31 +184,6 @@ class EvalConfig:
             raise ConfigError("bootstrap iters must be >= 1")
 
 
-def _has_type(value, hint) -> bool:
-    """Whether a config value is of its field's declared type: an int passes
-    for a float, a bool for neither."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple:
-        return isinstance(value, tuple) and all(_has_type(v, args[0]) for v in value)
-    if args:  # a union such as float | None
-        return any(_has_type(value, arg) for arg in args)
-    if hint is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if hint is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, hint)
-
-
-def _check_types(section) -> None:
-    for name, hint in typing.get_type_hints(type(section)).items():
-        value = getattr(section, name)
-        if dataclasses.is_dataclass(hint):
-            _check_types(value)
-        elif not _has_type(value, hint):
-            expected = hint.__name__ if isinstance(hint, type) else hint
-            raise ConfigError(f"{type(section).__name__}.{name}: {value!r} is not of type {expected}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     master_seed: int = 0
@@ -218,7 +193,6 @@ class ExperimentConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def validate(self) -> None:
-        _check_types(self)
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         self.dataset.validate()
@@ -235,30 +209,36 @@ class ExperimentConfig:
                 )
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        return _from_dict(cls, doc)
+    def from_dict(cls, doc) -> "ExperimentConfig":
+        """The config of a YAML or JSON mapping, decoded (fileio.decode),
+        with durations made strings (YAML reads `250` as an int); a value
+        that does not fit its field is a ConfigError."""
+        run = doc.get("run") if isinstance(doc, dict) else None
+        if isinstance(run, dict) and isinstance(run.get("durations"), list):
+            doc = {**doc, "run": {**run, "durations": [str(d) for d in run["durations"]]}}
+        try:
+            return fileio.decode(cls, doc, "config")
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The config in JSON values, which from_dict reads back."""
+        return json.loads(json.dumps(dataclasses.asdict(self)))
 
 
-def _from_dict(klass, doc):
-    """klass(**doc), its sections built the same way, with lists made tuples
-    and durations strings (YAML reads `250` as an int)."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{klass.__name__} must be a mapping, not {doc!r}")
-    hints = typing.get_type_hints(klass)
-    unknown = set(doc) - set(hints)
-    if unknown:
-        raise ConfigError(f"unknown {klass.__name__} keys: {sorted(unknown)}")
-    values = {}
-    for name, value in doc.items():
-        if dataclasses.is_dataclass(hints[name]):
-            value = _from_dict(hints[name], value)
-        elif isinstance(value, list):
-            value = tuple(str(x) for x in value) if name == "durations" else tuple(value)
-        values[name] = value
-    return klass(**values)
+# The declarations of manifest.json, its scene rows, and run_manifest.json (fileio.decode).
+_SceneKeys = TypedDict("_SceneKeys", {"scene_id": str, "index": int, "seed": int, "sha256": str})
+
+
+class SceneRow(_SceneKeys, total=False):
+    enrollment_sha256: str  # missing in a manifest of a gen that wrote no pool files
+
+
+DatasetManifest = TypedDict(
+    "DatasetManifest", {"master_seed": int, "dataset": DatasetConfig, "scenes": tuple[SceneRow, ...]})
+RunManifest = TypedDict("RunManifest", {
+    "config": ExperimentConfig, "cells": tuple[str, ...], "scenes": tuple[str, ...],
+    "sha256": dict[str, str], "enrollment_sha256": dict[str, str]})
 
 
 def _scene_id(index: int) -> str:
@@ -266,10 +246,11 @@ def _scene_id(index: int) -> str:
 
 
 def _read(reader, path: Path):
-    """reader(path); a missing or unreadable file is a DataError."""
+    """reader(path); a missing or unreadable file is a DataError. The readers
+    decode each JSON file (fileio.decode), so a malformed one is a ValueError."""
     try:
         return reader(path)
-    except (OSError, ValueError, KeyError, TypeError) as e:
+    except (OSError, ValueError) as e:
         raise DataError(f"cannot read {path}: {e}") from None
 
 
@@ -321,56 +302,31 @@ def cmd_gen(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
     return path
 
 
-def load_manifest(dataset_dir: str | Path) -> dict:
-    return _read(lambda path: json.loads(path.read_text()), Path(dataset_dir) / "manifest.json")
-
-
-def _is_scene_row(row) -> bool:
-    return (
-        isinstance(row, dict)
-        and isinstance(row.get("scene_id"), str)
-        and _has_type(row.get("index"), int)
-        and isinstance(row.get("sha256"), str)
-        and isinstance(row.get("enrollment_sha256"), str)
-    )
-
-
 def _open_dataset(
     cfg: ExperimentConfig, dataset_dir: str | Path
-) -> tuple[ExperimentConfig, list[dict], int]:
+) -> tuple[ExperimentConfig, tuple[SceneRow, ...], int]:
     """cfg with the dataset section the dataset was generated with, validated,
-    the dataset's scene rows and the master seed gen wrote it with (an int,
-    or a DataError). Each row must be a mapping with a str
-    scene_id, an int index, a str sha256 and a str enrollment_sha256, and no
-    two rows may share a scene_id or an index; anything else is a DataError.
-    A row without enrollment_sha256 comes from a gen that wrote no pool
-    files: the message says to regenerate the dataset."""
-    manifest = load_manifest(dataset_dir)
-    try:
-        cfg = dataclasses.replace(cfg, dataset=DatasetConfig(**manifest["dataset"]))
-        scenes, dataset_seed = manifest["scenes"], manifest["master_seed"]
-    except (KeyError, TypeError) as e:
-        raise DataError(f"malformed dataset manifest in {dataset_dir}: {e!r}") from None
-    if not _has_type(dataset_seed, int):
-        raise DataError(f"the dataset manifest in {dataset_dir} has no int master_seed")
-    if not isinstance(scenes, list) or not all(_is_scene_row(row) for row in scenes):
-        if isinstance(scenes, list) and any(
-            isinstance(row, dict) and _is_scene_row({"enrollment_sha256": "", **row})
-            for row in scenes
-        ):
-            raise DataError(
-                f"the dataset in {dataset_dir} has no enrollment pool files (an older gen "
-                "wrote it); regenerate it with embtrack gen"
-            )
-        raise DataError(f"malformed scene rows in the dataset manifest in {dataset_dir}")
+    the dataset's scene rows and the master seed gen wrote it with. A
+    manifest that is not a DatasetManifest, or rows that share a scene_id or
+    an index, are a DataError; a row without enrollment_sha256 (from a gen
+    that wrote no pool files) says to regenerate the dataset."""
+    path = Path(dataset_dir) / "manifest.json"
+    manifest = _read(lambda p: fileio.read_json(p, DatasetManifest), path)
+    scenes = manifest["scenes"]
+    if any("enrollment_sha256" not in row for row in scenes):
+        raise DataError(
+            f"the dataset in {dataset_dir} has no enrollment pool files (an older gen "
+            "wrote it); regenerate it with embtrack gen"
+        )
     for key in ("scene_id", "index"):
         values = [row[key] for row in scenes]
         if len(set(values)) < len(values):
             raise DataError(f"the dataset manifest in {dataset_dir} lists a {key} twice")
+    cfg = dataclasses.replace(cfg, dataset=manifest["dataset"])
     cfg.validate()
     if not scenes:
         raise DataError("dataset manifest lists no scenes")
-    return cfg, scenes, dataset_seed
+    return cfg, scenes, manifest["master_seed"]
 
 
 def cell_name(tracker: str, m: int, beamformer: str, duration: str) -> str:
@@ -442,35 +398,29 @@ def _run_one(args: tuple) -> str:
     return scene_id
 
 
-def _run_manifest(cfg: ExperimentConfig, scenes: list[dict]) -> dict:
+def _run_manifest(cfg: ExperimentConfig, scenes: tuple[SceneRow, ...]) -> RunManifest:
     return {
-        "config": cfg.to_dict(),
-        "cells": [cell_name(cfg.run.tracker, m, bf, dur) for m, bf, dur in cfg.run.cells()],
-        "scenes": [row["scene_id"] for row in scenes],
+        "config": cfg,
+        "cells": tuple(cell_name(cfg.run.tracker, m, bf, dur) for m, bf, dur in cfg.run.cells()),
+        "scenes": tuple(row["scene_id"] for row in scenes),
         "sha256": {row["scene_id"]: row["sha256"] for row in scenes},
         "enrollment_sha256": {row["scene_id"]: row["enrollment_sha256"] for row in scenes},
     }
 
 
-def _binding(run_manifest: dict) -> dict:
-    """What a results directory is bound to, in JSON values."""
-    config = run_manifest["config"]
-    binding = {
-        "master seed": config["master_seed"],
-        "run section": config["run"],
-        "scene hashes": run_manifest["sha256"],
-        # None in a run_manifest.json written before gen wrote pool files
-        "pool hashes": run_manifest.get("enrollment_sha256"),
-    }
-    return json.loads(json.dumps(binding))
+# What a results directory is bound to, read from a run manifest.
+_BINDING = {
+    "master seed": lambda manifest: manifest["config"].master_seed,
+    "run section": lambda manifest: manifest["config"].run,
+    "scene hashes": lambda manifest: manifest["sha256"],
+    "pool hashes": lambda manifest: manifest["enrollment_sha256"],
+}
 
 
-def _check_binding(results_dir: Path, run_manifest: dict) -> None:
-    """ConfigError unless results_dir's run_manifest.json binds it to the
-    master seed, run section, scene and pool hashes of run_manifest; DataError when
-    that file is missing or unreadable."""
-    stored = _read(lambda p: _binding(json.loads(p.read_text())), results_dir / "run_manifest.json")
-    changed = [key for key, value in _binding(run_manifest).items() if stored[key] != value]
+def _check_binding(results_dir: Path, stored: RunManifest, run_manifest: RunManifest) -> None:
+    """ConfigError unless the run manifest stored in results_dir binds it to
+    the master seed, run section, scene and pool hashes of run_manifest."""
+    changed = [key for key, bound in _BINDING.items() if bound(stored) != bound(run_manifest)]
     if changed:
         raise ConfigError(f"{results_dir} holds a run with another {', '.join(changed)}")
 
@@ -487,9 +437,9 @@ def cmd_run(cfg: ExperimentConfig, dataset_dir: str | Path, out_dir: str | Path)
     run_manifest = _run_manifest(cfg, scenes)
     path = out_dir / "run_manifest.json"
     if path.exists():
-        _check_binding(out_dir, run_manifest)
+        _check_binding(out_dir, _read(lambda p: fileio.read_json(p, RunManifest), path), run_manifest)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fileio.dump_json(run_manifest, path)
+    fileio.dump_json({**run_manifest, "config": cfg.to_dict()}, path)
     distractors = shared_distractors(cfg.master_seed, cfg.run.enrollment_sizes, cfg.dataset.num_speakers)
     tasks = [
         (
@@ -530,12 +480,10 @@ def cmd_eval(
     dataset_dir = Path(dataset_dir)
     if not results_dir.exists():
         raise DataError(f"no results directory {results_dir}")
-    run = _read(
-        lambda p: _from_dict(RunConfig, json.loads(p.read_text())["config"]["run"]),
-        results_dir / "run_manifest.json",
-    )
+    stored = _read(lambda p: fileio.read_json(p, RunManifest), results_dir / "run_manifest.json")
+    run = stored["config"].run
     cfg, scenes, dataset_seed = _open_dataset(dataclasses.replace(cfg, run=run), dataset_dir)
-    _check_binding(results_dir, _run_manifest(cfg, scenes))
+    _check_binding(results_dir, stored, _run_manifest(cfg, scenes))
 
     names = {(m, bf, dur): cell_name(run.tracker, m, bf, dur) for m, bf, dur in run.cells()}
     # Each M's `before` file, then each cell's `after` file, relative to a scene's results.

@@ -22,9 +22,18 @@ read-only float32 (4, T) view of those bytes, so it takes no memory beyond
 the file's; its consumers widen the samples to float64, which is exact,
 where they compute with them.
 
-An enrollment pool file holds one JSON line {"identity": str, "vector":
-[float, ...]} per entry, in pool order (write_enrollment); the vectors read
-back bit for bit (read_enrollment).
+Every JSON file is read through decode, against the declaration of what
+it holds; a value of another type, a non-finite number, or a missing or
+unknown key is a ValueError that names the file (or line), the path to the
+value and the value. The declarations:
+
+    manifest.json       experiment.DatasetManifest, its rows experiment.SceneRow
+    run_manifest.json   experiment.RunManifest
+    ground_truth.json   GroundTruthFile: its speakers Speaker, each segment
+                        Segment, and its spec SceneSpec (spec_from_dict)
+    enrollment.jsonl    PoolEntry per line, in pool order (write_enrollment);
+                        the vectors read back bit for bit
+    tracks*.jsonl       TrackRecord per line (trajectories_from_jsonl)
 
 A ground_truth.json keeps the scene spec's sample_rate key, written as
 SAMPLE_RATE; a spec that names another rate is a ValueError.
@@ -33,10 +42,16 @@ SAMPLE_RATE; a spec that names another rate is a ValueError.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import itertools
 import json
+import math
 import os
+import reprlib
 import struct
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +64,17 @@ from .geometry import DoA
 from .reassignment import AssignmentResult
 from .scene import FoaSignal, Scene, SceneSpec, SpeakerGroundTruth, VoiceParams, render_scene
 from .tracking import Trajectory
+
+# The declarations of the JSON files, besides the dataclasses they hold; a
+# ground_truth.json's spec is read by spec_from_dict.
+Segment = typing.TypedDict("Segment", {"onset": float, "offset": float, "azimuth": float, "elevation": float})
+Speaker = typing.TypedDict(
+    "Speaker", {"speaker_id": int, "voice": VoiceParams, "segments": tuple[Segment, ...]})
+GroundTruthFile = typing.TypedDict(
+    "GroundTruthFile", {"spec": dict[str, object], "speakers": tuple[Speaker, ...]})
+PoolEntry = typing.TypedDict("PoolEntry", {"identity": str, "vector": tuple[float, ...]})
+TrackRecord = typing.TypedDict(
+    "TrackRecord", {"track_id": int | str, "frames": tuple[tuple[int, float, float, bool], ...]})
 
 _IEEE_FLOAT = 3
 _CHANNELS = 4
@@ -126,27 +152,125 @@ def read_wav(path: str | Path, *, sha256: str | None = None) -> FoaSignal:
     return FoaSignal(samples.T)
 
 
-def _tuples(value):
-    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
+class _Mismatch(Exception):
+    """args: what is wrong, then the key or index of each container left, innermost first."""
 
 
-def _from_json(klass, d: dict):
-    """klass(**d), with the JSON lists made back into the tuples klass holds."""
-    return klass(**{name: _tuples(value) for name, value in d.items()})
+# Each leaf hint's test of a JSON value, and what the test asks for.
+_LEAVES = {
+    int: (lambda v: type(v) is int, "an int"),
+    float: (lambda v: type(v) is int or (type(v) is float and math.isfinite(v)), "a finite number"),
+    bool: (lambda v: type(v) is bool, "a bool"),
+    str: (lambda v: type(v) is str, "a str"),
+    type(None): (lambda v: v is None, "null"),
+    object: (lambda v: True, "any value"),
+}
+
+
+def decode(hint, value, where: str):
+    """value, as json.loads parsed it, built into the type hint that declares
+    it, or a ValueError that names where, the path from there and the value.
+    A dataclass or TypedDict takes a mapping of its fields (those with a
+    default, or a TypedDict's optional keys, may be missing), dict[str, X] one
+    of X values; other keys are refused, as is what the dataclass refuses.
+    tuple[X, ...] takes a list of X values, tuple[A, B] a list of an A and a
+    B. Leaves are exact: int is an int but not a bool, float a finite int or
+    float, bool, str, None and unions of leaves their own values, object any
+    value. Values come back as read: no int is made a float."""
+    try:
+        return _plan(hint)(value)
+    except _Mismatch as e:
+        at = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in reversed(e.args[1:])).lstrip(".")
+        raise ValueError(": ".join(filter(None, (where, at, e.args[0])))) from None
+
+
+def read_json(path: str | Path, hint):
+    """The JSON file at path, decoded against hint."""
+    return decode(hint, json.loads(Path(path).read_text()), str(path))
+
+
+def _field(key: str, plan, value):
+    """plan(value) for the value at key of a mapping; no plan means an unknown key."""
+    if plan is None:
+        raise _Mismatch(f"unknown key {key!r}")
+    try:
+        return plan(value)
+    except _Mismatch as e:
+        e.args += (key,)
+        raise
+
+
+@functools.cache
+def _plan(hint):
+    """The function that decode applies to a JSON value of hint, worked out once."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint in _LEAVES or origin in (typing.Union, types.UnionType):
+        tests, names = zip(*(_LEAVES[leaf] for leaf in args or (hint,)))
+        test = tests[0] if len(tests) == 1 else lambda v: any(t(v) for t in tests)
+        expected = " or ".join(names)
+
+        def leaf(value):
+            if test(value):
+                return value
+            raise _Mismatch(f"{reprlib.repr(value)} is not {expected}")
+
+        return leaf
+    if origin is tuple:
+        length = None if args[1:] == (...,) else len(args)
+        items = itertools.repeat(_plan(args[0])) if length is None else tuple(map(_plan, args))
+        expected = "a list" if length is None else f"a list of {length}"
+
+        def items_plan(value):  # one try for the whole list: a trajectory's frames are the hot path
+            if type(value) is not list or (length is not None and len(value) != length):
+                raise _Mismatch(f"{reprlib.repr(value)} is not {expected}")
+            out = []
+            try:
+                for item, v in zip(items, value):
+                    out.append(item(v))
+            except _Mismatch as e:
+                e.args += (len(out),)
+                raise
+            return tuple(out)
+
+        return items_plan
+    if origin is dict:
+        item = _plan(args[1])
+        plan_of, required, make = (lambda key: item), set(), dict
+    elif typing.is_typeddict(hint):
+        plan_of = {key: _plan(h) for key, h in typing.get_type_hints(hint).items()}.get
+        required, make = hint.__required_keys__, dict
+    else:  # a dataclass
+        hints, fields = typing.get_type_hints(hint), dataclasses.fields(hint)
+        plan_of = {f.name: _plan(hints[f.name]) for f in fields}.get
+        required = {f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING}
+        make = hint
+
+    def mapping_plan(value):
+        if type(value) is not dict:
+            raise _Mismatch(f"{reprlib.repr(value)} is not a mapping")
+        out = {key: _field(key, plan_of(key), v) for key, v in value.items()}
+        if missing := required - out.keys():
+            raise _Mismatch(f"missing key {min(missing)!r}")
+        try:
+            return make(**out)
+        except ValueError as e:
+            raise _Mismatch(str(e)) from None
+
+    return mapping_plan
 
 
 def spec_to_dict(spec: SceneSpec) -> dict:
     return {**dataclasses.asdict(spec), "sample_rate": SAMPLE_RATE}
 
 
-def spec_from_dict(d: dict) -> SceneSpec:
-    """The SceneSpec of spec_to_dict's dict; a sample_rate other than
-    SAMPLE_RATE is a ValueError."""
+def spec_from_dict(d: dict, where: str = "scene spec") -> SceneSpec:
+    """The SceneSpec of spec_to_dict's dict, decoded; a sample_rate other
+    than SAMPLE_RATE is a ValueError."""
     d = dict(d)
     rate = d.pop("sample_rate", SAMPLE_RATE)
     if rate != SAMPLE_RATE:
         raise ValueError(f"scene spec at {rate} Hz, not at {SAMPLE_RATE} Hz")
-    return _from_json(SceneSpec, d)
+    return decode(SceneSpec, d, where)
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -162,46 +286,50 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _jsonl(records) -> str:
+    """One sorted-key JSON line per record."""
+    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+
+
 def dump_json(obj, path: str | Path) -> None:
     """Canonical JSON: sorted keys, two-space indent, trailing newline."""
     write_text_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def write_ground_truth(path: str | Path, ground_truth: list[SpeakerGroundTruth], spec: SceneSpec) -> None:
-    doc = {
-        "spec": spec_to_dict(spec),
-        "speakers": [
-            {
-                "speaker_id": gt.speaker_id,
-                "voice": dataclasses.asdict(gt.voice),
-                "segments": [
-                    {"onset": on, "offset": off, "azimuth": doa.azimuth, "elevation": doa.elevation}
-                    for on, off, doa in gt.segments
-                ],
-            }
-            for gt in ground_truth
-        ],
-    }
-    dump_json(doc, path)
+    speakers = [
+        {
+            **dataclasses.asdict(gt),
+            "segments": [
+                {"onset": on, "offset": off, **dataclasses.asdict(doa)} for on, off, doa in gt.segments
+            ],
+        }
+        for gt in ground_truth
+    ]
+    dump_json({"spec": spec_to_dict(spec), "speakers": speakers}, path)
 
 
 def read_ground_truth(path: str | Path) -> tuple[list[SpeakerGroundTruth], SceneSpec]:
     """The ground truth and spec write_ground_truth wrote. Speaker j's wet
     signal is speakerNN.wav with NN = j, so speaker ids other than 0 to J - 1
-    in file order are a ValueError."""
-    doc = json.loads(Path(path).read_text())
+    in file order are a ValueError. So is a speaker whose segments are not
+    one or more sorted, disjoint spans with 0 <= onset < offset <= the
+    spec's duration, as scene._sample_activity draws them."""
+    doc = read_json(path, GroundTruthFile)
+    spec = spec_from_dict(doc["spec"], f"{path}: spec")
     ids = [s["speaker_id"] for s in doc["speakers"]]
-    if not all(type(i) is int for i in ids) or ids != list(range(len(ids))):
+    if ids != list(range(len(ids))):
         raise ValueError(f"{path}: speaker ids {ids} are not 0 to {len(ids) - 1} in order")
     speakers = []
-    for s in doc["speakers"]:
-        gt = SpeakerGroundTruth(speaker_id=s["speaker_id"], voice=_from_json(VoiceParams, s["voice"]))
-        gt.segments = [
-            (seg["onset"], seg["offset"], DoA(seg["azimuth"], seg["elevation"]))
-            for seg in s["segments"]
-        ]
-        speakers.append(gt)
-    return speakers, spec_from_dict(doc["spec"])
+    for j, s in enumerate(doc["speakers"]):
+        segments = [(g["onset"], g["offset"], DoA(g["azimuth"], g["elevation"])) for g in s["segments"]]
+        bounds = [0.0, *(t for on, off, _ in segments for t in (on, off)), spec.duration]
+        if not segments or bounds != sorted(bounds) or any(on == off for on, off, _ in segments):
+            raise ValueError(
+                f"{path}: speakers[{j}].segments are not sorted, disjoint spans in [0, {spec.duration}] s"
+            )
+        speakers.append(SpeakerGroundTruth(speaker_id=j, voice=s["voice"], segments=segments))
+    return speakers, spec
 
 
 def write_scene(scene_dir: str | Path, spec: SceneSpec) -> str:
@@ -260,35 +388,24 @@ def write_enrollment(path: str | Path, entries: list[tuple[str, Embedding]]) -> 
     """Write pool entries, one JSON line {"identity", "vector"} each, in pool
     order; returns the sha256 of the file. JSON writes each float by its
     shortest repr, so read_enrollment gives back the very same vectors."""
-    lines = [
-        json.dumps({"identity": identity, "vector": emb.vector.tolist()}, sort_keys=True)
-        for identity, emb in entries
-    ]
-    text = "\n".join(lines) + ("\n" if lines else "")
+    text = _jsonl({"identity": identity, "vector": emb.vector.tolist()} for identity, emb in entries)
     write_text_atomic(path, text)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def read_enrollment(path: str | Path, *, sha256: str | None = None) -> list[tuple[str, Embedding]]:
-    """The entries write_enrollment wrote. sha256, when given, is the hash
-    the file's bytes must have. An entry whose identity is not a string,
-    whose vector is not a list of numbers of the same length as the others
-    or not of unit norm, or an identity listed twice, is a ValueError."""
+    """The entries write_enrollment wrote, each line decoded against
+    PoolEntry. sha256, when given, is the hash the file's bytes must have.
+    Vectors of different lengths or not of unit norm, or an identity listed
+    twice, are a ValueError."""
     raw = Path(path).read_bytes()
     if sha256 is not None and hashlib.sha256(raw).hexdigest() != sha256:
         raise ValueError(f"{path} does not match sha256 {sha256}")
     entries = []
-    for line in raw.decode().splitlines():
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        identity, vector = record["identity"], record["vector"]
-        numbers = isinstance(vector, list) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in vector
-        )
-        if not isinstance(identity, str) or not numbers:
-            raise ValueError(f"{path}: malformed enrollment entry {line[:80]!r}")
-        entries.append((identity, Embedding(np.array(vector, dtype=np.float64))))
+    for n, line in enumerate(raw.decode().splitlines(), 1):
+        if line.strip():
+            entry = decode(PoolEntry, json.loads(line), f"{path} line {n}")
+            entries.append((entry["identity"], Embedding(np.array(entry["vector"], dtype=np.float64))))
     if len({emb.vector.shape for _, emb in entries}) > 1:
         raise ValueError(f"{path}: enrollment vectors differ in length")
     return EnrollmentPool(entries).entries
@@ -302,40 +419,43 @@ def trajectories_to_jsonl(trajectories: list[Trajectory]) -> str:
     from the scene's start: frame i spans [0.1 i, 0.1 (i + 1)) s and is
     scored at its centre. That period is a constant, not a parameter, so
     the library, run and eval all read every trajectory on that one grid.
+
+    An imported file must pass trajectories_from_jsonl's checks: each line
+    a TrackRecord (an int or str track_id; frames of an int index, finite
+    azimuth and elevation, and a JSON bool active flag), each index
+    non-negative and listed once in its record, each track_id used by one
+    record, and each elevation in [-90, 90].
     """
-    lines = []
-    for traj in trajectories:
-        record = {
+    return _jsonl(
+        {
             "track_id": traj.track_id,
             "frames": [
-                [index, doa.azimuth, doa.elevation, bool(active)]
-                for index, doa, active in traj.frames
+                [index, doa.azimuth, doa.elevation, bool(active)] for index, doa, active in traj.frames
             ],
         }
-        lines.append(json.dumps(record, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")
+        for traj in trajectories
+    )
 
 
 def trajectories_from_jsonl(text: str) -> list[Trajectory]:
-    """The trajectories of trajectories_to_jsonl's format. A track_id that is
-    neither an int (not a bool) nor a str, a frame index that is not an int
-    (a float, or a bool) or that is negative, or an active flag that is not
-    a JSON bool, is a ValueError."""
+    """The trajectories of trajectories_to_jsonl's format, each line decoded
+    against TrackRecord. A negative frame index, an index listed twice in a
+    record or a track_id used by two records is a ValueError."""
     trajectories = []
-    for line in text.splitlines():
+    track_ids = set()
+    for n, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        record = json.loads(line)
-        track_id = record["track_id"]
-        if type(track_id) not in (int, str):
-            raise ValueError(f"track_id {track_id!r} is neither an int nor a str")
-        frames = []
-        for index, az, el, active in record["frames"]:
-            if type(index) is not int or index < 0:
-                raise ValueError(f"frame index {index!r} is not a non-negative int")
-            if type(active) is not bool:
-                raise ValueError(f"active flag {active!r} is not a bool")
-            frames.append((index, DoA(az, el), active))
+        record = decode(TrackRecord, json.loads(line), f"line {n}")
+        track_id, indices = record["track_id"], [frame[0] for frame in record["frames"]]
+        if track_id in track_ids:
+            raise ValueError(f"line {n}: track_id {track_id!r} is used by an earlier record")
+        if min(indices, default=0) < 0:
+            raise ValueError(f"line {n}: frame index {min(indices)} is negative")
+        if len(set(indices)) < len(indices):
+            raise ValueError(f"line {n}: track {track_id!r} lists a frame index twice")
+        track_ids.add(track_id)
+        frames = [(index, DoA(az, el), active) for index, az, el, active in record["frames"]]
         trajectories.append(Trajectory(track_id=track_id, frames=frames))
     return trajectories
 
@@ -349,17 +469,17 @@ def read_trajectories(path: str | Path) -> list[Trajectory]:
 
 
 def write_fragments(path: str | Path, fragments: list[Fragment]) -> None:
-    lines = []
-    for f in fragments:
-        record = {
+    records = (
+        {
             "fragment_id": f.fragment_id,
             "track_id": f.source_track_id,
             "onset_frame": f.onset_frame,
             "offset_frame": f.offset_frame,
             "representative_doa": [f.representative_doa.azimuth, f.representative_doa.elevation],
         }
-        lines.append(json.dumps(record, sort_keys=True))
-    write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
+        for f in fragments
+    )
+    write_text_atomic(path, _jsonl(records))
 
 
 def assignment_to_dict(result: AssignmentResult, mvdr: MvdrDiagnostics) -> dict:

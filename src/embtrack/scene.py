@@ -73,6 +73,8 @@ class SceneSpec:
     def __post_init__(self):
         if not (0.0 < self.duration < math.inf):
             raise ValueError("duration must be positive and finite")
+        if self.snr is not None and not math.isfinite(self.snr):
+            raise ValueError(f"snr {self.snr} is not finite (None adds no noise)")
         if self.num_speakers < 1:
             raise ValueError("need at least one speaker")
         if self.level_diff_range[0] > self.level_diff_range[1]:
@@ -604,7 +606,7 @@ def render_scene(
         mixture += channels
         on_wet(gt.speaker_id, FoaSignal(channels))
         del channels  # the next speaker is built without this one held
-    if spec.snr is not None and math.isfinite(spec.snr):
+    if spec.snr is not None:
         _add_noise(mixture, spec.snr, int(rng.integers(0, 2**63 - 1)))
     return FoaSignal(mixture), speakers
 

@@ -297,7 +297,8 @@ class TestFileIo:
     @pytest.mark.parametrize("index", ["1.5", "true", "-1", "1.0", '"1"'])
     def test_trajectory_frame_index_must_be_a_non_negative_int(self, index):
         text = '{"track_id": 3, "frames": [[%s, 10.0, -5.0, true]]}\n' % index
-        with pytest.raises(ValueError, match="frame index"):
+        words = "frame index" if index == "-1" else f"line 1: frames[0][0]: {json.loads(index)!r} is not an int"
+        with pytest.raises(ValueError, match=re.escape(words)):
             fileio.trajectories_from_jsonl(text)
 
     @pytest.mark.parametrize("track_id", ['["speaker00"]', "true", "1.5", "null", '{"id": 0}'])
@@ -309,7 +310,7 @@ class TestFileIo:
     @pytest.mark.parametrize("active", ['"false"', '"true"', "0.5", "1", "0", "null"])
     def test_trajectory_active_flag_must_be_a_bool(self, active):
         text = '{"track_id": 3, "frames": [[0, 10.0, -5.0, %s]]}\n' % active
-        with pytest.raises(ValueError, match="active flag"):
+        with pytest.raises(ValueError, match=re.escape(f"line 1: frames[0][3]: {json.loads(active)!r} is not a bool")):
             fileio.trajectories_from_jsonl(text)
 
     @pytest.mark.parametrize("ids", [[1, 0], [5, 6], [0, 2], [False, True], ["0", "1"]])
@@ -322,7 +323,8 @@ class TestFileIo:
         doc = json.loads(path.read_text())
         doc["speakers"] = [dict(speaker, speaker_id=i) for speaker, i in zip(doc["speakers"], ids)]
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="speaker ids"):
+        words = "speaker ids" if type(ids[0]) is int else f"speakers[0].speaker_id: {ids[0]!r} is not an int"
+        with pytest.raises(ValueError, match=re.escape(words)):
             fileio.read_ground_truth(path)
 
 
@@ -1040,7 +1042,7 @@ class TestEval:
         path.write_text('{"frames": [[0, %s, -5.0, true]], "track_id": "speaker00"}\n' % azimuth)
         argv = ["eval", "--config", str(small_config), "--dataset", str(data), "--results", str(copy)]
         assert main(argv + ["--out", str(tmp_path / "r.json")]) == 3
-        assert "is not finite" in capsys.readouterr().err
+        assert f"line 1: frames[0][1]: {float(azimuth)!r} is not a finite number" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     def test_list_track_id_in_imported_tracks_exit_code(self, small_results, small_config, tmp_path, capsys):
@@ -1052,7 +1054,7 @@ class TestEval:
         path.write_text('{"frames": [[0, 10.0, -5.0, true]], "track_id": ["speaker00"]}\n')
         argv = ["eval", "--config", str(small_config), "--dataset", str(data), "--results", str(copy)]
         assert main(argv + ["--out", str(tmp_path / "r.json")]) == 3
-        assert "track_id ['speaker00'] is neither an int nor a str" in capsys.readouterr().err
+        assert "line 1: track_id: ['speaker00'] is not an int or a str" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("active", ['"false"', "0.5", "1"])
@@ -1069,7 +1071,7 @@ class TestEval:
         path.write_text(text)
         argv = ["eval", "--config", str(small_config), "--dataset", str(data), "--results", str(copy)]
         assert main(argv + ["--out", str(tmp_path / "r.json")]) == 3
-        assert f"active flag {json.loads(active)!r} is not a bool" in capsys.readouterr().err
+        assert f"line 1: frames[0][3]: {json.loads(active)!r} is not a bool" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     def test_missing_results_is_data_error(self, small_dataset, tmp_path):
