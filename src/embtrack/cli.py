@@ -1,10 +1,13 @@
 """Command line interface: embtrack gen | run | eval.
 
-Configuration comes from an optional YAML file; command-line flags override
-file values. run and eval take the dataset section from the dataset's
-manifest, and eval takes the run section from the results'
-run_manifest.json. Exit codes: 0 success, 2 configuration error, 3 data
-error.
+Configuration comes from an optional YAML file, which may set any subset
+of the fields; command-line flags override file values, and defaults fill
+only what neither sets. Every file the commands read (manifest.json,
+run_manifest.json, ground_truth.json, ...) lists every field, or the command
+exits 3. run and eval take the dataset section from the dataset's manifest,
+and eval takes the run section from the results' run_manifest.json. gen and
+run take --workers; eval scores in one process and has none. Exit codes: 0
+success, 2 configuration error, 3 data error.
 """
 
 from __future__ import annotations
@@ -59,11 +62,6 @@ def _load_config(path: str | None, overrides: dict) -> ExperimentConfig:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="YAML configuration file")
     parser.add_argument("--seed", type=int, help="master seed (overrides config)")
-    parser.add_argument("--workers", type=int, help="parallel scene workers")
-
-
-def _common_overrides(args: argparse.Namespace) -> dict:
-    return {"master_seed": args.seed, "workers": args.workers}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a synthetic scene dataset")
     _add_common(gen)
+    gen.add_argument("--workers", type=int, help="parallel scene workers")
     gen.add_argument("--out", required=True, help="dataset output directory")
     gen.add_argument("--count", type=int, help="number of scenes")
     gen.add_argument("--regime", choices=list(SEPARATION_REGIMES), help="separation regime")
@@ -84,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the reassignment pipeline over a dataset")
     _add_common(run)
+    run.add_argument("--workers", type=int, help="parallel scene workers")
     run.add_argument("--dataset", required=True, help="dataset directory from gen")
     run.add_argument("--out", required=True, help="results output directory")
     run.add_argument("--tracker", choices=TRACKER_VARIANTS, help="observation front-end")
@@ -117,10 +117,11 @@ def _csv_strs(text: str) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        overrides = _common_overrides(args)
+        overrides = {"master_seed": args.seed}
         if args.command == "gen":
             overrides.update(
                 {
+                    "workers": args.workers,
                     "dataset.count": args.count,
                     "dataset.regime": args.regime,
                     "dataset.duration": args.duration,
@@ -134,6 +135,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "run":
             overrides.update(
                 {
+                    "workers": args.workers,
                     "run.tracker": args.tracker,
                     "run.beamformers": _csv_strs(args.beamformers) if args.beamformers else None,
                     "run.durations": _csv_strs(args.durations) if args.durations else None,

@@ -9,9 +9,11 @@ here or in the library: every signal is at dsp.SAMPLE_RATE, tracker frames
 are tracking.DEFAULT_HOP_S long and the analysis grid is dsp.N_WINDOW-sample
 windows every dsp.N_HOP samples. The "est" front-end's corruption is the
 default tracking.NoiseModel, as in the library's run_pipeline.
-ExperimentConfig.from_dict decodes a config against the dataclasses'
-declared types (fileio.decode) and validate checks their values; either
-kind of bad value, or a sweep value listed twice, is a ConfigError.
+ExperimentConfig.from_dict lays a config over the defaults and decodes it
+against the dataclasses' declared types (fileio.decode), and validate checks
+their values; either kind of bad value, or a sweep value listed twice, is a
+ConfigError. Defaults fill only a config: each is declared once (DatasetConfig
+takes SceneSpec's), and every file the commands read lists every field.
 
 All randomness derives from one master seed. A scene's seed is
 derive_seed(master, index, "scene"). gen writes each scene
@@ -35,9 +37,10 @@ that fails leaves none of its cells marked complete. run and
 eval take the dataset section from the dataset's manifest, and eval takes
 the run section from the results' run_manifest.json. Both files are
 decoded against their declarations, DatasetManifest and RunManifest; a
-manifest that does not decode, or that lists a scene_id or index twice, is
-a DataError. gen records in each scene's manifest row the sha256 of the
-mixture bytes and of the pool file it writes (the speaker WAVs are not
+manifest that does not decode (a missing field included), that lists a
+scene_id or index twice, or whose dataset count is not its number of scene
+rows, is a DataError. gen records in each scene's manifest row the sha256
+of the mixture bytes and of the pool file it writes (the speaker WAVs are not
 hashed); run reads each mixture and pool once and checks their bytes against
 those hashes before parsing them, and a manifest without pool hashes, from
 an older gen, is a DataError. run and eval refuse a ground_truth.json whose
@@ -96,11 +99,11 @@ class DatasetConfig:
     """The swept scene parameters; the rest of the scene model is SceneSpec's defaults."""
 
     count: int = 50
-    regime: str = "distant"
+    regime: str = SceneSpec.separation_regime
     duration: float = 30.0
-    num_speakers: int = 2
-    snr: float | None = 15.0
-    jump_on_silence: bool = True
+    num_speakers: int = SceneSpec.num_speakers
+    snr: float | None = SceneSpec.snr
+    jump_on_silence: bool = SceneSpec.jump_on_silence
 
     def validate(self) -> None:
         if self.count < 0:
@@ -210,12 +213,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc) -> "ExperimentConfig":
-        """The config of a YAML or JSON mapping, decoded (fileio.decode),
-        with durations made strings (YAML reads `250` as an int); a value
-        that does not fit its field is a ConfigError."""
-        run = doc.get("run") if isinstance(doc, dict) else None
-        if isinstance(run, dict) and isinstance(run.get("durations"), list):
-            doc = {**doc, "run": {**run, "durations": [str(d) for d in run["durations"]]}}
+        """The config of a YAML or JSON mapping laid over the defaults,
+        section by section, and decoded (fileio.decode), with durations made
+        strings (YAML reads `250` as an int); a value that does not fit its
+        field is a ConfigError. This is the one place where a default fills
+        a missing value: every file the commands read lists every field."""
+        if isinstance(doc, dict):
+            defaults = cls().to_dict()
+            # A section that is not a mapping stays as it is, for decode to refuse.
+            doc = defaults | {
+                key: defaults[key] | value if isinstance(value, dict) and isinstance(defaults.get(key), dict)
+                else value
+                for key, value in doc.items()
+            }
+            if isinstance(run := doc["run"], dict) and isinstance(run["durations"], list):
+                doc["run"] = {**run, "durations": [str(d) for d in run["durations"]]}
         try:
             return fileio.decode(cls, doc, "config")
         except ValueError as e:
@@ -307,9 +319,10 @@ def _open_dataset(
 ) -> tuple[ExperimentConfig, tuple[SceneRow, ...], int]:
     """cfg with the dataset section the dataset was generated with, validated,
     the dataset's scene rows and the master seed gen wrote it with. A
-    manifest that is not a DatasetManifest, or rows that share a scene_id or
-    an index, are a DataError; a row without enrollment_sha256 (from a gen
-    that wrote no pool files) says to regenerate the dataset."""
+    manifest that is not a DatasetManifest, rows that share a scene_id or an
+    index, or a dataset count that is not the number of rows, are a
+    DataError; a row without enrollment_sha256 (from a gen that wrote no
+    pool files) says to regenerate the dataset."""
     path = Path(dataset_dir) / "manifest.json"
     manifest = _read(lambda p: fileio.read_json(p, DatasetManifest), path)
     scenes = manifest["scenes"]
@@ -322,6 +335,8 @@ def _open_dataset(
         values = [row[key] for row in scenes]
         if len(set(values)) < len(values):
             raise DataError(f"the dataset manifest in {dataset_dir} lists a {key} twice")
+    if manifest["dataset"].count != len(scenes):
+        raise DataError(f"{path} lists {len(scenes)} scenes, not its dataset.count")
     cfg = dataclasses.replace(cfg, dataset=manifest["dataset"])
     cfg.validate()
     if not scenes:
@@ -489,10 +504,9 @@ def cmd_eval(
     # Each M's `before` file, then each cell's `after` file, relative to a scene's results.
     files = {m: f"tracks_{run.tracker}_m{m}.jsonl" for m in run.enrollment_sizes}
     files.update({name: f"{name}/tracks_after.jsonl" for name in names.values()})
-    # Per scene, the score of each distinct file text, and per file, the
-    # index of its text's score in each scene.
-    scores: list[list[SceneMetrics]] = []
-    text_ids: dict[int | str, list[int]] = {key: [] for key in files}
+    # Per file, its score in each scene; a file whose bytes repeat another's
+    # in that scene shares that file's score object.
+    scores: dict[int | str, list[SceneMetrics]] = {key: [] for key in files}
     for row in scenes:
         scene_id = row["scene_id"]
         gt_path = dataset_dir / "scenes" / scene_id / "ground_truth.json"
@@ -502,19 +516,14 @@ def cmd_eval(
         for name in names.values():
             if not (result_dir / name / COMPLETE_MARKER).exists():
                 raise DataError(f"missing or incomplete results for {scene_id}/{name}")
-        seen: dict[bytes, int] = {}
-        scene_scores: list[SceneMetrics] = []
+        by_text: dict[bytes, SceneMetrics] = {}
         for key, relative in files.items():
             path = result_dir / relative
             text = _read(Path.read_bytes, path)
-            if text not in seen:
-                seen[text] = len(scene_scores)
+            if text not in by_text:
                 trajectories = _read(fileio.read_trajectories, path)
-                scene_scores.append(
-                    evaluate_scene(gt, trajectories, spec.duration, alpha_deg=cfg.eval.alpha_deg)
-                )
-            text_ids[key].append(seen[text])
-        scores.append(scene_scores)
+                by_text[text] = evaluate_scene(gt, trajectories, spec.duration, alpha_deg=cfg.eval.alpha_deg)
+            scores[key].append(by_text[text])
 
     kwargs = dict(
         fraction=cfg.eval.bootstrap_fraction,
@@ -522,14 +531,14 @@ def cmd_eval(
         seed=derive_seed(cfg.master_seed, "bootstrap"),
         alpha_deg=cfg.eval.alpha_deg,
     )
-    # aggregate_report seeds its own generator, so equal score lists give equal reports.
+    # aggregate_report seeds its own generator, so equal score lists give
+    # equal reports; the score objects live on in scores, so their ids stay theirs.
     reports: dict[tuple[int, ...], dict] = {}
 
     def report_of(key: int | str) -> dict:
-        ids = tuple(text_ids[key])
+        ids = tuple(map(id, scores[key]))
         if ids not in reports:
-            per_scene = [distinct[i] for distinct, i in zip(scores, ids)]
-            reports[ids] = aggregate_report(per_scene, **kwargs).as_dict()
+            reports[ids] = aggregate_report(scores[key], **kwargs).as_dict()
         return reports[ids]
 
     cells = {

@@ -25,7 +25,9 @@ where they compute with them.
 Every JSON file is read through decode, against the declaration of what
 it holds; a value of another type, a non-finite number, or a missing or
 unknown key is a ValueError that names the file (or line), the path to the
-value and the value. The declarations:
+value and the value. Every file lists every field: no default fills a
+missing one (defaults fill only a config, in ExperimentConfig.from_dict).
+The declarations:
 
     manifest.json       experiment.DatasetManifest, its rows experiment.SceneRow
     run_manifest.json   experiment.RunManifest
@@ -36,7 +38,7 @@ value and the value. The declarations:
     tracks*.jsonl       TrackRecord per line (trajectories_from_jsonl)
 
 A ground_truth.json keeps the scene spec's sample_rate key, written as
-SAMPLE_RATE; a spec that names another rate is a ValueError.
+SAMPLE_RATE; a spec without it, or that names another rate, is a ValueError.
 """
 
 from __future__ import annotations
@@ -170,9 +172,11 @@ _LEAVES = {
 def decode(hint, value, where: str):
     """value, as json.loads parsed it, built into the type hint that declares
     it, or a ValueError that names where, the path from there and the value.
-    A dataclass or TypedDict takes a mapping of its fields (those with a
-    default, or a TypedDict's optional keys, may be missing), dict[str, X] one
-    of X values; other keys are refused, as is what the dataclass refuses.
+    A dataclass takes a mapping of all its fields, defaults or not (defaults
+    fill only a config, in ExperimentConfig.from_dict, so every file lists
+    every field); a TypedDict one of its keys (its optional keys may be
+    missing), dict[str, X] one of X values; other keys are refused, as is what
+    the dataclass refuses.
     tuple[X, ...] takes a list of X values, tuple[A, B] a list of an A and a
     B. Leaves are exact: int is an int but not a bool, float a finite int or
     float, bool, str, None and unions of leaves their own values, object any
@@ -242,8 +246,7 @@ def _plan(hint):
     else:  # a dataclass
         hints, fields = typing.get_type_hints(hint), dataclasses.fields(hint)
         plan_of = {f.name: _plan(hints[f.name]) for f in fields}.get
-        required = {f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING}
-        make = hint
+        required, make = {f.name for f in fields}, hint
 
     def mapping_plan(value):
         if type(value) is not dict:
@@ -264,11 +267,12 @@ def spec_to_dict(spec: SceneSpec) -> dict:
 
 
 def spec_from_dict(d: dict, where: str = "scene spec") -> SceneSpec:
-    """The SceneSpec of spec_to_dict's dict, decoded; a sample_rate other
-    than SAMPLE_RATE is a ValueError."""
+    """The SceneSpec of spec_to_dict's dict, decoded; a missing sample_rate,
+    or one other than SAMPLE_RATE, is a ValueError."""
     d = dict(d)
-    rate = d.pop("sample_rate", SAMPLE_RATE)
-    if rate != SAMPLE_RATE:
+    if "sample_rate" not in d:
+        raise ValueError(f"{where}: missing key 'sample_rate'")
+    if (rate := d.pop("sample_rate")) != SAMPLE_RATE:
         raise ValueError(f"scene spec at {rate} Hz, not at {SAMPLE_RATE} Hz")
     return decode(SceneSpec, d, where)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 import yaml
 
 from conftest import previous_write_scene
-from embtrack import embedding, experiment, fileio
+from embtrack import cli, embedding, experiment, fileio
 from embtrack import scene as scene_module
 from embtrack.cli import main
 from embtrack.embedding import build_distractors
@@ -79,6 +80,19 @@ def one_scene(tmp_path_factory):
     data = tmp_path_factory.mktemp("one_scene")
     cmd_gen(ExperimentConfig.from_dict({"master_seed": 3, "dataset": {"count": 1, "duration": 6.0}}), data)
     return data
+
+
+GROUND_TRUTH = "data/scenes/scene_0000/ground_truth.json"  # in gated_run's directory
+
+
+@pytest.fixture(scope="module")
+def gated_run(one_scene, tmp_path_factory):
+    """A directory of one_scene's dataset (data) and its gated MVDR results (results)."""
+    root = tmp_path_factory.mktemp("gated_run")
+    shutil.copytree(one_scene, root / "data")
+    argv = ["run", "--dataset", str(root / "data"), "--out", str(root / "results")]
+    assert main(argv + ["--beamformers", "mvdr", "--noise-cov", "gated"]) == 0
+    return root
 
 
 def set_wav_rate(path: Path, rate: int) -> None:
@@ -359,6 +373,14 @@ class TestConfig:
         cfg = ExperimentConfig()
         cfg.validate()
         assert cfg.workers == 1
+
+    def test_defaults_fill_what_a_config_leaves_out(self):
+        assert ExperimentConfig.from_dict({}) == ExperimentConfig()
+        cfg = ExperimentConfig.from_dict({"run": {"tracker": "est"}})
+        assert cfg == dataclasses.replace(ExperimentConfig(), run=RunConfig(tracker="est"))
+        # each scene default is declared once, in SceneSpec
+        spec = DatasetConfig().scene_spec(0, 0)
+        assert spec == dataclasses.replace(SceneSpec(seed=spec.seed), duration=DatasetConfig().duration)
 
 
 class TestGen:
@@ -1190,6 +1212,53 @@ class TestCliProcess:
         assert main(eval_argv) == 3
         assert not report.exists()
 
+    @pytest.mark.parametrize(
+        "command, flags, key, value",
+        [
+            ("gen", ["--seed", "9"], "master_seed", 9),
+            ("run", ["--seed", "9"], "master_seed", 9),
+            ("eval", ["--seed", "9"], "master_seed", 9),
+            ("gen", ["--workers", "3"], "workers", 3),
+            ("run", ["--workers", "3"], "workers", 3),
+            ("gen", ["--count", "4"], "dataset.count", 4),
+            ("gen", ["--regime", "close"], "dataset.regime", "close"),
+            ("gen", ["--duration", "12.5"], "dataset.duration", 12.5),
+            ("gen", ["--snr", "5"], "dataset.snr", 5.0),
+            ("gen", ["--static"], "dataset.jump_on_silence", False),
+            ("run", ["--tracker", "est"], "run.tracker", "est"),
+            ("run", ["--beamformers", "ds,mvdr"], "run.beamformers", ["ds", "mvdr"]),
+            ("run", ["--beamformers", ""], None, None),
+            ("run", ["--durations", "250,whole"], "run.durations", ["250", "whole"]),
+            ("run", ["--enrollment-sizes", "2,4"], "run.enrollment_sizes", [2, 4]),
+            ("run", ["--noise-cov", "gated"], "run.noise_cov", "gated"),
+            ("eval", ["--alpha", "10"], "eval.alpha_deg", 10.0),
+        ],
+    )
+    def test_each_flag_reaches_its_key(self, tmp_path, monkeypatch, command, flags, key, value):
+        # The config file sets a beamformer; a flag sets its key and leaves
+        # every other key the file's or the default.
+        doc = {"run": {"beamformers": ["ds"]}}
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(doc))
+        received = []
+        monkeypatch.setattr(cli, "cmd_gen", lambda cfg, *_: received.append(cfg) or "manifest.json")
+        monkeypatch.setattr(cli, "cmd_run", lambda cfg, *_: received.append(cfg) or "run_manifest.json")
+        monkeypatch.setattr(cli, "cmd_eval", lambda cfg, *_, **__: received.append(cfg) or {"trend": []})
+        paths = {"gen": ["--out", "d"], "run": ["--dataset", "d", "--out", "r"]}
+        argv = paths.get(command, ["--dataset", "d", "--results", "r", "--out", "report.json"])
+        assert main([command, "--config", str(cfg_path), *argv, *flags]) == 0
+        if key is not None:
+            *sections, leaf = key.split(".")
+            functools.reduce(lambda d, k: d.setdefault(k, {}), sections, doc)[leaf] = value
+        assert received == [ExperimentConfig.from_dict(doc)]
+
+    def test_eval_has_no_workers_flag(self, capsys):
+        # eval scores in one process: --workers is a usage error, not ignored
+        with pytest.raises(SystemExit) as exit_info:
+            main(["eval", "--dataset", "d", "--results", "r", "--out", "report.json", "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.yaml"
         cfg_path.write_text("dataset:\n  regime: sideways\n")
@@ -1378,6 +1447,45 @@ class TestCliProcess:
         (data / "manifest.json").write_text(json.dumps(manifest))
         assert main(["run", "--dataset", str(data), "--out", str(tmp_path / "results")]) == 3
         assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize(
+        "relative, key, value, words",
+        [
+            ("data/manifest.json", "dataset.count", None, "missing key 'count'"),
+            ("data/manifest.json", "dataset.count", 3, "lists 1 scenes, not its dataset.count"),
+            ("results/run_manifest.json", "config.run.noise_cov", None, "missing key 'noise_cov'"),
+            (GROUND_TRUTH, "spec.sample_rate", None, "missing key 'sample_rate'"),
+            (GROUND_TRUTH, "spec.pause_range", None, "missing key 'pause_range'"),
+        ],
+        ids=["no-count", "count-3", "no-noise_cov", "no-sample_rate", "no-pause_range"],
+    )
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    def test_file_missing_a_field_exit_code(
+        self, gated_run, tmp_path, capsys, command, relative, key, value, words
+    ):
+        # No default fills a field missing from a file; run resumes into the
+        # results when their run_manifest.json is edited, else starts afresh.
+        shutil.copytree(gated_run, tmp_path, dirs_exist_ok=True)
+        path = tmp_path / relative
+        doc = json.loads(path.read_text())
+        *sections, leaf = key.split(".")
+        section = functools.reduce(dict.__getitem__, sections, doc)
+        if value is None:
+            del section[leaf]
+        else:
+            section[leaf] = value
+        path.write_text(json.dumps(doc))
+        data, report = ["--dataset", str(tmp_path / "data")], tmp_path / "report.json"
+        results = tmp_path / ("results" if command == "eval" or relative.startswith("results") else "fresh")
+        markers = sorted(results.rglob(COMPLETE_MARKER))
+        if command == "run":
+            argv = ["run", *data, "--out", str(results), "--beamformers", "mvdr", "--noise-cov", "gated"]
+        else:
+            argv = ["eval", *data, "--results", str(results), "--out", str(report)]
+        assert main(argv) == 3
+        assert words in capsys.readouterr().err
+        assert sorted(results.rglob(COMPLETE_MARKER)) == markers
+        assert not report.exists()
 
     def test_missing_dataset_exit_code(self, tmp_path):
         assert (

@@ -54,10 +54,6 @@ CHANGES_OUTPUT = [
     # every azimuth is valid, and so is an elevation in [-90, 90]
     r"\S+ \S+ 0 speakers \d+ segments \d+ (azimuth|elevation)",
     r"eval \S+tracks\S+ \d+ frames \d+ [12]",
-    # a missing dataset count reads as its default; run writes the dataset
-    # section into run_manifest.json and eval into its report, and neither
-    # checks the count against the scene rows
-    r"\S+ data/manifest.json 0 dataset count",
 ]
 
 
