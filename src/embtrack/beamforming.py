@@ -1,7 +1,9 @@
-"""Fragment beamformers on the FOA mixture, in the STFT domain: Ideal (oracle
-wet signal), broadband Delay-and-Sum, and per-band MVDR with diagonal loading.
+"""Fragment beamformers on the FOA mixture, in the STFT domain: Ideal (the
+oracle target's wet signal), broadband Delay-and-Sum, and per-band MVDR with
+diagonal loading. The oracle target of a fragment is the speaker
+nearest_speaker_index gives for its steering DoA at its window midpoint.
 
-The mixture is analysed on one unpadded STFT grid (foa_stft). A fragment
+The mixture is analysed on dsp's one STFT grid (foa_stft). A fragment
 reads the frames of that grid whose centre lies in its extraction window, a
 slice of the frame axis: reassign_scene transforms only the frames a
 fragment's windows read (foa_stft(mixture, frames)), or, in a scene with a
@@ -33,7 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import N_HOP, N_WINDOW, SAMPLE_RATE, frames_centred_in, num_full_frames, stft, stft_blocks
+from .dsp import (
+    N_HOP, N_WINDOW, SAMPLE_RATE, frame_samples, frames_centred_in, num_full_frames, stft, stft_blocks,
+)
 from .embedding import analysis_frame_tracker_frames
 from .geometry import DoA, angular_distance
 from .scene import FoaSignal, SpeakerGroundTruth, foa_gains
@@ -80,12 +84,12 @@ class MvdrDiagnostics:
 
 
 def foa_stft(signal: FoaSignal, frames: slice | None = None) -> np.ndarray:
-    """Unpadded STFT of a 4-channel signal, shape (4, bins, frames).
+    """STFT of a 4-channel signal on the analysis grid, shape (4, bins, frames).
 
     Frame k covers samples [k * hop, k * hop + window), the grid embed()
     analyses a signal on. frames, a slice start:stop of that grid's frame
-    axis, transforms only samples [start * hop, (stop - 1) * hop + window),
-    and the result holds frames start to stop - 1, the same values as that
+    axis, transforms only the samples they cover (dsp.frame_samples), and
+    the result holds frames start to stop - 1, the same values as that
     slice of the whole STFT; None transforms the whole signal. An empty
     slice, or one that runs past the grid, is a ValueError. stft fills one
     preallocated C-ordered array one channel at a time (a channel of the
@@ -97,10 +101,10 @@ def foa_stft(signal: FoaSignal, frames: slice | None = None) -> np.ndarray:
     start, stop = (0, n_frames) if frames is None else (frames.start, frames.stop)
     if not 0 <= start < stop <= n_frames:
         raise ValueError(f"frames {start}:{stop} are not a slice of the {n_frames}-frame grid")
-    span = signal.channels[:, start * N_HOP : (stop - 1) * N_HOP + N_WINDOW]
+    span = signal.channels[:, frame_samples(slice(start, stop))]
     spec = np.empty((4, N_WINDOW // 2 + 1, stop - start), dtype=complex)
     for c in range(4):
-        stft(span[c], pad=False, out=spec[c])
+        stft(span[c], out=spec[c])
     return spec
 
 
@@ -152,15 +156,15 @@ def reference_covariances(mixture_stft: np.ndarray, target: FoaSignal, frames: s
     averaged over those frames, of which there must be MIN_COV_FRAMES.
 
     mixture_stft holds those frames of foa_stft(mixture). The target's frames
-    are transformed _COV_BLOCK_FRAMES at a time (dsp.stft_blocks, unpadded,
-    of the samples they cover), and each block's difference is added to the
+    are transformed _COV_BLOCK_FRAMES at a time (dsp.stft_blocks of the
+    samples they cover), and each block's difference is added to the
     sum as one batched product x @ x^H, so only a block of the target's STFT
     is held. The result is made exactly Hermitian.
     """
     count = _checked_frame_count(frames.stop - frames.start)
-    span = target.channels[:, frames.start * N_HOP : (frames.stop - 1) * N_HOP + N_WINDOW]
+    span = target.channels[:, frame_samples(frames)]
     cov = np.zeros((N_WINDOW // 2 + 1, 4, 4), dtype=complex)
-    for f0, f1, spectra in stft_blocks(span, pad=False, block_frames=_COV_BLOCK_FRAMES):
+    for f0, f1, spectra in stft_blocks(span, block_frames=_COV_BLOCK_FRAMES):
         x = np.subtract(
             mixture_stft[:, :, f0:f1].transpose(1, 0, 2), spectra.transpose(2, 0, 1), order="C"
         )
@@ -224,15 +228,14 @@ def beamform_mvdr(
     return np.einsum("fc,cft->ft", np.conj(weights), mixture)
 
 
-def oracle_noise_reference(num_samples: int, window: tuple[float, float] | None = None) -> slice:
+def oracle_noise_reference(num_samples: int, window: tuple[float, float]) -> slice:
     """The frames of foa_stft's grid, for a scene of num_samples, that the
     oracle noise covariance of a fragment window reads (reference_covariances):
     those whose centre lies in the window widened symmetrically to
     MIN_NOISE_REFERENCE_S and clipped to the scene, as a slice of the frame
-    axis; every frame when window is None. They hold every frame whose centre
-    lies in the window itself.
+    axis. They hold every frame whose centre lies in the window itself.
     """
-    start, end = window or (0.0, num_samples / SAMPLE_RATE)
+    start, end = window
     if end - start < MIN_NOISE_REFERENCE_S:
         pad = 0.5 * (MIN_NOISE_REFERENCE_S - (end - start))
         start, end = start - pad, end + pad
@@ -272,22 +275,13 @@ def nearest_speaker_index(
     return min(candidates)[1]
 
 
-def beamform_ideal(
-    wet_signals: list[FoaSignal],
-    ground_truth: list[SpeakerGroundTruth],
-    doa: DoA,
-    window: tuple[float, float],
-    frames: slice,
-) -> np.ndarray:
-    """Oracle beamformer: STFT of the W channel of the wet signal of the
-    speaker whose ground-truth DoA at the window midpoint is angularly nearest
-    to doa, on the frames of the foa_stft grid that frames selects.
+def beamform_ideal(target: FoaSignal, frames: slice) -> np.ndarray:
+    """Oracle beamformer: STFT of the W channel of target, the oracle
+    target's wet signal, on the frames of the foa_stft grid that frames
+    selects.
 
     Only the samples those frames cover are transformed, _IDEAL_BLOCK_FRAMES
     frames at a time, so no per-speaker STFT is kept and the beam is the only
     whole-window array held.
     """
-    midpoint = 0.5 * (window[0] + window[1])
-    wet = wet_signals[nearest_speaker_index(ground_truth, doa, midpoint)]
-    span = wet.channels[0, frames.start * N_HOP : (frames.stop - 1) * N_HOP + N_WINDOW]
-    return stft(span, pad=False, block_frames=_IDEAL_BLOCK_FRAMES)
+    return stft(target.channels[0, frame_samples(frames)], block_frames=_IDEAL_BLOCK_FRAMES)

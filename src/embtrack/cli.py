@@ -4,7 +4,8 @@ Configuration comes from an optional YAML file, which may set any subset
 of the fields; command-line flags override file values, and defaults fill
 only what neither sets. Every file the commands read (manifest.json,
 run_manifest.json, ground_truth.json, ...) lists every field, or the command
-exits 3. run and eval take the dataset section from the dataset's manifest,
+exits 3. An output that cannot be written (an OSError) exits 3 as well.
+run and eval take the dataset section from the dataset's manifest,
 and eval takes the run section from the results' run_manifest.json. gen and
 run take --workers; eval scores in one process and has none. Exit codes: 0
 success, 2 configuration error, 3 data error.
@@ -168,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as e:
+    except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK

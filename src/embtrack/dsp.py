@@ -1,11 +1,14 @@
 """STFT analysis used by the beamformers, their covariance estimates and the
 embedder, and its overlap-add inverse (istft), the reference that checks the
-STFT-domain beamformers against time-domain ones. Every beam, covariance and
-embedding reads one grid, the unpadded one (pad=False); the padded stft is
-only istft's round trip.
+STFT-domain beamformers against time-domain ones.
 
 Every signal is at one sample rate, SAMPLE_RATE, and analysed on one grid of
-N_WINDOW-sample windows every N_HOP samples; neither is a parameter.
+N_WINDOW-sample windows every N_HOP samples; neither is a parameter. The grid
+holds the windows that lie fully inside the signal: frame k covers samples
+[k * N_HOP, k * N_HOP + N_WINDOW), and a slice of frames the samples
+frame_samples gives. Every beam, covariance and embedding reads that grid.
+istft inverts the STFT of a signal zero-padded by N_WINDOW samples on each
+side, so that every sample of the signal is reconstructed.
 """
 
 from __future__ import annotations
@@ -39,15 +42,11 @@ STFT_BLOCK_FRAMES = 256
 def stft(
     x: np.ndarray,
     *,
-    pad: bool = True,
     out: np.ndarray | None = None,
     block_frames: int = STFT_BLOCK_FRAMES,
 ) -> np.ndarray:
-    """Complex STFT, shape (bins, frames). x may be (T,) or (channels, T) -> (ch, bins, frames).
-
-    With pad=True the signal is zero-padded by one window on each side so the
-    inverse transform reconstructs the full length; pad=False keeps only the
-    windows fully inside the signal, the analysis grid.
+    """Complex STFT on the analysis grid, the windows that lie fully inside
+    x, shape (bins, frames). x may be (T,) or (channels, T) -> (ch, bins, frames).
 
     Each channel is windowed and transformed block_frames frames at a time
     (stft_blocks), so no full-length copy of x or of its frames is held.
@@ -58,7 +57,7 @@ def stft(
     float64, a widening that is exact, so it gives the same values as its
     float64 copy.
     """
-    n_frames = num_stft_frames(x.shape[-1], pad=pad)
+    n_frames = num_full_frames(x.shape[-1])
     if n_frames == 0:
         raise ValueError(f"signal too short for a {N_WINDOW}-sample window")
     lead, n_bins = x.shape[:-1], N_WINDOW // 2 + 1
@@ -67,41 +66,33 @@ def stft(
     elif out.shape != lead + (n_bins, n_frames):
         raise ValueError(f"out has shape {out.shape}, the STFT {lead + (n_bins, n_frames)}")
     for channel in np.ndindex(lead):
-        for f0, f1, spectra in stft_blocks(x[channel], pad=pad, block_frames=block_frames):
+        for f0, f1, spectra in stft_blocks(x[channel], block_frames=block_frames):
             out[channel][:, f0:f1] = spectra.T
             del spectra  # before the next block's spectra are made
     return out
 
 
 def stft_blocks(
-    x: np.ndarray, *, pad: bool = True, block_frames: int = STFT_BLOCK_FRAMES
+    x: np.ndarray, *, block_frames: int = STFT_BLOCK_FRAMES
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """The STFT of x block_frames frames at a time: yields (f0, f1, spectra),
     spectra of shape (…, f1 - f0, bins) holding frames f0 to f1 - 1.
 
-    x is (T,) or (channels, T), and pad is as in stft: pad=False gives the
-    analysis grid's frames, as reference_covariances reads the oracle
-    target's. Only the samples one block's frames cover are windowed,
-    zero-extended where a padded block leaves the signal.
+    x is (T,) or (channels, T). Only the samples one block's frames cover
+    are windowed.
     """
-    n_samples = x.shape[-1]
-    edge = N_WINDOW if pad else 0
     win = periodic_hann(N_WINDOW)
-    n_frames = num_stft_frames(n_samples, pad=pad)
+    n_frames = num_full_frames(x.shape[-1])
     for f0 in range(0, n_frames, block_frames):
         f1 = min(f0 + block_frames, n_frames)
-        start = f0 * N_HOP - edge
-        stop = start + (f1 - f0 - 1) * N_HOP + N_WINDOW
-        lo, hi = max(start, 0), min(stop, n_samples)
-        span = x[..., lo:hi]
-        if hi - lo < stop - start:
-            inner, span = span, np.zeros(span.shape[:-1] + (stop - start,))
-            span[..., lo - start : hi - start] = inner
+        span = x[..., frame_samples(slice(f0, f1))]
         yield f0, f1, np.fft.rfft(sliding_window_view(span, N_WINDOW, axis=-1)[..., ::N_HOP, :] * win)
 
 
 def istft(spec: np.ndarray, length: int) -> np.ndarray:
-    """Inverse of stft via overlap-add; returns `length` samples."""
+    """Inverse via overlap-add of the STFT of a length-sample signal
+    zero-padded by N_WINDOW samples on each side, stft(np.pad(x, N_WINDOW));
+    returns the length samples of x."""
     win = periodic_hann(N_WINDOW)
     frames = np.fft.irfft(spec.T, n=N_WINDOW, axis=1) * win
     n_frames = frames.shape[0]
@@ -115,14 +106,19 @@ def istft(spec: np.ndarray, length: int) -> np.ndarray:
 
 
 def num_full_frames(n_samples: int) -> int:
-    """Frame count of the unpadded stft for an n_samples signal (0 if too short)."""
+    """Frame count of the analysis grid of an n_samples signal (0 if too short)."""
     if n_samples < N_WINDOW:
         return 0
     return 1 + (n_samples - N_WINDOW) // N_HOP
 
 
+def frame_samples(frames: slice) -> slice:
+    """The samples frames start to stop - 1 of the analysis grid cover."""
+    return slice(frames.start * N_HOP, (frames.stop - 1) * N_HOP + N_WINDOW)
+
+
 def frames_centred_in(window: tuple[float, float], n_samples: int) -> tuple[int, int]:
-    """(start, stop): frames start to stop - 1 of the unpadded grid of an
+    """(start, stop): frames start to stop - 1 of the analysis grid of an
     n_samples signal are those whose centre, N_HOP k + N_WINDOW / 2, lies in
     window, [t0, t1) in seconds with each bound rounded to a sample."""
     n_frames = num_full_frames(n_samples)
@@ -131,8 +127,3 @@ def frames_centred_in(window: tuple[float, float], n_samples: int) -> tuple[int,
         min(n_frames, max(0, -((N_WINDOW - 2 * int(round(t * SAMPLE_RATE))) // (2 * N_HOP))))
         for t in window
     )
-
-
-def num_stft_frames(n_samples: int, *, pad: bool = True) -> int:
-    """Frame count of stft for an n_samples signal (0 if too short)."""
-    return num_full_frames(n_samples + (2 * N_WINDOW if pad else 0))

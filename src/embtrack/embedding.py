@@ -96,16 +96,17 @@ def analysis_frame_tracker_frames(num_samples: int, *, frames: slice = slice(Non
 
 
 def embed(signal: np.ndarray, *, frame_mask: np.ndarray | None = None) -> Embedding:
-    """Log-mel band statistics embedding of a mono signal: its unpadded STFT
-    (32 ms windows, 16 ms hop, only windows fully inside the signal) pooled by
-    embed_power, with frame_mask one boolean per analysis frame."""
+    """Log-mel band statistics embedding of a mono signal: its STFT on the
+    analysis grid (32 ms windows, 16 ms hop, only windows fully inside the
+    signal) pooled by embed_power, with frame_mask one boolean per analysis
+    frame."""
     signal = np.asarray(signal, dtype=np.float64)
     if num_full_frames(len(signal)) < MIN_EMBED_FRAMES:
         raise ShortInputError(
             f"need at least {MIN_EMBED_FRAMES} analysis frames "
             f"({N_WINDOW + (MIN_EMBED_FRAMES - 1) * N_HOP} samples), got {len(signal)}"
         )
-    power = np.abs(stft(signal, pad=False))
+    power = np.abs(stft(signal))
     power **= 2
     return embed_power(power, frame_mask=frame_mask)
 

@@ -157,8 +157,9 @@ class RunConfig:
                 DurationPolicy.parse(d)
             except ValueError as e:
                 raise ConfigError(f"bad duration {d!r}: {e}") from None
-        if not self.enrollment_sizes:
-            raise ConfigError("run.enrollment_sizes must not be empty")
+        for name in ("beamformers", "durations", "enrollment_sizes"):
+            if not getattr(self, name):
+                raise ConfigError(f"run.{name} must not be empty")
         # A repeated value would name, and compute, the same cell twice.
         cells = [(m, bf, DurationPolicy.parse(d)) for m, bf, d in self.cells()]
         if len(set(cells)) < len(cells):
@@ -564,12 +565,12 @@ def cmd_eval(
         "cells": cells,
         "trend": trend_rows,
     }
-    fileio.dump_json(report, out_path)
-
+    # The CSVs first: a CSV that cannot be written leaves no report.
     if per_scene_csv is not None:
         _write_per_scene_csv(per_scene_csv, scenes, cells)
     if trend_csv is not None:
         _write_trend_csv(trend_csv, trend_rows)
+    fileio.dump_json(report, out_path)
     return report
 
 

@@ -291,13 +291,15 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 
 def _jsonl(records) -> str:
-    """One sorted-key JSON line per record."""
-    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+    """One sorted-key JSON line per record; a NaN or infinity is a ValueError."""
+    return "".join(json.dumps(record, sort_keys=True, allow_nan=False) + "\n" for record in records)
 
 
 def dump_json(obj, path: str | Path) -> None:
-    """Canonical JSON: sorted keys, two-space indent, trailing newline."""
-    write_text_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Canonical JSON: sorted keys, two-space indent, trailing newline. A NaN
+    or infinity is a ValueError, raised before path is touched: no writer
+    emits a non-standard JSON constant."""
+    write_text_atomic(path, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def write_ground_truth(path: str | Path, ground_truth: list[SpeakerGroundTruth], spec: SceneSpec) -> None:

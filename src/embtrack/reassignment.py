@@ -248,6 +248,10 @@ def extract_fragment_embedding(
     whose centre lies in it, and at least MIN_EMBED_FRAMES (_window_frames);
     an oracle "mvdr" covariance reads the oracle_noise_reference frames of
     the window. mixture_stft must hold the frames that are read.
+    "ideal" and an oracle "mvdr" covariance read the oracle target, which
+    this picks once: the wet signal of the speaker nearest_speaker_index
+    gives for the steering DoA at the window midpoint. "ds" and "mvdr" with
+    a given noise_cov read no wet signal.
     For "ds" and "mvdr" the embedding is pooled over the frames whose centre's
     tracker frame is not in frag.overlapped_frames, since there the mixture
     also carries another track's speaker (embed_power pools over all frames
@@ -264,15 +268,16 @@ def extract_fragment_embedding(
     steer = window_doa(frag, policy)
     frames, free = _window_frames(frag, window, scene.mixture.num_samples)
     local = slice(frames.start - first_frame, frames.stop - first_frame)
+    if beamformer == "ideal" or (beamformer == "mvdr" and noise_cov is None):
+        midpoint = 0.5 * (window[0] + window[1])
+        target = scene.wet[nearest_speaker_index(scene.ground_truth, steer, midpoint)]
     if beamformer == "ideal":
-        beam = beamform_ideal(scene.wet, scene.ground_truth, steer, window, frames)
+        beam = beamform_ideal(target, frames)
         free = None
     elif beamformer == "ds":
         beam = beamform_ds(mixture_stft[..., local], steer)
     elif beamformer == "mvdr":
         if noise_cov is None:
-            midpoint = 0.5 * (window[0] + window[1])
-            target = scene.wet[nearest_speaker_index(scene.ground_truth, steer, midpoint)]
             noise = oracle_noise_reference(scene.mixture.num_samples, window)
             noise_stft = mixture_stft[..., noise.start - first_frame : noise.stop - first_frame]
             noise_cov = reference_covariances(noise_stft, target, noise)

@@ -71,8 +71,8 @@ class SceneSpec:
     jump_on_silence: bool = True
 
     def __post_init__(self):
-        if not (0.0 < self.duration < math.inf):
-            raise ValueError("duration must be positive and finite")
+        if not (0.0 < self.duration and math.isfinite(self.duration * SAMPLE_RATE)):
+            raise ValueError(f"duration {self.duration} s must be positive, with a finite sample count")
         if self.snr is not None and not math.isfinite(self.snr):
             raise ValueError(f"snr {self.snr} is not finite (None adds no noise)")
         if self.num_speakers < 1:

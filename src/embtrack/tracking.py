@@ -123,12 +123,9 @@ def gt_frame_doas(ground_truth: list[SpeakerGroundTruth], n_frames: int) -> list
     return frames
 
 
-def observe_gt(
-    ground_truth: list[SpeakerGroundTruth], *, duration: float | None = None
-) -> list[ObservationFrame]:
-    """One exact detection per active speaker per frame (frame-center rule)."""
-    if duration is None:
-        duration = max((seg[1] for gt in ground_truth for seg in gt.segments), default=0.0)
+def observe_gt(ground_truth: list[SpeakerGroundTruth], *, duration: float) -> list[ObservationFrame]:
+    """One exact detection per active speaker per frame (frame-center rule),
+    in each of the num_frames(duration) tracker frames of a scene."""
     return [
         ObservationFrame(t, [(doa, 1.0) for doa in doas.values()])
         for t, doas in enumerate(gt_frame_doas(ground_truth, num_frames(duration)))
@@ -139,10 +136,12 @@ def observe_est(
     ground_truth: list[SpeakerGroundTruth],
     noise_model: NoiseModel = NoiseModel(),
     seed: int = 0,
-    duration: float | None = None,
+    *,
+    duration: float,
 ) -> list[ObservationFrame]:
     """Ground-truth detections independently dropped, vMF-perturbed, plus
-    Poisson false alarms drawn uniformly on the sphere.
+    Poisson false alarms drawn uniformly on the sphere, in each of the
+    num_frames(duration) tracker frames of a scene.
 
     The draws are taken frame by frame: for each detection the miss draw
     and, if it is kept, sample_vmf's two uniforms; then the frame's false

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from embtrack import fileio, scene
-from embtrack.dsp import SAMPLE_RATE
+from embtrack.dsp import N_WINDOW, SAMPLE_RATE, stft
 from embtrack.embedding import Embedding, embed
 from embtrack.geometry import DoA, sample_vmf
 from embtrack.scene import FoaSignal, SceneSpec, foa_gains, sample_voice_params, synthesize_voice
@@ -15,6 +15,12 @@ def cosine(a: Embedding, b: Embedding) -> float:
     if a.vector.shape != b.vector.shape:
         raise ValueError(f"dimension mismatch: {a.vector.shape} vs {b.vector.shape}")
     return float(np.clip(np.dot(a.vector, b.vector), -1.0, 1.0))
+
+
+def padded_stft(x: np.ndarray) -> np.ndarray:
+    """stft of x zero-padded by N_WINDOW samples on each side: the STFT whose
+    every frame dsp.istft overlap-adds, so it reconstructs every sample of x."""
+    return stft(np.pad(x, [(0, 0)] * (x.ndim - 1) + [(N_WINDOW, N_WINDOW)]))
 
 
 def encode_foa(mono: np.ndarray, doa: DoA) -> FoaSignal:

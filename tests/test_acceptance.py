@@ -30,7 +30,7 @@ from embtrack.tracking import (
     track,
 )
 
-from conftest import cosine, encode_foa
+from conftest import cosine, encode_foa, padded_stft
 from test_metrics import brute_force_match, matching_from_pairs
 
 MASTER = 20_25
@@ -318,7 +318,7 @@ class TestCriterion7BeamformerAlgebra:
             passthrough_ok = passthrough_ok and np.allclose(out, s, atol=1e-12)
 
         from embtrack.beamforming import beamform_ds
-        from embtrack.dsp import istft, stft
+        from embtrack.dsp import istft
         from embtrack.scene import FoaSignal
 
         mixture = FoaSignal(rng.standard_normal((4, 8000)))
@@ -326,7 +326,7 @@ class TestCriterion7BeamformerAlgebra:
         for doa in doas[:20]:
             d = steering_vector(doa)
             weights, _ = mvdr_weights(np.tile(np.eye(4, dtype=complex), (257, 1, 1)), d)
-            spec = stft(mixture.channels)
+            spec = padded_stft(mixture.channels)
             out = istft(np.einsum("fc,cft->ft", np.conj(weights), spec), 8000)
             ds = beamform_ds(mixture, doa)
             identity_ok = identity_ok and np.max(np.abs(out - ds)) < 1e-9 * np.max(np.abs(ds))
@@ -369,7 +369,7 @@ class TestCriterion9TrackerSanity:
         voice = VoiceParams(120.0, -6.0, (), 3.0)
         gt = SpeakerGroundTruth(0, voice)
         gt.segments = [(0.0, 20.0, DoA(40, 10))]
-        trajectories = track(observe_gt([gt]), gt_tracker_config(2, seed=0))
+        trajectories = track(observe_gt([gt], duration=20.0), gt_tracker_config(2, seed=0))
         metrics = evaluate_scene([gt], trajectories, 20.0)
         static_ok = (
             len(trajectories) == 1
@@ -379,7 +379,7 @@ class TestCriterion9TrackerSanity:
         )
 
         frames = observe_est(
-            [gt], NoiseModel(kappa_error=124.0, miss_prob=0.0, false_alarm_rate=0.0), seed=1
+            [gt], NoiseModel(kappa_error=124.0, miss_prob=0.0, false_alarm_rate=0.0), seed=1, duration=20.0
         )
         errors = [
             angular_distance(f.detections[0][0], DoA(40, 10)) for f in frames

@@ -244,6 +244,14 @@ class TestFileIo:
         with pytest.raises(ValueError, match="does not match sha256"):
             fileio.read_wav(path, sha256=hashlib.sha256(b"other").hexdigest())
 
+    def test_json_writers_refuse_non_finite_numbers(self, tmp_path):
+        path = tmp_path / "doc.json"
+        with pytest.raises(ValueError):
+            fileio.dump_json({"le": float("nan")}, path)
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ValueError):
+            fileio._jsonl([{"margin": float("inf")}])
+
     def test_spec_and_voice_round_trip(self, tmp_path):
         spec = SceneSpec(
             seed=5, num_speakers=3, duration=3.0, snr=None, level_diff_range=(1.0, 3.5),
@@ -475,6 +483,12 @@ class TestGen:
             for (got_id, got), (want_id, want) in zip(fileio.read_enrollment(path), expected, strict=True):
                 assert got_id == want_id and np.array_equal(got.vector, want.vector)
 
+    def test_out_naming_a_file_exit_code(self, tmp_path):
+        out = tmp_path / "data"
+        out.write_text("a file\n")
+        assert main(["gen", "--count", "1", "--duration", "1", "--out", str(out)]) == 3
+        assert out.read_text() == "a file\n"
+
     def test_rerun_same_seed_identical_hashes(self, small_dataset, tmp_path):
         cfg, out = small_dataset
         cmd_gen(cfg, tmp_path)
@@ -606,6 +620,25 @@ class TestRun:
         else:
             path.write_bytes(content)
         assert main(["run", "--dataset", str(data), "--out", str(tmp_path / "results")]) == 3
+
+    @pytest.mark.parametrize(
+        "doc, flags",
+        [({"run": {"beamformers": []}}, []), ({}, ["--durations", " , "])],
+        ids=["beamformers", "durations"],
+    )
+    def test_empty_sweep_list_exit_code(self, one_scene, tmp_path, doc, flags):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(doc))
+        results = tmp_path / "results"
+        argv = ["run", "--config", str(cfg_path), "--dataset", str(one_scene), "--out", str(results)]
+        assert main(argv + flags) == 2
+        assert not results.exists()
+
+    def test_out_naming_a_file_exit_code(self, one_scene, tmp_path):
+        out = tmp_path / "results"
+        out.write_text("a file\n")
+        assert main(["run", "--dataset", str(one_scene), "--out", str(out)]) == 3
+        assert out.read_text() == "a file\n"
 
     def test_only_ideal_and_oracle_mvdr_read_wet_signals(self, one_scene, tmp_path, capsys):
         dry = tmp_path / "dry"
@@ -878,8 +911,7 @@ class TestRun:
             replace(src, dst)
 
         monkeypatch.setattr(os, "replace", failing_replace)
-        with pytest.raises(OSError):
-            main(argv[:-1] + ["2"])
+        assert main(argv[:-1] + ["2"]) == 3
         assert (results / "run_manifest.json").read_bytes() == old
         assert [p.name for p in results.rglob("*.tmp")] == []
         monkeypatch.undo()
@@ -1146,6 +1178,14 @@ class TestEval:
         assert sorted(doc["cells"]) == ["est_m2_ds_whole", "est_m2_mvdr_whole"]
         assert doc["config"]["run"]["noise_cov"] == "gated"
 
+    @pytest.mark.parametrize("flag", ["--per-scene-csv", "--trend-csv"])
+    def test_csv_in_a_missing_directory_exit_code(self, small_results, small_config, tmp_path, flag):
+        _cfg, data, results = small_results
+        report = tmp_path / "report.json"
+        argv = ["eval", "--config", str(small_config), "--dataset", str(data), "--results", str(results)]
+        assert main(argv + ["--out", str(report), flag, str(tmp_path / "missing" / "out.csv")]) == 3
+        assert not report.exists()
+
     @pytest.mark.parametrize("content", [None, "not json\n"])
     def test_missing_or_unreadable_run_manifest_exit_code(
         self, small_results, small_config, tmp_path, content
@@ -1280,6 +1320,9 @@ class TestCliProcess:
             {"workers": -2},
             {"workers": 0},
             {"eval": {"alpha_deg": -5.0}},
+            {"dataset": {"duration": 1e308}},  # finite, but not its sample count
+            {"run": {"beamformers": []}},
+            {"run": {"durations": []}},
         ],
     )
     def test_bad_config_exit_code(self, tmp_path, doc):

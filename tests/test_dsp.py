@@ -9,13 +9,15 @@ from embtrack.dsp import (
     N_WINDOW,
     SAMPLE_RATE,
     STFT_BLOCK_FRAMES,
+    frame_samples,
     istft,
     num_full_frames,
-    num_stft_frames,
     periodic_hann,
     stft,
     stft_blocks,
 )
+
+from conftest import padded_stft
 
 
 def test_periodic_hann_cola_at_half_overlap():
@@ -30,7 +32,7 @@ def test_periodic_hann_cola_at_half_overlap():
 def test_stft_round_trip(length):
     rng = np.random.default_rng(0)
     x = rng.standard_normal(length)
-    spec = stft(x)
+    spec = padded_stft(x)
     y = istft(spec, length)
     err = np.max(np.abs(x - y))
     assert err < np.max(np.abs(x)) * 1e-10
@@ -39,7 +41,7 @@ def test_stft_round_trip(length):
 def test_stft_round_trip_minus_60_db():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(16000)
-    y = istft(stft(x), 16000)
+    y = istft(padded_stft(x), 16000)
     rel = np.sqrt(np.mean((x - y) ** 2) / np.mean(x**2))
     assert 20 * np.log10(rel) < -60.0
 
@@ -57,9 +59,17 @@ def test_unpadded_frame_count():
     assert num_full_frames(511) == 0
 
 
+@pytest.mark.parametrize("frames", [slice(0, 1), slice(3, 9), slice(0, 61)])
+def test_frame_samples_are_the_samples_a_frame_slice_covers(frames):
+    x = np.random.default_rng(5).standard_normal(16000)  # 61 frames
+    span = frame_samples(frames)
+    assert span.stop - span.start == N_WINDOW + (frames.stop - frames.start - 1) * N_HOP
+    assert np.array_equal(stft(x[span]), stft(x)[:, frames])
+
+
 def test_unpadded_stft_rejects_short_signal():
     with pytest.raises(ValueError):
-        stft(np.zeros(100), pad=False)
+        stft(np.zeros(100))
 
 
 def test_config_sample_counts():
@@ -74,12 +84,9 @@ def test_stale_window_and_hop_arguments_raise():
     spec = stft(x)
     calls = [
         lambda: stft(x, 512, 256),
-        lambda: stft(x, 512, 256, pad=False),
         lambda: stft_blocks(x, 512, 256),
         lambda: istft(spec, 512, 256, len(x)),
         lambda: num_full_frames(len(x), 512, 256),
-        lambda: num_stft_frames(len(x), 512, 256),
-        lambda: num_stft_frames(len(x), 512, 256, False),
     ]
     for call in calls:
         with pytest.raises(TypeError):
@@ -95,13 +102,19 @@ def framed_stft(x, pad):
     return np.fft.rfft(xp[idx] * periodic_hann(n_window), axis=1).T
 
 
+def stft_of(x, pad):
+    """The analysis-grid stft of x or, with pad, the padded one istft inverts."""
+    return padded_stft(x) if pad else stft(x)
+
+
+# pad=True checks padded_stft, the STFT the round-trip tests invert.
 @pytest.mark.parametrize("pad", [True, False])
 def test_multichannel_stft_equals_per_channel_reference(pad):
     rng = np.random.default_rng(2)
     x = rng.standard_normal((4, 30 * 16000))
-    spec = stft(x, pad=pad)
+    spec = stft_of(x, pad)
     assert np.array_equal(spec, np.stack([framed_stft(ch, pad) for ch in x]))
-    assert np.array_equal(stft(x[2], pad=pad), framed_stft(x[2], pad))
+    assert np.array_equal(stft_of(x[2], pad), framed_stft(x[2], pad))
 
 
 def unblocked_stft(x, pad=True):
@@ -133,32 +146,32 @@ def test_blocked_stft_equals_unblocked_reference(frames, pad):
     # unpadded, `frames` whole frames and a partial hop of leftover samples
     length = 512 + 256 * (frames - 1) + 100
     for x in (rng.standard_normal(length), rng.standard_normal((4, length))):
-        assert_same_stft(stft(x, pad=pad), unblocked_stft(x, pad=pad))
+        assert_same_stft(stft_of(x, pad), unblocked_stft(x, pad=pad))
     # a float32 strided channel, as read from a sample-major WAV
     x32 = rng.standard_normal((length, 4)).astype(np.float32).T
-    assert_same_stft(stft(x32[1], pad=pad), unblocked_stft(x32[1], pad=pad))
+    assert_same_stft(stft_of(x32[1], pad), unblocked_stft(x32[1], pad=pad))
 
 
 @pytest.mark.parametrize("length", [0, 1, 511, 512])
 def test_blocked_padded_stft_of_short_signals(length):
     x = np.random.default_rng(length).standard_normal(length)
-    assert_same_stft(stft(x), unblocked_stft(x))
+    assert_same_stft(padded_stft(x), unblocked_stft(x))
 
 
 def test_stft_out_is_filled_and_returned_in_its_own_memory_order():
     x = np.random.default_rng(3).standard_normal((2, 16000 * 3))
     reference = unblocked_stft(x, pad=False)
     out = np.empty(reference.shape, dtype=complex)  # C order: bins-major
-    assert stft(x, pad=False, out=out) is out
+    assert stft(x, out=out) is out
     assert out.flags.c_contiguous
     assert np.array_equal(out, reference)
     with pytest.raises(ValueError):
-        stft(x, pad=False, out=np.empty(reference.shape[:-1] + (1,), dtype=complex))
+        stft(x, out=np.empty(reference.shape[:-1] + (1,), dtype=complex))
 
 
 def test_stft_working_memory_is_a_fraction_of_its_output():
-    # 30 s of 4 channels: the unblocked transform held a padded copy of the
-    # signal, every windowed frame and every spectrum besides the result.
+    # 30 s of 4 channels: the unblocked transform held every windowed frame
+    # and every spectrum besides the result.
     x = np.random.default_rng(4).standard_normal((4, 30 * 16000))
     tracemalloc.start()
     try:

@@ -39,7 +39,7 @@ def make_gt(segments_by_speaker):
 class TestObserveGt:
     def test_single_speaker_every_frame(self):
         gt = make_gt([[(0.0, 2.0, DoA(30, 0))]])
-        frames = observe_gt(gt)
+        frames = observe_gt(gt, duration=2.0)
         assert len(frames) == 20
         for i, frame in enumerate(frames):
             assert frame.frame_index == i
@@ -65,7 +65,7 @@ class TestObserveGt:
 
     def test_two_active_speakers_two_detections(self):
         gt = make_gt([[(0.0, 1.0, DoA(10, 0))], [(0.0, 1.0, DoA(-60, 10))]])
-        frames = observe_gt(gt)
+        frames = observe_gt(gt, duration=1.0)
         assert all(len(f.detections) == 2 for f in frames)
 
 
@@ -121,9 +121,9 @@ class TestObserveEst:
 
     def test_degenerate_noise_equals_gt(self):
         gt = make_gt([[(0.0, 1.5, DoA(25, -10))]])
-        clean = observe_gt(gt)
+        clean = observe_gt(gt, duration=1.5)
         noisy = observe_est(
-            gt, noise_model=NoiseModel(math.inf, 0.0, 0.0), seed=3
+            gt, noise_model=NoiseModel(math.inf, 0.0, 0.0), seed=3, duration=1.5
         )
         for a, b in zip(clean, noisy):
             assert a.frame_index == b.frame_index
@@ -133,26 +133,26 @@ class TestObserveEst:
 
     def test_all_missed(self):
         gt = make_gt([[(0.0, 1.0, DoA(0, 0))]])
-        frames = observe_est(gt, noise_model=NoiseModel(124.0, 1.0, 0.0), seed=0)
+        frames = observe_est(gt, noise_model=NoiseModel(124.0, 1.0, 0.0), seed=0, duration=1.0)
         assert all(f.detections == [] for f in frames)
 
     def test_mean_error_calibration(self):
         gt = make_gt([[(0.0, 300.0, DoA(40, 20))]])
-        frames = observe_est(gt, noise_model=NoiseModel(124.0, 0.0, 0.0), seed=5)
+        frames = observe_est(gt, noise_model=NoiseModel(124.0, 0.0, 0.0), seed=5, duration=300.0)
         errors = [angular_distance(f.detections[0][0], DoA(40, 20)) for f in frames]
         assert 6.0 <= float(np.mean(errors)) <= 7.0
 
     def test_false_alarm_rate(self):
         gt = make_gt([[(0.0, 200.0, DoA(0, 0))]])
-        frames = observe_est(gt, noise_model=NoiseModel(124.0, 0.0, 0.5), seed=9)
+        frames = observe_est(gt, noise_model=NoiseModel(124.0, 0.0, 0.5), seed=9, duration=200.0)
         extra = sum(len(f.detections) - 1 for f in frames)
         assert extra / len(frames) == pytest.approx(0.5, rel=0.2)
 
     def test_deterministic(self):
         gt = make_gt([[(0.0, 5.0, DoA(0, 0))]])
         model = NoiseModel(124.0, 0.1, 0.2)
-        a = observe_est(gt, model, seed=12)
-        b = observe_est(gt, model, seed=12)
+        a = observe_est(gt, model, seed=12, duration=5.0)
+        b = observe_est(gt, model, seed=12, duration=5.0)
         assert all(
             len(fa.detections) == len(fb.detections)
             and all(da == db for (da, _), (db, _) in zip(fa.detections, fb.detections))
@@ -194,7 +194,7 @@ class TestTrack:
 
     def test_single_static_source(self):
         gt = make_gt([[(0.0, 10.0, DoA(30, 10))]])
-        frames = observe_gt(gt)
+        frames = observe_gt(gt, duration=10.0)
         trajectories = track(frames, gt_tracker_config(2, seed=0))
         assert len(trajectories) == 1
         metrics = evaluate_scene(gt, trajectories, 10.0)
@@ -220,7 +220,7 @@ class TestTrack:
         gt = make_gt(
             [[(0.0, 8.0, DoA(0, 0))], [(0.0, 8.0, DoA(90, 0))]]
         )
-        frames = observe_gt(gt)
+        frames = observe_gt(gt, duration=8.0)
         trajectories = track(frames, gt_tracker_config(2, seed=0))
         assert len(trajectories) == 2
         metrics = evaluate_scene(gt, trajectories, 8.0)
@@ -244,7 +244,7 @@ class TestTrack:
     def test_no_detection_shared_between_tracks(self):
         # two detections per frame, two tracks: per-frame claimed DoAs differ
         gt = make_gt([[(0.0, 5.0, DoA(0, 0))], [(0.0, 5.0, DoA(120, 0))]])
-        frames = observe_gt(gt)
+        frames = observe_gt(gt, duration=5.0)
         trajectories = track(frames, gt_tracker_config(2, seed=0))
         per_frame = {}
         for tr in trajectories:
@@ -266,7 +266,7 @@ class TestTrack:
     def test_error_shrinks_with_filtering(self):
         gt = make_gt([[(0.0, 20.0, DoA(0, 0))]])
         model = NoiseModel(kappa_error=124.0, miss_prob=0.0, false_alarm_rate=0.0)
-        frames = observe_est(gt, model, seed=4)
+        frames = observe_est(gt, model, seed=4, duration=20.0)
         cfg = TrackerConfig(max_tracks=1, kappa_observation=120.0, gate_deg=30.0, seed=0)
         (trajectory,) = track(frames, cfg)
         errors = [
@@ -278,7 +278,7 @@ class TestTrack:
     def test_deterministic(self):
         gt = make_gt([[(0.0, 5.0, DoA(10, 5)), (7.0, 10.0, DoA(-120, 0))]])
         model = NoiseModel(124.0, 0.05, 0.1)
-        frames = observe_est(gt, model, seed=8)
+        frames = observe_est(gt, model, seed=8, duration=10.0)
         a = track(frames, gt_tracker_config(3, seed=21))
         b = track(frames, gt_tracker_config(3, seed=21))
         assert len(a) == len(b)
